@@ -12,6 +12,7 @@ from .errors import (
     CompositionError,
     ConfigError,
     ContractError,
+    FinalTransportError,
     ParseError,
     PlanningError,
     SchemaError,
@@ -64,6 +65,7 @@ __all__ = [
     "DocumentRecord",
     "EvalRun",
     "Expander",
+    "FinalTransportError",
     "GroupedWindowPlan",
     "Judge",
     "Linker",

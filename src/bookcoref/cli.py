@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bookcoref {__version__}")
     parser.add_argument("--config", help="JSON file with default values for any flag")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized test-support behavior")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker cap for window-level work")
+    parser.add_argument("--jobs", type=int, default=1, help="cap on concurrent judge and expander calls; results do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def common_out(p: argparse.ArgumentParser) -> None:

@@ -48,4 +48,9 @@ class SchemaError(BookcorefError):
 
 
 class TransportError(BookcorefError):
-    """A remote annotator service could not be reached after retries."""
+    """A remote annotator service could not be reached."""
+
+
+class FinalTransportError(TransportError):
+    """A transport failure that is final: the client has already retried it,
+    or the service rejected the request. Callers must not retry it again."""

@@ -22,13 +22,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
 
-from .errors import ConfigError, ContractError, PlanningError, StageError, TransportError
+from .errors import (
+    ConfigError,
+    ContractError,
+    FinalTransportError,
+    PlanningError,
+    StageError,
+    TransportError,
+)
 from .model import (
     PRONOUNS,
     ClusterKey,
@@ -103,7 +111,14 @@ ALL_STAGES = ("init", "refine", "window", "group")
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline constants; defaults mirror the published procedure
-    (1500-token windows, groups of 10, 400 context words)."""
+    (1500-token windows, groups of 10, 400 context words).
+
+    ``jobs`` caps the concurrent component calls of the refine stage (one
+    judge call per mention) and of each expansion pass (one expander call
+    per window or group). Verdicts, expansions and trace records are kept in
+    the serial order whatever order the calls complete in, so results do not
+    depend on ``jobs``; with ``jobs=1`` every call runs on the calling thread.
+    """
 
     window_len: int = 1500
     group_size: int = 10
@@ -323,6 +338,42 @@ def initialize(
     return ClusterSet(doc.doc_id, "initialized", dict(out.clusters))
 
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def _map_in_order(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
+    """``[fn(item) for item in items]`` with up to ``jobs`` calls at a time.
+
+    Results come back in input order whatever order the calls finish in.
+    Once a call fails no further call starts, so a failing component sees at
+    most the ``jobs`` calls already in flight; the failure earliest in input
+    order is raised. With ``jobs=1`` every call runs on the calling thread.
+    """
+    if jobs == 1:
+        return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def guarded(item: _T) -> _R:
+        if failed.is_set():
+            raise CancelledError()
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        futures = [pool.submit(guarded, item) for item in items]
+        # the work queue is FIFO, so every call skipped or cancelled after a
+        # failure comes later in input order: reading in order meets it first
+        return [f.result() for f in futures]
+    finally:
+        failed.set()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def refine(
     doc: Document,
     cs: ClusterSet,
@@ -330,41 +381,47 @@ def refine(
     context_words: int = DEFAULT_CONTEXT_WORDS,
     retries: int = 2,
     trace: PipelineTrace | None = None,
+    jobs: int = 1,
 ) -> ClusterSet:
     """Keep each mention iff the judge accepts its prompt.
 
-    Characters whose clusters empty out keep their (empty) entries. Judge
+    Characters whose clusters empty out keep their (empty) entries. Up to
+    ``jobs`` judge calls run at once; verdicts are recorded in sorted key
+    order, then span order, whatever order the calls finish in. Judge
     transport failures are retried ``retries`` times, then surface as a
-    stage error naming the mention.
+    stage error naming the first failing mention in that order. A
+    :class:`FinalTransportError` (the HTTP client has already retried) is
+    not retried again.
     """
     if cs.stage != "initialized":
         raise StageError(f"refine expects stage 'initialized', got {cs.stage!r}")
-    kept: dict[ClusterKey, tuple[Mention, ...]] = {}
-    for key in cs.sorted_keys():
-        accepted = []
-        for m in cs.clusters[key]:
-            prompt = build_prompt(doc, m, str(key), context_words)
-            request = JudgeRequest(prompt, doc.doc_id, m, str(key))
-            last_error: TransportError | None = None
-            for _ in range(retries + 1):
-                try:
-                    verdict = judge.judge(request)
-                    last_error = None
-                    break
-                except TransportError as e:
-                    last_error = e
-            if last_error is not None:
-                raise StageError(
-                    f"judge failed for mention ({m.start},{m.end}) of {key!r} "
-                    f"after {retries} retries: {last_error}"
-                ) from last_error
-            if trace is not None:
-                trace.judge_verdicts.append((key, m, verdict))
-            if verdict:
-                accepted.append(m)
-        kept[key] = tuple(accepted)
+
+    def verdict(item: tuple[ClusterKey, Mention]) -> bool:
+        key, m = item
+        request = JudgeRequest(build_prompt(doc, m, str(key), context_words), doc.doc_id, m, str(key))
+        attempt = 0
+        while True:
+            try:
+                return judge.judge(request)
+            except TransportError as e:
+                final = isinstance(e, FinalTransportError)
+                if final or attempt >= retries:
+                    after = "" if final else f" after {retries} retries"
+                    raise StageError(
+                        f"judge failed for mention ({m.start},{m.end}) of {key!r}{after}: {e}"
+                    ) from e
+            attempt += 1
+
+    items = [(key, m) for key in cs.sorted_keys() for m in cs.clusters[key]]
+    verdicts = _map_in_order(verdict, items, jobs)
+    kept: dict[ClusterKey, list[Mention]] = {key: [] for key in cs.clusters}
+    for (key, m), accepted in zip(items, verdicts):
+        if trace is not None:
+            trace.judge_verdicts.append((key, m, accepted))
+        if accepted:
+            kept[key].append(m)
     # judge in sorted order, store in the input's key order
-    return ClusterSet(cs.doc_id, "refined", {k: kept[k] for k in cs.clusters})
+    return ClusterSet(cs.doc_id, "refined", {k: tuple(v) for k, v in kept.items()})
 
 
 def _expand_window(
@@ -455,11 +512,7 @@ def expand_pass(
     def work(rng: tuple[int, int]) -> ClusterSet:
         return _expand_window(doc, cs, rng[0], rng[1], expander, target)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, ranges))
-    else:
-        parts = [work(rng) for rng in ranges]
+    parts = _map_in_order(work, ranges, jobs)
 
     if trace is not None:
         for rng, part in zip(ranges, parts):
@@ -501,7 +554,7 @@ def run(
 
     if "refine" in config.stages:
         t0 = time.perf_counter()
-        cs = refine(doc, cs, judge, config.judge_context_words, config.retries, trace)
+        cs = refine(doc, cs, judge, config.judge_context_words, config.retries, trace, config.jobs)
         trace.stage_seconds["refine"] = time.perf_counter() - t0
         trace.snapshots["refined"] = cs
     elif "window" in config.stages:

@@ -10,7 +10,8 @@ Spans are 0-based, end-inclusive. Requests carry a fixed decoding
 configuration so that services can honour the determinism contract, and
 responses are cached on disk keyed by a request hash (directory from the
 ``cache_dir`` argument or the BOOKCOREF_CACHE_DIR environment variable), so
-re-runs replay bit-identically without touching the service.
+re-runs replay bit-identically without touching the service. A response that
+is not of this shape is a :class:`ContractError` naming the route.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
+import threading
 import time
 from typing import Iterable, Mapping
 
 import requests
 
-from .errors import ContractError, TransportError
+from .errors import ContractError, FinalTransportError, TransportError
 from .model import ClusterKey, ClusterSet, Document, Mention
 from .pipeline import ExpandRequest, JudgeRequest
 
@@ -34,7 +37,22 @@ DECODING = {"temperature": 0.0, "seed": 0}
 
 
 class ServiceClient:
-    """Tiny JSON POST client with bounded retries and a response cache."""
+    """Tiny JSON POST client with bounded retries and a response cache.
+
+    The client is the one retry layer for HTTP components: a request that
+    still fails after ``retries`` retries, or that the service rejects with
+    a 4xx status, raises :class:`FinalTransportError`, which callers do not
+    retry again.
+
+    ``post`` may be called from several threads at once. Unless a
+    ``session`` is supplied (and then shared as-is), each thread gets its own
+    ``requests.Session``. What ``requests`` would read from the environment
+    on every request -- proxies and ``no_proxy``, the CA-bundle variables
+    and netrc credentials -- is resolved once, for ``base_url``, when the
+    client is built; its own sessions then skip the per-request lookup.
+    ``log`` records one entry per call in completion order, which is not
+    the call order when several threads post at once.
+    """
 
     def __init__(
         self,
@@ -50,8 +68,31 @@ class ServiceClient:
         self.retries = retries
         self.backoff = backoff
         self.cache_dir = cache_dir if cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
-        self.session = session or requests.Session()
+        if self.cache_dir:
+            os.makedirs(self.cache_dir, exist_ok=True)
         self.log: list[dict] = []
+        self._shared_session = session
+        self._local = threading.local()
+        with requests.Session() as probe:
+            env = probe.merge_environment_settings(self.base_url, {}, None, None, None)
+        self._proxies = env["proxies"]
+        self._verify = env["verify"]
+        self._auth = requests.utils.get_netrc_auth(self.base_url)
+
+    @property
+    def session(self) -> requests.Session:
+        """The calling thread's session (the supplied one, if any)."""
+        if self._shared_session is not None:
+            return self._shared_session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = requests.Session()
+            session.trust_env = False
+            session.proxies.update(self._proxies)
+            session.verify = self._verify
+            session.auth = self._auth
+            self._local.session = session
+        return session
 
     def _cache_path(self, digest: str) -> str | None:
         if not self.cache_dir:
@@ -62,11 +103,15 @@ class ServiceClient:
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256((route + "\n" + body).encode()).hexdigest()
         path = self._cache_path(digest)
-        if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as f:
-                response = json.load(f)
-            self.log.append({"route": route, "request": digest, "cached": True})
-            return response
+        if path:
+            try:
+                with open(path, encoding="utf-8") as f:
+                    response = json.load(f)
+            except (FileNotFoundError, ValueError):
+                pass  # a missing, truncated or corrupt entry is a miss; fetch and overwrite
+            else:
+                self.log.append({"route": route, "request": digest, "cached": True})
+                return response
 
         url = self.base_url + route
         last: Exception | None = None
@@ -78,22 +123,40 @@ class ServiceClient:
                 if resp.status_code >= 500:
                     last = TransportError(f"{url} returned {resp.status_code}")
                 elif resp.status_code >= 400:
-                    raise TransportError(f"{url} rejected request: {resp.status_code}")
+                    raise FinalTransportError(f"{url} rejected request: {resp.status_code}")
                 else:
-                    data = resp.json()
+                    data = self._decode(resp, route)
                     if path:
-                        os.makedirs(self.cache_dir, exist_ok=True)  # type: ignore[arg-type]
-                        tmp = path + ".tmp"
-                        with open(tmp, "w", encoding="utf-8") as f:
-                            json.dump(data, f)
-                        os.replace(tmp, path)
+                        self._store(path, data)
                     self.log.append({"route": route, "request": digest, "cached": False})
                     return data
             except (requests.ConnectionError, requests.Timeout) as e:
                 last = e
             if attempt < self.retries and self.backoff:
                 time.sleep(self.backoff * (attempt + 1))
-        raise TransportError(f"{url} unreachable after {self.retries + 1} attempts: {last}")
+        raise FinalTransportError(f"{url} unreachable after {self.retries + 1} attempts: {last}")
+
+    @staticmethod
+    def _decode(resp: requests.Response, route: str) -> dict:
+        try:
+            data = resp.json()
+        except ValueError as e:
+            raise ContractError(f"{route}: response is not JSON: {e}") from e
+        if not isinstance(data, dict):
+            raise ContractError(f"{route}: response must be a JSON object, got {type(data).__name__}")
+        return data
+
+    def _store(self, path: str, data: dict) -> None:
+        # a unique temp name per write: concurrent writers of one digest
+        # each rename a complete file into place
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                json.dump(data, f)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _parse_wire_clusters(raw: object, context: str) -> dict[str, list[Mention]]:
@@ -103,7 +166,12 @@ def _parse_wire_clusters(raw: object, context: str) -> dict[str, list[Mention]]:
     for key, spans in raw.items():
         if not isinstance(spans, list):
             raise ContractError(f"{context}: spans of {key!r} must be an array")
-        out[key] = [Mention(int(s[0]), int(s[1])) for s in spans]
+        mentions = []
+        for span in spans:
+            if not (isinstance(span, list) and len(span) == 2 and all(type(x) is int for x in span)):
+                raise ContractError(f"{context}: span {span!r} of {key!r} must be [start, end] integers")
+            mentions.append(Mention(span[0], span[1]))
+        out[key] = mentions
     return out
 
 

@@ -1,6 +1,15 @@
+import time
+
 import pytest
 
-from bookcoref.errors import ConfigError, ContractError, PlanningError, StageError, TransportError
+from bookcoref.errors import (
+    ConfigError,
+    ContractError,
+    FinalTransportError,
+    PlanningError,
+    StageError,
+    TransportError,
+)
 from bookcoref.metrics import conll, linking_prf
 from bookcoref.model import ClusterSet, Document, Mention, restrict, shift
 from bookcoref.pipeline import (
@@ -11,6 +20,7 @@ from bookcoref.pipeline import (
     OracleLinker,
     PatternMatchLinker,
     PipelineConfig,
+    PipelineTrace,
     RejectAllJudge,
     build_prompt,
     expand_pass,
@@ -516,3 +526,114 @@ class TestRun:
         assert counts["refined"] <= counts["initialized"]
         assert counts["window_expanded"] >= counts["refined"]
         assert counts["final"] >= counts["window_expanded"]
+
+
+def names_doc(n_tokens=240):
+    """A book of repeated names and filler: dozens of mentions per character."""
+    names = ("Ann", "Ben", "Cat")
+    tokens = tuple(names[i % 3] if i % 4 == 0 else f"w{i}" for i in range(n_tokens))
+    return Document("names", tokens, names)
+
+
+class SleepyJudge:
+    """Accepts mentions by position after a delay that varies per mention,
+    so concurrent calls finish out of order; records the finishing order."""
+
+    name = "sleepy"
+
+    def __init__(self):
+        self.finished = []
+
+    def judge(self, request):
+        time.sleep(((request.mention.start * 7) % 5) / 1000)
+        self.finished.append(request.mention)
+        return request.mention.start % 3 != 0
+
+
+class SleepyExpander:
+    name = "sleepy"
+
+    def expand(self, request):
+        time.sleep(((request.lo * 7) % 5) / 1000)
+        return request.seeds
+
+
+def trace_without_timings(trace):
+    d = trace.to_dict()
+    d.pop("stage_seconds")
+    return d
+
+
+class TestConcurrentJudging:
+    def test_refine_is_bit_identical_for_any_jobs(self):
+        doc = names_doc()
+        cs = pattern_match(doc)
+        outs = {}
+        for jobs in (1, 8):
+            judge, trace = SleepyJudge(), PipelineTrace(doc.doc_id, "x")
+            outs[jobs] = refine(doc, cs, judge, trace=trace, jobs=jobs), trace_without_timings(trace)
+            judged = [m for _, m, _ in trace.judge_verdicts]
+            if jobs > 1:
+                assert judge.finished != judged  # calls really completed out of order
+        assert outs[1] == outs[8]
+        assert 0 < outs[8][0].n_mentions < cs.n_mentions
+
+    def test_run_is_bit_identical_for_any_jobs(self):
+        doc = names_doc()
+        outs = {}
+        for jobs in (1, 8):
+            config = PipelineConfig(window_len=20, group_size=3, jobs=jobs)
+            final, trace = run(doc, config, PatternMatchLinker(), SleepyJudge(), SleepyExpander())
+            outs[jobs] = final, trace_without_timings(trace)
+        assert outs[1] == outs[8]
+
+    def test_failing_judge_stops_after_calls_in_flight(self):
+        doc = names_doc()
+        cs = pattern_match(doc)
+        calls = []
+
+        class DeadJudge:
+            name = "dead"
+
+            def judge(self, request):
+                calls.append(request.mention)
+                # the first mention in sorted order fails last
+                time.sleep(0.02 if request.mention == Mention(0, 0) else 0.001)
+                raise TransportError("down")
+
+        with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann' after 2 retries"):
+            refine(doc, cs, DeadJudge(), retries=2, jobs=4)
+        assert 0 < len(calls) <= 4 * 3
+
+    def test_failing_expander_stops_after_calls_in_flight(self):
+        doc = names_doc()
+        cs = pattern_match(doc).advanced()
+        plan = plan_windows(doc, 10, "mention_safe", guard=cs)
+        calls = []
+
+        class DeadExpander:
+            name = "dead"
+
+            def expand(self, request):
+                calls.append(request.lo)
+                time.sleep(0.005)
+                raise TransportError("down")
+
+        with pytest.raises(TransportError):
+            expand_pass(doc, cs, plan, DeadExpander(), jobs=4)
+        assert len(plan.windows) > 4
+        assert 0 < len(calls) <= 4
+
+    def test_final_transport_error_is_not_retried_again(self):
+        calls = []
+
+        class GaveUpJudge:
+            name = "gave-up"
+
+            def judge(self, request):
+                calls.append(request.mention)
+                raise FinalTransportError("unreachable after 3 attempts")
+
+        with pytest.raises(StageError, match=r"mention \(3,3\) of 'Bingley': unreachable after 3 attempts"):
+            refine(TestRefine.DOC, TestRefine.INIT, GaveUpJudge(), retries=2)
+        assert calls == [Mention(3, 3)]

@@ -1,11 +1,14 @@
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
-from bookcoref.errors import ContractError, TransportError
-from bookcoref.model import Document, Mention
+from bookcoref.errors import ContractError, FinalTransportError, StageError, TransportError
+from bookcoref.model import ClusterSet, Document, Mention
 from bookcoref.pipeline import (
     AcceptAllJudge,
     ExpandRequest,
@@ -13,6 +16,7 @@ from bookcoref.pipeline import (
     JudgeRequest,
     PatternMatchLinker,
     PipelineConfig,
+    refine,
     run,
 )
 from bookcoref.remote import DECODING, HttpExpander, HttpJudge, HttpLinker, ServiceClient
@@ -204,3 +208,165 @@ class TestEndToEndOverHttp:
         assert {entry["route"] for entry in payload["service_log"]} == {"/link", "/judge", "/expand"}
         assert payload["invocation"]["endpoint"] == url
         assert payload["invocation_hash"]
+
+
+class TestOneRetryLayer:
+    def test_refine_over_dead_judge_sends_retries_plus_one_attempts(self, service):
+        server, url = service
+        server.fail_next["/judge"] = 100
+        judge = HttpJudge(client_for(url, retries=2))
+        init = ClusterSet.build("wire", "initialized", {"Ann": [(0, 0), (5, 5)], "Ben": [(2, 2)]})
+        with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann': .*unreachable after 3 attempts"):
+            refine(DOC, init, judge, retries=2)
+        assert len([r for r in server.requests if r[0] == "/judge"]) == 3
+
+    def test_rejected_request_is_final_after_one_attempt(self, service):
+        server, url = service
+        with pytest.raises(FinalTransportError, match="rejected request: 404"):
+            client_for(url, retries=2).post("/missing", {})
+        assert len(server.requests) == 1
+
+
+class TestCacheUnderConcurrency:
+    def test_concurrent_writers_of_one_digest(self, service, tmp_path):
+        _, url = service
+        n = 8
+        barrier = threading.Barrier(n)
+
+        class LockstepSession(requests.Session):
+            """Holds every reply until all threads have one, so all writes
+            of the shared digest happen together."""
+
+            def post(self, *args, **kwargs):
+                resp = super().post(*args, **kwargs)
+                barrier.wait(timeout=10)
+                return resp
+
+        client = client_for(url, cache_dir=str(tmp_path), session=LockstepSession())
+        payload = {"prompt": "Does the mention [Ann] correspond to the character Ann? (Yes/No)", "decoding": DECODING}
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n) as pool:
+                results = [f.result(timeout=30) for f in [pool.submit(client.post, "/judge", payload) for _ in range(n)]]
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert results == [{"answer": "Yes"}] * n
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json"]
+
+    def test_corrupt_entry_is_refetched_and_overwritten(self, service, tmp_path):
+        server, url = service
+        client = client_for(url, cache_dir=str(tmp_path))
+        payload = {"doc_id": "wire", "tokens": list(DOC.tokens), "characters": ["Ann"]}
+        first = client.post("/link", payload)
+        (entry,) = tmp_path.glob("*.json")
+        entry.write_text(entry.read_text()[:5], encoding="utf-8")
+        assert client.post("/link", payload) == first
+        assert len(server.requests) == 2
+        assert client.log[-1]["cached"] is False
+        assert json.loads(entry.read_text()) == first
+
+    def test_cache_dir_is_created_by_the_client(self, tmp_path):
+        cache = tmp_path / "a" / "b"
+        ServiceClient("http://127.0.0.1:1", cache_dir=str(cache))
+        assert cache.is_dir()
+
+
+MALFORMED_SPANS = [[[1]], [["x", 2]], [None], [[1, 2, 3]]]
+
+
+class MalformedLinkHandler(MockAnnotatorHandler):
+    """Answers /link with the body in ``server.link_body``."""
+
+    def do_POST(self):
+        if self.path != "/link":
+            return super().do_POST()
+        self.rfile.read(int(self.headers["Content-Length"]))
+        payload = self.server.link_body
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+
+@pytest.fixture()
+def malformed_service():
+    server = HTTPServer(("127.0.0.1", 0), MalformedLinkHandler)
+    server.requests, server.fail_next = [], {}
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2)
+
+
+class TestWireShape:
+    @pytest.mark.parametrize("spans", MALFORMED_SPANS)
+    def test_malformed_span_is_contract_error(self, spans):
+        client = client_for("http://127.0.0.1:1")
+        client.post = lambda route, payload: {"clusters": {"Ann": spans}}
+        with pytest.raises(ContractError, match=r"^/link: span .* of 'Ann'"):
+            HttpLinker(client).link(DOC)
+
+    @pytest.mark.parametrize(
+        "body",
+        [json.dumps({"clusters": {"Ann": spans}}).encode() for spans in MALFORMED_SPANS] + [b"not json", b"[1, 2]"],
+    )
+    def test_cli_exits_1_on_malformed_response(self, malformed_service, tmp_path, capsys, body):
+        from bookcoref.cli import main
+        from bookcoref.formats import CorpusFile, DocumentRecord, write_jsonl
+
+        server, url = malformed_service
+        server.link_body = body
+        src = tmp_path / "in.jsonl"
+        gold = ClusterSet.build("wire", "gold", {"Ann": [(0, 0)], "Ben": [(2, 2)]})
+        write_jsonl(CorpusFile([DocumentRecord(DOC, {"gold": gold})]), str(src))
+        code = main(
+            [
+                "pipeline", "run", str(src), str(tmp_path / "pred.jsonl"),
+                "--linker", "http", "--judge", "accept", "--expander", "identity",
+                "--endpoint", url, "--cache-dir", str(tmp_path / "cache"),
+            ]
+        )
+        assert code == 1
+        assert "bookcoref: /link:" in capsys.readouterr().err
+
+
+class TestSessions:
+    def test_worker_threads_use_distinct_sessions(self):
+        client = client_for("http://127.0.0.1:1")
+        n = 4
+        barrier = threading.Barrier(n)
+
+        def sessions_seen(_):
+            first = client.session
+            barrier.wait(timeout=10)  # all threads alive at once
+            assert client.session is first
+            return first
+
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            sessions = list(pool.map(sessions_seen, range(n), timeout=30))
+        assert len({id(s) for s in sessions}) == n
+        assert all(s.trust_env is False for s in sessions)
+
+    def test_supplied_session_is_shared_as_is(self):
+        session = requests.Session()
+        client = client_for("http://127.0.0.1:1", session=session)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert set(pool.map(lambda _: client.session, range(2))) == {session}
+        assert session.trust_env is True
+
+    def test_environment_proxy_settings_still_apply(self, service, monkeypatch):
+        _, url = service
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+        with pytest.raises(TransportError):
+            client_for(url, retries=0).post("/garbage", {})
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        assert client_for(url, retries=0).post("/garbage", {}) == {"answer": "maybe"}
