@@ -13,6 +13,7 @@ from .errors import (
     ConfigError,
     ContractError,
     FinalTransportError,
+    GeneratorError,
     ParseError,
     PlanningError,
     SchemaError,
@@ -66,6 +67,7 @@ __all__ = [
     "EvalRun",
     "Expander",
     "FinalTransportError",
+    "GeneratorError",
     "GroupedWindowPlan",
     "Judge",
     "Linker",

@@ -33,6 +33,11 @@ class ConfigError(BookcorefError):
     """Invalid configuration value or combination."""
 
 
+class GeneratorError(BookcorefError):
+    """The synthetic generator could not build a corpus that meets its
+    calibration targets for the requested seed."""
+
+
 class ParseError(BookcorefError):
     """Malformed input file; carries the offending line/row number."""
 

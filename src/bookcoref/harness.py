@@ -32,7 +32,7 @@ from .metrics import (
     macro_reports,
     pool_reports,
 )
-from .model import ClusterSet, restrict
+from .model import ClusterSet, drop_empty, restrict
 from .windowing import plan_windows, split_corpus
 
 SETTINGS = ("full_book", "split", "gold_plus_window")
@@ -124,10 +124,6 @@ def _pick(rec: DocumentRecord, name: str) -> ClusterSet | None:
     return cs
 
 
-def _drop_empty(cs: ClusterSet) -> ClusterSet:
-    return ClusterSet(cs.doc_id, cs.stage, {k: ms for k, ms in cs.clusters.items() if ms})
-
-
 def evaluate(
     setting: Setting,
     key_corpus: CorpusFile,
@@ -195,8 +191,8 @@ def evaluate(
                 run.missing_units.append(doc_id)
             plan = plan_windows(rec.document, setting.window_len, "strict")
             for i, (lo, hi) in enumerate(plan.windows, 1):
-                key_part = _drop_empty(restrict(key_cs, lo, hi))
-                resp_part = _drop_empty(restrict(resp_cs, lo, hi)) if resp_cs is not None else None
+                key_part = drop_empty(restrict(key_cs, lo, hi))
+                resp_part = drop_empty(restrict(resp_cs, lo, hi)) if resp_cs is not None else None
                 if key_part.n_mentions == 0 and (resp_part is None or resp_part.n_mentions == 0):
                     continue
                 unit_id = f"{doc_id}#w{i}"

@@ -5,12 +5,23 @@ mention ``(3, 5)`` covers tokens 3, 4 and 5. This matches the CoNLL-2012
 shared-task convention and the JSONL interchange schema.
 
 All types are immutable after construction; the operations in this module
-(:func:`validate`, :func:`restrict`, :func:`union`, :func:`shift`) are pure
-functions, so values can be shared freely across threads.
+(:func:`validate`, :func:`restrict`, :func:`union`, :func:`shift`,
+:func:`drop_empty`) are pure functions, so values can be shared freely across
+threads.
+
+:func:`restrict` is the one window-slicing operation. Each
+:class:`ClusterSet` builds, on its first restriction, an index of its
+clusters' mention starts; every later window then costs two binary searches
+per cluster plus the mentions it keeps, O(C log M + k), instead of a scan of
+all M mentions. Slicing a book into W windows is O(M + W C log M) rather than
+O(W M). A cluster whose mentions are not sorted by start (the constructor
+accepts any order; :meth:`ClusterSet.build` sorts) is scanned instead.
 """
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -101,11 +112,17 @@ class ClusterSet:
     :func:`validate` can report them; :func:`union` applies set semantics.
     Character keys are strings; ``stage="prediction"`` may use anonymous
     integer keys instead.
+
+    ``_starts`` caches the span index :func:`restrict` builds on first use;
+    it takes no part in equality or ``repr``.
     """
 
     doc_id: str
     stage: str
     clusters: Mapping[ClusterKey, tuple[Mention, ...]] = field(default_factory=dict)
+    _starts: Mapping[ClusterKey, list[int] | None] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
@@ -236,19 +253,63 @@ def validate(doc: Document, cs: ClusterSet) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
+_INDEX_LOCK = threading.Lock()
+
+
+def _start_index(cs: ClusterSet) -> Mapping[ClusterKey, list[int] | None]:
+    """Per cluster, its mention starts if the cluster is a tuple or list
+    sorted by start, else None (the cluster is then scanned).
+
+    Built once per set, under a lock so concurrent first calls build it once;
+    the finished index is published by a single attribute store.
+    """
+    index = cs._starts
+    if index is None:
+        with _INDEX_LOCK:
+            index = cs._starts
+            if index is None:
+                index = {}
+                for key, ms in cs.clusters.items():
+                    starts = [m.start for m in ms]
+                    sliceable = isinstance(ms, (tuple, list))
+                    index[key] = starts if sliceable and starts == sorted(starts) else None
+                object.__setattr__(cs, "_starts", index)
+    return index
+
+
 def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:
     """Keep exactly the mentions fully contained in the token range [lo, hi).
 
     Offsets stay in global coordinates. Clusters that become empty are kept
     as empty entries so character keys survive a later :func:`union`.
+    Mentions keep their order, and duplicates are kept.
+
+    Cost: the first call on a set indexes the mention starts of each cluster
+    (O(M)). After that a call costs two ``bisect`` lookups per cluster plus
+    the k mentions that start inside the range, O(C log M + k). The mentions
+    that start inside the range but end past ``hi`` are the only ones
+    examined and dropped. A cluster whose starts are not sorted is scanned
+    in full, O(M), so the result is the same for any set the constructor
+    accepts.
     """
     if lo < 0 or hi < lo:
         raise SpanRangeError(f"invalid restriction range [{lo}, {hi})")
-    return ClusterSet(
-        cs.doc_id,
-        cs.stage,
-        {key: tuple(m for m in ms if m.within(lo, hi)) for key, ms in cs.clusters.items()},
-    )
+    index = _start_index(cs)
+    out: dict[ClusterKey, tuple[Mention, ...]] = {}
+    for key, ms in cs.clusters.items():
+        starts = index[key]
+        if starts is None:
+            out[key] = tuple(m for m in ms if m.within(lo, hi))
+        else:
+            inside = ms[bisect_left(starts, lo) : bisect_left(starts, hi)]
+            out[key] = tuple(m for m in inside if m.end < hi)
+    return ClusterSet(cs.doc_id, cs.stage, out)
+
+
+def drop_empty(cs: ClusterSet) -> ClusterSet:
+    """The same set without its empty clusters (e.g. after :func:`restrict`,
+    when a window is scored or written out on its own)."""
+    return ClusterSet(cs.doc_id, cs.stage, {key: ms for key, ms in cs.clusters.items() if ms})
 
 
 def shift(cs: ClusterSet, delta: int) -> ClusterSet:

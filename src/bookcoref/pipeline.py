@@ -136,6 +136,8 @@ class PipelineConfig:
             raise ConfigError("window_len, group_size and judge_context_words must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ConfigError(f"unknown pipeline stages {sorted(unknown)}")
@@ -431,7 +433,8 @@ def _expand_window(
     hi: int,
     expander: Expander,
     target_stage: str,
-) -> ClusterSet:
+) -> tuple[ClusterSet, int]:
+    """Expand one range; returns the expanded part and its seed count."""
     seeds_local = shift(restrict(cs, lo, hi), -lo)
     request = ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], seeds_local.clusters)
     raw = expander.expand(request)
@@ -472,7 +475,7 @@ def _expand_window(
                 f"expander dropped seed mention ({m.start + lo},{m.end + lo}) of {key!r} "
                 f"in window [{lo},{hi})"
             )
-    return shift(ClusterSet(cs.doc_id, target_stage, out), lo)
+    return shift(ClusterSet(cs.doc_id, target_stage, out), lo), seeds_local.n_mentions
 
 
 def expand_pass(
@@ -509,22 +512,17 @@ def expand_pass(
                 f"plan with boundary_rule='mention_safe' and this cluster set as guard"
             )
 
-    def work(rng: tuple[int, int]) -> ClusterSet:
+    def work(rng: tuple[int, int]) -> tuple[ClusterSet, int]:
         return _expand_window(doc, cs, rng[0], rng[1], expander, target)
 
-    parts = _map_in_order(work, ranges, jobs)
+    results = _map_in_order(work, ranges, jobs)
 
     if trace is not None:
-        for rng, part in zip(ranges, parts):
+        for rng, (part, seeds) in zip(ranges, results):
             trace.window_records.append(
-                {
-                    "kind": label,
-                    "range": list(rng),
-                    "seeds": restrict(cs, rng[0], rng[1]).n_mentions,
-                    "expanded": part.n_mentions,
-                }
+                {"kind": label, "range": list(rng), "seeds": seeds, "expanded": part.n_mentions}
             )
-    return union(parts)
+    return union([part for part, _ in results])
 
 
 def run(

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 import requests
 
-from .errors import ContractError, FinalTransportError, TransportError
+from .errors import ConfigError, ContractError, FinalTransportError, TransportError
 from .model import ClusterKey, ClusterSet, Document, Mention
 from .pipeline import ExpandRequest, JudgeRequest
 
@@ -63,6 +63,8 @@ class ServiceClient:
         cache_dir: str | None = None,
         session: requests.Session | None = None,
     ):
+        if retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = retries

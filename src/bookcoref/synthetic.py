@@ -18,13 +18,17 @@ Construction invariants (the tests and acceptance suite rely on these):
   maximal spans), and nowhere else, which pins exact-name matching to
   P ~ 95.6 / R ~ 18.9;
 * generation is a pure function of the seed.
+
+A seed whose corpus cannot be calibrated raises :class:`GeneratorError`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
+from .errors import GeneratorError
 from .formats import CorpusFile, DocumentRecord
 from .metrics import chain_distance, linking_prf
 from .model import ClusterSet, Document, Mention, validate
@@ -34,6 +38,11 @@ DEFAULT_SEED = 13
 
 #: Micro-average pairwise mention-start distance the corpus is calibrated to.
 DISTANCE_TARGET = 34_880.0
+
+#: Relative distance error the calibration aims for, and the one the
+#: finished corpus must stay within.
+_DISTANCE_AIM = 0.002
+_DISTANCE_TOLERANCE = 0.005
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +144,7 @@ def _chain_sizes(n_chains: int, n_mentions: int) -> list[int]:
     sizes = [max(2, int(n_mentions * w / total)) for w in weights]
     sizes[0] += n_mentions - sum(sizes)
     if sizes[0] < 2:
-        raise ValueError("mention budget too small for the chain count")
+        raise GeneratorError("mention budget too small for the chain count")
     return sizes
 
 
@@ -218,7 +227,7 @@ def _place_book(
     headroom = 8 * (n // WINDOW + 1)
     budget = n - sum(lengths) - len(lengths) - headroom
     if budget <= 0:
-        raise AssertionError(f"{spec.doc_id}: token budget too small for its mentions")
+        raise GeneratorError(f"{spec.doc_id}: token budget too small for its mentions")
     scale = budget / sum(extras)
     placed: list[tuple[int, _PlannedMention]] = []
     cursor = extras[0] * scale
@@ -227,7 +236,7 @@ def _place_book(
         if s // WINDOW != (s + length - 1) // WINDOW:
             s = (s // WINDOW + 1) * WINDOW
         if s + length > n:
-            raise AssertionError(f"placement overflow in {spec.doc_id}")
+            raise GeneratorError(f"placement overflow in {spec.doc_id}")
         placed.append((s, pm))
         cursor = max(cursor, float(s)) + length + 1 + extra * scale
     return placed
@@ -247,6 +256,68 @@ def _pooled_distance(per_book_placed: list[list[tuple[int, _PlannedMention]]], n
     return dist / pairs if pairs else 0.0
 
 
+#: A placement's pooled distance and the mentions placed in each book.
+_Placement = tuple[float, list[list[tuple[int, _PlannedMention]]]]
+
+
+def _distance_error(distance: float) -> float:
+    return abs(distance - DISTANCE_TARGET) / DISTANCE_TARGET
+
+
+def _calibrate(place: Callable[[float], _Placement]) -> list[list[tuple[int, _PlannedMention]]]:
+    """Choose the global interleaving factor ``alpha`` so that the pooled
+    micro-average pairwise distance hits the target; return that placement.
+
+    First up to 24 multiplicative steps. Where the distance grows only
+    slowly with ``alpha`` near the target, those steps shrink faster than
+    the gap and stop short of it (seeds 0, 9 and 24 end 0.7-0.8% low). A
+    result outside the tolerance then continues with a search: step
+    ``alpha`` by a factor of 1.25 towards the target until the distance
+    crosses it, then bisect. The search never runs for a seed the steps
+    already calibrate, so those corpora (seed 13 among them) are unchanged.
+    """
+    alpha = 0.8
+    for _ in range(24):
+        tried = alpha
+        got, placed = place(alpha)
+        if _distance_error(got) < _DISTANCE_AIM:
+            return placed
+        alpha = min(max(alpha * (DISTANCE_TARGET / got) ** 0.9, 0.02), 4.0)
+    if _distance_error(got) <= _DISTANCE_TOLERANCE:
+        return placed
+
+    def closeness(placement: _Placement) -> float:
+        return _distance_error(placement[0])
+
+    low = got < DISTANCE_TARGET  # the side of the target ``near`` is on
+    near = tried
+    best = (got, placed)
+    while True:  # ends at the clamp, if not before
+        far = min(max(near * (1.25 if low else 0.8), 0.02), 4.0)
+        if far == near:
+            break
+        got, placed = place(far)
+        best = min(best, (got, placed), key=closeness)
+        if (got < DISTANCE_TARGET) != low:
+            break
+        near = far
+    if (got < DISTANCE_TARGET) == low:
+        raise GeneratorError(
+            f"distance calibration cannot reach {DISTANCE_TARGET:.0f}; closest {best[0]:.0f}"
+        )
+    for _ in range(30):
+        if closeness(best) < _DISTANCE_AIM:
+            break
+        mid = (near + far) / 2
+        got, placed = place(mid)
+        best = min(best, (got, placed), key=closeness)
+        if (got < DISTANCE_TARGET) == low:
+            near = mid
+        else:
+            far = mid
+    return best[1]
+
+
 def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
     """Build the calibrated three-book stand-in corpus."""
     rng = random.Random(seed)
@@ -264,19 +335,14 @@ def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
         book_centres.append(centres)
         book_extras.append(extras)
 
-    # calibrate the global interleaving factor until the pooled
-    # micro-average pairwise distance hits the target
-    alpha = 0.8
-    placed_books: list[list[tuple[int, _PlannedMention]]] = []
-    for _ in range(24):
+    def place(alpha: float) -> _Placement:
         placed_books = [
             _place_book(spec, _order_mentions(plan, centres, alpha, spec.n_tokens), extras)
             for spec, plan, centres, extras in zip(BOOK_SPECS, book_plans, book_centres, book_extras)
         ]
-        got = _pooled_distance(placed_books, [s.n_chains for s in BOOK_SPECS])
-        if abs(got - DISTANCE_TARGET) / DISTANCE_TARGET < 0.002:
-            break
-        alpha = min(max(alpha * (DISTANCE_TARGET / got) ** 0.9, 0.02), 4.0)
+        return _pooled_distance(placed_books, [s.n_chains for s in BOOK_SPECS]), placed_books
+
+    placed_books = _calibrate(place)
 
     corpus = CorpusFile()
     for spec, names, placed in zip(BOOK_SPECS, book_names, placed_books):
@@ -295,7 +361,7 @@ def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
         gold = ClusterSet.build(spec.doc_id, "gold", clusters)
         report = validate(doc, gold)
         if not report.ok:
-            raise AssertionError(f"generator produced invalid gold for {spec.doc_id}: {report.summary()}")
+            raise GeneratorError(f"generator produced invalid gold for {spec.doc_id}: {report.summary()}")
         corpus.records.append(DocumentRecord(doc, {"gold": gold}))
 
     _self_check(corpus)
@@ -307,12 +373,20 @@ def _self_check(corpus: CorpusFile) -> None:
     from .metrics import corpus_stats
 
     stats = corpus_stats(corpus)
-    assert stats.docs == 3
-    assert stats.tokens == sum(s.n_tokens for s in BOOK_SPECS)
-    assert stats.mentions == sum(s.n_mentions for s in BOOK_SPECS)
-    assert stats.chains == sum(s.n_chains for s in BOOK_SPECS)
-    if abs(stats.mention_distance - DISTANCE_TARGET) / DISTANCE_TARGET > 0.005:
-        raise AssertionError(f"distance calibration failed: {stats.mention_distance:.0f}")
+    shape = (stats.docs, stats.tokens, stats.mentions, stats.chains)
+    want = (
+        len(BOOK_SPECS),
+        sum(s.n_tokens for s in BOOK_SPECS),
+        sum(s.n_mentions for s in BOOK_SPECS),
+        sum(s.n_chains for s in BOOK_SPECS),
+    )
+    if shape != want:
+        raise GeneratorError(f"corpus shape (docs, tokens, mentions, chains) is {shape}, expected {want}")
+    if _distance_error(stats.mention_distance) > _DISTANCE_TOLERANCE:
+        raise GeneratorError(
+            f"distance calibration failed: {stats.mention_distance:.0f} vs "
+            f"{DISTANCE_TARGET:.0f} +/- {_DISTANCE_TOLERANCE:.1%}"
+        )
     tp = fp = 0
     for rec in corpus.records:
         match = pattern_match(rec.document)
@@ -322,4 +396,4 @@ def _self_check(corpus: CorpusFile) -> None:
     precision = tp / (tp + fp)
     recall = tp / stats.mentions
     if abs(precision * 100 - 95.6) > 0.5 or abs(recall * 100 - 18.9) > 0.5:
-        raise AssertionError(f"name-match calibration failed: P={precision:.4f} R={recall:.4f}")
+        raise GeneratorError(f"name-match calibration failed: P={precision:.4f} R={recall:.4f}")

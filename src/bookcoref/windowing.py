@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import ConfigError, PlanningError
 from .formats import CorpusFile, DocumentRecord
-from .model import ClusterSet, Document, Mention, restrict, shift
+from .model import ClusterSet, Document, Mention, drop_empty, restrict, shift
 
 DEFAULT_WINDOW_LEN = 1500
 DEFAULT_GROUP_SIZE = 10
@@ -168,12 +168,14 @@ def split_corpus(corpus: CorpusFile, max_len: int = DEFAULT_WINDOW_LEN) -> Split
     for rec in corpus.records:
         doc = rec.document
         plan = plan_windows(doc, max_len, "strict")
+        # each set is restricted once per window; crossings and records share it
+        parts = {
+            name: [restrict(cs, lo, hi) for lo, hi in plan.windows]
+            for name, cs in rec.cluster_sets.items()
+        }
         for name, cs in rec.cluster_sets.items():
-            kept = sum(restrict(cs, lo, hi).n_mentions for lo, hi in plan.windows)
-            if kept != cs.n_mentions:
-                contained = {
-                    m for lo, hi in plan.windows for _, m in restrict(cs, lo, hi).mentions()
-                }
+            if sum(part.n_mentions for part in parts[name]) != cs.n_mentions:
+                contained = {m for part in parts[name] for _, m in part.mentions()}
                 for key, m in cs.mentions():
                     if m not in contained:
                         crossings.append((doc.doc_id, name, key, m))
@@ -185,10 +187,8 @@ def split_corpus(corpus: CorpusFile, max_len: int = DEFAULT_WINDOW_LEN) -> Split
             wdoc = Document(window_doc_id(doc.doc_id, i), doc.tokens[lo:hi], doc.characters, meta)
             sets = {}
             for name, cs in rec.cluster_sets.items():
-                local = shift(restrict(cs, lo, hi), -lo)
-                sets[name] = ClusterSet(
-                    wdoc.doc_id, cs.stage, {k: ms for k, ms in local.clusters.items() if ms}
-                )
+                local = drop_empty(shift(parts[name][i - 1], -lo))
+                sets[name] = ClusterSet(wdoc.doc_id, cs.stage, local.clusters)
             out.records.append(DocumentRecord(wdoc, sets))
     return SplitResult(out, crossings)
 

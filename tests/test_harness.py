@@ -1,12 +1,14 @@
 import json
+from collections import Counter
 
 import pytest
 
+from bookcoref import harness, windowing
 from bookcoref.formats import CorpusFile, DocumentRecord
 from bookcoref.harness import Setting, evaluate, stats
 from bookcoref.metrics import corpus_stats
 from bookcoref.model import ClusterSet, Document
-from bookcoref.windowing import split_corpus
+from bookcoref.windowing import plan_windows, split_corpus
 
 
 def doc_with(doc_id, n, gold_clusters, characters=("A", "B")):
@@ -125,6 +127,52 @@ class TestAlignment:
         run = evaluate(Setting("split", 500), small_corpus, response)
         assert all("#w" in unit for unit, _ in run.units)
         assert run.pooled.conll_f1 == pytest.approx(1.0)
+
+
+class TestRestrictOncePerWindow:
+    """Each cluster set is sliced once per window, however many things the
+    caller derives from the slice (kept counts, crossings, window records)."""
+
+    @staticmethod
+    def corpus():
+        rec = doc_with("b1", 1200, {"A": [(0, 0), (498, 502), (700, 700)], "B": [(5, 5), (999, 1001)]})
+        rec.cluster_sets["silver"] = ClusterSet.build("b1", "prediction", {0: [(10, 11), (499, 500)]})
+        return CorpusFile([rec, doc_with("b2", 300, {"A": [(3, 3), (9, 9)]})])
+
+    @staticmethod
+    def count_restricts(monkeypatch, module):
+        calls = Counter()
+        real = module.restrict
+
+        def counting(cs, lo, hi):
+            calls[id(cs), lo, hi] += 1
+            return real(cs, lo, hi)
+
+        monkeypatch.setattr(module, "restrict", counting)
+        return calls
+
+    @staticmethod
+    def once_per_window(pairs):
+        return Counter(
+            {(id(cs), lo, hi): 1 for doc, cs in pairs for lo, hi in plan_windows(doc, 500).windows}
+        )
+
+    def test_split_corpus(self, monkeypatch):
+        corpus = self.corpus()
+        calls = self.count_restricts(monkeypatch, windowing)
+        result = split_corpus(corpus, 500)
+        assert [(m.start, m.end) for *_, m in result.crossings] == [(498, 502), (999, 1001), (499, 500)]
+        sets = [(rec.document, cs) for rec in corpus.records for cs in rec.cluster_sets.values()]
+        assert calls == self.once_per_window(sets)
+
+    def test_gold_plus_window(self, monkeypatch):
+        key = self.corpus()
+        response = as_prediction(key)
+        calls = self.count_restricts(monkeypatch, harness)
+        evaluate(Setting("gold_plus_window", 500), key, response)
+        sets = [(rec.document, rec.cluster_sets["gold"]) for rec in key.records]
+        sets += [(rec.document, rec.cluster_sets["prediction"]) for rec in response.records]
+        assert calls == self.once_per_window(sets)
 
 
 class TestArtifacts:

@@ -1,11 +1,14 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookcoref.errors import CompositionError, SpanRangeError
-from bookcoref.model import ClusterSet, Document, Mention, restrict, shift, union, validate
+from bookcoref.model import ClusterSet, Document, Mention, drop_empty, restrict, shift, union, validate
 
 DOC = Document("d", tuple("abcdefghij"), ("Darcy", "Bingley"))
 
@@ -111,6 +114,87 @@ class TestRestrict:
 
     def test_stage_preserved(self):
         assert restrict(cs({"Darcy": [(0, 1)]}, stage="refined"), 0, 5).stage == "refined"
+
+    def test_sorted_clusters_are_indexed_unsorted_ones_scanned(self):
+        x = ClusterSet(
+            "d", "gold", {"a": (Mention(1, 2), Mention(4, 4)), "b": (Mention(7, 7), Mention(3, 3))}
+        )
+        restrict(x, 0, 5)
+        assert x._starts == {"a": [1, 4], "b": None}
+
+
+def scan(x, lo, hi):
+    """The reference restriction: a linear scan of every mention."""
+    return {k: tuple(m for m in ms if m.within(lo, hi)) for k, ms in x.clusters.items()}
+
+
+SPANS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), max_size=8)
+
+
+@st.composite
+def raw_cluster_sets(draw):
+    """Sets built directly, bypassing ``build``: each cluster in drawn
+    (unsorted) order, sorted, or sorted with duplicates; empty clusters and
+    mixed str/int keys included."""
+    clusters = {}
+    for key in range(draw(st.integers(0, 4))):
+        ms = [Mention(s, s + n) for s, n in draw(SPANS)]
+        order = draw(st.sampled_from(("drawn", "sorted", "duplicated")))
+        if order != "drawn":
+            ms = sorted(ms + ms[:2] if order == "duplicated" else ms)
+        clusters[key if key % 2 else f"c{key}"] = tuple(ms)
+    return ClusterSet("d", "prediction", clusters)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_indexed_restrict_equals_scan(data):
+    x = data.draw(raw_cluster_sets())
+    fresh = ClusterSet(x.doc_id, x.stage, dict(x.clusters))
+    shown = repr(x)
+    # range ends on mention edges as well as anywhere; every lo also as [lo, lo)
+    edges = [0, 50] + [v for _, m in x.mentions() for v in (m.start, m.end, m.end + 1)]
+    point = st.one_of(st.sampled_from(edges), st.integers(0, 50))
+    ranges = [tuple(sorted(p)) for p in data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=5))]
+    ranges += [(lo, lo) for lo, _ in ranges]
+    for lo, hi in ranges + ranges[::-1]:  # repeated calls reuse one index
+        got = restrict(x, lo, hi)
+        assert list(got.clusters.items()) == list(scan(x, lo, hi).items()), (lo, hi)
+        assert all(type(ms) is tuple for ms in got.clusters.values())
+        assert (got.doc_id, got.stage) == (x.doc_id, x.stage)
+    assert restrict(x, 0, 50) == x
+    assert repr(x) == shown
+    assert x == fresh and repr(fresh) == shown
+
+
+def test_restrict_from_eight_threads_is_identical():
+    rng = random.Random(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the index build too
+    try:
+        for trial in range(25):
+            x = random_cluster_set(rng, n_tokens=400)
+            if trial % 2:  # half the sets carry an unsorted cluster
+                x = ClusterSet("d", "gold", {**x.clusters, "u": tuple(reversed(x.clusters["c0"]))})
+            windows = [(lo, lo + 37) for lo in range(0, 400, 37)] + [(0, 400), (5, 5)]
+            expected = [scan(x, lo, hi) for lo, hi in windows]
+            barrier = threading.Barrier(8)
+
+            def work():
+                barrier.wait(timeout=30)  # all eight threads meet the unindexed set at once
+                return [restrict(x, lo, hi).clusters for lo, hi in windows]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=30) for f in [pool.submit(work) for _ in range(8)]]
+            assert all(r == expected for r in results), trial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_drop_empty_keeps_order_and_nonempty_clusters():
+    x = ClusterSet("d", "gold", {"b": (Mention(1, 1),), "a": (), "c": (Mention(0, 0),)})
+    assert list(drop_empty(x).clusters) == ["b", "c"]
+    assert drop_empty(x).stage == "gold"
 
 
 class TestUnion:

@@ -484,6 +484,11 @@ class TestRun:
         with pytest.raises(ConfigError):
             PipelineConfig(stages=("init", "group"))
 
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ConfigError, match="retries must be >= 0"):
+            PipelineConfig(retries=-5)
+        assert PipelineConfig(retries=0).retries == 0
+
     def test_refine_disabled_advances_stage_without_judging(self):
         doc, gold = gold_small()
         calls = []

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 import requests
 
-from bookcoref.errors import ContractError, FinalTransportError, StageError, TransportError
+from bookcoref.errors import ConfigError, ContractError, FinalTransportError, StageError, TransportError
 from bookcoref.model import ClusterSet, Document, Mention
 from bookcoref.pipeline import (
     AcceptAllJudge,
@@ -219,6 +219,11 @@ class TestOneRetryLayer:
         with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann': .*unreachable after 3 attempts"):
             refine(DOC, init, judge, retries=2)
         assert len([r for r in server.requests if r[0] == "/judge"]) == 3
+
+    def test_negative_retries_rejected_before_any_request(self):
+        with pytest.raises(ConfigError, match="retries must be >= 0"):
+            ServiceClient("http://127.0.0.1:1", retries=-1)
+        assert ServiceClient("http://127.0.0.1:1", retries=0).retries == 0
 
     def test_rejected_request_is_final_after_one_attempt(self, service):
         server, url = service
