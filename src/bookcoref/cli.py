@@ -66,7 +66,7 @@ def _write_json(args: argparse.Namespace, payload: dict) -> None:
 
 def _read_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
     if path.endswith((".conll", ".conll12", ".v4_gold_conll")):
-        return read_conll(path, clusters_as="prediction" if clusters_as == "prediction" else clusters_as)
+        return read_conll(path, clusters_as=clusters_as)
     return read_jsonl(path, clusters_as=clusters_as)
 
 

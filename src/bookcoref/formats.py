@@ -14,6 +14,12 @@ for interop with legacy scorers. Writers emit a canonical form: compact
 separators, spans sorted per cluster, known keys first and unknown keys in
 their original order. Re-writing a file produced by these writers is
 byte-identical.
+
+Cost: the CoNLL writer labels only the tokens where a mention starts or ends
+and writes each document with one call, so an export is linear in tokens plus
+mentions; the CoNLL reader is one pass over the rows. Both
+readers report a file that is not UTF-8 as a :class:`ParseError` naming the
+line of the first bad byte.
 """
 
 from __future__ import annotations
@@ -90,6 +96,24 @@ def _parse_clusters(raw: object, doc_id: str, stage: str, lineno: int) -> Cluste
     return ClusterSet.build(doc_id, stage, clusters)
 
 
+def _undecodable(path: str) -> ParseError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte.
+
+    The readers decode in blocks, so the line is found here, on the error path,
+    by decoding the whole file again.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # text-mode readers split lines on \n, \r\n and \r alike
+        before = data[: e.start].decode("utf-8")
+        line = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return ParseError(f"not valid UTF-8 (byte 0x{data[e.start]:02x})", line)
+    return ParseError("not valid UTF-8")
+
+
 def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -> CorpusFile:
     """Read a JSONL corpus; the "clusters" key becomes a set named ``clusters_as``.
 
@@ -102,33 +126,36 @@ def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -
         stage = clusters_as if clusters_as in STAGES else "gold"
     corpus = CorpusFile()
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
-            if not isinstance(obj, dict):
-                raise ParseError("record is not a JSON object", lineno)
-            missing = [k for k in _REQUIRED_KEYS if k not in obj]
-            if missing:
-                raise SchemaError(f"line {lineno}: missing required keys {missing}")
-            doc_id = obj["doc_id"]
-            tokens = obj["tokens"]
-            characters = obj["characters"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise SchemaError(f"line {lineno}: 'tokens' must be an array of strings")
-            if not isinstance(characters, list) or not all(isinstance(c, str) for c in characters):
-                raise SchemaError(f"line {lineno}: 'characters' must be an array of strings")
-            if doc_id in seen_ids:
-                raise SchemaError(f"line {lineno}: duplicate doc_id {doc_id!r}")
-            seen_ids.add(doc_id)
-            extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
-            doc = Document(doc_id, tuple(tokens), tuple(characters), extra or None)
-            cs = _parse_clusters(obj["clusters"], doc_id, stage, lineno)
-            corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
+                if not isinstance(obj, dict):
+                    raise ParseError("record is not a JSON object", lineno)
+                missing = [k for k in _REQUIRED_KEYS if k not in obj]
+                if missing:
+                    raise SchemaError(f"line {lineno}: missing required keys {missing}")
+                doc_id = obj["doc_id"]
+                tokens = obj["tokens"]
+                characters = obj["characters"]
+                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                    raise SchemaError(f"line {lineno}: 'tokens' must be an array of strings")
+                if not isinstance(characters, list) or not all(isinstance(c, str) for c in characters):
+                    raise SchemaError(f"line {lineno}: 'characters' must be an array of strings")
+                if doc_id in seen_ids:
+                    raise SchemaError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+                seen_ids.add(doc_id)
+                extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
+                doc = Document(doc_id, tuple(tokens), tuple(characters), extra or None)
+                cs = _parse_clusters(obj["clusters"], doc_id, stage, lineno)
+                corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
+    except UnicodeDecodeError as e:
+        raise _undecodable(path) from e
     return corpus
 
 
@@ -179,41 +206,42 @@ _COREF_ITEM = re.compile(r"^(\()?(\d+)(\))?$")
 
 
 def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
-    """Per-token coreference column using (k / k) / (k) bracket notation."""
-    # integer ids in first-mention order
-    firsts = []
-    for key in cs.sorted_keys():
-        ms = cs.clusters[key]
-        if ms:
-            firsts.append((ms[0], key))
-    firsts.sort(key=lambda t: (t[0], _key_order(t[1])))
-    ids = {key: i for i, (_, key) in enumerate(firsts)}
+    """Per-token coreference column using (k / k) / (k) bracket notation.
 
-    opens: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_tokens)}
-    closes: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_tokens)}
-    singles: dict[int, list[int]] = {i: [] for i in range(n_tokens)}
+    Starts from ``"-"`` everywhere and fills only the tokens where a mention
+    starts or ends; each of those sorts only its own marks, so the cost is
+    linear in tokens plus mentions. A span that ends past the document is a
+    :class:`SchemaError`.
+    """
+    # integer ids in first-mention order
+    firsts = sorted((ms[0], _key_order(key), key) for key, ms in cs.clusters.items() if ms)
+    ids = {key: i for i, (_, _, key) in enumerate(firsts)}
+
+    # per token: (group, order, id, text); sorting puts the opening brackets
+    # first, outermost first, then single-token mentions, then the closing
+    # brackets, innermost first
+    marks: dict[int, list[tuple[int, int, int, str]]] = {}
     for key, ms in cs.clusters.items():
         if not ms:
             continue
         k = ids[key]
         for m in set(ms):
-            if m.start == m.end:
-                singles[m.start].append(k)
+            start, end = m.start, m.end
+            if end >= n_tokens:
+                raise SchemaError(
+                    f"document {cs.doc_id!r}: span ({start}, {end}) of cluster {key!r} "
+                    f"ends past the last token ({n_tokens} tokens)"
+                )
+            if start == end:
+                marks.setdefault(start, []).append((1, 0, k, f"({k})"))
             else:
-                opens[m.start].append((m.end, k))
-                closes[m.end].append((m.start, k))
+                marks.setdefault(start, []).append((0, -end, k, f"({k}"))
+                marks.setdefault(end, []).append((2, -start, k, f"{k})"))
 
-    labels = []
-    for i in range(n_tokens):
-        parts: list[str] = []
-        # outermost mentions open first; innermost close first
-        for end, k in sorted(opens[i], key=lambda t: (-t[0], t[1])):
-            parts.append(f"({k}")
-        for k in sorted(singles[i]):
-            parts.append(f"({k})")
-        for start, k in sorted(closes[i], key=lambda t: (-t[0], t[1])):
-            parts.append(f"{k})")
-        labels.append("|".join(parts) if parts else "-")
+    labels = ["-"] * n_tokens
+    for i, parts in marks.items():
+        parts.sort()
+        labels[i] = "|".join([p[3] for p in parts])
     return labels
 
 
@@ -221,24 +249,19 @@ def write_conll(corpus: CorpusFile, path: str, clusters_from: str | None = None)
     """Export to CoNLL-2012 layout: doc id, part, index, token, coref column.
 
     Character names are lost; cluster keys become integer ids assigned in
-    first-mention order.
+    first-mention order. Every record is labelled before the file is opened,
+    so a bad record leaves no output behind; each document is then written
+    with one call. The cost is linear in tokens plus mentions.
     """
+    docs = [
+        (rec.document, _coref_labels(_pick_clusters(rec, clusters_from), len(rec.document.tokens)))
+        for rec in corpus.records
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for rec in corpus.records:
-            doc = rec.document
-            if clusters_from is not None:
-                cs = rec.cluster_sets.get(clusters_from)
-                if cs is None:
-                    raise SchemaError(f"document {doc.doc_id!r} has no cluster set {clusters_from!r}")
-            elif "gold" in rec.cluster_sets:
-                cs = rec.cluster_sets["gold"]
-            else:
-                cs = rec.only()
-            labels = _coref_labels(cs, len(doc.tokens))
-            f.write(f"#begin document ({doc.doc_id}); part 000\n")
-            for i, (tok, label) in enumerate(zip(doc.tokens, labels)):
-                f.write(f"{doc.doc_id}\t0\t{i}\t{tok}\t{label}\n")
-            f.write("#end document\n")
+        for doc, labels in docs:
+            prefix = f"{doc.doc_id}\t0\t"
+            rows = [f"{prefix}{i}\t{tok}\t{label}\n" for i, (tok, label) in enumerate(zip(doc.tokens, labels))]
+            f.write(f"#begin document ({doc.doc_id}); part 000\n{''.join(rows)}#end document\n")
 
 
 def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
@@ -267,48 +290,49 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
         corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
         doc_id, tokens, open_stacks, clusters = None, [], {}, {}
 
-    with open(path, encoding="utf-8") as f:
-        row = 0
-        for row, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            m = _CONLL_BEGIN.match(line)
-            if m:
-                flush(row)
-                doc_id = m.group("id")
-                continue
-            if line.startswith("#end document"):
-                flush(row)
-                continue
-            if line.startswith("#"):
-                continue
-            if doc_id is None:
-                raise ParseError("token row outside a document block", row)
-            cols = line.split("\t")
-            if len(cols) < 2:
-                cols = line.split()
-            if len(cols) < 2:
-                raise ParseError("expected at least token and coreference columns", row)
-            token, label = cols[-2], cols[-1]
-            idx = len(tokens)
-            tokens.append(token)
-            if label != "-":
-                for item in label.split("|"):
-                    im = _COREF_ITEM.match(item)
-                    if not im:
-                        raise ParseError(f"malformed coreference item {item!r}", row)
-                    opened, cid_s, closed = im.groups()
-                    cid = int(cid_s)
-                    if opened:
-                        open_stacks.setdefault(cid, []).append(idx)
-                    if closed:
-                        stack = open_stacks.get(cid) or []
-                        if not stack:
-                            raise ParseError(f"close bracket without open for cluster {cid}", row)
-                        start = stack.pop()
-                        clusters.setdefault(cid, []).append(Mention(start, idx))
-        flush(row)
+    try:
+        with open(path, encoding="utf-8") as f:
+            row = 0
+            for row, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    m = _CONLL_BEGIN.match(line)
+                    if m:
+                        flush(row)
+                        doc_id = m.group("id")
+                    elif line.startswith("#end document"):
+                        flush(row)
+                    continue
+                if not line or line.isspace():
+                    continue
+                if doc_id is None:
+                    raise ParseError("token row outside a document block", row)
+                cols = line.rsplit("\t", 2)
+                if len(cols) < 2:
+                    cols = line.split()
+                if len(cols) < 2:
+                    raise ParseError("expected at least token and coreference columns", row)
+                token, label = cols[-2], cols[-1]
+                idx = len(tokens)
+                tokens.append(token)
+                if label != "-":
+                    for item in label.split("|"):
+                        im = _COREF_ITEM.match(item)
+                        if not im:
+                            raise ParseError(f"malformed coreference item {item!r}", row)
+                        opened, cid_s, closed = im.groups()
+                        cid = int(cid_s)
+                        if opened:
+                            open_stacks.setdefault(cid, []).append(idx)
+                        if closed:
+                            stack = open_stacks.get(cid) or []
+                            if not stack:
+                                raise ParseError(f"close bracket without open for cluster {cid}", row)
+                            start = stack.pop()
+                            clusters.setdefault(cid, []).append(Mention(start, idx))
+            flush(row)
+    except UnicodeDecodeError as e:
+        raise _undecodable(path) from e
     return corpus
 
 

@@ -20,11 +20,20 @@ The dual policy is a fixed, deterministic rendering of a qualitatively
 described mechanism (the original model chooses swaps with learned scores);
 it is policy-shaped, not a model replica. ``dual(k, 0)`` degenerates to
 ``lru(k)``.
+
+Cost, for a stream of N mentions: :func:`sweep` derives every LRU capacity
+from one pass over the LRU recency stack (stack distances, Mattson et al.,
+1970), cut at the largest capacity K, so all LRU capacities together cost
+O(N * K) and not one replay each. The dual policy is one replay per policy,
+O(N log N) with its G-cache victims taken from a lazy-deletion heap.
+:func:`mention_stream` sorts the arrivals once, O(N log N).
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
+from heapq import heappop, heappush
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -93,9 +102,86 @@ class SimReport:
 
 def mention_stream(gold: ClusterSet) -> list[Hashable]:
     """Cluster keys in order of mention arrival ((start, end) order)."""
-    arrivals = [(m, key) for key, ms in gold.clusters.items() for m in ms]
-    arrivals.sort(key=lambda t: (t[0], str(t[1])))
+    arrivals = []
+    for key, ms in gold.clusters.items():
+        skey = str(key)
+        arrivals += [((m.start, m.end, skey), key) for m in ms]
+    arrivals.sort(key=itemgetter(0))
     return [key for _, key in arrivals]
+
+
+def _report(
+    policy: Policy,
+    total: int,
+    forced: int,
+    per_cluster: Counter,
+    events: list[tuple[int, str, str]] | None,
+) -> SimReport:
+    return SimReport(
+        policy=policy.label(),
+        total_mentions=total,
+        evictions=sum(per_cluster.values()),
+        forced_errors=forced,
+        forced_error_rate=forced / total if total else 0.0,
+        cluster_evictions=dict(per_cluster),
+        events=tuple(events) if events is not None else None,
+    )
+
+
+def _lru(keys: Sequence[Hashable], capacities: Iterable[int], keep_events: bool) -> dict[int, SimReport]:
+    """LRU reports for every capacity from one pass over the LRU stack.
+
+    An LRU cache of k clusters holds exactly the k most recently used ones,
+    so a mention whose cluster sits at 0-based depth d of the recency stack
+    hits at every capacity above d and misses at every other (Mattson et al.,
+    1970). On a miss at capacity k the cache is full when the stack holds k
+    clusters, and the cluster at depth k - 1 is the one evicted. The stack
+    is cut at the largest capacity, so a pass costs O(N * max k).
+    """
+    caps = sorted(set(capacities))
+    top = caps[-1]
+    stack: list[Hashable] = []  # MRU first, at most `top` clusters
+    seen: set[Hashable] = set()
+    forced = [0] * len(caps)
+    per_cluster = [Counter() for _ in caps]
+    events: list[list[tuple[int, str, str]]] = [[] for _ in caps]
+    for seq, c in enumerate(keys):
+        try:
+            d = stack.index(c)
+            first = False
+        except ValueError:
+            d = top
+            first = c not in seen
+            if first:
+                seen.add(c)
+        size = len(stack)
+        for i, k in enumerate(caps):
+            if k > d:
+                if keep_events:
+                    for ev in events[i:]:
+                        ev.append((seq, "hit", str(c)))
+                break
+            if not first:
+                forced[i] += 1
+            if keep_events:
+                if not first:
+                    events[i].append((seq, "forced-miss", str(c)))
+                events[i].append((seq, "insert", str(c)))
+            if k <= size:
+                victim = stack[k - 1]
+                per_cluster[i][victim] += 1
+                if keep_events:
+                    events[i].append((seq, "evict", str(victim)))
+        if d < size:
+            stack.insert(0, stack.pop(d))
+        else:
+            stack.insert(0, c)
+            del stack[top:]
+    total = len(keys)
+    return {
+        k: _report(Policy.lru(k), total, forced[i], per_cluster[i], events[i] if keep_events else None)
+        for i, k in enumerate(caps)
+    }
 
 
 def simulate(
@@ -109,106 +195,96 @@ def simulate(
     cluster inserts it (first occurrences are not errors). A mention of a
     previously evicted cluster is a forced error and re-inserts the cluster
     as new (frequency restarts).
+
+    LRU runs on the stack pass that :func:`sweep` uses. The dual policy
+    finds each G-cache eviction on a heap of (frequency, last access)
+    entries, O(log G) per eviction; an entry goes stale when its cluster
+    leaves the G-cache and is skipped when it comes to the top. Last
+    accesses are unique, so the order has no ties.
     """
     keys: Sequence[Hashable] = mention_stream(stream) if isinstance(stream, ClusterSet) else stream
+    if policy.kind == "lru":
+        return _lru(keys, [policy.capacity], keep_events)[policy.capacity]
+
     seen: set[Hashable] = set()
-    evictions = 0
     forced = 0
     per_cluster: Counter = Counter()
-    events: list[tuple[int, str, str]] = []
+    events: list[tuple[int, str, str]] | None = [] if keep_events else None
 
-    lcache: OrderedDict[Hashable, None] = OrderedDict()  # recency order, MRU last
-    gcache: dict[Hashable, tuple[int, int]] = {}  # cluster -> (frequency, last access seq)
-    freq: Counter = Counter()
-    last_access: dict[Hashable, int] = {}
-    unbounded: set[Hashable] = set()
-
-    def note(seq: int, event: str, cluster: Hashable) -> None:
-        if keep_events:
-            events.append((seq, event, str(cluster)))
-
-    def evict(seq: int, cluster: Hashable) -> None:
-        nonlocal evictions
-        evictions += 1
-        per_cluster[cluster] += 1
-        freq.pop(cluster, None)
-        note(seq, "evict", cluster)
-
-    for seq, c in enumerate(keys):
-        if policy.kind == "unbounded":
-            if c in unbounded:
-                note(seq, "hit", c)
+    if policy.kind == "unbounded":
+        for seq, c in enumerate(keys):
+            if c in seen:
+                if events is not None:
+                    events.append((seq, "hit", str(c)))
             else:
-                unbounded.add(c)
                 seen.add(c)
-                note(seq, "insert", c)
-            continue
+                if events is not None:
+                    events.append((seq, "insert", str(c)))
+        return _report(policy, len(keys), forced, per_cluster, events)
 
-        if policy.kind == "lru":
-            if c in lcache:
-                lcache.move_to_end(c)
-                note(seq, "hit", c)
-            else:
-                if c in seen:
-                    forced += 1
-                    note(seq, "forced-miss", c)
-                else:
-                    seen.add(c)
-                lcache[c] = None
-                note(seq, "insert", c)
-                while len(lcache) > policy.capacity:
-                    victim, _ = lcache.popitem(last=False)
-                    evict(seq, victim)
-            continue
-
-        # dual: promote-on-access L-cache over an LFU G-cache
-        resident = c in lcache or c in gcache
-        if resident:
+    # dual: promote-on-access L-cache over an LFU G-cache
+    l_capacity, g_capacity = policy.l_capacity, policy.g_capacity
+    lcache: OrderedDict[Hashable, None] = OrderedDict()  # recency order, MRU last
+    gcache: dict[Hashable, int] = {}  # cluster -> last access seq, the id of its heap entry
+    heap: list[tuple[int, int, Hashable]] = []  # (frequency, last access seq, cluster)
+    freq: dict[Hashable, int] = {}
+    last_access: dict[Hashable, int] = {}
+    for seq, c in enumerate(keys):
+        if c in lcache:
             freq[c] += 1
-            if c in gcache:
-                del gcache[c]
-            else:
-                del lcache[c]
+            lcache.move_to_end(c)
+            if events is not None:
+                events.append((seq, "hit", str(c)))
+        elif c in gcache:
+            freq[c] += 1
+            del gcache[c]
             lcache[c] = None
-            note(seq, "hit", c)
+            if events is not None:
+                events.append((seq, "hit", str(c)))
         else:
             if c in seen:
                 forced += 1
-                note(seq, "forced-miss", c)
+                if events is not None:
+                    events.append((seq, "forced-miss", str(c)))
             else:
                 seen.add(c)
             freq[c] = 1
             lcache[c] = None
-            note(seq, "insert", c)
+            if events is not None:
+                events.append((seq, "insert", str(c)))
         last_access[c] = seq
-        while len(lcache) > policy.l_capacity:
+        while len(lcache) > l_capacity:
             demoted, _ = lcache.popitem(last=False)
-            gcache[demoted] = (freq[demoted], last_access[demoted])
-            note(seq, "demote", demoted)
-            while len(gcache) > policy.g_capacity:
-                victim = min(gcache, key=lambda k: (gcache[k][0], gcache[k][1]))
+            gcache[demoted] = last_access[demoted]
+            heappush(heap, (freq[demoted], last_access[demoted], demoted))
+            if events is not None:
+                events.append((seq, "demote", str(demoted)))
+            while len(gcache) > g_capacity:
+                _, access, victim = heappop(heap)
+                if gcache.get(victim) != access:
+                    continue  # stale: promoted since this entry was pushed
                 del gcache[victim]
-                evict(seq, victim)
-
-    total = len(keys)
-    return SimReport(
-        policy=policy.label(),
-        total_mentions=total,
-        evictions=evictions,
-        forced_errors=forced,
-        forced_error_rate=forced / total if total else 0.0,
-        cluster_evictions=dict(per_cluster),
-        events=tuple(events) if keep_events else None,
-    )
+                del freq[victim]
+                per_cluster[victim] += 1
+                if events is not None:
+                    events.append((seq, "evict", str(victim)))
+    return _report(policy, len(keys), forced, per_cluster, events)
 
 
 def sweep(
     stream: ClusterSet | Sequence[Hashable],
     policies: Iterable[Policy],
 ) -> list[tuple[Policy, SimReport]]:
-    """Simulate the same stream under several policies (e.g. a capacity sweep)."""
+    """Simulate the same stream under several policies (e.g. a capacity sweep).
+
+    All LRU capacities come from one stack pass; each other policy is one
+    :func:`simulate` replay.
+    """
     keys = mention_stream(stream) if isinstance(stream, ClusterSet) else list(stream)
-    return [(p, simulate(keys, p)) for p in policies]
+    policies = list(policies)
+    capacities = [p.capacity for p in policies if p.kind == "lru"]
+    lru = _lru(keys, capacities, keep_events=False) if capacities else {}
+    return [(p, lru[p.capacity] if p.kind == "lru" else simulate(keys, p)) for p in policies]
 
 
 def sweep_csv(results: Sequence[tuple[Policy, SimReport]]) -> str:

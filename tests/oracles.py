@@ -1,12 +1,22 @@
-"""Independent brute-force oracles for the scorers.
+"""Independent brute-force oracles for the scorers, and reference
+implementations for the CoNLL labeller and the memory-policy simulator.
 
-These deliberately compute straight from the metric definitions (membership
-scans, exact Fraction arithmetic, exhaustive alignment search) so they share
-no code path with the production implementations they check.
+The scorer oracles deliberately compute straight from the metric definitions
+(membership scans, exact Fraction arithmetic, exhaustive alignment search) so
+they share no code path with the production implementations they check.
+
+``coref_labels_reference``, ``mention_stream_reference`` and
+``simulate_reference`` are the straightforward dense labeller and
+one-replay-per-policy simulator that the sparse labeller, the stack-distance
+LRU pass and the heap-based dual policy must reproduce exactly.
 """
 
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import permutations
+
+from bookcoref.memsim import SimReport
+from bookcoref.model import _key_order
 
 
 def muc_brute(key, response):
@@ -103,3 +113,141 @@ def random_partition_pair(rng, max_mentions=10, max_clusters=6):
         return [frozenset(c) for c in clusters if c]
 
     return make(list(universe)), make(list(universe))
+
+
+def coref_labels_reference(cs, n_tokens):
+    """Per-token bracket labels from dense per-token open/close/single lists."""
+    firsts = []
+    for key in cs.sorted_keys():
+        ms = cs.clusters[key]
+        if ms:
+            firsts.append((ms[0], key))
+    firsts.sort(key=lambda t: (t[0], _key_order(t[1])))
+    ids = {key: i for i, (_, key) in enumerate(firsts)}
+
+    opens = {i: [] for i in range(n_tokens)}
+    closes = {i: [] for i in range(n_tokens)}
+    singles = {i: [] for i in range(n_tokens)}
+    for key, ms in cs.clusters.items():
+        if not ms:
+            continue
+        k = ids[key]
+        for m in set(ms):
+            if m.start == m.end:
+                singles[m.start].append(k)
+            else:
+                opens[m.start].append((m.end, k))
+                closes[m.end].append((m.start, k))
+
+    labels = []
+    for i in range(n_tokens):
+        parts = []
+        # outermost mentions open first; innermost close first
+        for end, k in sorted(opens[i], key=lambda t: (-t[0], t[1])):
+            parts.append(f"({k}")
+        for k in sorted(singles[i]):
+            parts.append(f"({k})")
+        for start, k in sorted(closes[i], key=lambda t: (-t[0], t[1])):
+            parts.append(f"{k})")
+        labels.append("|".join(parts) if parts else "-")
+    return labels
+
+
+def mention_stream_reference(gold):
+    """Cluster keys in (mention, str(key)) order, comparing Mention objects."""
+    arrivals = [(m, key) for key, ms in gold.clusters.items() for m in ms]
+    arrivals.sort(key=lambda t: (t[0], str(t[1])))
+    return [key for _, key in arrivals]
+
+
+def simulate_reference(keys, policy, keep_events=False):
+    """One full replay of ``keys`` per policy: an OrderedDict LRU, and a
+    dual policy that finds each G-cache victim with a linear ``min`` scan."""
+    seen = set()
+    evictions = 0
+    forced = 0
+    per_cluster = Counter()
+    events = []
+
+    lcache = OrderedDict()  # recency order, MRU last
+    gcache = {}  # cluster -> (frequency, last access seq)
+    freq = Counter()
+    last_access = {}
+    unbounded = set()
+
+    def note(seq, event, cluster):
+        if keep_events:
+            events.append((seq, event, str(cluster)))
+
+    def evict(seq, cluster):
+        nonlocal evictions
+        evictions += 1
+        per_cluster[cluster] += 1
+        freq.pop(cluster, None)
+        note(seq, "evict", cluster)
+
+    for seq, c in enumerate(keys):
+        if policy.kind == "unbounded":
+            if c in unbounded:
+                note(seq, "hit", c)
+            else:
+                unbounded.add(c)
+                seen.add(c)
+                note(seq, "insert", c)
+            continue
+
+        if policy.kind == "lru":
+            if c in lcache:
+                lcache.move_to_end(c)
+                note(seq, "hit", c)
+            else:
+                if c in seen:
+                    forced += 1
+                    note(seq, "forced-miss", c)
+                else:
+                    seen.add(c)
+                lcache[c] = None
+                note(seq, "insert", c)
+                while len(lcache) > policy.capacity:
+                    victim, _ = lcache.popitem(last=False)
+                    evict(seq, victim)
+            continue
+
+        resident = c in lcache or c in gcache
+        if resident:
+            freq[c] += 1
+            if c in gcache:
+                del gcache[c]
+            else:
+                del lcache[c]
+            lcache[c] = None
+            note(seq, "hit", c)
+        else:
+            if c in seen:
+                forced += 1
+                note(seq, "forced-miss", c)
+            else:
+                seen.add(c)
+            freq[c] = 1
+            lcache[c] = None
+            note(seq, "insert", c)
+        last_access[c] = seq
+        while len(lcache) > policy.l_capacity:
+            demoted, _ = lcache.popitem(last=False)
+            gcache[demoted] = (freq[demoted], last_access[demoted])
+            note(seq, "demote", demoted)
+            while len(gcache) > policy.g_capacity:
+                victim = min(gcache, key=lambda k: (gcache[k][0], gcache[k][1]))
+                del gcache[victim]
+                evict(seq, victim)
+
+    total = len(keys)
+    return SimReport(
+        policy=policy.label(),
+        total_mentions=total,
+        evictions=evictions,
+        forced_errors=forced,
+        forced_error_rate=forced / total if total else 0.0,
+        cluster_evictions=dict(per_cluster),
+        events=tuple(events) if keep_events else None,
+    )

@@ -127,6 +127,31 @@ class TestConvertAndSplit:
         }
         assert spans == original
 
+    def test_span_past_document_end_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"doc_id":"d","tokens":["a","b"],"characters":["A"],"clusters":{"A":[[0,5]]}}\n'
+        )
+        out = tmp_path / "bad.conll"
+        assert main(["convert", str(bad), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'d'" in err and "(0, 5)" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".conll"])
+    def test_non_utf8_input_exits_2_naming_the_line(self, tmp_path, capsys, suffix):
+        bad = tmp_path / f"bad{suffix}"
+        if suffix == ".jsonl":
+            good = '{"doc_id":"d","tokens":["a"],"characters":[],"clusters":{}}\n'
+        else:
+            good = "#begin document (d); part 000\nd\t0\t0\ta\t-\n"
+        bad.write_bytes(good.encode() + b"\xff\n")
+        target = "out.conll" if suffix == ".jsonl" else "out.jsonl"
+        assert main(["convert", str(bad), str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err
+        assert f"line {good.count(chr(10)) + 1}" in err
+
     def test_split_writes_window_corpus(self, tiny_jsonl, tmp_path, capsys):
         out = tmp_path / "windows.jsonl"
         assert main(["split", tiny_jsonl, str(out), "--window-len", "10"]) == 0

@@ -1,11 +1,15 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookcoref.errors import ParseError, SchemaError
 from bookcoref.formats import (
     CorpusFile,
     DocumentRecord,
+    _coref_labels,
     dumps_jsonl,
     read_conll,
     read_jsonl,
@@ -14,6 +18,10 @@ from bookcoref.formats import (
 )
 from bookcoref.metrics import conll
 from bookcoref.model import ClusterSet, Document, Mention, validate
+from oracles import coref_labels_reference
+
+#: sha256 of the CoNLL export of the seed-13 reference corpus
+REFERENCE_CONLL_SHA256 = "22f7e20303ff3b71c272d3cf55df27d8a5c99167d1e2c0141a9d6d27fe60ded0"
 
 
 def write_lines(path, lines):
@@ -70,6 +78,13 @@ class TestReadJsonl:
         out = tmp_path / "out.jsonl"
         write_jsonl(corpus, str(out))
         assert json.loads(out.read_text())["sentence_ends"] == [0]
+
+    def test_non_utf8_byte_is_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = b'{"doc_id":"x","tokens":["A"],"characters":[],"clusters":{}}'
+        path.write_bytes(good + b"\r\n\n" + good.replace(b"x", b"\xff") + b"\n")
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+            read_jsonl(str(path))
 
     def test_duplicate_doc_id_rejected(self, tmp_path):
         line = '{"doc_id":"x","tokens":["A"],"characters":[],"clusters":{}}'
@@ -183,3 +198,90 @@ class TestConll:
             report = conll(orig.cluster_sets["gold"], rt.cluster_sets["prediction"])
             assert report.conll_f1 == 1.0
             assert rt.document.tokens == orig.document.tokens
+
+    def test_reference_corpus_export_is_pinned(self, gold_corpus, tmp_path):
+        path = tmp_path / "gold.conll"
+        write_conll(gold_corpus, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE_CONLL_SHA256
+
+    def test_span_past_document_end_is_schema_error_and_writes_nothing(self, tmp_path):
+        good = DocumentRecord(
+            Document("ok", ("a", "b")), {"gold": ClusterSet.build("ok", "gold", {"A": [(0, 1)]})}
+        )
+        bad = DocumentRecord(
+            Document("d", ("a", "b")), {"gold": ClusterSet.build("d", "gold", {"A": [(1, 1), (0, 5)]})}
+        )
+        path = tmp_path / "bad.conll"
+        with pytest.raises(SchemaError, match=r"document 'd': span \(0, 5\)"):
+            write_conll(CorpusFile([good, bad]), str(path))
+        assert not path.exists()
+        with pytest.raises(SchemaError, match=r"span \(2, 2\)"):
+            _coref_labels(ClusterSet.build("d", "gold", {"A": [(2, 2)]}), 2)
+
+    def test_missing_cluster_set_writes_nothing(self, tmp_path):
+        rec = DocumentRecord(Document("d", ("a",)), {"gold": ClusterSet("d", "gold", {})})
+        path = tmp_path / "x.conll"
+        with pytest.raises(SchemaError, match="no cluster set 'prediction'"):
+            write_conll(CorpusFile([rec]), str(path), clusters_from="prediction")
+        assert not path.exists()
+
+    def test_non_utf8_byte_is_parse_error_naming_its_row(self, tmp_path):
+        path = tmp_path / "bad.conll"
+        path.write_bytes(b"#begin document (d); part 000\nd\t0\t0\ta\t-\nd\t0\t1\t\xff\t-\n#end document\n")
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+            read_conll(str(path))
+
+
+@st.composite
+def labelled_sets(draw):
+    """A document length and a cluster set over it with nested, same-start,
+    same-end, single-token and duplicate mentions (within and across
+    clusters), empty clusters, unsorted clusters and mixed int/str keys that
+    tie on ``str`` (1 and "1")."""
+    n = draw(st.integers(1, 24))
+    pool = []
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=5)):
+        s, e = min(a, b), max(a, b)
+        pool += [(s, e), (s, s), (e, e)]
+        if e - s >= 2:
+            pool += [(s + 1, e - 1), (s, e - 1), (s + 1, e)]
+    keys = draw(st.lists(st.sampled_from([0, 1, 2, 7, "0", "1", "2", "Ann", "ben"]), unique=True, max_size=6))
+    clusters = {}
+    for key in keys:
+        ms = [Mention(*span) for span in draw(st.lists(st.sampled_from(pool), max_size=7))]
+        clusters[key] = tuple(ms if draw(st.booleans()) else sorted(ms))
+    return n, ClusterSet("d", "gold", clusters)
+
+
+def _laminar(ms):
+    """The mentions, minus any that would cross one already kept; CoNLL
+    brackets of one cluster cannot encode crossing spans."""
+    kept = []
+    for m in ms:
+        if all(not (a.start < m.start <= a.end < m.end or m.start < a.start <= m.end < a.end) for a in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(labelled_sets())
+def test_sparse_labels_equal_dense_reference(case):
+    n, cs = case
+    assert _coref_labels(cs, n) == coref_labels_reference(cs, n)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(labelled_sets())
+def test_conll_roundtrip_keeps_partition(tmp_path_factory, case):
+    n, cs = case
+    cs = ClusterSet(cs.doc_id, cs.stage, {k: _laminar(ms) for k, ms in cs.clusters.items()})
+    doc = Document("d", tuple(f"t{i}" for i in range(n)))
+    path = tmp_path_factory.getbasetemp() / "roundtrip.conll"
+    write_conll(CorpusFile([DocumentRecord(doc, {"gold": cs})]), str(path))
+    back = read_conll(str(path)).records[0]
+    assert back.document.tokens == doc.tokens
+
+    def partition(c):
+        return sorted(sorted(set(ms)) for ms in c.clusters.values() if ms)
+
+    assert partition(back.cluster_sets["prediction"]) == partition(cs)

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookcoref.errors import ConfigError
 from bookcoref.memsim import Policy, mention_stream, simulate, sweep, sweep_csv
-from bookcoref.model import ClusterSet
+from bookcoref.model import ClusterSet, Mention
+from oracles import mention_stream_reference, simulate_reference
 
 
 class TestPolicy:
@@ -158,3 +161,47 @@ def test_report_invariants(gold_corpus):
         assert report.total_mentions == gold.n_mentions
         if policy.kind == "unbounded":
             assert report.evictions == 0
+
+
+#: cluster keys, with int/str pairs that print alike (1 and "1")
+KEYS = [0, 1, 2, 3, "0", "1", "2", "x", "y"]
+
+
+def _same(got, want):
+    """Equal reports, with the clusters listed in the same (first-eviction) order."""
+    return got == want and list(got.cluster_evictions.items()) == list(want.cluster_evictions.items())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_sweep_and_simulate_equal_reference_replays(data):
+    stream = data.draw(st.lists(st.sampled_from(KEYS), max_size=80))
+    capacities = data.draw(st.lists(st.integers(1, 9), max_size=5))  # duplicates, any order
+    duals = data.draw(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5)), max_size=3))
+    policies = [Policy.lru(k) for k in capacities] + [Policy.dual(l, g) for l, g in duals]
+    if data.draw(st.booleans()):
+        policies.append(Policy.unbounded())
+    policies = data.draw(st.permutations(policies))
+    got = sweep(stream, policies)
+    assert [p for p, _ in got] == policies
+    for policy, report in got:
+        assert _same(report, simulate_reference(stream, policy)), policy
+        traced = simulate(stream, policy, keep_events=True)
+        assert _same(traced, simulate_reference(stream, policy, keep_events=True)), policy
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_mention_stream_equals_reference_order(data):
+    span = st.tuples(st.integers(0, 6), st.integers(0, 3)).map(lambda t: Mention(t[0], t[0] + t[1]))
+    keys = data.draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=6))
+    cs = ClusterSet("d", "gold", {k: tuple(data.draw(st.lists(span, max_size=6))) for k in keys})
+    assert mention_stream(cs) == mention_stream_reference(cs)
+
+
+def test_sweep_of_a_book_equals_reference_replays(gold_corpus):
+    gold = gold_corpus.records[0].cluster_sets["gold"]
+    stream = mention_stream_reference(gold)
+    policies = [Policy.lru(k) for k in (1, 2, 4, 8, 16, 32)] + [Policy.dual(k, k) for k in (1, 2, 4, 8, 16, 32)]
+    for policy, report in sweep(gold, policies):
+        assert _same(report, simulate_reference(stream, policy)), policy
