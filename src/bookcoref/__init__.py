@@ -22,7 +22,7 @@ from .errors import (
     TransportError,
 )
 from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, write_conll, write_jsonl
-from .harness import EvalRun, Setting, evaluate, stats
+from .harness import EvalRun, Setting, evaluate
 from .memsim import Policy, SimReport, simulate
 from .metrics import (
     PRF,
@@ -108,7 +108,6 @@ __all__ = [
     "run",
     "simulate",
     "split_corpus",
-    "stats",
     "union",
     "validate",
     "write_conll",

@@ -19,9 +19,9 @@ from typing import Sequence
 from . import __version__
 from .errors import BookcorefError, ConfigError, ParseError, SchemaError
 from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, write_conll, write_jsonl
-from .harness import Setting, evaluate, stats
+from .harness import Setting, evaluate
 from .memsim import Policy, simulate, sweep, sweep_csv
-from .metrics import linking_prf, pct
+from .metrics import corpus_stats, linking_prf, pool_prf
 from .model import validate
 from .pipeline import (
     AcceptAllJudge,
@@ -73,7 +73,7 @@ def _read_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
 def _cmd_synth(args: argparse.Namespace) -> int:
     corpus = make_reference_corpus(args.seed)
     write_jsonl(corpus, args.output)
-    s = stats(corpus)
+    s = corpus_stats(corpus)
     print(f"wrote {args.output}: {s.docs} docs, {s.tokens} tokens, {s.mentions} mentions (seed={args.seed})")
     _write_json(args, {"command": "synth", "seed": args.seed, "output": args.output, "stats": s.to_dict()})
     return 0
@@ -116,7 +116,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.input)
-    s = stats(corpus)
+    s = corpus_stats(corpus)
     print(s.to_table())
     _write_json(args, {"command": "stats", "input": args.input, "stats": s.to_dict()})
     return 0
@@ -173,11 +173,7 @@ def _cmd_score_linking(args: argparse.Namespace) -> int:
         per_doc.append((rec.document.doc_id, prf))
         p, r, f1 = prf.as_percentages()
         print(f"{rec.document.doc_id}: P={p:.1f} R={r:.1f} F1={f1:.1f}")
-    tp = sum(prf.p_num for _, prf in per_doc)
-    pd = sum(prf.p_den for _, prf in per_doc)
-    rd = sum(prf.r_den for _, prf in per_doc)
-    pp = pct(tp / pd) if pd else 0.0
-    rr = pct(tp / rd) if rd else 0.0
+    pp, rr, _ = pool_prf([prf for _, prf in per_doc]).as_percentages()
     print(f"pooled: P={pp:.1f} R={rr:.1f}")
     _write_json(
         args,
@@ -224,9 +220,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         stages=stages,
         jobs=args.jobs,
         retries=args.retries,
-        timeout=args.timeout,
         endpoints={"all": args.endpoint} if args.endpoint else None,
-        cache_dir=args.cache_dir,
     )
     needs_gold = "oracle" in (args.linker, args.judge, args.expander)
     client = None

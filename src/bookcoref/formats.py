@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ParseError, SchemaError
-from .model import ClusterKey, ClusterSet, Document, Mention, _key_order
+from .model import ClusterKey, ClusterSet, Document, Mention, _key_order, str_keyed
 
 _REQUIRED_KEYS = ("doc_id", "tokens", "characters", "clusters")
 
@@ -160,7 +160,9 @@ def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -
 
 
 def _clusters_to_json(cs: ClusterSet) -> dict[str, list[list[int]]]:
-    return {str(key): [[m.start, m.end] for m in ms] for key, ms in sorted(cs.clusters.items(), key=lambda kv: _key_order(kv[0]))}
+    clusters = sorted(cs.clusters.items(), key=lambda kv: _key_order(kv[0]))
+    spans = ((key, [[m.start, m.end] for m in ms]) for key, ms in clusters)
+    return str_keyed(spans, SchemaError, f"document {cs.doc_id!r}")
 
 
 def _pick_clusters(rec: DocumentRecord, clusters_from: str | None) -> ClusterSet:
@@ -191,11 +193,13 @@ def write_jsonl(corpus: CorpusFile, path: str, clusters_from: str | None = None)
     """Write a corpus in canonical JSONL form.
 
     ``clusters_from`` picks the named set to serialize; default: "gold" if
-    present, else the record's sole set.
+    present, else the record's sole set. Every record is serialized before
+    the file is opened, so a bad record leaves no output behind.
     """
+    lines = [_record_line(rec, clusters_from) for rec in corpus.records]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for rec in corpus.records:
-            f.write(_record_line(rec, clusters_from))
+        for line in lines:
+            f.write(line)
             f.write("\n")
 
 

@@ -1,18 +1,22 @@
 """Evaluation harness: the three scoring settings, count pooling, and run
 artifacts.
 
-Settings:
+Settings differ only in their units; one loop scores them all.
 
-* ``full_book``        - score whole documents against each other.
+* ``full_book``        - score whole documents against each other; every key
+  document is a unit, even one with no mentions on either side.
 * ``split``            - the key corpus is cut into independent windows;
   response documents must carry the matching window ids ("<doc>#w<i>").
 * ``gold_plus_window`` - full-book responses are evaluated window by
   window: both sides are restricted to each window (full containment),
   empty clusters dropped, and each window scored as its own unit.
 
-Units pool their metric counts for the corpus-level (micro) report; macro
-means over units are reported alongside. Units where both sides are empty
-after restriction carry no signal and are skipped.
+In ``split`` and ``gold_plus_window``, a window where both sides are empty (a
+missing response counts as empty) carries no signal and is skipped. A unit
+without a response is flagged in ``missing_units``; ``gold_plus_window``
+flags the document instead, once, before its windows. Units pool their
+metric counts for the corpus-level (micro) report; macro means over units
+are reported alongside.
 """
 
 from __future__ import annotations
@@ -21,17 +25,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .errors import ConfigError
 from .formats import CorpusFile, DocumentRecord
-from .metrics import (
-    CorpusStats,
-    ScoreReport,
-    conll,
-    corpus_stats,
-    macro_reports,
-    pool_reports,
-)
+from .metrics import ScoreReport, conll, macro_reports, pool_reports
 from .model import ClusterSet, drop_empty, restrict
 from .windowing import plan_windows, split_corpus
 
@@ -124,6 +122,36 @@ def _pick(rec: DocumentRecord, name: str) -> ClusterSet | None:
     return cs
 
 
+_Unit = tuple[str, ClusterSet, ClusterSet | None]
+_Lookup = Callable[[str], ClusterSet | None]
+
+
+def _document_units(docs: CorpusFile, key_name: str, response_for: _Lookup) -> Iterator[_Unit]:
+    """full_book's units, and split's once the key corpus is cut into windows."""
+    for rec in docs.records:
+        key_cs = _pick(rec, key_name)
+        if key_cs is not None:
+            yield rec.document.doc_id, key_cs, response_for(rec.document.doc_id)
+
+
+def _window_units(
+    docs: CorpusFile, key_name: str, response_for: _Lookup, window_len: int, missing: list[str]
+) -> Iterator[_Unit]:
+    """gold_plus_window's units. A missing response is flagged here, for the
+    document, and its windows are scored against an empty set."""
+    for rec in docs.records:
+        key_cs = _pick(rec, key_name)
+        if key_cs is None:
+            continue
+        doc_id = rec.document.doc_id
+        resp_cs = response_for(doc_id)
+        if resp_cs is None:
+            missing.append(doc_id)
+            resp_cs = ClusterSet(doc_id, "prediction")
+        for i, (lo, hi) in enumerate(plan_windows(rec.document, window_len, "strict").windows, 1):
+            yield f"{doc_id}#w{i}", drop_empty(restrict(key_cs, lo, hi)), drop_empty(restrict(resp_cs, lo, hi))
+
+
 def evaluate(
     setting: Setting,
     key_corpus: CorpusFile,
@@ -142,76 +170,33 @@ def evaluate(
     run = EvalRun(setting)
 
     responses = response_corpus.by_id()
-    matched: set[str] = set()
+    looked_up: set[str] = set()
 
-    def unit_report(unit_id: str, key_cs: ClusterSet, resp_cs: ClusterSet | None) -> None:
+    def response_for(doc_id: str) -> ClusterSet | None:
+        looked_up.add(doc_id)
+        resp = responses.get(doc_id)
+        return _pick(resp, response_name) if resp is not None else None
+
+    if setting.kind == "gold_plus_window":
+        units = _window_units(key_corpus, key_name, response_for, setting.window_len, run.missing_units)
+    elif setting.kind == "split":
+        units = _document_units(split_corpus(key_corpus, setting.window_len).corpus, key_name, response_for)
+    else:
+        units = _document_units(key_corpus, key_name, response_for)
+
+    skip_empty = setting.kind != "full_book"
+    for unit_id, key_cs, resp_cs in units:
+        if skip_empty and key_cs.n_mentions == 0 and (resp_cs is None or resp_cs.n_mentions == 0):
+            continue
         if resp_cs is None:
             run.missing_units.append(unit_id)
-            resp_partition: list = []
-        else:
-            resp_partition = resp_cs.partition()
-        report = conll(key_cs.partition(), resp_partition, drop_singletons)
-        run.units.append((unit_id, report))
+        resp_partition = resp_cs.partition() if resp_cs is not None else []
+        run.units.append((unit_id, conll(key_cs.partition(), resp_partition, drop_singletons)))
 
-    if setting.kind == "full_book":
-        for rec in key_corpus.records:
-            key_cs = _pick(rec, key_name)
-            if key_cs is None:
-                continue
-            resp = responses.get(rec.document.doc_id)
-            if resp is not None:
-                matched.add(rec.document.doc_id)
-            unit_report(rec.document.doc_id, key_cs, _pick(resp, response_name) if resp else None)
-
-    elif setting.kind == "split":
-        split = split_corpus(key_corpus, setting.window_len)
-        for rec in split.corpus.records:
-            key_cs = _pick(rec, key_name)
-            if key_cs is None:
-                continue
-            resp = responses.get(rec.document.doc_id)
-            if resp is not None:
-                matched.add(rec.document.doc_id)
-            resp_cs = _pick(resp, response_name) if resp else None
-            if key_cs.n_mentions == 0 and (resp_cs is None or resp_cs.n_mentions == 0):
-                continue
-            unit_report(rec.document.doc_id, key_cs, resp_cs)
-
-    else:  # gold_plus_window
-        for rec in key_corpus.records:
-            key_cs = _pick(rec, key_name)
-            if key_cs is None:
-                continue
-            doc_id = rec.document.doc_id
-            resp = responses.get(doc_id)
-            resp_cs = _pick(resp, response_name) if resp else None
-            if resp is not None:
-                matched.add(doc_id)
-            if resp_cs is None:
-                run.missing_units.append(doc_id)
-            plan = plan_windows(rec.document, setting.window_len, "strict")
-            for i, (lo, hi) in enumerate(plan.windows, 1):
-                key_part = drop_empty(restrict(key_cs, lo, hi))
-                resp_part = drop_empty(restrict(resp_cs, lo, hi)) if resp_cs is not None else None
-                if key_part.n_mentions == 0 and (resp_part is None or resp_part.n_mentions == 0):
-                    continue
-                unit_id = f"{doc_id}#w{i}"
-                report = conll(
-                    key_part.partition(),
-                    resp_part.partition() if resp_part is not None else [],
-                    drop_singletons,
-                )
-                run.units.append((unit_id, report))
-
-    run.unmatched_responses = sorted(set(responses) - matched)
+    run.unmatched_responses = sorted(set(responses) - looked_up)
     if run.units:
         run.pooled = pool_reports([r for _, r in run.units])
         run.macro = macro_reports([r for _, r in run.units])
     run.seconds = time.perf_counter() - started
     run.peak_rss_mb = _peak_rss_mb()
     return run
-
-
-def stats(corpus: CorpusFile, clusters_from: str = "gold") -> CorpusStats:
-    """Corpus statistics (delegates to :func:`bookcoref.metrics.corpus_stats`)."""
-    return corpus_stats(corpus, clusters_from)

@@ -37,8 +37,8 @@ from operator import itemgetter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import ConfigError
-from .model import ClusterSet
+from .errors import ConfigError, ContractError
+from .model import ClusterSet, str_keyed
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +93,9 @@ class SimReport:
             "evictions": self.evictions,
             "forced_errors": self.forced_errors,
             "forced_error_rate": self.forced_error_rate,
-            "cluster_evictions": {str(k): v for k, v in sorted(self.cluster_evictions.items(), key=lambda kv: str(kv[0]))},
+            "cluster_evictions": str_keyed(
+                sorted(self.cluster_evictions.items(), key=lambda kv: str(kv[0])), ContractError, "cluster_evictions"
+            ),
         }
         if self.events is not None:
             d["events"] = [list(e) for e in self.events]

@@ -10,11 +10,13 @@ Scoring conventions follow the standard shared-task reference scorer:
 * CEAF-phi4: phi4(K, R) = 2|K & R| / (|K| + |R|) under a globally optimal
   one-to-one cluster alignment (Kuhn-Munkres), not a greedy one.
 
-Every scorer keeps its numerator/denominator pairs so corpus-level results
-can pool counts across documents before dividing (micro); per-document
-macro means are computed separately. All scorers are pure functions and are
-sized for chains with tens of thousands of mentions: counting is O(total
-mentions), never O(pairs).
+All three are functions of one key x response overlap table, the cluster
+sizes plus intersection counts (Pradhan et al., 2014; Luo, 2005), which
+:func:`conll` builds once per unit. Every scorer keeps its
+numerator/denominator pairs so corpus-level results can pool counts across
+documents before dividing (micro); per-document macro means are computed
+separately. All scorers are pure functions and are sized for chains with
+tens of thousands of mentions: counting is O(total mentions), never O(pairs).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from scipy.optimize import linear_sum_assignment
 
@@ -72,79 +74,77 @@ class PRF:
 
 def _norm(clustering: Clustering | ClusterSet) -> list[frozenset]:
     if isinstance(clustering, ClusterSet):
-        return [frozenset(p) for p in clustering.partition()]
+        return clustering.partition()
     return [frozenset(c) for c in clustering]
 
 
-def _mention_index(clusters: Sequence[frozenset]) -> dict[Hashable, int]:
-    return {m: i for i, cluster in enumerate(clusters) for m in cluster}
+_Rows = list[tuple[int, Counter]]
 
 
-def _vilain(clusters: Sequence[frozenset], other: dict[Hashable, int]) -> tuple[int, int]:
-    num = den = 0
+def _rows(clusters: list[frozenset], other: list[frozenset]) -> _Rows:
+    """One side of the overlap table: per cluster, its size and a Counter of
+    other-side cluster index -> mentions the two share. A mention the other
+    side lacks is not counted; one in several of its clusters counts toward
+    the last. Each side is counted from its own clusters rather than
+    transposed from the other, so that rule holds for both."""
+    owner = {m: j for j, cluster in enumerate(other) for m in cluster}
+    rows = []
     for cluster in clusters:
-        partitions = set()
-        unaligned = 0
-        for m in cluster:
-            i = other.get(m)
-            if i is None:
-                unaligned += 1
-            else:
-                partitions.add(i)
-        num += len(cluster) - unaligned - len(partitions)
-        den += len(cluster) - 1
-    return num, den
+        counts = Counter(map(owner.get, cluster))
+        counts.pop(None, None)
+        rows.append((len(cluster), counts))
+    return rows
+
+
+def _overlaps(key: list[frozenset], response: list[frozenset]) -> tuple[_Rows, _Rows]:
+    """The key x response overlap table: (recall rows, precision rows)."""
+    return _rows(key, response), _rows(response, key)
+
+
+def _prf(side: Callable[[_Rows], tuple], recall: _Rows, precision: _Rows) -> PRF:
+    return PRF.from_counts(*side(precision), *side(recall))
+
+
+def _muc_links(rows: _Rows) -> tuple[int, int]:
+    # a cluster of n mentions spread over p other-side clusters, u of its
+    # mentions unknown there, keeps n - u - p of its n - 1 links
+    return sum(sum(c.values()) - len(c) for _, c in rows), sum(n - 1 for n, _ in rows)
+
+
+def _b3_overlap(rows: _Rows) -> tuple[float, int]:
+    num = 0.0
+    for n, counts in rows:
+        # each of the c mentions shared with one other-side cluster sees
+        # an intersection of size c, hence the c*c terms
+        num += sum(c * c for c in counts.values()) / n
+    return num, sum(n for n, _ in rows)
+
+
+def _ceaf_phi4(recall: _Rows, precision: _Rows) -> PRF:
+    if not recall or not precision:
+        return PRF.from_counts(0.0, len(precision), 0.0, len(recall))
+    sims = [[0.0] * len(precision) for _ in recall]
+    for row, (n, counts) in zip(sims, recall):
+        for j, c in counts.items():
+            row[j] = 2.0 * c / (n + precision[j][0])
+    key_idx, resp_idx = linear_sum_assignment(sims, maximize=True)
+    total = float(sum(sims[i][j] for i, j in zip(key_idx, resp_idx)))
+    return PRF.from_counts(total, len(precision), total, len(recall))
 
 
 def muc(key: Clustering | ClusterSet, response: Clustering | ClusterSet) -> PRF:
     """Vilain et al. link-based metric."""
-    k, r = _norm(key), _norm(response)
-    r_num, r_den = _vilain(k, _mention_index(r))
-    p_num, p_den = _vilain(r, _mention_index(k))
-    return PRF.from_counts(p_num, p_den, r_num, r_den)
-
-
-def _b3_side(clusters: Sequence[frozenset], other: dict[Hashable, int]) -> tuple[float, int]:
-    num = 0.0
-    den = 0
-    for cluster in clusters:
-        size = len(cluster)
-        den += size
-        counts = Counter(other.get(m) for m in cluster)
-        counts.pop(None, None)
-        # each of the c mentions shared with one other-side cluster sees
-        # an intersection of size c, hence the c*c terms
-        num += sum(c * c for c in counts.values()) / size
-    return num, den
+    return _prf(_muc_links, *_overlaps(_norm(key), _norm(response)))
 
 
 def b_cubed(key: Clustering | ClusterSet, response: Clustering | ClusterSet) -> PRF:
     """Bagga & Baldwin mention-based metric."""
-    k, r = _norm(key), _norm(response)
-    r_num, r_den = _b3_side(k, _mention_index(r))
-    p_num, p_den = _b3_side(r, _mention_index(k))
-    return PRF.from_counts(p_num, p_den, r_num, r_den)
+    return _prf(_b3_overlap, *_overlaps(_norm(key), _norm(response)))
 
 
 def ceaf_phi4(key: Clustering | ClusterSet, response: Clustering | ClusterSet) -> PRF:
     """Luo's entity-alignment metric with the phi4 similarity."""
-    k, r = _norm(key), _norm(response)
-    if not k or not r:
-        return PRF.from_counts(0.0, len(r), 0.0, len(k))
-    r_index = _mention_index(r)
-    overlaps: list[Counter] = []
-    for cluster in k:
-        counts = Counter(r_index.get(m) for m in cluster)
-        counts.pop(None, None)
-        overlaps.append(counts)
-    sims = [[0.0] * len(r) for _ in k]
-    for i, (cluster, counts) in enumerate(zip(k, overlaps)):
-        row = sims[i]
-        for j, c in counts.items():
-            row[j] = 2.0 * c / (len(cluster) + len(r[j]))
-    rows, cols = linear_sum_assignment(sims, maximize=True)
-    total = float(sum(sims[i][j] for i, j in zip(rows, cols)))
-    return PRF.from_counts(total, len(r), total, len(k))
+    return _ceaf_phi4(*_overlaps(_norm(key), _norm(response)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,33 +194,35 @@ def conll(
     by default (the gold data has none, and the established scorer setup on
     singleton-free keys ignores predicted singletons).
     """
-    k = _prepare(key, drop_singletons)
-    r = _prepare(response, drop_singletons)
-    m, b, c = muc(k, r), b_cubed(k, r), ceaf_phi4(k, r)
+    recall, precision = _overlaps(_prepare(key, drop_singletons), _prepare(response, drop_singletons))
+    m = _prf(_muc_links, recall, precision)
+    b = _prf(_b3_overlap, recall, precision)
+    c = _ceaf_phi4(recall, precision)
     return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0, linking)
 
 
-def pool_reports(reports: Sequence[ScoreReport]) -> ScoreReport:
+def pool_prf(prfs: Sequence[PRF]) -> PRF:
     """Micro pooling: sum numerators/denominators across units, then divide.
 
     Uses exactly-rounded summation so pooling is bit-for-bit invariant
     under unit reordering.
     """
+    return PRF.from_counts(
+        math.fsum(x.p_num for x in prfs),
+        math.fsum(x.p_den for x in prfs),
+        math.fsum(x.r_num for x in prfs),
+        math.fsum(x.r_den for x in prfs),
+    )
 
-    def pooled(prfs: Sequence[PRF]) -> PRF:
-        return PRF.from_counts(
-            math.fsum(x.p_num for x in prfs),
-            math.fsum(x.p_den for x in prfs),
-            math.fsum(x.r_num for x in prfs),
-            math.fsum(x.r_den for x in prfs),
-        )
 
-    m = pooled([r.muc for r in reports])
-    b = pooled([r.b3 for r in reports])
-    c = pooled([r.ceaf for r in reports])
+def pool_reports(reports: Sequence[ScoreReport]) -> ScoreReport:
+    """Micro pooling of every metric of the units' reports (:func:`pool_prf`)."""
+    m = pool_prf([r.muc for r in reports])
+    b = pool_prf([r.b3 for r in reports])
+    c = pool_prf([r.ceaf for r in reports])
     link = None
     if reports and all(r.linking is not None for r in reports):
-        link = pooled([r.linking for r in reports])  # type: ignore[list-item]
+        link = pool_prf([r.linking for r in reports])  # type: ignore[list-item]
     return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0, link)
 
 

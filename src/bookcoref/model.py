@@ -23,9 +23,9 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .errors import CompositionError, SpanRangeError, StageError
+from .errors import BookcorefError, CompositionError, SpanRangeError, StageError
 
 ClusterKey = Union[str, int]
 
@@ -54,6 +54,20 @@ PRONOUNS = frozenset(
 def _key_order(key: ClusterKey) -> tuple[str, str]:
     # stable sort for mixed str/int cluster keys
     return (key.__class__.__name__, str(key))
+
+
+def str_keyed(items: Iterable[tuple[Hashable, Any]], error: type[BookcorefError], where: str) -> dict[str, Any]:
+    """``items`` keyed by ``str(key)``, the form cluster keys take in JSON.
+    Keys that print alike (``1`` and ``"1"``) raise ``error`` rather than merge."""
+    out: dict[str, Any] = {}
+    keys: dict[str, Hashable] = {}
+    for key, value in items:
+        text = str(key)
+        if text in keys:
+            raise error(f"{where}: cluster keys {keys[text]!r} and {key!r} both print as {text!r}")
+        keys[text] = key
+        out[text] = value
+    return out
 
 
 @dataclass(frozen=True, order=True, slots=True)

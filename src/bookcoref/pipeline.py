@@ -127,9 +127,7 @@ class PipelineConfig:
     stages: tuple[str, ...] = ("init", "refine", "window", "group")
     jobs: int = 1
     retries: int = 2
-    timeout: float = 30.0
     endpoints: Mapping[str, str] | None = None
-    cache_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.window_len < 1 or self.group_size < 1 or self.judge_context_words < 1:

@@ -9,14 +9,22 @@ they share no code path with the production implementations they check.
 ``simulate_reference`` are the straightforward dense labeller and
 one-replay-per-policy simulator that the sparse labeller, the stack-distance
 LRU pass and the heap-based dual policy must reproduce exactly.
+
+``conll_reference`` (with ``muc_reference``, ``b_cubed_reference`` and
+``ceaf_phi4_reference``) is the earlier scorer, which normalised both sides
+and rebuilt a mention index for each metric; the one-table scorer core must
+reproduce its reports bit for bit.
 """
 
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import permutations
 
+from scipy.optimize import linear_sum_assignment
+
 from bookcoref.memsim import SimReport
-from bookcoref.model import _key_order
+from bookcoref.metrics import PRF, ScoreReport
+from bookcoref.model import ClusterSet, _key_order
 
 
 def muc_brute(key, response):
@@ -251,3 +259,89 @@ def simulate_reference(keys, policy, keep_events=False):
         cluster_evictions=dict(per_cluster),
         events=tuple(events) if keep_events else None,
     )
+
+
+def _norm_reference(clustering):
+    if isinstance(clustering, ClusterSet):
+        return [frozenset(p) for p in clustering.partition()]
+    return [frozenset(c) for c in clustering]
+
+
+def _mention_index_reference(clusters):
+    return {m: i for i, cluster in enumerate(clusters) for m in cluster}
+
+
+def _vilain_reference(clusters, other):
+    num = den = 0
+    for cluster in clusters:
+        partitions = set()
+        unaligned = 0
+        for m in cluster:
+            i = other.get(m)
+            if i is None:
+                unaligned += 1
+            else:
+                partitions.add(i)
+        num += len(cluster) - unaligned - len(partitions)
+        den += len(cluster) - 1
+    return num, den
+
+
+def muc_reference(key, response):
+    k, r = _norm_reference(key), _norm_reference(response)
+    r_num, r_den = _vilain_reference(k, _mention_index_reference(r))
+    p_num, p_den = _vilain_reference(r, _mention_index_reference(k))
+    return PRF.from_counts(p_num, p_den, r_num, r_den)
+
+
+def _b3_side_reference(clusters, other):
+    num = 0.0
+    den = 0
+    for cluster in clusters:
+        size = len(cluster)
+        den += size
+        counts = Counter(other.get(m) for m in cluster)
+        counts.pop(None, None)
+        num += sum(c * c for c in counts.values()) / size
+    return num, den
+
+
+def b_cubed_reference(key, response):
+    k, r = _norm_reference(key), _norm_reference(response)
+    r_num, r_den = _b3_side_reference(k, _mention_index_reference(r))
+    p_num, p_den = _b3_side_reference(r, _mention_index_reference(k))
+    return PRF.from_counts(p_num, p_den, r_num, r_den)
+
+
+def ceaf_phi4_reference(key, response):
+    k, r = _norm_reference(key), _norm_reference(response)
+    if not k or not r:
+        return PRF.from_counts(0.0, len(r), 0.0, len(k))
+    r_index = _mention_index_reference(r)
+    overlaps = []
+    for cluster in k:
+        counts = Counter(r_index.get(m) for m in cluster)
+        counts.pop(None, None)
+        overlaps.append(counts)
+    sims = [[0.0] * len(r) for _ in k]
+    for i, (cluster, counts) in enumerate(zip(k, overlaps)):
+        row = sims[i]
+        for j, c in counts.items():
+            row[j] = 2.0 * c / (len(cluster) + len(r[j]))
+    rows, cols = linear_sum_assignment(sims, maximize=True)
+    total = float(sum(sims[i][j] for i, j in zip(rows, cols)))
+    return PRF.from_counts(total, len(r), total, len(k))
+
+
+def _prepare_reference(clustering, drop_singletons):
+    parts = [c for c in _norm_reference(clustering) if c]
+    if drop_singletons:
+        parts = [c for c in parts if len(c) > 1]
+    return parts
+
+
+def conll_reference(key, response, drop_singletons=True, linking=None):
+    k = _prepare_reference(key, drop_singletons)
+    r = _prepare_reference(response, drop_singletons)
+    m, b, c = muc_reference(k, r), b_cubed_reference(k, r), ceaf_phi4_reference(k, r)
+    return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0, linking)

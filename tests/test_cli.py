@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bookcoref import cli
 from bookcoref.cli import main
 from bookcoref.formats import CorpusFile, DocumentRecord, read_jsonl, write_jsonl
 from bookcoref.model import ClusterSet, Document
@@ -136,6 +137,16 @@ class TestConvertAndSplit:
         assert main(["convert", str(bad), str(out)]) == 2
         err = capsys.readouterr().err
         assert "'d'" in err and "(0, 5)" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_cluster_keys_that_print_alike_exit_2_and_write_nothing(self, tmp_path, capsys, monkeypatch):
+        doc = Document("d", ("a", "b", "c"))
+        corpus = CorpusFile([DocumentRecord(doc, {"gold": ClusterSet.build("d", "gold", {1: [(0, 0)], "1": [(2, 2)]})})])
+        monkeypatch.setattr(cli, "_read_corpus", lambda path, clusters_as="gold": corpus)
+        out = tmp_path / "out.jsonl"
+        assert main(["convert", "in.jsonl", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "document 'd'" in err and "1 and '1'" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".conll"])

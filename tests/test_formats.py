@@ -132,6 +132,16 @@ class TestJsonlRoundTrip:
         write_jsonl(gold_corpus, str(path))
         assert path.read_text(encoding="utf-8") == dumps_jsonl(gold_corpus)
 
+    def test_cluster_keys_that_print_alike_are_schema_error_and_write_nothing(self, tmp_path):
+        good = DocumentRecord(Document("ok", ("a",)), {"gold": ClusterSet.build("ok", "gold", {"A": [(0, 0)]})})
+        bad = DocumentRecord(
+            Document("d", ("a", "b", "c")), {"gold": ClusterSet.build("d", "gold", {1: [(0, 0)], "1": [(2, 2)]})}
+        )
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(SchemaError, match=r"document 'd': cluster keys 1 and '1' both print as '1'"):
+            write_jsonl(CorpusFile([good, bad]), str(path))
+        assert not path.exists()
+
 
 class TestConll:
     def test_bracket_notation_for_multi_token_mention(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -5,8 +6,7 @@ import pytest
 
 from bookcoref import harness, windowing
 from bookcoref.formats import CorpusFile, DocumentRecord
-from bookcoref.harness import Setting, evaluate, stats
-from bookcoref.metrics import corpus_stats
+from bookcoref.harness import Setting, evaluate
 from bookcoref.model import ClusterSet, Document
 from bookcoref.windowing import plan_windows, split_corpus
 
@@ -195,5 +195,83 @@ class TestArtifacts:
         assert run.peak_rss_mb is None or run.peak_rss_mb > 0
 
 
-def test_stats_delegates_to_corpus_stats(small_corpus):
-    assert stats(small_corpus) == corpus_stats(small_corpus)
+def split_chains(corpus):
+    """The response that cuts each gold chain at its middle mention."""
+    out = CorpusFile()
+    for rec in corpus.records:
+        gold = rec.cluster_sets["gold"]
+        clusters = {}
+        for key, ms in gold.clusters.items():
+            clusters[key] = ms[: len(ms) // 2]
+            clusters[f"{key}#2"] = ms[len(ms) // 2 :]
+        out.records.append(DocumentRecord(rec.document, {"prediction": ClusterSet(gold.doc_id, "prediction", clusters)}))
+    return out
+
+
+def run_digest(run):
+    """sha256 of ``EvalRun.to_dict()`` without its timing fields."""
+    d = {k: v for k, v in run.to_dict().items() if k not in ("seconds", "peak_rss_mb")}
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+#: run_digest for the seed-13 corpus against its split-chain response, per
+#: (setting, drop_singletons), as the three per-setting loops scored it
+EVAL_RUN_SHA256 = {
+    ("full_book", True): "72fc9066b1a8e87ff4f59a11d8db0d609dfe98f1f3718cdc75884cc22a7156d4",
+    ("full_book", False): "72fc9066b1a8e87ff4f59a11d8db0d609dfe98f1f3718cdc75884cc22a7156d4",
+    ("split", True): "c512dc8a9f0bf4607519b409e665e0dec53a11c58d29446389c5b2efcbf8efc1",
+    ("split", False): "2c22bdb1d2b9ab727c0f8ee438b248b9f2aa9e9c3abdffde2a870812c4d4f598",
+    ("gold_plus_window", True): "7c6df27867df988f9de2bc601575b4f7c0222479dbb097b651085d5f0a7449a9",
+    ("gold_plus_window", False): "87aff9cc7beade267e9ea440786df896e0903ce289b6804481a174106a3ba4a4",
+}
+
+
+@pytest.mark.parametrize("kind, drop_singletons", sorted(EVAL_RUN_SHA256))
+def test_reference_corpus_eval_run_is_pinned(gold_corpus, kind, drop_singletons):
+    response = split_chains(gold_corpus)
+    if kind == "split":
+        response = split_corpus(response).corpus
+    run = evaluate(Setting(kind), gold_corpus, response, drop_singletons=drop_singletons)
+    assert run_digest(run) == EVAL_RUN_SHA256[(kind, drop_singletons)]
+
+
+class TestUnitBookkeeping:
+    """Which units each setting scores, skips and flags. With 10-token
+    windows, "a" has windows empty on both sides (w2, w4), "b" has no
+    response (and an empty-key w3), "c" has no mentions at all, and "z" is
+    a response that matches no key document."""
+
+    @staticmethod
+    def record(doc_id, n, clusters, stage):
+        doc = Document(doc_id, tuple(f"t{i}" for i in range(n)), ("A", "B"))
+        return DocumentRecord(doc, {stage: ClusterSet.build(doc_id, stage, clusters)})
+
+    def corpora(self):
+        key = CorpusFile([
+            self.record("a", 40, {"A": [(0, 0), (5, 5), (25, 25)], "B": [(2, 2), (3, 3)]}, "gold"),
+            self.record("b", 25, {"A": [(1, 1), (12, 12)], "B": [(4, 4), (15, 15)]}, "gold"),
+            self.record("c", 12, {}, "gold"),
+        ])
+        response = CorpusFile([
+            self.record("a", 40, {"A": [(0, 0), (5, 5)], "B": [(2, 2), (3, 3), (25, 25)]}, "prediction"),
+            self.record("c", 12, {}, "prediction"),
+            self.record("z", 8, {"A": [(0, 0), (1, 1)]}, "prediction"),
+        ])
+        return key, response
+
+    @pytest.mark.parametrize(
+        "kind, units, missing, unmatched",
+        [
+            ("full_book", ["a", "b", "c"], ["b"], ["z"]),
+            ("split", ["a#w1", "a#w3", "b#w1", "b#w2"], ["b#w1", "b#w2"], ["z#w1"]),
+            ("gold_plus_window", ["a#w1", "a#w3", "b#w1", "b#w2"], ["b"], ["z"]),
+        ],
+    )
+    def test_units_skips_and_flags(self, kind, units, missing, unmatched):
+        key, response = self.corpora()
+        if kind == "split":
+            response = split_corpus(response, 10).corpus
+        run = evaluate(Setting(kind, 10), key, response)
+        assert [u for u, _ in run.units] == units
+        assert run.missing_units == missing
+        assert run.unmatched_responses == unmatched

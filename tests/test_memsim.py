@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bookcoref.errors import ConfigError
+from bookcoref.errors import ConfigError, ContractError
 from bookcoref.memsim import Policy, mention_stream, simulate, sweep, sweep_csv
 from bookcoref.model import ClusterSet, Mention
 from oracles import mention_stream_reference, simulate_reference
@@ -117,6 +117,18 @@ class TestFromClusterSet:
         report = simulate(cs, Policy.lru(1))
         assert report.total_mentions == 4
         assert report.forced_errors == 2
+
+
+class TestToDict:
+    def test_cluster_keys_that_print_alike_are_contract_error(self):
+        report = simulate([1, "1", 2, 1], Policy.lru(1))
+        assert report.cluster_evictions == {1: 1, "1": 1, 2: 1}
+        with pytest.raises(ContractError, match=r"cluster keys 1 and '1' both print as '1'"):
+            report.to_dict()
+
+    def test_keys_that_print_uniquely_keep_every_count(self):
+        report = simulate([1, "a", 2, 1], Policy.lru(1))
+        assert report.to_dict()["cluster_evictions"] == {"1": 1, "2": 1, "a": 1}
 
 
 class TestMonotonicity:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookcoref.errors import ContractError
 from bookcoref.formats import CorpusFile, DocumentRecord
@@ -21,9 +23,13 @@ from bookcoref.model import ClusterSet, Document
 
 from oracles import (
     b3_brute,
+    b_cubed_reference,
     ceaf_phi4_brute,
+    ceaf_phi4_reference,
     chain_distance_brute,
+    conll_reference,
     muc_brute,
+    muc_reference,
     random_partition_pair,
 )
 
@@ -259,3 +265,24 @@ def test_pct_rounds_half_up_to_one_decimal():
 def test_prf_f1_zero_when_both_zero():
     assert PRF.from_counts(0, 5, 0, 5).f1 == 0.0
     assert PRF.from_counts(0, 0, 0, 0).precision == 0.0
+
+
+#: A clustering over a small mention universe: sides may be empty, clusters
+#: may be empty or singletons, a mention may be missing from the other side
+#: or sit in two clusters of one side, and a cluster may list one twice.
+clusterings = st.lists(st.lists(st.integers(0, 11), max_size=6), max_size=6)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(clusterings, clusterings)
+def test_scorer_core_equals_reference_bit_for_bit(key, response):
+    for drop_singletons in (True, False):
+        got = conll(key, response, drop_singletons)
+        want = conll_reference(key, response, drop_singletons)
+        assert got == want
+        assert repr(got) == repr(want)  # also the int/float type of every count
+    # the public metrics keep empty clusters, which B3 cannot score
+    key = [c for c in key if c]
+    response = [c for c in response if c]
+    for scorer, reference in ((muc, muc_reference), (b_cubed, b_cubed_reference), (ceaf_phi4, ceaf_phi4_reference)):
+        assert repr(scorer(key, response)) == repr(reference(key, response))
