@@ -9,6 +9,7 @@ incremental-memory cache simulator.
 
 from .errors import (
     BookcorefError,
+    CacheError,
     CompositionError,
     ConfigError,
     ContractError,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BookcorefError",
+    "CacheError",
     "ClusterSet",
     "CompositionError",
     "ConfigError",

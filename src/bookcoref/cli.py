@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .errors import BookcorefError, ConfigError, ParseError, SchemaError
+from .errors import BookcorefError, CacheError, ConfigError, ParseError, SchemaError
 from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, write_conll, write_jsonl
 from .harness import Setting, evaluate
 from .memsim import Policy, simulate, sweep, sweep_csv
@@ -230,24 +230,28 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         client = ServiceClient(
             args.endpoint, timeout=args.timeout, retries=args.retries, cache_dir=args.cache_dir
         )
-    corpus = _read_corpus(args.input)
-    out = CorpusFile()
-    traces = {}
-    for rec in corpus.records:
-        gold = rec.cluster_sets.get("gold")
-        if needs_gold and gold is None:
-            raise SchemaError(f"oracle components need gold clusters; missing for {rec.document.doc_id!r}")
-        linker, judge, expander = _components(args, gold, client)
-        final, trace = run(rec.document, config, linker, judge, expander)
-        out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
-        traces[rec.document.doc_id] = trace.to_dict()
-        counts = trace.to_dict()["mention_counts"]
-        print(f"{rec.document.doc_id}: stages {', '.join(f'{k}={v}' for k, v in counts.items())}")
-    write_jsonl(out, args.output, clusters_from="prediction")
-    print(f"wrote predictions to {args.output} (config {config.config_hash()})")
-    payload = {"command": "pipeline-run", "config_hash": config.config_hash(), "stages": list(stages), "traces": traces}
-    if client is not None:
-        payload["service_log"] = client.log
+    try:
+        corpus = _read_corpus(args.input)
+        out = CorpusFile()
+        traces = {}
+        for rec in corpus.records:
+            gold = rec.cluster_sets.get("gold")
+            if needs_gold and gold is None:
+                raise SchemaError(f"oracle components need gold clusters; missing for {rec.document.doc_id!r}")
+            linker, judge, expander = _components(args, gold, client)
+            final, trace = run(rec.document, config, linker, judge, expander)
+            out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
+            traces[rec.document.doc_id] = trace.to_dict()
+            counts = trace.to_dict()["mention_counts"]
+            print(f"{rec.document.doc_id}: stages {', '.join(f'{k}={v}' for k, v in counts.items())}")
+        write_jsonl(out, args.output, clusters_from="prediction")
+        print(f"wrote predictions to {args.output} (config {config.config_hash()})")
+        payload = {"command": "pipeline-run", "config_hash": config.config_hash(), "stages": list(stages), "traces": traces}
+        if client is not None:
+            payload["service_log"] = client.log
+    finally:
+        if client is not None:
+            client.close()
     _write_json(args, payload)
     return 0
 
@@ -424,7 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _apply_config(parser, argv)
         return args.func(args)
-    except (ParseError, SchemaError, OSError) as e:
+    except (ParseError, SchemaError, CacheError, OSError) as e:
         print(f"bookcoref: {e}", file=sys.stderr)
         return 2
     except BookcorefError as e:

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
 Contract and validation failures map to CLI exit code 1, input/parse
-failures to exit code 2.
+failures and an unusable response cache to exit code 2.
 """
 
 
@@ -50,6 +50,10 @@ class ParseError(BookcorefError):
 
 class SchemaError(BookcorefError):
     """Input parsed but does not match the expected record schema."""
+
+
+class CacheError(BookcorefError):
+    """The service response cache file cannot be opened, read or written."""
 
 
 class TransportError(BookcorefError):

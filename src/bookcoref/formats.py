@@ -73,6 +73,19 @@ class CorpusFile:
         return [r.document.doc_id for r in self.records]
 
 
+def _prediction_key(key: str) -> ClusterKey:
+    """A prediction key as written by a system: an ``int`` when it is the
+    canonical ASCII decimal form of one, so that no two keys read alike."""
+    if key.isascii():
+        try:
+            number = int(key)
+        except ValueError:
+            return key
+        if str(number) == key:
+            return number
+    return key
+
+
 def _parse_clusters(raw: object, doc_id: str, stage: str, lineno: int) -> ClusterSet:
     if not isinstance(raw, dict):
         raise SchemaError(f"line {lineno}: 'clusters' must be an object, got {type(raw).__name__}")
@@ -80,9 +93,7 @@ def _parse_clusters(raw: object, doc_id: str, stage: str, lineno: int) -> Cluste
     for key, spans in raw.items():
         if not isinstance(spans, list):
             raise SchemaError(f"line {lineno}: cluster {key!r} spans must be an array")
-        ckey: ClusterKey = key
-        if stage == "prediction" and isinstance(key, str) and key.isdigit():
-            ckey = int(key)
+        ckey = _prediction_key(key) if stage == "prediction" else key
         ms = []
         for span in spans:
             if (

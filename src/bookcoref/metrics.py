@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Hashable, Iterable, Sequence
 
-from scipy.optimize import linear_sum_assignment
-
 from .errors import ContractError
 from .formats import CorpusFile
 from .model import ClusterSet
@@ -118,6 +116,15 @@ def _b3_overlap(rows: _Rows) -> tuple[float, int]:
         # an intersection of size c, hence the c*c terms
         num += sum(c * c for c in counts.values()) / n
     return num, sum(n for n, _ in rows)
+
+
+def linear_sum_assignment(cost, maximize: bool = False):
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call:
+    only CEAF-phi4 needs SciPy, and importing it takes longer than importing
+    the rest of the package."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost, maximize=maximize)
 
 
 def _ceaf_phi4(recall: _Rows, precision: _Rows) -> PRF:

@@ -221,6 +221,13 @@ class TestScoreCommands:
         out = capsys.readouterr().out
         assert "corpus (pooled)" in out and "100.0 100.0 100.0 100.0" not in out
 
+    def test_prediction_key_that_is_not_an_ascii_integer_is_scored(self, tiny_jsonl, tmp_path, capsys):
+        pred = tmp_path / "external.jsonl"
+        clusters = {"\u00b2": [[0, 0], [2, 2], [11, 11]], "1": [[8, 8], [13, 13], [15, 15]]}
+        pred.write_text(json.dumps({"doc_id": "tiny", "tokens": ["x"] * 20, "characters": [], "clusters": clusters}) + "\n")
+        assert main(["score", "--setting", "full", tiny_jsonl, str(pred)]) == 0
+        assert "100.0 100.0 100.0 100.0" in capsys.readouterr().out
+
     def test_oracle_pipeline_scores_100(self, tiny_jsonl, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
         code = main(

@@ -101,6 +101,20 @@ class TestReadJsonl:
         assert set(cs.keys()) == {0, 1}
         assert cs.stage == "prediction"
 
+    def test_prediction_keys_that_parse_alike_stay_apart(self, tmp_path):
+        path = write_lines(
+            tmp_path / "p.jsonl",
+            ['{"doc_id":"x","tokens":["A","b","c"],"characters":[],"clusters":{"01":[[0,0]],"1":[[2,2]]}}'],
+        )
+        cs = read_jsonl(path, clusters_as="prediction").records[0].cluster_sets["prediction"]
+        assert dict(cs.clusters) == {"01": (Mention(0, 0),), 1: (Mention(2, 2),)}
+
+    @pytest.mark.parametrize("key", ["\u00b2", "\u0663", "+1", " 1", "1_0", "-0"])
+    def test_only_canonical_ascii_integers_become_int_keys(self, tmp_path, key):
+        line = json.dumps({"doc_id": "x", "tokens": ["A"], "characters": [], "clusters": {key: [[0, 0]], "-1": [[0, 0]]}})
+        cs = read_jsonl(write_lines(tmp_path / "p.jsonl", [line]), clusters_as="prediction").records[0].cluster_sets["prediction"]
+        assert set(cs.keys()) == {key, -1}
+
 
 class TestJsonlRoundTrip:
     def test_canonical_output_is_fixed_point(self, tmp_path):
