@@ -25,9 +25,10 @@ import json
 import threading
 import time
 from bisect import bisect_right
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
 
 from .errors import (
     ConfigError,
@@ -342,15 +343,31 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def _map_in_order(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
-    """``[fn(item) for item in items]`` with up to ``jobs`` calls at a time.
+@contextmanager
+def _workers(jobs: int, executor: Executor | None = None) -> Iterator[Executor | None]:
+    """The executor a stage's calls run on: ``executor`` if one is given,
+    else a pool of ``jobs`` threads that lives for the block, else none."""
+    if executor is not None or jobs == 1:
+        yield executor
+        return
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _map_in_order(fn: Callable[[_T], _R], items: Sequence[_T], pool: Executor | None) -> list[_R]:
+    """``[fn(item) for item in items]``, with the calls run on ``pool``.
 
     Results come back in input order whatever order the calls finish in.
-    Once a call fails no further call starts, so a failing component sees at
-    most the ``jobs`` calls already in flight; the failure earliest in input
-    order is raised. With ``jobs=1`` every call runs on the calling thread.
+    Once a call fails no further call of this batch starts, so a failing
+    component sees at most the calls already in flight; the batch's queued
+    calls are cancelled, its running ones are waited for, and the failure
+    earliest in input order is raised. Without a pool every call runs on the
+    calling thread.
     """
-    if jobs == 1:
+    if pool is None:
         return [fn(item) for item in items]
     failed = threading.Event()
 
@@ -363,15 +380,18 @@ def _map_in_order(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> lis
             failed.set()
             raise
 
-    pool = ThreadPoolExecutor(max_workers=jobs)
+    futures: list[Future[_R]] = []
     try:
-        futures = [pool.submit(guarded, item) for item in items]
+        for item in items:
+            futures.append(pool.submit(guarded, item))
         # the work queue is FIFO, so every call skipped or cancelled after a
         # failure comes later in input order: reading in order meets it first
         return [f.result() for f in futures]
     finally:
         failed.set()
-        pool.shutdown(wait=True, cancel_futures=True)
+        for f in futures:
+            f.cancel()
+        wait(futures)
 
 
 def refine(
@@ -382,12 +402,15 @@ def refine(
     retries: int = 2,
     trace: PipelineTrace | None = None,
     jobs: int = 1,
+    *,
+    executor: Executor | None = None,
 ) -> ClusterSet:
     """Keep each mention iff the judge accepts its prompt.
 
-    Characters whose clusters empty out keep their (empty) entries. Up to
-    ``jobs`` judge calls run at once; verdicts are recorded in sorted key
-    order, then span order, whatever order the calls finish in. Judge
+    Characters whose clusters empty out keep their (empty) entries. The
+    judge calls run on ``executor`` if one is given, else up to ``jobs`` at
+    once; verdicts are recorded in sorted key order, then span order,
+    whatever order the calls finish in. Judge
     transport failures are retried ``retries`` times, then surface as a
     stage error naming the first failing mention in that order. A
     :class:`FinalTransportError` (the HTTP client has already retried) is
@@ -413,7 +436,8 @@ def refine(
             attempt += 1
 
     items = [(key, m) for key in cs.sorted_keys() for m in cs.clusters[key]]
-    verdicts = _map_in_order(verdict, items, jobs)
+    with _workers(jobs, executor) as pool:
+        verdicts = _map_in_order(verdict, items, pool)
     kept: dict[ClusterKey, list[Mention]] = {key: [] for key in cs.clusters}
     for (key, m), accepted in zip(items, verdicts):
         if trace is not None:
@@ -483,9 +507,13 @@ def expand_pass(
     expander: Expander,
     jobs: int = 1,
     trace: PipelineTrace | None = None,
+    *,
+    executor: Executor | None = None,
 ) -> ClusterSet:
     """One expansion sweep: restrict to each plan range, re-base, expand,
-    verify the contracts, re-base back, and union across ranges.
+    verify the contracts, re-base back, and union across ranges. The
+    expander calls run on ``executor`` if one is given, else up to ``jobs``
+    at once.
 
     A window plan advances refined -> window_expanded; a grouped plan
     advances window_expanded -> final.
@@ -513,7 +541,8 @@ def expand_pass(
     def work(rng: tuple[int, int]) -> tuple[ClusterSet, int]:
         return _expand_window(doc, cs, rng[0], rng[1], expander, target)
 
-    results = _map_in_order(work, ranges, jobs)
+    with _workers(jobs, executor) as pool:
+        results = _map_in_order(work, ranges, pool)
 
     if trace is not None:
         for rng, (part, seeds) in zip(ranges, results):
@@ -534,7 +563,9 @@ def run(
     expansion, with stages beyond init optional via ``config.stages``.
 
     Disabled stages advance the stage tag without calling their component,
-    so ablation runs stay within the legal stage chain.
+    so ablation runs stay within the legal stage chain. With ``jobs > 1``
+    the run's stages share one pool of ``jobs`` threads, so each worker
+    keeps one connection to a remote component for the whole run.
     """
     trace = PipelineTrace(doc.doc_id, config.config_hash())
     trace.components = {
@@ -543,33 +574,36 @@ def run(
         "expander": getattr(expander, "name", type(expander).__name__),
     }
 
-    t0 = time.perf_counter()
-    cs = initialize(doc, linker, trace)
-    trace.stage_seconds["init"] = time.perf_counter() - t0
-    trace.snapshots["initialized"] = cs
-
-    if "refine" in config.stages:
+    with _workers(config.jobs) as pool:
         t0 = time.perf_counter()
-        cs = refine(doc, cs, judge, config.judge_context_words, config.retries, trace, config.jobs)
-        trace.stage_seconds["refine"] = time.perf_counter() - t0
-        trace.snapshots["refined"] = cs
-    elif "window" in config.stages:
-        # stage tag still advances so the window-expansion gate holds
-        cs = cs.advanced()
+        cs = initialize(doc, linker, trace)
+        trace.stage_seconds["init"] = time.perf_counter() - t0
+        trace.snapshots["initialized"] = cs
 
-    if "window" in config.stages:
-        t0 = time.perf_counter()
-        guard = cs if config.boundary_rule == "mention_safe" else None
-        plan = plan_windows(doc, config.window_len, config.boundary_rule, guard)
-        cs = expand_pass(doc, cs, plan, expander, config.jobs, trace)
-        trace.stage_seconds["window"] = time.perf_counter() - t0
-        trace.snapshots["window_expanded"] = cs
-
-        if "group" in config.stages:
+        if "refine" in config.stages:
             t0 = time.perf_counter()
-            grouped = plan_groups(plan, config.group_size)
-            cs = expand_pass(doc, cs, grouped, expander, config.jobs, trace)
-            trace.stage_seconds["group"] = time.perf_counter() - t0
-            trace.snapshots["final"] = cs
+            cs = refine(
+                doc, cs, judge, config.judge_context_words, config.retries, trace, config.jobs, executor=pool
+            )
+            trace.stage_seconds["refine"] = time.perf_counter() - t0
+            trace.snapshots["refined"] = cs
+        elif "window" in config.stages:
+            # stage tag still advances so the window-expansion gate holds
+            cs = cs.advanced()
+
+        if "window" in config.stages:
+            t0 = time.perf_counter()
+            guard = cs if config.boundary_rule == "mention_safe" else None
+            plan = plan_windows(doc, config.window_len, config.boundary_rule, guard)
+            cs = expand_pass(doc, cs, plan, expander, config.jobs, trace, executor=pool)
+            trace.stage_seconds["window"] = time.perf_counter() - t0
+            trace.snapshots["window_expanded"] = cs
+
+            if "group" in config.stages:
+                t0 = time.perf_counter()
+                grouped = plan_groups(plan, config.group_size)
+                cs = expand_pass(doc, cs, grouped, expander, config.jobs, trace, executor=pool)
+                trace.stage_seconds["group"] = time.perf_counter() - t0
+                trace.snapshots["final"] = cs
 
     return cs, trace

@@ -20,6 +20,14 @@ Construction invariants (the tests and acceptance suite rely on these):
 * generation is a pure function of the seed.
 
 A seed whose corpus cannot be calibrated raises :class:`GeneratorError`.
+
+Calibration places every book once per candidate interleaving factor
+``alpha`` (23 passes at the default seed). What a pass reads but ``alpha``
+does not change is hoisted out of it: per mention, in plan order, its chain
+id, that chain's centre, its anchor and its token length. One pass then
+costs one sort of each book's mention indices by target and one placement
+loop over them. Passes deal in plain index and start lists; only the
+placement calibration returns is materialised as mentions and tokens.
 """
 
 from __future__ import annotations
@@ -191,82 +199,86 @@ def _plan_book(rng: random.Random, spec: BookSpec, names: list[str]) -> list[_Pl
     return planned
 
 
-def _order_mentions(
-    planned: list[_PlannedMention],
-    centres: list[float],
-    alpha: float,
-    n: int,
-) -> list[_PlannedMention]:
-    """Order mentions along the book by their chain-anchored targets.
+def _order_mentions(centres: list[float], anchors: list[float], alpha: float, n: int) -> list[int]:
+    """Plan indices in book order, by each mention's chain-anchored target.
 
-    ``alpha`` scales how far a mention may stray from its chain centre:
-    small values give per-chain blocks, large values full interleaving.
+    ``centres[i]`` is the centre of mention ``i``'s chain and ``anchors[i]``
+    its offset from it. ``alpha`` scales how far a mention may stray from its
+    chain centre: small values give per-chain blocks, large values full
+    interleaving. Targets clamp to ``[0, n]``; the sort is stable, so tied
+    targets keep plan order.
     """
-    keyed = []
-    for idx, pm in enumerate(planned):
-        t = centres[pm.chain] + alpha * n * pm.anchor
-        keyed.append((min(max(t, 0.0), float(n)), idx, pm))
-    keyed.sort(key=lambda kv: (kv[0], kv[1]))
-    return [pm for _, _, pm in keyed]
+    an = alpha * n  # exact: alpha * n * a is (alpha * n) * a; hoisting n * a instead rounds differently
+    fn = float(n)
+    ts = [min(max(c + an * a, 0.0), fn) for c, a in zip(centres, anchors)]
+    return sorted(range(len(ts)), key=ts.__getitem__)
 
 
-def _place_book(
-    spec: BookSpec,
-    ordered: list[_PlannedMention],
-    extras: list[float],
-) -> list[tuple[int, _PlannedMention]]:
-    """Lay mentions out left to right with randomized gaps.
+def _place_book(spec: BookSpec, lengths: list[int], extras: list[float]) -> list[int]:
+    """Lay mentions of ``lengths`` tokens out left to right with randomized
+    gaps; returns their starts, in the same order.
 
     Collision-free by construction: each mention starts after the previous
     one plus a mandatory one-token gap plus its share of the spare-token
     budget. Starts that would straddle a window boundary jump to the
-    boundary (the budget keeps headroom for those jumps).
+    boundary (the budget keeps headroom for those jumps). So the starts
+    ascend strictly.
     """
     n = spec.n_tokens
-    lengths = [len(pm.tokens) for pm in ordered]
     headroom = 8 * (n // WINDOW + 1)
     budget = n - sum(lengths) - len(lengths) - headroom
     if budget <= 0:
         raise GeneratorError(f"{spec.doc_id}: token budget too small for its mentions")
     scale = budget / sum(extras)
-    placed: list[tuple[int, _PlannedMention]] = []
+    starts: list[int] = []
     cursor = extras[0] * scale
-    for pm, length, extra in zip(ordered, lengths, extras[1:]):
+    for length, extra in zip(lengths, extras[1:]):
         s = int(cursor)
         if s // WINDOW != (s + length - 1) // WINDOW:
             s = (s // WINDOW + 1) * WINDOW
         if s + length > n:
             raise GeneratorError(f"placement overflow in {spec.doc_id}")
-        placed.append((s, pm))
+        starts.append(s)
         cursor = max(cursor, float(s)) + length + 1 + extra * scale
-    return placed
+    return starts
 
 
-def _pooled_distance(per_book_placed: list[list[tuple[int, _PlannedMention]]], n_chains: list[int]) -> float:
+def _pooled_distance(per_book_chains: list[list[int]], per_book_starts: list[list[int]], n_chains: list[int]) -> float:
+    """Micro-average pairwise start distance over every chain of every book.
+
+    ``per_book_chains[b][j]`` is the chain of the mention placed at
+    ``per_book_starts[b][j]``; starts ascend, so each chain's do too.
+    """
     pairs = 0
     dist = 0
-    for placed, k in zip(per_book_placed, n_chains):
+    for chains, placed, k in zip(per_book_chains, per_book_starts, n_chains):
         starts: list[list[int]] = [[] for _ in range(k)]
-        for s, pm in placed:
-            starts[pm.chain].append(s)
+        for c, s in zip(chains, placed):
+            starts[c].append(s)
         for chain_starts in starts:
-            p, d = chain_distance(sorted(chain_starts))
+            p, d = chain_distance(chain_starts)
             pairs += p
             dist += d
     return dist / pairs if pairs else 0.0
 
 
-#: A placement's pooled distance and the mentions placed in each book.
-_Placement = tuple[float, list[list[tuple[int, _PlannedMention]]]]
+#: Per book, the plan indices in book order and their starts.
+_Placement = list[tuple[list[int], list[int]]]
 
 
 def _distance_error(distance: float) -> float:
     return abs(distance - DISTANCE_TARGET) / DISTANCE_TARGET
 
 
-def _calibrate(place: Callable[[float], _Placement]) -> list[list[tuple[int, _PlannedMention]]]:
+def _calibrate(place: Callable[[float], tuple[float, _Placement]]) -> _Placement:
     """Choose the global interleaving factor ``alpha`` so that the pooled
     micro-average pairwise distance hits the target; return that placement.
+
+    ``place(alpha)`` returns the pooled distance and the placement. One
+    pass costs one sort of each book's mention indices by target and one
+    placement loop over them: the per-mention chain centres, anchors,
+    lengths and chain ids are hoisted out of the pass, and only the
+    placement returned here is materialised as mentions.
 
     First up to 24 multiplicative steps. Where the distance grows only
     slowly with ``alpha`` near the target, those steps shrink faster than
@@ -286,7 +298,7 @@ def _calibrate(place: Callable[[float], _Placement]) -> list[list[tuple[int, _Pl
     if _distance_error(got) <= _DISTANCE_TOLERANCE:
         return placed
 
-    def closeness(placement: _Placement) -> float:
+    def closeness(placement: tuple[float, _Placement]) -> float:
         return _distance_error(placement[0])
 
     low = got < DISTANCE_TARGET  # the side of the target ``near`` is on
@@ -323,8 +335,10 @@ def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
     rng = random.Random(seed)
     book_names = []
     book_plans = []
-    book_centres = []
     book_extras = []
+    # what a placement pass reads, hoisted out of it: per mention, in plan
+    # order, its chain, that chain's centre, its anchor and its token length
+    hoisted = []
     for spec in BOOK_SPECS:
         names = _make_names(rng, spec.n_chains)
         planned = _plan_book(rng, spec, names)
@@ -332,24 +346,28 @@ def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
         extras = [rng.expovariate(1.0) + 1e-6 for _ in range(len(planned) + 1)]
         book_names.append(names)
         book_plans.append(planned)
-        book_centres.append(centres)
         book_extras.append(extras)
+        chains = [pm.chain for pm in planned]
+        anchors = [pm.anchor for pm in planned]
+        hoisted.append((chains, [centres[c] for c in chains], anchors, [len(pm.tokens) for pm in planned]))
+    n_chains = [spec.n_chains for spec in BOOK_SPECS]
 
-    def place(alpha: float) -> _Placement:
-        placed_books = [
-            _place_book(spec, _order_mentions(plan, centres, alpha, spec.n_tokens), extras)
-            for spec, plan, centres, extras in zip(BOOK_SPECS, book_plans, book_centres, book_extras)
-        ]
-        return _pooled_distance(placed_books, [s.n_chains for s in BOOK_SPECS]), placed_books
-
-    placed_books = _calibrate(place)
+    def place(alpha: float) -> tuple[float, _Placement]:
+        placement: _Placement = []
+        placed_chains = []
+        for spec, extras, (chains, centres, anchors, lengths) in zip(BOOK_SPECS, book_extras, hoisted):
+            order = _order_mentions(centres, anchors, alpha, spec.n_tokens)
+            placement.append((order, _place_book(spec, [lengths[i] for i in order], extras)))
+            placed_chains.append([chains[i] for i in order])
+        return _pooled_distance(placed_chains, [starts for _, starts in placement], n_chains), placement
 
     corpus = CorpusFile()
-    for spec, names, placed in zip(BOOK_SPECS, book_names, placed_books):
+    for spec, names, plan, (order, starts) in zip(BOOK_SPECS, book_names, book_plans, _calibrate(place)):
         fill_rng = random.Random((seed, spec.doc_id).__repr__())
         tokens = fill_rng.choices(_FILLER, k=spec.n_tokens)
         clusters: dict[str, list[Mention]] = {name: [] for name in names}
-        for s, pm in placed:
+        for i, s in zip(order, starts):
+            pm = plan[i]
             tokens[s : s + len(pm.tokens)] = pm.tokens
             clusters[names[pm.chain]].append(Mention(s, s + len(pm.tokens) - 1))
         doc = Document(

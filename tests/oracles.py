@@ -14,6 +14,12 @@ LRU pass and the heap-based dual policy must reproduce exactly.
 ``ceaf_phi4_reference``) is the earlier scorer, which normalised both sides
 and rebuilt a mention index for each metric; the one-table scorer core must
 reproduce its reports bit for bit.
+
+``order_mentions_reference``, ``place_book_reference`` and
+``pooled_distance_reference`` are the generator's earlier calibration pass,
+which keyed, ordered and placed ``_PlannedMention`` objects on every pass;
+the pass over hoisted per-mention lists must reproduce its order, starts and
+pooled distance exactly. Their bodies are kept as they were.
 """
 
 from collections import Counter, OrderedDict
@@ -22,9 +28,11 @@ from itertools import permutations
 
 from scipy.optimize import linear_sum_assignment
 
+from bookcoref.errors import GeneratorError
 from bookcoref.memsim import SimReport
-from bookcoref.metrics import PRF, ScoreReport
+from bookcoref.metrics import PRF, ScoreReport, chain_distance
 from bookcoref.model import ClusterSet, _key_order
+from bookcoref.synthetic import WINDOW, BookSpec, _PlannedMention
 
 
 def muc_brute(key, response):
@@ -345,3 +353,68 @@ def conll_reference(key, response, drop_singletons=True, linking=None):
     r = _prepare_reference(response, drop_singletons)
     m, b, c = muc_reference(k, r), b_cubed_reference(k, r), ceaf_phi4_reference(k, r)
     return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0, linking)
+
+
+def order_mentions_reference(
+    planned: list[_PlannedMention],
+    centres: list[float],
+    alpha: float,
+    n: int,
+) -> list[_PlannedMention]:
+    """Order mentions along the book by their chain-anchored targets.
+
+    ``alpha`` scales how far a mention may stray from its chain centre:
+    small values give per-chain blocks, large values full interleaving.
+    """
+    keyed = []
+    for idx, pm in enumerate(planned):
+        t = centres[pm.chain] + alpha * n * pm.anchor
+        keyed.append((min(max(t, 0.0), float(n)), idx, pm))
+    keyed.sort(key=lambda kv: (kv[0], kv[1]))
+    return [pm for _, _, pm in keyed]
+
+
+def place_book_reference(
+    spec: BookSpec,
+    ordered: list[_PlannedMention],
+    extras: list[float],
+) -> list[tuple[int, _PlannedMention]]:
+    """Lay mentions out left to right with randomized gaps.
+
+    Collision-free by construction: each mention starts after the previous
+    one plus a mandatory one-token gap plus its share of the spare-token
+    budget. Starts that would straddle a window boundary jump to the
+    boundary (the budget keeps headroom for those jumps).
+    """
+    n = spec.n_tokens
+    lengths = [len(pm.tokens) for pm in ordered]
+    headroom = 8 * (n // WINDOW + 1)
+    budget = n - sum(lengths) - len(lengths) - headroom
+    if budget <= 0:
+        raise GeneratorError(f"{spec.doc_id}: token budget too small for its mentions")
+    scale = budget / sum(extras)
+    placed: list[tuple[int, _PlannedMention]] = []
+    cursor = extras[0] * scale
+    for pm, length, extra in zip(ordered, lengths, extras[1:]):
+        s = int(cursor)
+        if s // WINDOW != (s + length - 1) // WINDOW:
+            s = (s // WINDOW + 1) * WINDOW
+        if s + length > n:
+            raise GeneratorError(f"placement overflow in {spec.doc_id}")
+        placed.append((s, pm))
+        cursor = max(cursor, float(s)) + length + 1 + extra * scale
+    return placed
+
+
+def pooled_distance_reference(per_book_placed: list[list[tuple[int, _PlannedMention]]], n_chains: list[int]) -> float:
+    pairs = 0
+    dist = 0
+    for placed, k in zip(per_book_placed, n_chains):
+        starts: list[list[int]] = [[] for _ in range(k)]
+        for s, pm in placed:
+            starts[pm.chain].append(s)
+        for chain_starts in starts:
+            p, d = chain_distance(sorted(chain_starts))
+            pairs += p
+            dist += d
+    return dist / pairs if pairs else 0.0

@@ -1,4 +1,5 @@
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -628,6 +629,32 @@ class TestConcurrentJudging:
             expand_pass(doc, cs, plan, DeadExpander(), jobs=4)
         assert len(plan.windows) > 4
         assert 0 < len(calls) <= 4
+
+    def test_failed_batch_on_a_shared_executor_leaves_nothing_running(self):
+        doc = names_doc()
+        cs = pattern_match(doc)
+        started, finished = [], []
+
+        class DeadJudge:
+            name = "dead"
+
+            def judge(self, request):
+                started.append(request.mention)
+                try:
+                    time.sleep(0.005)
+                    raise TransportError("down")
+                finally:
+                    finished.append(request.mention)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann'"):
+                refine(doc, cs, DeadJudge(), retries=0, jobs=4, executor=pool)
+            # the calls in flight were waited for, and no queued call starts later
+            assert 0 < len(finished) == len(started) <= 4
+            time.sleep(0.05)
+            assert len(started) == len(finished) <= 4
+            # the pool is left usable for the next batch
+            assert refine(doc, cs, AcceptAllJudge(), jobs=4, executor=pool) == cs.advanced()
 
     def test_final_transport_error_is_not_retried_again(self):
         calls = []

@@ -26,7 +26,7 @@ from bookcoref.pipeline import (
     refine,
     run,
 )
-from bookcoref.remote import CACHE_FILE, DECODING, HttpExpander, HttpJudge, HttpLinker, ServiceClient
+from bookcoref.remote import CACHE_FILE, DECODING, HttpExpander, HttpJudge, HttpLinker, ServiceClient, Transport
 
 
 class MockAnnotatorHandler(BaseHTTPRequestHandler):
@@ -260,6 +260,30 @@ class TestEndToEndOverHttp:
         assert {entry["route"] for entry in payload["service_log"]} == {"/link", "/judge", "/expand"}
         assert payload["invocation"]["endpoint"] == url
         assert payload["invocation_hash"]
+
+
+class TestOneExecutorPerRun:
+    def test_run_opens_one_connection_per_worker(self, service, monkeypatch):
+        """The stages of one run share its pool, so a run at jobs=2 opens at
+        most two connections however many passes and calls it makes (the
+        linker here is local; it would run on the calling thread)."""
+        server, url = service
+        connects = []
+        connect = Transport._connect
+
+        def counting(self):
+            connects.append(threading.current_thread().name)
+            return connect(self)
+
+        monkeypatch.setattr(Transport, "_connect", counting)
+        client = client_for(url)
+        config = PipelineConfig(window_len=2, group_size=2, jobs=2)
+        final, _ = run(DOC, config, PatternMatchLinker(), HttpJudge(client), HttpExpander(client))
+        local_final, _ = run(DOC, config, PatternMatchLinker(), AcceptAllJudge(), IdentityExpander())
+        assert final == local_final
+        assert {route for route, _ in server.requests} == {"/judge", "/expand"}
+        assert len(server.requests) > 4
+        assert 0 < len(connects) <= 2
 
 
 class TestOneRetryLayer:
