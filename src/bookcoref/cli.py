@@ -48,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
     invocation = {
         k: v
@@ -83,11 +90,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     to = args.to
     if to is None:
         to = "conll" if args.output.endswith((".conll", ".conll12")) else "jsonl"
+    corpus = _read_corpus(args.input)
     if to == "conll":
-        corpus = _read_corpus(args.input)
         write_conll(corpus, args.output)
     else:
-        corpus = _read_corpus(args.input)
         write_jsonl(corpus, args.output)
     print(f"converted {args.input} -> {args.output} ({len(corpus)} documents, format {to})")
     _write_json(args, {"command": "convert", "input": args.input, "output": args.output, "format": to})
@@ -219,7 +225,6 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         boundary_rule=args.boundary,
         stages=stages,
         jobs=args.jobs,
-        retries=args.retries,
         endpoints={"all": args.endpoint} if args.endpoint else None,
     )
     needs_gold = "oracle" in (args.linker, args.judge, args.expander)
@@ -241,8 +246,8 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
             linker, judge, expander = _components(args, gold, client)
             final, trace = run(rec.document, config, linker, judge, expander)
             out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
-            traces[rec.document.doc_id] = trace.to_dict()
-            counts = trace.to_dict()["mention_counts"]
+            traces[rec.document.doc_id] = trace_dict = trace.to_dict()
+            counts = trace_dict["mention_counts"]
             print(f"{rec.document.doc_id}: stages {', '.join(f'{k}={v}' for k, v in counts.items())}")
         write_jsonl(out, args.output, clusters_from="prediction")
         print(f"wrote predictions to {args.output} (config {config.config_hash()})")
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--group-size", type=int, default=10)
     pr.add_argument("--context-words", type=int, default=400)
     pr.add_argument("--boundary", choices=("strict", "mention_safe"), default="mention_safe")
-    pr.add_argument("--retries", type=int, default=2)
+    pr.add_argument("--retries", type=_non_negative_int, default=2, help="HTTP attempts after the first")
     pr.add_argument("--timeout", type=float, default=30.0)
     pr.add_argument("--cache-dir", help="service response cache (default: $BOOKCOREF_CACHE_DIR)")
     common_out(pr)
@@ -416,9 +421,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
             raise SchemaError(f"config file {known.config!r} must hold a JSON object")
         normalized = {k.replace("-", "_"): v for k, v in defaults.items()}
         # subcommands parse into a fresh namespace, so defaults must reach
-        # every parser in the tree
+        # every parser in the tree; argparse applies type= only to string
+        # defaults, so typed flags get theirs as text and keep their checks
         for p in _walk_parsers(parser):
-            p.set_defaults(**normalized)
+            typed = {a.dest for a in p._actions if a.type is not None}
+            p.set_defaults(**{k: str(v) if k in typed else v for k, v in normalized.items()})
     return parser.parse_args(argv)
 
 

@@ -61,5 +61,5 @@ class TransportError(BookcorefError):
 
 
 class FinalTransportError(TransportError):
-    """A transport failure that is final: the client has already retried it,
-    or the service rejected the request. Callers must not retry it again."""
+    """A transport failure that is final: the HTTP client has already spent
+    its retries on it, or the service rejected the request."""

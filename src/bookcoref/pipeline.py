@@ -26,18 +26,11 @@ import threading
 import time
 from bisect import bisect_right
 from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
 
-from .errors import (
-    ConfigError,
-    ContractError,
-    FinalTransportError,
-    PlanningError,
-    StageError,
-    TransportError,
-)
+from .errors import ConfigError, ContractError, PlanningError, StageError, TransportError
 from .model import (
     PRONOUNS,
     ClusterKey,
@@ -114,11 +107,13 @@ class PipelineConfig:
     """Pipeline constants; defaults mirror the published procedure
     (1500-token windows, groups of 10, 400 context words).
 
-    ``jobs`` caps the concurrent component calls of the refine stage (one
-    judge call per mention) and of each expansion pass (one expander call
-    per window or group). Verdicts, expansions and trace records are kept in
-    the serial order whatever order the calls complete in, so results do not
-    depend on ``jobs``; with ``jobs=1`` every call runs on the calling thread.
+    ``jobs`` is the size of the thread pool that :func:`run` hands to the
+    refine stage (one judge call per mention) and to each expansion pass
+    (one expander call per window or group). Verdicts, expansions and trace
+    records are kept in the serial order whatever order the calls complete
+    in, so results do not depend on ``jobs``; with ``jobs=1`` every call
+    runs on the calling thread. Failed component calls are not retried
+    here: retrying is the HTTP client's job (``ServiceClient(retries=...)``).
     """
 
     window_len: int = 1500
@@ -127,7 +122,6 @@ class PipelineConfig:
     boundary_rule: str = "mention_safe"
     stages: tuple[str, ...] = ("init", "refine", "window", "group")
     jobs: int = 1
-    retries: int = 2
     endpoints: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
@@ -135,8 +129,6 @@ class PipelineConfig:
             raise ConfigError("window_len, group_size and judge_context_words must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ConfigError(f"unknown pipeline stages {sorted(unknown)}")
@@ -343,20 +335,6 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-@contextmanager
-def _workers(jobs: int, executor: Executor | None = None) -> Iterator[Executor | None]:
-    """The executor a stage's calls run on: ``executor`` if one is given,
-    else a pool of ``jobs`` threads that lives for the block, else none."""
-    if executor is not None or jobs == 1:
-        yield executor
-        return
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _map_in_order(fn: Callable[[_T], _R], items: Sequence[_T], pool: Executor | None) -> list[_R]:
     """``[fn(item) for item in items]``, with the calls run on ``pool``.
 
@@ -399,22 +377,18 @@ def refine(
     cs: ClusterSet,
     judge: Judge,
     context_words: int = DEFAULT_CONTEXT_WORDS,
-    retries: int = 2,
     trace: PipelineTrace | None = None,
-    jobs: int = 1,
     *,
     executor: Executor | None = None,
 ) -> ClusterSet:
     """Keep each mention iff the judge accepts its prompt.
 
     Characters whose clusters empty out keep their (empty) entries. The
-    judge calls run on ``executor`` if one is given, else up to ``jobs`` at
-    once; verdicts are recorded in sorted key order, then span order,
-    whatever order the calls finish in. Judge
-    transport failures are retried ``retries`` times, then surface as a
-    stage error naming the first failing mention in that order. A
-    :class:`FinalTransportError` (the HTTP client has already retried) is
-    not retried again.
+    judge calls run on ``executor`` if one is given, else on the calling
+    thread; verdicts are recorded in sorted key order, then span order,
+    whatever order the calls finish in. A judge transport failure is not
+    retried (the HTTP client has its own retries): it surfaces as a stage
+    error naming the first failing mention in that order.
     """
     if cs.stage != "initialized":
         raise StageError(f"refine expects stage 'initialized', got {cs.stage!r}")
@@ -422,22 +396,13 @@ def refine(
     def verdict(item: tuple[ClusterKey, Mention]) -> bool:
         key, m = item
         request = JudgeRequest(build_prompt(doc, m, str(key), context_words), doc.doc_id, m, str(key))
-        attempt = 0
-        while True:
-            try:
-                return judge.judge(request)
-            except TransportError as e:
-                final = isinstance(e, FinalTransportError)
-                if final or attempt >= retries:
-                    after = "" if final else f" after {retries} retries"
-                    raise StageError(
-                        f"judge failed for mention ({m.start},{m.end}) of {key!r}{after}: {e}"
-                    ) from e
-            attempt += 1
+        try:
+            return judge.judge(request)
+        except TransportError as e:
+            raise StageError(f"judge failed for mention ({m.start},{m.end}) of {key!r}: {e}") from e
 
     items = [(key, m) for key in cs.sorted_keys() for m in cs.clusters[key]]
-    with _workers(jobs, executor) as pool:
-        verdicts = _map_in_order(verdict, items, pool)
+    verdicts = _map_in_order(verdict, items, executor)
     kept: dict[ClusterKey, list[Mention]] = {key: [] for key in cs.clusters}
     for (key, m), accepted in zip(items, verdicts):
         if trace is not None:
@@ -505,15 +470,14 @@ def expand_pass(
     cs: ClusterSet,
     plan: WindowPlan | GroupedWindowPlan,
     expander: Expander,
-    jobs: int = 1,
     trace: PipelineTrace | None = None,
     *,
     executor: Executor | None = None,
 ) -> ClusterSet:
     """One expansion sweep: restrict to each plan range, re-base, expand,
     verify the contracts, re-base back, and union across ranges. The
-    expander calls run on ``executor`` if one is given, else up to ``jobs``
-    at once.
+    expander calls run on ``executor`` if one is given, else on the calling
+    thread; component errors pass through unretried.
 
     A window plan advances refined -> window_expanded; a grouped plan
     advances window_expanded -> final.
@@ -541,8 +505,7 @@ def expand_pass(
     def work(rng: tuple[int, int]) -> tuple[ClusterSet, int]:
         return _expand_window(doc, cs, rng[0], rng[1], expander, target)
 
-    with _workers(jobs, executor) as pool:
-        results = _map_in_order(work, ranges, pool)
+    results = _map_in_order(work, ranges, executor)
 
     if trace is not None:
         for rng, (part, seeds) in zip(ranges, results):
@@ -574,7 +537,7 @@ def run(
         "expander": getattr(expander, "name", type(expander).__name__),
     }
 
-    with _workers(config.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else nullcontext() as pool:
         t0 = time.perf_counter()
         cs = initialize(doc, linker, trace)
         trace.stage_seconds["init"] = time.perf_counter() - t0
@@ -582,9 +545,7 @@ def run(
 
         if "refine" in config.stages:
             t0 = time.perf_counter()
-            cs = refine(
-                doc, cs, judge, config.judge_context_words, config.retries, trace, config.jobs, executor=pool
-            )
+            cs = refine(doc, cs, judge, config.judge_context_words, trace, executor=pool)
             trace.stage_seconds["refine"] = time.perf_counter() - t0
             trace.snapshots["refined"] = cs
         elif "window" in config.stages:
@@ -595,14 +556,14 @@ def run(
             t0 = time.perf_counter()
             guard = cs if config.boundary_rule == "mention_safe" else None
             plan = plan_windows(doc, config.window_len, config.boundary_rule, guard)
-            cs = expand_pass(doc, cs, plan, expander, config.jobs, trace, executor=pool)
+            cs = expand_pass(doc, cs, plan, expander, trace, executor=pool)
             trace.stage_seconds["window"] = time.perf_counter() - t0
             trace.snapshots["window_expanded"] = cs
 
             if "group" in config.stages:
                 t0 = time.perf_counter()
                 grouped = plan_groups(plan, config.group_size)
-                cs = expand_pass(doc, cs, grouped, expander, config.jobs, trace, executor=pool)
+                cs = expand_pass(doc, cs, grouped, expander, trace, executor=pool)
                 trace.stage_seconds["group"] = time.perf_counter() - t0
                 trace.snapshots["final"] = cs
 

@@ -301,10 +301,10 @@ class ResponseCache:
 class ServiceClient:
     """Tiny JSON POST client with bounded retries and a response cache.
 
-    The client is the one retry layer for HTTP components: a request gets
-    ``retries + 1`` attempts, and one that still fails, or that the service
-    rejects with a 4xx status, raises :class:`FinalTransportError`, which
-    callers do not retry again. Redirects are not followed.
+    The client is the one retry layer of the pipeline (no stage retries a
+    component call): a request gets ``retries + 1`` attempts, and one that
+    still fails, or that the service rejects with a 4xx status, raises
+    :class:`FinalTransportError`. Redirects are not followed.
 
     ``post`` may be called from several threads at once; each thread sends
     over its own keep-alive connection (see :class:`Transport`, built once

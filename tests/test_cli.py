@@ -69,6 +69,23 @@ class TestParser:
         ):
             assert flag in out
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_retries_exit_1_without_traceback(self, tiny_jsonl, tmp_path, capsys, source):
+        pred = tmp_path / "pred.jsonl"
+        argv = ["pipeline", "run", tiny_jsonl, str(pred), "--linker", "pattern"]
+        if source == "flag":
+            argv += ["--retries", "-1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"retries": -1}))
+            argv = ["--config", str(config), *argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--retries: must be >= 0, got -1" in err and "Traceback" not in err
+        assert not pred.exists()
+
     def test_unknown_flag_exits_1_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stats", "--nope", "x"])

@@ -1,5 +1,7 @@
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
@@ -190,6 +192,8 @@ class TestRefine:
             refine(self.DOC, self.INIT.with_stage("gold"), AcceptAllJudge())
 
     def test_transport_failure_retries_then_stage_error(self):
+        """The pipeline does not retry (that is the HTTP client's job): the
+        first transport failure is the stage's error."""
         calls = []
 
         class FlakyJudge:
@@ -200,24 +204,9 @@ class TestRefine:
                 raise TransportError("boom")
 
         # keys are judged in sorted order, so Bingley's mention comes first
-        with pytest.raises(StageError, match=r"mention \(3,3\) of 'Bingley' after 2 retries"):
-            refine(self.DOC, self.INIT, FlakyJudge(), retries=2)
-        assert len(calls) == 3  # initial try plus two retries
-
-    def test_transient_failure_recovers(self):
-        attempts = {"n": 0}
-
-        class OnceFlaky:
-            name = "once"
-
-            def judge(self, request):
-                attempts["n"] += 1
-                if attempts["n"] == 1:
-                    raise TransportError("first call fails")
-                return True
-
-        out = refine(self.DOC, self.INIT, OnceFlaky(), retries=1)
-        assert out.clusters == self.INIT.clusters
+        with pytest.raises(StageError, match=r"mention \(3,3\) of 'Bingley': boom$"):
+            refine(self.DOC, self.INIT, FlakyJudge())
+        assert calls == [Mention(3, 3)]
 
     def test_filtering_noise_raises_linking_precision(self):
         """A judge that rejects mentions whose text differs from the
@@ -435,8 +424,9 @@ class TestExpandPass:
         doc, gold = gold_small()
         cs = explicit_mentions(doc, gold).with_stage("refined")
         plan = plan_windows(doc, 5, "strict")
-        serial = expand_pass(doc, cs, plan, OracleExpander(gold), jobs=1)
-        parallel = expand_pass(doc, cs, plan, OracleExpander(gold), jobs=4)
+        serial = expand_pass(doc, cs, plan, OracleExpander(gold))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = expand_pass(doc, cs, plan, OracleExpander(gold), executor=pool)
         assert serial == parallel
 
     def test_monotone_growth_through_expansion(self):
@@ -484,11 +474,6 @@ class TestRun:
     def test_group_without_window_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig(stages=("init", "group"))
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError, match="retries must be >= 0"):
-            PipelineConfig(retries=-5)
-        assert PipelineConfig(retries=0).retries == 0
 
     def test_refine_disabled_advances_stage_without_judging(self):
         doc, gold = gold_small()
@@ -577,7 +562,8 @@ class TestConcurrentJudging:
         outs = {}
         for jobs in (1, 8):
             judge, trace = SleepyJudge(), PipelineTrace(doc.doc_id, "x")
-            outs[jobs] = refine(doc, cs, judge, trace=trace, jobs=jobs), trace_without_timings(trace)
+            with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+                outs[jobs] = refine(doc, cs, judge, trace=trace, executor=pool), trace_without_timings(trace)
             judged = [m for _, m, _ in trace.judge_verdicts]
             if jobs > 1:
                 assert judge.finished != judged  # calls really completed out of order
@@ -607,9 +593,10 @@ class TestConcurrentJudging:
                 time.sleep(0.02 if request.mention == Mention(0, 0) else 0.001)
                 raise TransportError("down")
 
-        with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann' after 2 retries"):
-            refine(doc, cs, DeadJudge(), retries=2, jobs=4)
-        assert 0 < len(calls) <= 4 * 3
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann': down$"):
+                refine(doc, cs, DeadJudge(), executor=pool)
+        assert 0 < len(calls) <= 4
 
     def test_failing_expander_stops_after_calls_in_flight(self):
         doc = names_doc()
@@ -625,8 +612,9 @@ class TestConcurrentJudging:
                 time.sleep(0.005)
                 raise TransportError("down")
 
-        with pytest.raises(TransportError):
-            expand_pass(doc, cs, plan, DeadExpander(), jobs=4)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            with pytest.raises(TransportError):
+                expand_pass(doc, cs, plan, DeadExpander(), executor=pool)
         assert len(plan.windows) > 4
         assert 0 < len(calls) <= 4
 
@@ -648,13 +636,13 @@ class TestConcurrentJudging:
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann'"):
-                refine(doc, cs, DeadJudge(), retries=0, jobs=4, executor=pool)
+                refine(doc, cs, DeadJudge(), executor=pool)
             # the calls in flight were waited for, and no queued call starts later
             assert 0 < len(finished) == len(started) <= 4
             time.sleep(0.05)
             assert len(started) == len(finished) <= 4
             # the pool is left usable for the next batch
-            assert refine(doc, cs, AcceptAllJudge(), jobs=4, executor=pool) == cs.advanced()
+            assert refine(doc, cs, AcceptAllJudge(), executor=pool) == cs.advanced()
 
     def test_final_transport_error_is_not_retried_again(self):
         calls = []
@@ -667,5 +655,21 @@ class TestConcurrentJudging:
                 raise FinalTransportError("unreachable after 3 attempts")
 
         with pytest.raises(StageError, match=r"mention \(3,3\) of 'Bingley': unreachable after 3 attempts"):
-            refine(TestRefine.DOC, TestRefine.INIT, GaveUpJudge(), retries=2)
+            refine(TestRefine.DOC, TestRefine.INIT, GaveUpJudge())
         assert calls == [Mention(3, 3)]
+
+    def test_failing_run_shuts_its_pool_down(self):
+        doc = names_doc()
+        before = threading.active_count()
+
+        class DeadExpander:
+            name = "dead"
+
+            def expand(self, request):
+                time.sleep(0.005)
+                raise TransportError("down")
+
+        config = PipelineConfig(window_len=20, group_size=3, jobs=4)
+        with pytest.raises(TransportError, match="down"):
+            run(doc, config, PatternMatchLinker(), SleepyJudge(), DeadExpander())
+        assert threading.active_count() == before

@@ -288,12 +288,13 @@ class TestOneExecutorPerRun:
 
 class TestOneRetryLayer:
     def test_refine_over_dead_judge_sends_retries_plus_one_attempts(self, service):
+        """Every attempt comes from the client; refine adds none."""
         server, url = service
         server.fail_next["/judge"] = 100
         judge = HttpJudge(client_for(url, retries=2))
         init = ClusterSet.build("wire", "initialized", {"Ann": [(0, 0), (5, 5)], "Ben": [(2, 2)]})
         with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann': .*unreachable after 3 attempts"):
-            refine(DOC, init, judge, retries=2)
+            refine(DOC, init, judge)
         assert len([r for r in server.requests if r[0] == "/judge"]) == 3
 
     def test_negative_retries_rejected_before_any_request(self):
