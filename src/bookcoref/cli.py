@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from . import __version__
@@ -235,6 +236,9 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         client = ServiceClient(
             args.endpoint, timeout=args.timeout, retries=args.retries, cache_dir=args.cache_dir
         )
+    # one pool for the whole corpus, so a run opens jobs + 1 connections
+    # (the workers' and the linker's on this thread) however many books
+    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
     try:
         corpus = _read_corpus(args.input)
         out = CorpusFile()
@@ -244,7 +248,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
             if needs_gold and gold is None:
                 raise SchemaError(f"oracle components need gold clusters; missing for {rec.document.doc_id!r}")
             linker, judge, expander = _components(args, gold, client)
-            final, trace = run(rec.document, config, linker, judge, expander)
+            final, trace = run(rec.document, config, linker, judge, expander, executor=pool)
             out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
             traces[rec.document.doc_id] = trace_dict = trace.to_dict()
             counts = trace_dict["mention_counts"]
@@ -255,6 +259,8 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         if client is not None:
             payload["service_log"] = client.log
     finally:
+        if pool is not None:
+            pool.shutdown()
         if client is not None:
             client.close()
     _write_json(args, payload)
@@ -419,13 +425,21 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
                 raise ParseError(f"config file {known.config!r}: {e.msg}", e.lineno) from e
         if not isinstance(defaults, dict):
             raise SchemaError(f"config file {known.config!r} must hold a JSON object")
-        normalized = {k.replace("-", "_"): v for k, v in defaults.items()}
+        normalized = {k.replace("-", "_"): (k, v) for k, v in defaults.items()}
         # subcommands parse into a fresh namespace, so defaults must reach
         # every parser in the tree; argparse applies type= only to string
-        # defaults, so typed flags get theirs as text and keep their checks
+        # defaults, so typed flags get theirs as text and keep their checks,
+        # and an untyped value-taking flag reaches its command as given, so
+        # it must be text already
         for p in _walk_parsers(parser):
             typed = {a.dest for a in p._actions if a.type is not None}
-            p.set_defaults(**{k: str(v) if k in typed else v for k, v in normalized.items()})
+            untyped = {a.dest for a in p._actions if isinstance(a, argparse._StoreAction) and a.type is None}
+            for dest, (key, value) in normalized.items():
+                if dest in untyped and not isinstance(value, str):
+                    raise SchemaError(
+                        f"config file {known.config!r}: {key!r} must be a string, got {json.dumps(value)}"
+                    )
+            p.set_defaults(**{k: str(v) if k in typed else v for k, (_, v) in normalized.items()})
     return parser.parse_args(argv)
 
 

@@ -170,10 +170,10 @@ def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -
     return corpus
 
 
-def _clusters_to_json(cs: ClusterSet) -> dict[str, list[list[int]]]:
+def _clusters_to_json(cs: ClusterSet) -> dict[str, tuple[Mention, ...]]:
+    # a mention is the tuple (start, end), which json writes as [start, end]
     clusters = sorted(cs.clusters.items(), key=lambda kv: _key_order(kv[0]))
-    spans = ((key, [[m.start, m.end] for m in ms]) for key, ms in clusters)
-    return str_keyed(spans, SchemaError, f"document {cs.doc_id!r}")
+    return str_keyed(clusters, SchemaError, f"document {cs.doc_id!r}")
 
 
 def _pick_clusters(rec: DocumentRecord, clusters_from: str | None) -> ClusterSet:
@@ -241,7 +241,7 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
             continue
         k = ids[key]
         for m in set(ms):
-            start, end = m.start, m.end
+            start, end = m
             if end >= n_tokens:
                 raise SchemaError(
                     f"document {cs.doc_id!r}: span ({start}, {end}) of cluster {key!r} "

@@ -4,6 +4,10 @@ Span convention: token indices are 0-based and end-INCLUSIVE, i.e. the
 mention ``(3, 5)`` covers tokens 3, 4 and 5. This matches the CoNLL-2012
 shared-task convention and the JSONL interchange schema.
 
+A :class:`Mention` is the validated tuple ``(start, end)``: it equals,
+hashes and sorts like that plain tuple, so sets, sorts and comparisons of
+mentions run at C speed, and only construction checks the range.
+
 All types are immutable after construction; the operations in this module
 (:func:`validate`, :func:`restrict`, :func:`union`, :func:`shift`,
 :func:`drop_empty`) are pure functions, so values can be shared freely across
@@ -23,6 +27,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BookcorefError, CompositionError, SpanRangeError, StageError
@@ -70,26 +75,44 @@ def str_keyed(items: Iterable[tuple[Hashable, Any]], error: type[BookcorefError]
     return out
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Mention:
-    """A token span, 0-based, end-inclusive. Orders by (start, end)."""
+class Mention(tuple):
+    """A token span, 0-based, end-inclusive: the validated tuple ``(start, end)``.
 
-    start: int
-    end: int
+    Construction raises :class:`SpanRangeError` unless ``0 <= start <= end``.
+    Hashing, equality and ordering are the tuple's own: a mention equals the
+    tuple ``(start, end)`` and hashes like it, sorts by ``(start, end)``,
+    unpacks as ``start, end = m``, and ``json.dumps`` writes it as
+    ``[start, end]``. ``len(m)`` is the span length in tokens, not 2, so the
+    class is a plain tuple subclass: a ``NamedTuple``'s ``_make`` and
+    ``_replace`` would count ``len()``. ``pickle`` and ``copy`` rebuild a
+    mention through the checking constructor.
+    """
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise SpanRangeError(f"invalid mention span ({self.start}, {self.end})")
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int) -> "Mention":
+        if start < 0 or end < start:
+            raise SpanRangeError(f"invalid mention span ({start}, {end})")
+        return tuple.__new__(cls, (start, end))
+
+    start = property(itemgetter(0), doc="First token of the span.")
+    end = property(itemgetter(1), doc="Last token of the span (inclusive).")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Mention(start={self[0]!r}, end={self[1]!r})"
 
     def __len__(self) -> int:
-        return self.end - self.start + 1
+        return self[1] - self[0] + 1
 
     def shifted(self, delta: int) -> "Mention":
-        return Mention(self.start + delta, self.end + delta)
+        return Mention(self[0] + delta, self[1] + delta)
 
     def within(self, lo: int, hi: int) -> bool:
         """True if the span lies fully inside the token range [lo, hi)."""
-        return lo <= self.start and self.end < hi
+        return lo <= self[0] and self[1] < hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,13 +349,24 @@ def drop_empty(cs: ClusterSet) -> ClusterSet:
     return ClusterSet(cs.doc_id, cs.stage, {key: ms for key, ms in cs.clusters.items() if ms})
 
 
+_new_tuple = tuple.__new__
+
+
 def shift(cs: ClusterSet, delta: int) -> ClusterSet:
-    """Translate every mention by ``delta`` tokens (re-basing helper)."""
-    return ClusterSet(
-        cs.doc_id,
-        cs.stage,
-        {key: tuple(m.shifted(delta) for m in ms) for key, ms in cs.clusters.items()},
-    )
+    """Translate every mention by ``delta`` tokens (re-basing helper).
+
+    A shift keeps each span's length, so a cluster's shifted mentions are
+    valid exactly when its smallest one is: that one goes through the
+    checking constructor (raising :class:`SpanRangeError` if the shift
+    leaves the book), and the rest are built as tuples directly.
+    """
+    out: dict[ClusterKey, tuple[Mention, ...]] = {}
+    for key, ms in cs.clusters.items():
+        if delta < 0 and ms:
+            first = min(ms)
+            Mention(first[0] + delta, first[1] + delta)
+        out[key] = tuple([_new_tuple(Mention, (s + delta, e + delta)) for s, e in ms])
+    return ClusterSet(cs.doc_id, cs.stage, out)
 
 
 def union(parts: Sequence[ClusterSet]) -> ClusterSet:

@@ -521,14 +521,18 @@ def run(
     linker: Linker,
     judge: Judge,
     expander: Expander,
+    *,
+    executor: Executor | None = None,
 ) -> tuple[ClusterSet, PipelineTrace]:
     """Full pipeline: initialize -> refine -> window expansion -> grouped
     expansion, with stages beyond init optional via ``config.stages``.
 
     Disabled stages advance the stage tag without calling their component,
-    so ablation runs stay within the legal stage chain. With ``jobs > 1``
-    the run's stages share one pool of ``jobs`` threads, so each worker
-    keeps one connection to a remote component for the whole run.
+    so ablation runs stay within the legal stage chain. The run's stages
+    share one pool, so each worker keeps one connection to a remote
+    component: ``executor`` if one is given (the caller owns it and may
+    share it across documents), else, with ``jobs > 1``, a pool of ``jobs``
+    threads opened and shut down by this run.
     """
     trace = PipelineTrace(doc.doc_id, config.config_hash())
     trace.components = {
@@ -537,7 +541,8 @@ def run(
         "expander": getattr(expander, "name", type(expander).__name__),
     }
 
-    with ThreadPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else nullcontext() as pool:
+    own_pool = executor is None and config.jobs > 1
+    with ThreadPoolExecutor(max_workers=config.jobs) if own_pool else nullcontext(executor) as pool:
         t0 = time.perf_counter()
         cs = initialize(doc, linker, trace)
         trace.stage_seconds["init"] = time.perf_counter() - t0

@@ -86,6 +86,39 @@ class TestParser:
         assert "--retries: must be >= 0, got -1" in err and "Traceback" not in err
         assert not pred.exists()
 
+    @pytest.mark.parametrize(
+        "sub, config, key",
+        [
+            ("simulate", {"sweep": 4, "policy": "lru"}, "sweep"),
+            ("simulate", {"policy": 1}, "policy"),
+            ("simulate", {"csv": None, "sweep": "1,2"}, "csv"),
+            ("pipeline", {"stages": ["init"]}, "stages"),
+            ("pipeline", {"endpoint": 8080}, "endpoint"),
+            ("pipeline", {"cache-dir": False}, "cache-dir"),
+            ("stats", {"out": 1}, "out"),
+        ],
+    )
+    def test_non_string_config_value_for_untyped_flag_exits_2(self, tiny_jsonl, tmp_path, capsys, sub, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = {
+            "simulate": ["simulate", tiny_jsonl],
+            "pipeline": ["pipeline", "run", tiny_jsonl, str(tmp_path / "pred.jsonl")],
+            "stats": ["stats", tiny_jsonl],
+        }[sub]
+        assert main(["--config", str(path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"{key!r} must be a string, got {json.dumps(config[key])}" in err
+        assert "Traceback" not in err
+
+    def test_config_strings_and_switches_still_apply(self, tiny_jsonl, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sweep": "1,2", "policy": "lru", "json": True}))
+        assert main(["--config", str(path), "simulate", tiny_jsonl]) == 0
+        out = capsys.readouterr().out
+        assert "lru(1)" in out and "lru(2)" in out
+        assert '"command": "simulate"' in out
+
     def test_unknown_flag_exits_1_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stats", "--nope", "x"])

@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 import sys
 import threading
@@ -24,12 +27,12 @@ class TestMention:
             Mention(2, 3),
             Mention(2, 5),
         ]
+        assert sorted([Mention(2, 5), (1, 9), Mention(2, 3)]) == [(1, 9), (2, 3), (2, 5)]
 
     def test_rejects_inverted_and_negative_spans(self):
-        with pytest.raises(SpanRangeError):
-            Mention(3, 2)
-        with pytest.raises(SpanRangeError):
-            Mention(-1, 2)
+        for span in ((3, 2), (3, 1), (-1, 2), (-1, 0)):
+            with pytest.raises(SpanRangeError, match=r"invalid mention span"):
+                Mention(*span)
 
     def test_len_and_containment(self):
         m = Mention(3, 5)
@@ -37,6 +40,65 @@ class TestMention:
         assert m.within(3, 6)
         assert not m.within(3, 5)
         assert not m.within(4, 9)
+
+    def test_is_the_tuple_start_end(self):
+        m = Mention(3, 5)
+        assert m == (3, 5) and (3, 5) == m
+        assert hash(m) == hash((3, 5))
+        assert {(3, 5): "x"}[m] == "x"
+        assert (m.start, m.end) == (m[0], m[1]) == (3, 5)
+        start, end = m
+        assert (start, end) == (3, 5)
+        assert repr(m) == "Mention(start=3, end=5)"
+        assert Mention(start=3, end=5) == m
+
+    def test_json_writes_a_list(self):
+        assert json.dumps(Mention(1, 2)) == "[1, 2]"
+        assert json.dumps({"Ann": (Mention(0, 0), Mention(4, 6))}) == '{"Ann": [[0, 0], [4, 6]]}'
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy] + [
+        (lambda m, p=p: pickle.loads(pickle.dumps(m, protocol=p))) for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ])
+    def test_copy_and_pickle_round_trip_to_a_mention(self, copier):
+        back = copier(Mention(3, 5))
+        assert type(back) is Mention
+        assert back == Mention(3, 5) and len(back) == 3
+
+    def test_plain_tuple_subclass_without_namedtuple_helpers(self):
+        """No ``_replace``/``_make``: they would count ``len()``, which is the
+        span length, and build a mention without the range check."""
+        m = Mention(1, 2)
+        assert type(m).__mro__ == (Mention, tuple, object)
+        assert not hasattr(m, "_replace") and not hasattr(Mention, "_make")
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(AttributeError):
+            m.start = 4
+
+    def test_shift_unpacks_and_validates(self):
+        moved = shift(cs({"Darcy": [(2, 3), (5, 5)]}), -2)
+        assert moved.clusters["Darcy"] == (Mention(0, 1), Mention(3, 3))
+        assert all(type(m) is Mention for m in moved.clusters["Darcy"])
+        with pytest.raises(SpanRangeError):
+            shift(cs({"Darcy": [(2, 3)]}), -3)
+
+    def test_shift_checks_the_smallest_mention_of_unsorted_clusters(self):
+        """``shift`` checks one mention per cluster; on 1,000 random sets,
+        sorted or not, it agrees with shifting each mention on its own."""
+        rng = random.Random(7)
+        for _ in range(1000):
+            clusters = {
+                key: tuple(Mention(s, s + rng.randint(0, 3)) for s in rng.sample(range(30), rng.randint(0, 4)))
+                for key in range(rng.randint(1, 3))
+            }
+            x = ClusterSet("d", "gold", clusters)
+            delta = rng.randint(-12, 5)
+            try:
+                expected = {k: tuple(m.shifted(delta) for m in ms) for k, ms in clusters.items()}
+            except SpanRangeError:
+                with pytest.raises(SpanRangeError, match=r"invalid mention span \(-"):
+                    shift(x, delta)
+            else:
+                assert shift(x, delta).clusters == expected
 
 
 class TestValidate:

@@ -285,6 +285,52 @@ class TestOneExecutorPerRun:
         assert len(server.requests) > 4
         assert 0 < len(connects) <= 2
 
+    def test_cli_corpus_opens_jobs_plus_one_connections(self, service, tmp_path, monkeypatch):
+        """``pipeline run`` shares one pool across the books of a corpus, so
+        two books at --jobs 2 open the two workers' connections and the
+        linker's on the calling thread, not two per book; the output is that
+        of --jobs 1."""
+        from bookcoref.cli import main
+        from bookcoref.formats import CorpusFile, DocumentRecord, write_jsonl
+
+        server, url = service
+        other = Document("wire2", ("Ben", "saw", "Ann", ".", "Ann", "and", "Ben"), ("Ann", "Ben"))
+        src = tmp_path / "in.jsonl"
+        records = [
+            DocumentRecord(DOC, {"gold": ClusterSet.build("wire", "gold", {"Ann": [(0, 0), (5, 5)], "Ben": [(2, 2)]})}),
+            DocumentRecord(other, {"gold": ClusterSet.build("wire2", "gold", {"Ann": [(2, 2), (4, 4)], "Ben": [(0, 0), (6, 6)]})}),
+        ]
+        write_jsonl(CorpusFile(records), str(src))
+        connects = []
+        connect = Transport._connect
+
+        def counting(self):
+            connects.append(threading.current_thread().name)
+            return connect(self)
+
+        monkeypatch.setattr(Transport, "_connect", counting)
+        outputs = {}
+        for jobs in (2, 1):
+            connects.clear()
+            pred, out = tmp_path / f"pred{jobs}.jsonl", tmp_path / f"run{jobs}.json"
+            argv = [
+                "--jobs", str(jobs), "pipeline", "run", str(src), str(pred),
+                "--linker", "http", "--judge", "http", "--expander", "http",
+                "--endpoint", url, "--window-len", "2", "--group-size", "2",
+                "--cache-dir", "", "--out", str(out),
+            ]
+            assert main(argv) == 0
+            payload = json.loads(out.read_text())
+            assert set(payload["traces"]) == {"wire", "wire2"}
+            for trace in payload["traces"].values():
+                assert trace["window_records"]
+                del trace["stage_seconds"]
+            outputs[jobs] = (pred.read_bytes(), payload["traces"], len(connects))
+        assert {route for route, _ in server.requests} == {"/link", "/judge", "/expand"}
+        assert 0 < outputs[2][2] <= 2 + 1
+        assert outputs[1][2] == 1
+        assert outputs[2][:2] == outputs[1][:2]
+
 
 class TestOneRetryLayer:
     def test_refine_over_dead_judge_sends_retries_plus_one_attempts(self, service):
