@@ -267,6 +267,16 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_capacities(spec: str) -> list[int]:
+    capacities = []
+    for item in spec.split(","):
+        try:
+            capacities.append(int(item))
+        except ValueError:
+            raise ConfigError(f"--sweep: {item!r} is not an integer") from None
+    return capacities
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.input)
     if args.policy == "unbounded":
@@ -280,7 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for rec in corpus.records:
         gold = rec.cluster_sets["gold"]
         if args.sweep:
-            capacities = [int(c) for c in args.sweep.split(",")]
+            capacities = _sweep_capacities(args.sweep)
             if args.policy == "lru":
                 policies = [Policy.lru(c) for c in capacities]
             elif args.policy == "dual":

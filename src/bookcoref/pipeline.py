@@ -59,12 +59,27 @@ DEFAULT_CONTEXT_WORDS = 400
 
 @dataclass(frozen=True, slots=True)
 class JudgeRequest:
-    """One mention-validation question for the judge."""
+    """One mention-validation question for the judge: the document, the
+    mention, the character it is assigned to and the excerpt size.
 
-    prompt: str
-    doc_id: str
+    ``prompt`` is rendered by :func:`build_prompt` on each read, so a judge
+    that never reads it (the oracle, accept/reject) builds no prompt, and a
+    judge that reads it twice builds it twice. Neither the repr nor the
+    hash reads the document (its ``source`` may hold unhashable metadata).
+    """
+
+    doc: Document = field(repr=False, hash=False)
     mention: Mention
     character: str
+    context_words: int = DEFAULT_CONTEXT_WORDS
+
+    @property
+    def doc_id(self) -> str:
+        return self.doc.doc_id
+
+    @property
+    def prompt(self) -> str:
+        return build_prompt(self.doc, self.mention, self.character, self.context_words)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +102,9 @@ class Linker(Protocol):
 
 @runtime_checkable
 class Judge(Protocol):
+    """Answers one yes/no question per mention. Reading ``request.prompt``
+    renders the prompt each time; a judge that needs it twice keeps it."""
+
     name: str
 
     def judge(self, request: JudgeRequest) -> bool: ...
@@ -383,6 +401,10 @@ def refine(
 ) -> ClusterSet:
     """Keep each mention iff the judge accepts its prompt.
 
+    Each judge call gets a :class:`JudgeRequest`; its prompt is built only
+    when the judge reads ``request.prompt`` (once per read). A mention past
+    the end of the document is a contract error whatever the judge.
+
     Characters whose clusters empty out keep their (empty) entries. The
     judge calls run on ``executor`` if one is given, else on the calling
     thread; verdicts are recorded in sorted key order, then span order,
@@ -392,12 +414,14 @@ def refine(
     """
     if cs.stage != "initialized":
         raise StageError(f"refine expects stage 'initialized', got {cs.stage!r}")
+    n_tokens = len(doc.tokens)
 
     def verdict(item: tuple[ClusterKey, Mention]) -> bool:
         key, m = item
-        request = JudgeRequest(build_prompt(doc, m, str(key), context_words), doc.doc_id, m, str(key))
+        if m.end >= n_tokens:
+            raise ContractError(f"mention ({m.start},{m.end}) out of bounds")
         try:
-            return judge.judge(request)
+            return judge.judge(JudgeRequest(doc, m, str(key), context_words))
         except TransportError as e:
             raise StageError(f"judge failed for mention ({m.start},{m.end}) of {key!r}: {e}") from e
 

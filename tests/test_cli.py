@@ -310,6 +310,13 @@ class TestSimulateCommand:
         assert lines[1].startswith("policy,capacity")
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("sweep, item", [("1,x", "x"), ("1,,2", ""), ("2.5", "2.5")])
+    def test_sweep_item_that_is_not_an_integer_exits_1(self, tiny_jsonl, capsys, sweep, item):
+        assert main(["simulate", tiny_jsonl, "--policy", "lru", "--sweep", sweep]) == 1
+        err = capsys.readouterr().err
+        assert f"bookcoref: --sweep: {item!r} is not an integer" in err
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tiny_jsonl, tmp_path, capsys):

@@ -5,6 +5,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from bookcoref import pipeline
 from bookcoref.errors import (
     ConfigError,
     ContractError,
@@ -16,8 +17,10 @@ from bookcoref.errors import (
 from bookcoref.metrics import conll, linking_prf
 from bookcoref.model import ClusterSet, Document, Mention, restrict, shift
 from bookcoref.pipeline import (
+    DEFAULT_CONTEXT_WORDS,
     AcceptAllJudge,
     IdentityExpander,
+    JudgeRequest,
     OracleExpander,
     OracleJudge,
     OracleLinker,
@@ -244,6 +247,67 @@ class TestRefine:
         refine(self.DOC, self.INIT, AcceptAllJudge(), trace=trace)
         assert len(trace.judge_verdicts) == 2
         assert all(v is True for _, _, v in trace.judge_verdicts)
+
+    @pytest.mark.parametrize(
+        "make_judge",
+        [lambda gold: OracleJudge(gold), lambda gold: AcceptAllJudge(), lambda gold: RejectAllJudge()],
+        ids=["oracle", "accept-all", "reject-all"],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_judges_that_never_read_the_prompt_build_none(self, monkeypatch, make_judge, jobs):
+        doc, gold = gold_small()
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build_prompt(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_prompt", counting)
+        init = OracleLinker(gold).link(doc)
+        with ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+            refine(doc, init, make_judge(gold), executor=pool)
+        assert built == []
+
+    @pytest.mark.parametrize("context_words", [DEFAULT_CONTEXT_WORDS, 3])
+    def test_request_prompt_is_the_built_prompt(self, context_words):
+        doc, gold = gold_small()
+        requests = []
+
+        class RecordingJudge:
+            name = "recording"
+
+            def judge(self, request):
+                requests.append(request)
+                return True
+
+        init = OracleLinker(gold).link(doc)
+        refine(doc, init, RecordingJudge(), context_words)
+        assert [(r.character, r.mention) for r in requests] == [(k, m) for k in init.sorted_keys() for m in init.clusters[k]]
+        for r in requests:
+            assert r.doc is doc and r.doc_id == "small" and r.context_words == context_words
+            assert r.prompt == build_prompt(doc, r.mention, r.character, context_words)
+
+    def test_request_hashes_and_prints_without_the_document(self):
+        doc = Document("d", ("Ann", "left"), ("Ann",), {"title": "unhashable metadata"})
+        request = JudgeRequest(doc, Mention(0, 0), "Ann")
+        assert hash(request) == hash(JudgeRequest(doc, Mention(0, 0), "Ann"))
+        assert request != JudgeRequest(Document("e", doc.tokens, doc.characters), Mention(0, 0), "Ann")
+        assert repr(request) == "JudgeRequest(mention=Mention(start=0, end=0), character='Ann', context_words=400)"
+
+    def test_mention_past_the_document_end_is_contract_error_for_any_judge(self):
+        calls = []
+
+        class RecordingJudge(AcceptAllJudge):
+            def judge(self, request):
+                calls.append(request.mention)
+                return True
+
+        # judged in sorted key order: Bingley (3,3), Bingley (4,4), Darcy (0,0)
+        past_end = ClusterSet.build("d", "initialized", {"Darcy": [(0, 0)], "Bingley": [(3, 3), (4, 4)]})
+        for judge in (AcceptAllJudge(), RecordingJudge()):
+            with pytest.raises(ContractError, match=r"^mention \(4,4\) out of bounds$"):
+                refine(self.DOC, past_end, judge)
+        assert calls == [Mention(3, 3)]
 
 
 def gold_small():

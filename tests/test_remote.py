@@ -125,12 +125,13 @@ class TestWireComponents:
         assert cs.clusters["Ben"] == (Mention(2, 2),)
 
     def test_judge_yes_no(self, service):
-        _, url = service
+        server, url = service
         judge = HttpJudge(client_for(url))
-        yes = JudgeRequest("Book excerpt: x\n\nDoes the mention [Ann] correspond to the character Ann? (Yes/No)", "wire", Mention(0, 0), "Ann")
-        no = JudgeRequest("Book excerpt: x\n\nDoes the mention [bad] correspond to the character Ann? (Yes/No)", "wire", Mention(4, 4), "Ann")
+        yes = JudgeRequest(DOC, Mention(0, 0), "Ann")  # brackets [Ann]
+        no = JudgeRequest(DOC, Mention(4, 4), "Ann")  # brackets [bad]
         assert judge.judge(yes) is True
         assert judge.judge(no) is False
+        assert [body["prompt"] for _, body in server.requests] == [yes.prompt, no.prompt]
 
     def test_judge_rejects_garbage_answer(self, service):
         _, url = service
@@ -138,7 +139,7 @@ class TestWireComponents:
         judge = HttpJudge(client)
         judge.client.post = lambda route, payload: {"answer": "maybe"}
         with pytest.raises(ContractError, match="expected 'Yes' or 'No'"):
-            judge.judge(JudgeRequest("p", "wire", Mention(0, 0), "Ann"))
+            judge.judge(JudgeRequest(DOC, Mention(0, 0), "Ann"))
 
     def test_expand_refuses_seed_keys_that_print_alike(self, service):
         server, url = service
@@ -170,7 +171,7 @@ class TestWireComponents:
         server.fail_next["/judge"] = 1
         client = client_for(url, retries=2, cache_dir=str(tmp_path))
         HttpLinker(client).link(DOC)
-        HttpJudge(client).judge(JudgeRequest("Does the mention [Ann] match?", "wire", Mention(0, 0), "Ann"))
+        HttpJudge(client).judge(JudgeRequest(DOC, Mention(0, 0), "Ann"))
         HttpLinker(client).link(DOC)  # a cache hit puts nothing on the wire
         assert [(e["route"], e["cached"], e["attempts"]) for e in client.log] == [
             ("/link", False, 3),
@@ -188,7 +189,7 @@ class TestWireComponents:
         server.fail_next["/judge"] = 10
         judge = HttpJudge(client_for(url, retries=1))
         with pytest.raises(TransportError, match="unreachable after 2 attempts"):
-            judge.judge(JudgeRequest("p", "wire", Mention(0, 0), "Ann"))
+            judge.judge(JudgeRequest(DOC, Mention(0, 0), "Ann"))
 
     def test_unreachable_host_is_transport_error(self):
         client = ServiceClient("http://127.0.0.1:1", retries=0, backoff=0.0, cache_dir="")
@@ -235,12 +236,37 @@ class TestEndToEndOverHttp:
         second, _ = run(DOC, config, *args)
         assert first == second
 
-    def test_cli_pipeline_over_http_records_service_log(self, service, tmp_path):
+    def test_cli_pipeline_over_http_records_service_log(self, keep_alive_service, tmp_path, monkeypatch):
+        """The CLI closes the client it made before it returns. The
+        keep-alive server leaves each connection open after its reply, and
+        the client is kept alive here, so that only its ``close()`` can have
+        closed its socket and its cache handle. (A client that is dropped
+        unclosed warns about nothing: each thread's connection is closed
+        when its holder is collected.)"""
+        from bookcoref import cli
         from bookcoref.cli import main
         from bookcoref.formats import CorpusFile, DocumentRecord, write_jsonl
         from bookcoref.model import ClusterSet
+        from bookcoref.remote import ResponseCache
 
-        _, url = service
+        clients, connections, dbs = [], [], []
+
+        class KeptClient(ServiceClient):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clients.append(self)
+
+        def recording(made, connect):
+            def wrapper(self):
+                made.append(connect(self))
+                return made[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "ServiceClient", KeptClient)
+        monkeypatch.setattr(Transport, "_connect", recording(connections, Transport._connect))
+        monkeypatch.setattr(ResponseCache, "_connect", recording(dbs, ResponseCache._connect))
+        _, url = keep_alive_service
         gold = ClusterSet.build("wire", "gold", {"Ann": [(0, 0), (5, 5)], "Ben": [(2, 2)]})
         src = tmp_path / "in.jsonl"
         write_jsonl(CorpusFile([DocumentRecord(DOC, {"gold": gold})]), str(src))
@@ -260,6 +286,11 @@ class TestEndToEndOverHttp:
         assert {entry["route"] for entry in payload["service_log"]} == {"/link", "/judge", "/expand"}
         assert payload["invocation"]["endpoint"] == url
         assert payload["invocation_hash"]
+        assert len(clients) == 1 and connections and dbs
+        assert all(conn.sock is None for conn in connections)
+        for db in dbs:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                db.execute("SELECT 1")
 
 
 class TestOneExecutorPerRun:
