@@ -433,9 +433,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
                 defaults = json.load(f)
             except json.JSONDecodeError as e:
                 raise ParseError(f"config file {known.config!r}: {e.msg}", e.lineno) from e
+            except RecursionError as e:
+                raise ParseError(f"config file {known.config!r}: JSON nested too deeply") from e
         if not isinstance(defaults, dict):
             raise SchemaError(f"config file {known.config!r} must hold a JSON object")
         normalized = {k.replace("-", "_"): (k, v) for k, v in defaults.items()}
+        flags = {a.dest for p in _walk_parsers(parser) for a in p._actions if a.option_strings}
+        unknown = [key for dest, (key, _) in normalized.items() if dest not in flags]
+        if unknown:
+            raise SchemaError(f"config file {known.config!r}: {unknown[0]!r} names no flag")
         # subcommands parse into a fresh namespace, so defaults must reach
         # every parser in the tree; argparse applies type= only to string
         # defaults, so typed flags get theirs as text and keep their checks,

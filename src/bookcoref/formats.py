@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ParseError, SchemaError
-from .model import ClusterKey, ClusterSet, Document, Mention, _key_order, str_keyed
+from .model import STAGES, ClusterSet, Document, Mention, _key_order, clusters_from_json, clusters_to_json, prediction_key
 
 _REQUIRED_KEYS = ("doc_id", "tokens", "characters", "clusters")
 
@@ -73,40 +73,6 @@ class CorpusFile:
         return [r.document.doc_id for r in self.records]
 
 
-def _prediction_key(key: str) -> ClusterKey:
-    """A prediction key as written by a system: an ``int`` when it is the
-    canonical ASCII decimal form of one, so that no two keys read alike."""
-    if key.isascii():
-        try:
-            number = int(key)
-        except ValueError:
-            return key
-        if str(number) == key:
-            return number
-    return key
-
-
-def _parse_clusters(raw: object, doc_id: str, stage: str, lineno: int) -> ClusterSet:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"line {lineno}: 'clusters' must be an object, got {type(raw).__name__}")
-    clusters: dict[ClusterKey, list[Mention]] = {}
-    for key, spans in raw.items():
-        if not isinstance(spans, list):
-            raise SchemaError(f"line {lineno}: cluster {key!r} spans must be an array")
-        ckey = _prediction_key(key) if stage == "prediction" else key
-        ms = []
-        for span in spans:
-            if (
-                not isinstance(span, list)
-                or len(span) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in span)
-            ):
-                raise SchemaError(f"line {lineno}: cluster {key!r} has malformed span {span!r}")
-            ms.append(Mention(span[0], span[1]))
-        clusters[ckey] = ms
-    return ClusterSet.build(doc_id, stage, clusters)
-
-
 def _undecodable(path: str) -> ParseError:
     """The error for a file that is not UTF-8, naming the line of its first bad byte.
 
@@ -131,10 +97,9 @@ def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -
     ``stage`` defaults to ``clusters_as`` when that is a known stage name,
     else to "gold". Unknown record keys land in ``Document.source``.
     """
-    from .model import STAGES
-
     if stage is None:
         stage = clusters_as if clusters_as in STAGES else "gold"
+    key = prediction_key if stage == "prediction" else None
     corpus = CorpusFile()
     seen_ids: set[str] = set()
     try:
@@ -146,12 +111,16 @@ def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
+                except RecursionError as e:
+                    raise ParseError("JSON nested too deeply", lineno) from e
                 if not isinstance(obj, dict):
                     raise ParseError("record is not a JSON object", lineno)
                 missing = [k for k in _REQUIRED_KEYS if k not in obj]
                 if missing:
                     raise SchemaError(f"line {lineno}: missing required keys {missing}")
                 doc_id = obj["doc_id"]
+                if not isinstance(doc_id, str):
+                    raise SchemaError(f"line {lineno}: 'doc_id' must be a string, got {type(doc_id).__name__}")
                 tokens = obj["tokens"]
                 characters = obj["characters"]
                 if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
@@ -163,17 +132,12 @@ def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -
                 seen_ids.add(doc_id)
                 extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
                 doc = Document(doc_id, tuple(tokens), tuple(characters), extra or None)
-                cs = _parse_clusters(obj["clusters"], doc_id, stage, lineno)
+                clusters = clusters_from_json(obj["clusters"], SchemaError, f"line {lineno}", key)
+                cs = ClusterSet(doc_id, stage, clusters)
                 corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
     except UnicodeDecodeError as e:
         raise _undecodable(path) from e
     return corpus
-
-
-def _clusters_to_json(cs: ClusterSet) -> dict[str, tuple[Mention, ...]]:
-    # a mention is the tuple (start, end), which json writes as [start, end]
-    clusters = sorted(cs.clusters.items(), key=lambda kv: _key_order(kv[0]))
-    return str_keyed(clusters, SchemaError, f"document {cs.doc_id!r}")
 
 
 def _pick_clusters(rec: DocumentRecord, clusters_from: str | None) -> ClusterSet:
@@ -189,11 +153,12 @@ def _pick_clusters(rec: DocumentRecord, clusters_from: str | None) -> ClusterSet
 
 def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
     doc = rec.document
+    cs = _pick_clusters(rec, clusters_from)
     obj: dict = {
         "doc_id": doc.doc_id,
         "tokens": list(doc.tokens),
         "characters": list(doc.characters),
-        "clusters": _clusters_to_json(_pick_clusters(rec, clusters_from)),
+        "clusters": clusters_to_json(cs.clusters, SchemaError, f"document {cs.doc_id!r}"),
     }
     for k, v in (doc.source or {}).items():
         obj.setdefault(k, v)
@@ -260,18 +225,35 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
     return labels
 
 
+def _check_row_text(doc: Document) -> None:
+    """A CoNLL row is one line of tab-separated columns, so a token that
+    holds a tab or a line break, or a doc id that holds a line break, would
+    not read back as written: refuse it with a :class:`SchemaError`."""
+    if "\n" in doc.doc_id or "\r" in doc.doc_id:
+        raise SchemaError(f"document {doc.doc_id!r}: a doc id with a line break cannot be written as CoNLL")
+    text = "".join(doc.tokens)
+    if "\t" in text or "\n" in text or "\r" in text:
+        i = next(i for i, tok in enumerate(doc.tokens) if "\t" in tok or "\n" in tok or "\r" in tok)
+        raise SchemaError(
+            f"document {doc.doc_id!r}: token {i} ({doc.tokens[i]!r}) holds a tab or line break, "
+            "which a CoNLL row cannot carry"
+        )
+
+
 def write_conll(corpus: CorpusFile, path: str, clusters_from: str | None = None) -> None:
     """Export to CoNLL-2012 layout: doc id, part, index, token, coref column.
 
     Character names are lost; cluster keys become integer ids assigned in
-    first-mention order. Every record is labelled before the file is opened,
-    so a bad record leaves no output behind; each document is then written
-    with one call. The cost is linear in tokens plus mentions.
+    first-mention order. Every record is checked and labelled before the file
+    is opened, so a bad record (see :func:`_check_row_text`) leaves no output
+    behind; each document is then written with one call. The cost is linear
+    in tokens plus mentions.
     """
-    docs = [
-        (rec.document, _coref_labels(_pick_clusters(rec, clusters_from), len(rec.document.tokens)))
-        for rec in corpus.records
-    ]
+    docs = []
+    for rec in corpus.records:
+        doc = rec.document
+        _check_row_text(doc)
+        docs.append((doc, _coref_labels(_pick_clusters(rec, clusters_from), len(doc.tokens))))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc, labels in docs:
             prefix = f"{doc.doc_id}\t0\t"

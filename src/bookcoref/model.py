@@ -13,6 +13,10 @@ All types are immutable after construction; the operations in this module
 :func:`drop_empty`) are pure functions, so values can be shared freely across
 threads.
 
+The JSON form of a cluster map, ``{name: [[start, end], ...]}``, is built
+and read only here, by :func:`clusters_to_json` and
+:func:`clusters_from_json`, for JSONL and the annotator wire alike.
+
 :func:`restrict` is the one window-slicing operation. Each
 :class:`ClusterSet` builds, on its first restriction, an index of its
 clusters' mention starts; every later window then costs two binary searches
@@ -28,7 +32,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BookcorefError, CompositionError, SpanRangeError, StageError
 
@@ -72,6 +76,54 @@ def str_keyed(items: Iterable[tuple[Hashable, Any]], error: type[BookcorefError]
             raise error(f"{where}: cluster keys {keys[text]!r} and {key!r} both print as {text!r}")
         keys[text] = key
         out[text] = value
+    return out
+
+
+def prediction_key(key: str) -> ClusterKey:
+    """A prediction key as written by a system: an ``int`` when it is the
+    canonical ASCII decimal form of one (``"-1"``, not ``"01"``, ``"+1"``,
+    ``"-0"`` or ``"²"``), so that no two keys read alike."""
+    if key.isascii():
+        try:
+            number = int(key)
+        except ValueError:
+            return key
+        if str(number) == key:
+            return number
+    return key
+
+
+def clusters_to_json(
+    clusters: Mapping[ClusterKey, Sequence[Mention]], error: type[BookcorefError], where: str
+) -> dict[str, Sequence[Mention]]:
+    """The JSON form of a cluster map, for JSONL and the annotator wire:
+    keys sorted by type and text and printed with ``str``, mentions as they
+    are (``json`` writes a mention as ``[start, end]``). Keys that print
+    alike raise ``error`` (see :func:`str_keyed`)."""
+    return str_keyed(sorted(clusters.items(), key=lambda kv: _key_order(kv[0])), error, where)
+
+
+def clusters_from_json(
+    raw: object, error: type[BookcorefError], where: str, key: Callable[[str], ClusterKey] | None = None
+) -> dict[ClusterKey, tuple[Mention, ...]]:
+    """Read the JSON form of a cluster map back: each name (mapped through
+    ``key``, if given) to its sorted mentions, ready for ``ClusterSet(...)``.
+    A value that is not ``{name: [[start, end], ...]}`` raises ``error``
+    naming ``where``; a span with ``end < start`` or ``start < 0`` raises
+    :class:`SpanRangeError`."""
+    if not isinstance(raw, dict):
+        raise error(f"{where}: 'clusters' must be an object, got {type(raw).__name__}")
+    out: dict[ClusterKey, tuple[Mention, ...]] = {}
+    for name, spans in raw.items():
+        if not isinstance(spans, list):
+            raise error(f"{where}: spans of {name!r} must be an array")
+        ms = []
+        for span in spans:
+            if type(span) is not list or len(span) != 2 or type(span[0]) is not int or type(span[1]) is not int:
+                raise error(f"{where}: span {span!r} of {name!r} is a malformed span, not [start, end] integers")
+            ms.append(Mention(span[0], span[1]))
+        ms.sort()
+        out[name if key is None else key(name)] = tuple(ms)
     return out
 
 

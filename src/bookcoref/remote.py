@@ -37,7 +37,7 @@ import weakref
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import CacheError, ConfigError, ContractError, FinalTransportError, TransportError
-from .model import ClusterKey, ClusterSet, Document, Mention, str_keyed
+from .model import ClusterKey, ClusterSet, Document, Mention, clusters_from_json, clusters_to_json
 from .pipeline import ExpandRequest, JudgeRequest
 
 CACHE_DIR_ENV = "BOOKCOREF_CACHE_DIR"
@@ -283,7 +283,7 @@ class ResponseCache:
             return None
         try:
             value = json.loads(row[0])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, RecursionError):
             return None
         return value if isinstance(value, dict) else None
 
@@ -390,6 +390,8 @@ class ServiceClient:
             data = json.loads(reply)
         except ValueError as e:
             raise ContractError(f"{route}: response is not JSON: {e}") from e
+        except RecursionError as e:
+            raise ContractError(f"{route}: response JSON is nested too deeply") from e
         if not isinstance(data, dict):
             raise ContractError(f"{route}: response must be a JSON object, got {type(data).__name__}")
         return data
@@ -399,22 +401,6 @@ class ServiceClient:
         self.transport.close()
         if self.cache is not None:
             self.cache.close()
-
-
-def _parse_wire_clusters(raw: object, context: str) -> dict[str, list[Mention]]:
-    if not isinstance(raw, dict):
-        raise ContractError(f"{context}: 'clusters' must be an object")
-    out: dict[str, list[Mention]] = {}
-    for key, spans in raw.items():
-        if not isinstance(spans, list):
-            raise ContractError(f"{context}: spans of {key!r} must be an array")
-        mentions = []
-        for span in spans:
-            if not (isinstance(span, list) and len(span) == 2 and all(type(x) is int for x in span)):
-                raise ContractError(f"{context}: span {span!r} of {key!r} must be [start, end] integers")
-            mentions.append(Mention(span[0], span[1]))
-        out[key] = mentions
-    return out
 
 
 class HttpLinker:
@@ -427,8 +413,8 @@ class HttpLinker:
             "/link",
             {"doc_id": doc.doc_id, "tokens": list(doc.tokens), "characters": list(doc.characters)},
         )
-        clusters = _parse_wire_clusters(data.get("clusters"), "/link")
-        return ClusterSet.build(doc.doc_id, "initialized", clusters)
+        clusters = clusters_from_json(data.get("clusters"), ContractError, "/link")
+        return ClusterSet(doc.doc_id, "initialized", clusters)
 
 
 class HttpJudge:
@@ -452,14 +438,8 @@ class HttpExpander:
         self.name = f"http:{client.base_url}/expand"
 
     def expand(self, request: ExpandRequest) -> Mapping[ClusterKey, Iterable[Mention]]:
-        # keys that print alike (1 and "1") would merge into one wire entry
-        seeds = str_keyed(
-            ((key, [[m.start, m.end] for m in ms]) for key, ms in request.seeds.items()), ContractError, "/expand"
-        )
+        seeds = clusters_to_json(request.seeds, ContractError, "/expand")
         data = self.client.post("/expand", {"tokens": list(request.tokens), "seeds": seeds})
-        wire = _parse_wire_clusters(data.get("clusters"), "/expand")
-        by_name: Mapping[str, ClusterKey] = {str(key): key for key in request.seeds}
-        out: dict[ClusterKey, list[Mention]] = {}
-        for name, mentions in wire.items():
-            out[by_name.get(name, name)] = mentions
-        return out
+        # each name back to the request's own key (1, not "1")
+        keys = {str(key): key for key in request.seeds}
+        return clusters_from_json(data.get("clusters"), ContractError, "/expand", lambda name: keys.get(name, name))

@@ -293,6 +293,59 @@ class TestScoreCommands:
         assert "100.0 100.0 100.0 100.0" in capsys.readouterr().out
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize("doc_id", [["x"], 7, None, True])
+    @pytest.mark.parametrize("sub", ["stats", "validate", "score"])
+    def test_doc_id_that_is_not_a_string_exits_2(self, tmp_path, capsys, doc_id, sub):
+        path = tmp_path / "bad.jsonl"
+        record = {"doc_id": doc_id, "tokens": ["A"], "characters": ["A"], "clusters": {"A": [[0, 0]]}}
+        path.write_text("\n" + json.dumps(record) + "\n")
+        argv = [sub, str(path)] + ([str(path)] if sub == "score" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        kind = {list: "list", int: "int", type(None): "NoneType", bool: "bool"}[type(doc_id)]
+        assert f"bookcoref: line 2: 'doc_id' must be a string, got {kind}" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text(open(tiny_jsonl).read() + "[" * 100_000 + "\n")
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bookcoref: line 2: JSON nested too deeply" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc_id, token, refused",
+        [
+            ("d", "a\tb", "token 1 ('a\\tb')"),
+            ("d", "a\nb", "token 1 ('a\\nb')"),
+            ("d", "a\rb", "token 1 ('a\\rb')"),
+            ("x\ny", "a", "document 'x\\ny': a doc id with a line break"),
+            ("x\ry", "a", "document 'x\\ry': a doc id with a line break"),
+        ],
+    )
+    def test_conll_export_refuses_what_a_row_cannot_carry(self, tmp_path, capsys, doc_id, token, refused):
+        src = tmp_path / "in.jsonl"
+        good = {"doc_id": "ok", "tokens": ["A"], "characters": [], "clusters": {}}
+        bad = {"doc_id": doc_id, "tokens": ["A", token], "characters": ["A"], "clusters": {"A": [[0, 0]]}}
+        src.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "out.conll"
+        assert main(["convert", str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert refused in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_conll_export_keeps_spaces_and_tabs_in_doc_ids(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        record = {"doc_id": "a\tb c", "tokens": ["A b", "-"], "characters": ["A"], "clusters": {"A": [[0, 1]]}}
+        src.write_text(json.dumps(record) + "\n")
+        conll, back = tmp_path / "out.conll", tmp_path / "back.jsonl"
+        assert main(["convert", str(src), str(conll)]) == 0
+        assert main(["convert", str(conll), str(back)]) == 0
+        got = read_jsonl(str(back)).records[0]
+        assert (got.document.doc_id, got.document.tokens) == ("a\tb c", ("A b", "-"))
+
+
 class TestSimulateCommand:
     def test_single_policy(self, tiny_jsonl, capsys):
         assert main(["simulate", tiny_jsonl, "--policy", "lru", "--capacity", "1"]) == 0
@@ -333,6 +386,22 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text("[1,2]")
         assert main(["--config", str(config), "stats", tiny_jsonl]) == 2
+
+    def test_deeply_nested_config_exits_2(self, tiny_jsonl, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        assert main(["--config", str(config), "stats", tiny_jsonl]) == 2
+        err = capsys.readouterr().err
+        assert f"bookcoref: config file {str(config)!r}: JSON nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_config_key_that_names_no_flag_exits_2(self, tiny_jsonl, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window-len": 10, "nonexistent": 3}))
+        assert main(["--config", str(config), "stats", tiny_jsonl]) == 2
+        err = capsys.readouterr().err
+        assert f"bookcoref: config file {str(config)!r}: 'nonexistent' names no flag" in err
+        assert "Traceback" not in err
 
 
 class TestSynthCommand:

@@ -10,8 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bookcoref.errors import CompositionError, SpanRangeError
-from bookcoref.model import ClusterSet, Document, Mention, drop_empty, restrict, shift, union, validate
+from bookcoref.errors import CompositionError, ContractError, SchemaError, SpanRangeError
+from bookcoref.model import (
+    ClusterSet,
+    Document,
+    Mention,
+    clusters_from_json,
+    clusters_to_json,
+    drop_empty,
+    prediction_key,
+    restrict,
+    shift,
+    union,
+    validate,
+)
+from bookcoref.pipeline import ExpandRequest
+from bookcoref.remote import HttpExpander
 
 DOC = Document("d", tuple("abcdefghij"), ("Darcy", "Bingley"))
 
@@ -334,3 +348,87 @@ def test_union_associative_commutative(seed):
 def test_shift_roundtrip():
     x = cs({"Darcy": [(5, 6), (8, 9)]})
     assert shift(shift(x, -5), 5) == x
+
+
+# --- the JSON cluster codec ---------------------------------------------------
+
+#: Keys that print alike in pairs (1 and "1"), integer-like names that are
+#: not an int's canonical text, and names that are not ASCII or that JSON escapes.
+KEY_POOL = [-1, 0, 1, 10, "-1", "0", "1", "10", "01", "+1", "-0", "\u00b2", "\u0663", " 1", "", 'A"b', "\u00e9", "Ann"]
+
+
+def dumps(obj):
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+class _EchoClient:
+    """Answers ``/expand`` with the request's own seeds, through JSON."""
+
+    base_url = "http://echo"
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, route, payload):
+        self.posts += 1
+        return {"clusters": json.loads(dumps(payload["seeds"]))}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.booleans(), st.lists(st.sampled_from(KEY_POOL), max_size=5, unique=True), st.integers(0, 2**16))
+def test_cluster_codec_round_trip(prediction, keys, seed):
+    """Gold maps have string keys; prediction maps mix int and string keys."""
+    rng = random.Random(seed)
+    if not prediction:
+        keys = list(dict.fromkeys(str(k) for k in keys))
+    clusters = {k: [Mention(s, s + rng.randrange(3)) for s in rng.choices(range(30), k=rng.randrange(5))] for k in keys}
+    key = prediction_key if prediction else None
+    expander = HttpExpander(_EchoClient())
+    request = ExpandRequest("d", 0, 40, ("t",) * 40, clusters)
+    texts = {str(k) for k in keys}
+    if len(texts) < len(keys):
+        # the encoder raises exactly when two keys print alike, before any request
+        with pytest.raises(SchemaError, match=r"^document 'd': cluster keys .* both print as "):
+            clusters_to_json(clusters, SchemaError, "document 'd'")
+        with pytest.raises(ContractError, match=r"^/expand: cluster keys .* both print as "):
+            expander.expand(request)
+        assert expander.client.posts == 0
+        return
+    text = dumps(clusters_to_json(clusters, SchemaError, "document 'd'"))
+    back = clusters_from_json(json.loads(text), SchemaError, "line 1", key)
+    # every key but a string prediction key that is an int's canonical text
+    # reads back as itself, with its mentions sorted
+    assert all(prediction_key(str(k)) == k for k in keys if isinstance(k, int))
+    assert back == {k if key is None else key(str(k)): tuple(sorted(ms)) for k, ms in clusters.items()}
+    assert all(type(m) is Mention for ms in back.values() for m in ms)
+    # decode -> encode of what the encoder wrote is byte-identical
+    again = dumps(clusters_to_json(back, SchemaError, "document 'd'"))
+    reread = clusters_from_json(json.loads(again), SchemaError, "line 1", key)
+    assert reread == back
+    assert dumps(clusters_to_json(reread, SchemaError, "document 'd'")) == again
+    if back == {k: tuple(ms) for k, ms in clusters.items()}:
+        assert again == text
+    # the expander maps each wire name back to the request's own key
+    assert expander.expand(request) == {k: tuple(sorted(ms)) for k, ms in clusters.items()}
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        ([], r"^line 3: 'clusters' must be an object, got list$"),
+        ({"A": {}}, r"^line 3: spans of 'A' must be an array$"),
+        ({"A": [[0]]}, r"^line 3: span \[0\] of 'A' is a malformed span, not \[start, end\] integers$"),
+        ({"A": [[0, True]]}, r"malformed span"),
+        ({"A": [[0.0, 1]]}, r"malformed span"),
+        ({"A": [(0, 1)]}, r"malformed span"),
+        ({"A": [None]}, r"malformed span"),
+    ],
+)
+def test_cluster_decoder_names_the_bad_part(raw, error):
+    with pytest.raises(SchemaError, match=error):
+        clusters_from_json(raw, SchemaError, "line 3")
+
+
+def test_cluster_decoder_checks_span_range():
+    with pytest.raises(SpanRangeError, match=r"invalid mention span \(2, 1\)"):
+        clusters_from_json({"A": [[2, 1]]}, SchemaError, "line 1")

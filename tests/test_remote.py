@@ -445,8 +445,8 @@ class TestCacheUnderConcurrency:
         payload = {"doc_id": "wire", "tokens": list(DOC.tokens), "characters": ["Ann"]}
         first = client.post("/link", payload)
         ((digest, _),) = stored_rows(tmp_path)
-        # a truncated body, and JSON that is not an object
-        for n, stored in enumerate([b'{"clus', b"[1, 2]", b"null"], start=2):
+        # a truncated body, JSON that is not an object, and JSON nested too deeply to parse
+        for n, stored in enumerate([b'{"clus', b"[1, 2]", b"null", b"[" * 100_000], start=2):
             db = sqlite3.connect(tmp_path / CACHE_FILE)
             with db:
                 db.execute("UPDATE responses SET body = ? WHERE digest = ?", (stored, digest))
@@ -546,7 +546,10 @@ class TestWireShape:
 
     @pytest.mark.parametrize(
         "body",
-        [json.dumps({"clusters": {"Ann": spans}}).encode() for spans in MALFORMED_SPANS] + [b"not json", b"[1, 2]"],
+        [json.dumps({"clusters": {"Ann": spans}}).encode() for spans in MALFORMED_SPANS]
+        + [b"not json", b"[1, 2]"]
+        # 100,000 brackets make json raise RecursionError, not ValueError
+        + [pytest.param(b"[" * 100_000, id="nested-100000")],
     )
     def test_cli_exits_1_on_malformed_response(self, malformed_service, tmp_path, capsys, body):
         from bookcoref.cli import main
