@@ -91,6 +91,9 @@ def _undecodable(path: str) -> ParseError:
     return ParseError("not valid UTF-8")
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -> CorpusFile:
     """Read a JSONL corpus; the "clusters" key becomes a set named ``clusters_as``.
 
@@ -109,12 +112,17 @@ def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -
                     continue
                 try:
                     obj = json.loads(line)
+                    # an escape such as "\ud800" reads as a lone surrogate, which
+                    # no writer can encode; only a line with such an escape is searched
+                    lone = ("\\ud" in line or "\\uD" in line) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False))
                 except json.JSONDecodeError as e:
                     raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
                 except RecursionError as e:
                     raise ParseError("JSON nested too deeply", lineno) from e
                 if not isinstance(obj, dict):
                     raise ParseError("record is not a JSON object", lineno)
+                if lone:
+                    raise SchemaError(f"line {lineno}: a string holds the lone surrogate {lone.group()!r}")
                 missing = [k for k in _REQUIRED_KEYS if k not in obj]
                 if missing:
                     raise SchemaError(f"line {lineno}: missing required keys {missing}")
@@ -228,9 +236,13 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
 def _check_row_text(doc: Document) -> None:
     """A CoNLL row is one line of tab-separated columns, so a token that
     holds a tab or a line break, or a doc id that holds a line break, would
-    not read back as written: refuse it with a :class:`SchemaError`."""
+    not read back as written, and a doc id that starts with ``#`` would make
+    every row of its document read as a comment: refuse them with a
+    :class:`SchemaError`."""
     if "\n" in doc.doc_id or "\r" in doc.doc_id:
         raise SchemaError(f"document {doc.doc_id!r}: a doc id with a line break cannot be written as CoNLL")
+    if doc.doc_id.startswith("#"):
+        raise SchemaError(f"document {doc.doc_id!r}: a doc id that starts with '#' would make its CoNLL rows comments")
     text = "".join(doc.tokens)
     if "\t" in text or "\n" in text or "\r" in text:
         i = next(i for i, tok in enumerate(doc.tokens) if "\t" in tok or "\n" in tok or "\r" in tok)
@@ -283,7 +295,7 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
         if not tokens:
             raise ParseError(f"document {doc_id!r} has no token rows", row)
         doc = Document(doc_id, tuple(tokens))
-        cs = ClusterSet.build(doc_id, "prediction", clusters)
+        cs = ClusterSet(doc_id, "prediction", clusters)
         corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
         doc_id, tokens, open_stacks, clusters = None, [], {}, {}
 

@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .formats import CorpusFile, DocumentRecord
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
 from .model import ClusterSet, drop_empty, restrict
-from .windowing import plan_windows, split_corpus
+from .windowing import plan_windows, split_corpus, window_doc_id
 
 SETTINGS = ("full_book", "split", "gold_plus_window")
 
@@ -149,7 +149,7 @@ def _window_units(
             missing.append(doc_id)
             resp_cs = ClusterSet(doc_id, "prediction")
         for i, (lo, hi) in enumerate(plan_windows(rec.document, window_len, "strict").windows, 1):
-            yield f"{doc_id}#w{i}", drop_empty(restrict(key_cs, lo, hi)), drop_empty(restrict(resp_cs, lo, hi))
+            yield window_doc_id(doc_id, i), drop_empty(restrict(key_cs, lo, hi)), drop_empty(restrict(resp_cs, lo, hi))
 
 
 def evaluate(

@@ -17,18 +17,17 @@ The JSON form of a cluster map, ``{name: [[start, end], ...]}``, is built
 and read only here, by :func:`clusters_to_json` and
 :func:`clusters_from_json`, for JSONL and the annotator wire alike.
 
-:func:`restrict` is the one window-slicing operation. Each
-:class:`ClusterSet` builds, on its first restriction, an index of its
-clusters' mention starts; every later window then costs two binary searches
-per cluster plus the mentions it keeps, O(C log M + k), instead of a scan of
-all M mentions. Slicing a book into W windows is O(M + W C log M) rather than
-O(W M). A cluster whose mentions are not sorted by start (the constructor
-accepts any order; :meth:`ClusterSet.build` sorts) is scanned instead.
+:class:`ClusterSet` holds each cluster as a tuple sorted by ``(start, end)``:
+its constructor sorts any cluster that is not, so sets built from the same
+mentions in any order are equal, and this module's operations keep the
+order by construction. :func:`restrict` is the one window-slicing operation:
+it bisects each sorted cluster for the mentions that start in the window,
+so a window costs O(C log M + k) for C clusters, M mentions and k kept, and
+slicing a book into W windows is O(W C log M + M) rather than O(W M).
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -122,8 +121,7 @@ def clusters_from_json(
             if type(span) is not list or len(span) != 2 or type(span[0]) is not int or type(span[1]) is not int:
                 raise error(f"{where}: span {span!r} of {name!r} is a malformed span, not [start, end] integers")
             ms.append(Mention(span[0], span[1]))
-        ms.sort()
-        out[name if key is None else key(name)] = tuple(ms)
+        out[name if key is None else key(name)] = tuple(sorted(ms))
     return out
 
 
@@ -193,29 +191,35 @@ class Document:
         return " ".join(self.tokens[mention.start : mention.end + 1])
 
 
+def _check_stage(stage: str) -> None:
+    if stage not in STAGES:
+        raise StageError(f"unknown stage {stage!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ClusterSet:
     """Stage-tagged mapping character -> mentions for one document.
 
-    Mentions are stored sorted, duplicates preserved as given so that
-    :func:`validate` can report them; :func:`union` applies set semantics.
-    Character keys are strings; ``stage="prediction"`` may use anonymous
-    integer keys instead.
-
-    ``_starts`` caches the span index :func:`restrict` builds on first use;
-    it takes no part in equality or ``repr``.
+    ``clusters`` is a dict of tuples, each sorted by ``(start, end)``. The
+    constructor checks that and, for input that breaks it (a cluster out of
+    order, a list, a mapping that is not a dict), stores a sorted copy, so
+    sets built from the same mentions in any order are equal. Duplicates are
+    kept as given, next to each other, so that :func:`validate` can report
+    them; :func:`union` applies set semantics. Character keys are strings;
+    ``stage="prediction"`` may use anonymous integer keys instead.
     """
 
     doc_id: str
     stage: str
     clusters: Mapping[ClusterKey, tuple[Mention, ...]] = field(default_factory=dict)
-    _starts: Mapping[ClusterKey, list[int] | None] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
-        if self.stage not in STAGES:
-            raise StageError(f"unknown stage {self.stage!r}")
+        _check_stage(self.stage)
+        clusters = self.clusters
+        if type(clusters) is not dict or not all(
+            type(ms) is tuple and list(ms) == sorted(ms) for ms in clusters.values()
+        ):
+            object.__setattr__(self, "clusters", {key: tuple(sorted(ms)) for key, ms in clusters.items()})
 
     @classmethod
     def build(
@@ -224,11 +228,11 @@ class ClusterSet:
         stage: str,
         clusters: Mapping[ClusterKey, Iterable[Mention | Sequence[int]]],
     ) -> "ClusterSet":
-        """Normalize arbitrary span input to sorted Mention tuples."""
-        norm: dict[ClusterKey, tuple[Mention, ...]] = {}
-        for key, spans in clusters.items():
-            ms = [s if isinstance(s, Mention) else Mention(int(s[0]), int(s[1])) for s in spans]
-            norm[key] = tuple(sorted(ms))
+        """Normalize arbitrary span input to Mentions; the constructor sorts them."""
+        norm = {
+            key: [s if isinstance(s, Mention) else Mention(int(s[0]), int(s[1])) for s in spans]
+            for key, spans in clusters.items()
+        }
         return cls(doc_id, stage, norm)
 
     def keys(self) -> Sequence[ClusterKey]:
@@ -259,7 +263,8 @@ class ClusterSet:
         return parts
 
     def with_stage(self, stage: str) -> "ClusterSet":
-        return ClusterSet(self.doc_id, stage, self.clusters)
+        _check_stage(stage)
+        return _sorted_set(self.doc_id, stage, self.clusters)
 
     def advanced(self) -> "ClusterSet":
         """Move to the next stage of the pipeline chain."""
@@ -267,6 +272,17 @@ class ClusterSet:
         if nxt is None:
             raise StageError(f"stage {self.stage!r} has no successor")
         return self.with_stage(nxt)
+
+
+def _sorted_set(doc_id: str, stage: str, clusters: Mapping[ClusterKey, tuple[Mention, ...]]) -> ClusterSet:
+    """A set from this module's own operations, whose clusters are sorted
+    tuples by construction and whose stage is known: the constructor's
+    checks are skipped."""
+    cs = object.__new__(ClusterSet)
+    object.__setattr__(cs, "doc_id", doc_id)
+    object.__setattr__(cs, "stage", stage)
+    object.__setattr__(cs, "clusters", clusters)
+    return cs
 
 
 class Finding(NamedTuple):
@@ -342,30 +358,6 @@ def validate(doc: Document, cs: ClusterSet) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
-_INDEX_LOCK = threading.Lock()
-
-
-def _start_index(cs: ClusterSet) -> Mapping[ClusterKey, list[int] | None]:
-    """Per cluster, its mention starts if the cluster is a tuple or list
-    sorted by start, else None (the cluster is then scanned).
-
-    Built once per set, under a lock so concurrent first calls build it once;
-    the finished index is published by a single attribute store.
-    """
-    index = cs._starts
-    if index is None:
-        with _INDEX_LOCK:
-            index = cs._starts
-            if index is None:
-                index = {}
-                for key, ms in cs.clusters.items():
-                    starts = [m.start for m in ms]
-                    sliceable = isinstance(ms, (tuple, list))
-                    index[key] = starts if sliceable and starts == sorted(starts) else None
-                object.__setattr__(cs, "_starts", index)
-    return index
-
-
 def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:
     """Keep exactly the mentions fully contained in the token range [lo, hi).
 
@@ -373,32 +365,25 @@ def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:
     as empty entries so character keys survive a later :func:`union`.
     Mentions keep their order, and duplicates are kept.
 
-    Cost: the first call on a set indexes the mention starts of each cluster
-    (O(M)). After that a call costs two ``bisect`` lookups per cluster plus
-    the k mentions that start inside the range, O(C log M + k). The mentions
-    that start inside the range but end past ``hi`` are the only ones
-    examined and dropped. A cluster whose starts are not sorted is scanned
-    in full, O(M), so the result is the same for any set the constructor
-    accepts.
+    Cost: each cluster is sorted by ``(start, end)``, so two ``bisect``
+    lookups find the mentions that start inside the range, and only those
+    are examined: O(C log M + k) for C clusters and k mentions starting in
+    the range. The ones that end past ``hi`` are dropped.
     """
     if lo < 0 or hi < lo:
         raise SpanRangeError(f"invalid restriction range [{lo}, {hi})")
-    index = _start_index(cs)
+    lo_key, hi_key = (lo,), (hi,)
     out: dict[ClusterKey, tuple[Mention, ...]] = {}
     for key, ms in cs.clusters.items():
-        starts = index[key]
-        if starts is None:
-            out[key] = tuple(m for m in ms if m.within(lo, hi))
-        else:
-            inside = ms[bisect_left(starts, lo) : bisect_left(starts, hi)]
-            out[key] = tuple(m for m in inside if m.end < hi)
-    return ClusterSet(cs.doc_id, cs.stage, out)
+        inside = ms[bisect_left(ms, lo_key) : bisect_left(ms, hi_key)]
+        out[key] = tuple([m for m in inside if m[1] < hi])
+    return _sorted_set(cs.doc_id, cs.stage, out)
 
 
 def drop_empty(cs: ClusterSet) -> ClusterSet:
     """The same set without its empty clusters (e.g. after :func:`restrict`,
     when a window is scored or written out on its own)."""
-    return ClusterSet(cs.doc_id, cs.stage, {key: ms for key, ms in cs.clusters.items() if ms})
+    return _sorted_set(cs.doc_id, cs.stage, {key: ms for key, ms in cs.clusters.items() if ms})
 
 
 _new_tuple = tuple.__new__
@@ -407,18 +392,17 @@ _new_tuple = tuple.__new__
 def shift(cs: ClusterSet, delta: int) -> ClusterSet:
     """Translate every mention by ``delta`` tokens (re-basing helper).
 
-    A shift keeps each span's length, so a cluster's shifted mentions are
-    valid exactly when its smallest one is: that one goes through the
-    checking constructor (raising :class:`SpanRangeError` if the shift
-    leaves the book), and the rest are built as tuples directly.
+    A shift keeps each span's length and the clusters' order, so a cluster's
+    shifted mentions are valid exactly when its first one is: that one goes
+    through the checking constructor (raising :class:`SpanRangeError` if the
+    shift leaves the book), and the rest are built as tuples directly.
     """
     out: dict[ClusterKey, tuple[Mention, ...]] = {}
     for key, ms in cs.clusters.items():
         if delta < 0 and ms:
-            first = min(ms)
-            Mention(first[0] + delta, first[1] + delta)
+            Mention(ms[0][0] + delta, ms[0][1] + delta)
         out[key] = tuple([_new_tuple(Mention, (s + delta, e + delta)) for s, e in ms])
-    return ClusterSet(cs.doc_id, cs.stage, out)
+    return _sorted_set(cs.doc_id, cs.stage, out)
 
 
 def union(parts: Sequence[ClusterSet]) -> ClusterSet:
@@ -442,4 +426,4 @@ def union(parts: Sequence[ClusterSet]) -> ClusterSet:
         for key, ms in p.clusters.items():
             order.setdefault(key, None)
             merged.setdefault(key, set()).update(ms)
-    return ClusterSet(doc_id, stage, {key: tuple(sorted(merged[key])) for key in order})
+    return _sorted_set(doc_id, stage, {key: tuple(sorted(merged[key])) for key in order})

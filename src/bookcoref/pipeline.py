@@ -239,7 +239,7 @@ def pattern_match(doc: Document) -> ClusterSet:
                 kept.append(Mention(i, i + length - 1))
                 last_end = i + length - 1
         clusters[name] = kept
-    return ClusterSet.build(doc.doc_id, "initialized", clusters)
+    return ClusterSet(doc.doc_id, "initialized", clusters)
 
 
 class PatternMatchLinker:

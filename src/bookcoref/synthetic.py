@@ -243,20 +243,20 @@ def _place_book(spec: BookSpec, lengths: list[int], extras: list[float]) -> list
     return starts
 
 
-def _pooled_distance(per_book_chains: list[list[int]], per_book_starts: list[list[int]], n_chains: list[int]) -> float:
+def _pooled_distance(per_book_chains: list[list[int]], per_book_positions: list[list[int]], n_chains: list[int]) -> float:
     """Micro-average pairwise start distance over every chain of every book.
 
     ``per_book_chains[b][j]`` is the chain of the mention placed at
-    ``per_book_starts[b][j]``; starts ascend, so each chain's do too.
+    ``per_book_positions[b][j]``; starts ascend, so each chain's do too.
     """
     pairs = 0
     dist = 0
-    for chains, placed, k in zip(per_book_chains, per_book_starts, n_chains):
+    for chains, placed, k in zip(per_book_chains, per_book_positions, n_chains):
         starts: list[list[int]] = [[] for _ in range(k)]
         for c, s in zip(chains, placed):
             starts[c].append(s)
-        for chain_starts in starts:
-            p, d = chain_distance(chain_starts)
+        for positions in starts:
+            p, d = chain_distance(positions)
             pairs += p
             dist += d
     return dist / pairs if pairs else 0.0
@@ -376,7 +376,7 @@ def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
             tuple(names),
             {"title": spec.doc_id.replace("_", " ").title(), "synthetic": True, "seed": seed},
         )
-        gold = ClusterSet.build(spec.doc_id, "gold", clusters)
+        gold = ClusterSet(spec.doc_id, "gold", clusters)
         report = validate(doc, gold)
         if not report.ok:
             raise GeneratorError(f"generator produced invalid gold for {spec.doc_id}: {report.summary()}")

@@ -307,6 +307,22 @@ class TestHostileInput:
         assert f"bookcoref: line 2: 'doc_id' must be a string, got {kind}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["tokens", "doc_id"])
+    def test_lone_surrogate_escape_exits_2_and_writes_nothing(self, tmp_path, capsys, field):
+        """A lone "\\ud800" escape is refused when read; an escaped surrogate
+        pair (line 1) is one character and reads fine."""
+        record = {"doc_id": "x", "tokens": ["a"], "characters": [], "clusters": {}}
+        record[field] = ["\ud800"] if field == "tokens" else "\ud800"
+        src = tmp_path / "sur.jsonl"
+        pair = {"doc_id": "ok", "tokens": ["\U0001f600"], "characters": [], "clusters": {}}
+        src.write_text(json.dumps(pair) + "\n" + json.dumps(record) + "\n")
+        assert "\\ud83d\\ude00" in src.read_text() and "\\ud800" in src.read_text()
+        out = tmp_path / "out.jsonl"
+        assert main(["convert", str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bookcoref: line 2: a string holds the lone surrogate '\\ud800'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"
         path.write_text(open(tiny_jsonl).read() + "[" * 100_000 + "\n")
@@ -322,6 +338,7 @@ class TestHostileInput:
             ("d", "a\rb", "token 1 ('a\\rb')"),
             ("x\ny", "a", "document 'x\\ny': a doc id with a line break"),
             ("x\ry", "a", "document 'x\\ry': a doc id with a line break"),
+            ("#x", "a", "document '#x': a doc id that starts with '#'"),
         ],
     )
     def test_conll_export_refuses_what_a_row_cannot_carry(self, tmp_path, capsys, doc_id, token, refused):

@@ -183,6 +183,14 @@ class TestConll:
         labels = [l.split("\t")[-1] for l in path.read_text().splitlines() if not l.startswith("#")]
         assert labels == ["(0", "0)", "-", "-", "(1", "1)"]
 
+    def test_cluster_ids_follow_first_mentions_given_out_of_order(self, tmp_path):
+        doc = Document("doc", tuple("abcdef"), ("A", "B"))
+        cs = ClusterSet("doc", "gold", {"A": (Mention(5, 5), Mention(0, 0)), "B": (Mention(2, 2),)})
+        path = tmp_path / "x.conll"
+        write_conll(CorpusFile([DocumentRecord(doc, {"gold": cs})]), str(path))
+        labels = [l.split("\t")[-1] for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert labels == ["(0)", "-", "(1)", "-", "-", "(0)"]
+
     def test_roundtrip_preserves_partition(self, tmp_path):
         doc = Document("doc", tuple("abcdefgh"), ("A", "B"))
         cs = ClusterSet.build(

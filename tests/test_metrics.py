@@ -19,7 +19,7 @@ from bookcoref.metrics import (
     pct,
     pool_reports,
 )
-from bookcoref.model import ClusterSet, Document
+from bookcoref.model import ClusterSet, Document, Mention
 
 from oracles import (
     b3_brute,
@@ -236,6 +236,14 @@ class TestCorpusStats:
         assert stats.mentions == 2
         assert stats.mention_distance == 50
         assert stats.mentions_per_chain == 2
+
+    def test_chains_given_out_of_order_are_measured_in_order(self):
+        doc = Document("d", tuple("abcdefghij"), ("A", "B"))
+        m = Mention
+        cs = ClusterSet("d", "gold", {"A": (m(0, 0), m(5, 5), m(0, 0)), "B": (m(7, 7), m(2, 2))})
+        stats = corpus_stats(CorpusFile([DocumentRecord(doc, {"gold": cs})]))
+        # A: pairs 0-0, 0-5, 0-5; B: 2-7
+        assert (stats.mention_pairs, stats.mention_distance) == (4, 3.75)
 
     def test_empty_corpus(self):
         stats = corpus_stats(CorpusFile())

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -105,14 +106,35 @@ class TestMention:
                 for key in range(rng.randint(1, 3))
             }
             x = ClusterSet("d", "gold", clusters)
+            assert all(list(ms) == sorted(ms) for ms in x.clusters.values())
             delta = rng.randint(-12, 5)
             try:
-                expected = {k: tuple(m.shifted(delta) for m in ms) for k, ms in clusters.items()}
+                expected = {k: tuple(m.shifted(delta) for m in ms) for k, ms in x.clusters.items()}
             except SpanRangeError:
                 with pytest.raises(SpanRangeError, match=r"invalid mention span \(-"):
                     shift(x, delta)
             else:
                 assert shift(x, delta).clusters == expected
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "given",
+        [
+            {"a": (Mention(5, 5), Mention(0, 0), Mention(2, 3), Mention(2, 2)), "b": ()},
+            {"a": [Mention(0, 0), Mention(2, 2), Mention(2, 3), Mention(5, 5)], "b": []},
+            {"a": [Mention(5, 5), Mention(2, 3), Mention(0, 0), Mention(2, 2)], "b": ()},
+            MappingProxyType({"a": (Mention(0, 0), Mention(2, 2), Mention(2, 3), Mention(5, 5)), "b": ()}),
+        ],
+    )
+    def test_clusters_are_stored_as_sorted_tuples(self, given):
+        x = ClusterSet("d", "gold", given)
+        assert type(x.clusters) is dict and list(x.clusters) == ["a", "b"]
+        assert x.clusters["a"] == (Mention(0, 0), Mention(2, 2), Mention(2, 3), Mention(5, 5))
+        assert all(type(ms) is tuple for ms in x.clusters.values())
+        assert x == ClusterSet.build("d", "gold", given)
+        # clusters that already hold the invariant are stored as given
+        assert ClusterSet("d", "gold", x.clusters).clusters is x.clusters
 
 
 class TestValidate:
@@ -139,6 +161,11 @@ class TestValidate:
     def test_unknown_character_key(self):
         report = validate(DOC, cs({"Wickham": [(0, 0)]}))
         assert [f.code for f in report.errors] == ["unknown-character"]
+
+    def test_duplicate_mention_given_apart_is_reported(self):
+        raw = ClusterSet("d", "gold", {"Darcy": (Mention(0, 0), Mention(5, 5), Mention(0, 0))})
+        report = validate(DOC, raw)
+        assert [(f.code, f.location) for f in report.errors] == [("duplicate-mention", "Darcy:(0,0)")]
 
     def test_prediction_stage_allows_anonymous_keys(self):
         report = validate(DOC, cs({0: [(0, 0)], 1: [(2, 2)]}, stage="prediction"))
@@ -190,13 +217,6 @@ class TestRestrict:
 
     def test_stage_preserved(self):
         assert restrict(cs({"Darcy": [(0, 1)]}, stage="refined"), 0, 5).stage == "refined"
-
-    def test_sorted_clusters_are_indexed_unsorted_ones_scanned(self):
-        x = ClusterSet(
-            "d", "gold", {"a": (Mention(1, 2), Mention(4, 4)), "b": (Mention(7, 7), Mention(3, 3))}
-        )
-        restrict(x, 0, 5)
-        assert x._starts == {"a": [1, 4], "b": None}
 
 
 def scan(x, lo, hi):
