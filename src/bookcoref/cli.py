@@ -23,7 +23,7 @@ from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, write_c
 from .harness import Setting, evaluate
 from .memsim import Policy, simulate, sweep, sweep_csv
 from .metrics import corpus_stats, linking_prf, pool_prf
-from .model import validate
+from .model import check_bounds, validate
 from .pipeline import (
     AcceptAllJudge,
     IdentityExpander,
@@ -72,10 +72,21 @@ def _write_json(args: argparse.Namespace, payload: dict) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _read_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
+def _load_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
     if path.endswith((".conll", ".conll12", ".v4_gold_conll")):
         return read_conll(path, clusters_as=clusters_as)
     return read_jsonl(path, clusters_as=clusters_as)
+
+
+def _read_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
+    """The corpus at ``path``; a span past the last token of its document is
+    a :class:`SpanRangeError` (exit 1). Only ``validate`` reads without this
+    check, to report such spans as findings."""
+    corpus = _load_corpus(path, clusters_as)
+    for rec in corpus.records:
+        for cs in rec.cluster_sets.values():
+            check_bounds(rec.document, cs)
+    return corpus
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -102,7 +113,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.input)
+    corpus = _load_corpus(args.input)
     total_errors = 0
     reports = {}
     for rec in corpus.records:

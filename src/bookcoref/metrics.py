@@ -8,7 +8,10 @@ Scoring conventions follow the standard shared-task reference scorer:
 * B3: per-mention overlap ratios; a mention unknown to the other side
   contributes a zero-overlap term to that side's mean.
 * CEAF-phi4: phi4(K, R) = 2|K & R| / (|K| + |R|) under a globally optimal
-  one-to-one cluster alignment (Kuhn-Munkres), not a greedy one.
+  one-to-one cluster alignment, not a greedy one, from
+  :func:`linear_sum_assignment`: a pure-Python port of the shortest
+  augmenting path solver (Crouse, 2016) that SciPy ships, which returns
+  SciPy's pairs exactly, so the package has no runtime dependencies.
 
 All three are functions of one key x response overlap table, the cluster
 sizes plus intersection counts (Pradhan et al., 2014; Luo, 2005), which
@@ -25,6 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from operator import neg
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ContractError
@@ -118,13 +122,81 @@ def _b3_overlap(rows: _Rows) -> tuple[float, int]:
     return num, sum(n for n, _ in rows)
 
 
-def linear_sum_assignment(cost, maximize: bool = False):
-    """``scipy.optimize.linear_sum_assignment``, imported on the first call:
-    only CEAF-phi4 needs SciPy, and importing it takes longer than importing
-    the rest of the package."""
-    from scipy.optimize import linear_sum_assignment as solve
+def linear_sum_assignment(cost: Sequence[Sequence[float]], maximize: bool = False) -> tuple[list[int], list[int]]:
+    """An optimal one-to-one assignment of the rows of a dense ``cost`` table
+    to its columns: ``(rows, cols)``, sorted by row, that minimize (or with
+    ``maximize``, maximize) the sum of ``cost[rows[k]][cols[k]]``.
 
-    return solve(cost, maximize=maximize)
+    A pure-Python port of the shortest augmenting path method of Crouse
+    (2016, "On implementing 2D rectangular assignment algorithms", IEEE
+    TAES), as SciPy's ``linear_sum_assignment`` implements it: the same
+    reduced costs computed in the same order and the same tie-breaking, so
+    it returns SciPy's pairs exactly, ties included. A table with more rows
+    than columns is solved transposed; one augmenting path is found per row.
+    The whole dense table is solved, as SciPy does: solving each connected
+    part of the sparse overlap graph on its own adds the costs in another
+    order, which was seen to move a CEAF-phi4 total by one ulp.
+    """
+    table = [list(map(neg, row)) if maximize else list(row) for row in cost]
+    transpose = bool(table) and len(table[0]) < len(table)
+    if transpose:
+        table = [list(col) for col in zip(*table)]
+    nr, nc = len(table), len(table[0]) if table else 0
+    if not nr or not nc:
+        return [], []
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # filled in reverse, so a constant table gets the identity assignment
+        remaining = list(range(nc - 1, -1, -1))
+        costs = [inf] * nc  # shortest path cost to each column
+        rows_seen = []
+        cols_seen = []
+        min_val = 0.0
+        i = cur
+        while True:
+            row, ui = table[i], u[i]
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                c = costs[j]
+                if r < c:
+                    path[j] = i
+                    costs[j] = c = r
+                # among equal costs prefer a column that ends the path
+                if c < lowest or (c == lowest and row4col[j] < 0):
+                    lowest, index = c, it
+            if lowest == inf:
+                raise ValueError("cost matrix is infeasible")
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            rows_seen.append(i)
+        # update the dual variables, then augment along the path to sink j
+        u[cur] += min_val
+        for i in rows_seen:
+            u[i] += min_val - costs[col4row[i]]
+        for k in cols_seen:
+            v[k] -= min_val - costs[k]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[c] for c in cols], cols
+    return list(range(nr)), col4row
 
 
 def _ceaf_phi4(recall: _Rows, precision: _Rows) -> PRF:

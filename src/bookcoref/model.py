@@ -358,6 +358,24 @@ def validate(doc: Document, cs: ClusterSet) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
+_end = itemgetter(1)
+
+
+def check_bounds(doc: Document, cs: ClusterSet) -> None:
+    """Raise :class:`SpanRangeError` naming the document, the cluster and
+    the span when a span of ``cs`` ends past the last token of ``doc``
+    (:func:`validate` reports each such span as a finding instead)."""
+    n = len(doc.tokens)
+    for key in cs.sorted_keys():
+        ms = cs.clusters[key]
+        if ms and max(map(_end, ms)) >= n:
+            start, end = next(m for m in ms if m[1] >= n)
+            raise SpanRangeError(
+                f"document {doc.doc_id!r}: span ({start}, {end}) of cluster {key!r} "
+                f"ends past the last token ({n} tokens)"
+            )
+
+
 def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:
     """Keep exactly the mentions fully contained in the token range [lo, hi).
 

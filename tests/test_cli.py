@@ -178,13 +178,13 @@ class TestConvertAndSplit:
         }
         assert spans == original
 
-    def test_span_past_document_end_exits_2_and_writes_nothing(self, tmp_path, capsys):
+    def test_span_past_document_end_exits_1_and_writes_nothing(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(
             '{"doc_id":"d","tokens":["a","b"],"characters":["A"],"clusters":{"A":[[0,5]]}}\n'
         )
         out = tmp_path / "bad.conll"
-        assert main(["convert", str(bad), str(out)]) == 2
+        assert main(["convert", str(bad), str(out)]) == 1
         err = capsys.readouterr().err
         assert "'d'" in err and "(0, 5)" in err and "Traceback" not in err
         assert not out.exists()
@@ -322,6 +322,39 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert "bookcoref: line 2: a string holds the lone surrogate '\\ud800'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["convert", "{bad}", "{out}.jsonl"], id="convert-jsonl"),
+            pytest.param(["stats", "{bad}", "--out", "{out}"], id="stats"),
+            pytest.param(["split", "{bad}", "{out}"], id="split"),
+            pytest.param(["simulate", "{bad}", "--sweep", "1,2", "--csv", "{out}"], id="simulate"),
+            pytest.param(["score", "{good}", "{bad}", "--results", "{out}"], id="score-response"),
+            pytest.param(["score", "{bad}", "{good}", "--out", "{out}"], id="score-key"),
+            pytest.param(["score", "--setting", "split", "{good}", "{bad}", "--out", "{out}"], id="score-split"),
+            pytest.param(["score-linking", "{good}", "{bad}", "--out", "{out}"], id="score-linking"),
+            pytest.param(["pipeline", "run", "{bad}", "{out}", "--linker", "oracle"], id="pipeline-run"),
+        ],
+    )
+    def test_span_past_the_last_token_exits_1_and_writes_nothing(self, tmp_path, capsys, argv):
+        """Every command but validate refuses the span before it computes or
+        writes anything; validate reports it as a finding."""
+        good = tmp_path / "good.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        record = {"doc_id": "d", "tokens": ["a", "b", "c"], "characters": ["A"], "clusters": {"A": [[0, 0], [2, 2]]}}
+        good.write_text(json.dumps(record) + "\n")
+        record["clusters"] = {"A": [[0, 0], [2, 5]]}
+        bad.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "out"
+        paths = {"good": good, "bad": bad, "out": out}
+        assert main([a.format(**paths) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "bookcoref: document 'd': span (2, 5) of cluster 'A' ends past the last token (3 tokens)" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "good.jsonl"]
+        assert main(["validate", str(bad)]) == 1
+        assert "E span-out-of-bounds at A:(2,5)" in capsys.readouterr().out
 
     def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"

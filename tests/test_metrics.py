@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
 from bookcoref.errors import ContractError
 from bookcoref.formats import CorpusFile, DocumentRecord
@@ -13,6 +14,7 @@ from bookcoref.metrics import (
     chain_distance,
     conll,
     corpus_stats,
+    linear_sum_assignment,
     linking_prf,
     macro_reports,
     muc,
@@ -294,3 +296,31 @@ def test_scorer_core_equals_reference_bit_for_bit(key, response):
     response = [c for c in response if c]
     for scorer, reference in ((muc, muc_reference), (b_cubed, b_cubed_reference), (ceaf_phi4, ceaf_phi4_reference)):
         assert repr(scorer(key, response)) == repr(reference(key, response))
+
+
+#: Every phi4 value 2c / (|K| + |R|) of clusters of up to 8 mentions that share c.
+PHI4_VALUES = sorted({2.0 * c / (k + r) for k in range(1, 9) for r in range(1, 9) for c in range(1, min(k, r) + 1)})
+
+
+@st.composite
+def phi4_tables(draw):
+    """A dense phi4 table of 1-12 rows and 1-12 columns whose entries come
+    from a palette of zero and at most four phi4 values, so ties are common
+    and an empty palette gives an all-zero table."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    palette = [0.0] * draw(st.integers(1, 4)) + draw(st.lists(st.sampled_from(PHI4_VALUES), max_size=4))
+    entry = st.sampled_from(palette)
+    return [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(phi4_tables(), st.booleans())
+@example([[0.0] * 5 for _ in range(3)], True)
+@example([[0.0, 0.5, 0.5, 0.5]], True)
+@example([[0.5], [1.0], [0.5]], False)
+@example([[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]], True)
+def test_assignment_returns_scipys_pairs_exactly(table, maximize):
+    """The pure-Python solver returns SciPy's pairs, ties included, for wide
+    and tall tables, 1 x n and n x 1, all-zero tables, and both directions."""
+    rows, cols = scipy_linear_sum_assignment(table, maximize=maximize)
+    assert linear_sum_assignment(table, maximize=maximize) == (rows.tolist(), cols.tolist())
