@@ -94,14 +94,13 @@ def _undecodable(path: str) -> ParseError:
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def read_jsonl(path: str, clusters_as: str = "gold", stage: str | None = None) -> CorpusFile:
+def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     """Read a JSONL corpus; the "clusters" key becomes a set named ``clusters_as``.
 
-    ``stage`` defaults to ``clusters_as`` when that is a known stage name,
-    else to "gold". Unknown record keys land in ``Document.source``.
+    The set's stage is ``clusters_as`` when that is a known stage name,
+    else "gold". Unknown record keys land in ``Document.source``.
     """
-    if stage is None:
-        stage = clusters_as if clusters_as in STAGES else "gold"
+    stage = clusters_as if clusters_as in STAGES else "gold"
     key = prediction_key if stage == "prediction" else None
     corpus = CorpusFile()
     seen_ids: set[str] = set()
@@ -346,6 +345,6 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
 
 
 def dumps_jsonl(corpus: CorpusFile, clusters_from: str | None = None) -> str:
-    """In-memory variant of :func:`write_jsonl` (used by tests and the CLI)."""
+    """In-memory variant of :func:`write_jsonl`: the file's text as a string."""
     out = [_record_line(rec, clusters_from) for rec in corpus.records]
     return "\n".join(out) + ("\n" if out else "")

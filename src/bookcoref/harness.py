@@ -27,10 +27,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .formats import CorpusFile, DocumentRecord
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
-from .model import ClusterSet, drop_empty, restrict
+from .model import ClusterSet, Document, drop_empty, restrict
 from .windowing import plan_windows, split_corpus, window_doc_id
 
 SETTINGS = ("full_book", "split", "gold_plus_window")
@@ -123,7 +123,7 @@ def _pick(rec: DocumentRecord, name: str) -> ClusterSet | None:
 
 
 _Unit = tuple[str, ClusterSet, ClusterSet | None]
-_Lookup = Callable[[str], ClusterSet | None]
+_Lookup = Callable[[Document], ClusterSet | None]
 
 
 def _document_units(docs: CorpusFile, key_name: str, response_for: _Lookup) -> Iterator[_Unit]:
@@ -131,7 +131,7 @@ def _document_units(docs: CorpusFile, key_name: str, response_for: _Lookup) -> I
     for rec in docs.records:
         key_cs = _pick(rec, key_name)
         if key_cs is not None:
-            yield rec.document.doc_id, key_cs, response_for(rec.document.doc_id)
+            yield rec.document.doc_id, key_cs, response_for(rec.document)
 
 
 def _window_units(
@@ -144,7 +144,7 @@ def _window_units(
         if key_cs is None:
             continue
         doc_id = rec.document.doc_id
-        resp_cs = response_for(doc_id)
+        resp_cs = response_for(rec.document)
         if resp_cs is None:
             missing.append(doc_id)
             resp_cs = ClusterSet(doc_id, "prediction")
@@ -164,7 +164,8 @@ def evaluate(
 
     A key unit without a matching response is scored against an empty
     response (a pure recall penalty) and flagged; response documents that
-    match no key unit are flagged and not scored.
+    match no key unit are flagged and not scored. A response whose token
+    count differs from its key document's is a :class:`ContractError`.
     """
     started = time.perf_counter()
     run = EvalRun(setting)
@@ -172,9 +173,14 @@ def evaluate(
     responses = response_corpus.by_id()
     looked_up: set[str] = set()
 
-    def response_for(doc_id: str) -> ClusterSet | None:
-        looked_up.add(doc_id)
-        resp = responses.get(doc_id)
+    def response_for(key_doc: Document) -> ClusterSet | None:
+        looked_up.add(key_doc.doc_id)
+        resp = responses.get(key_doc.doc_id)
+        if resp is not None and len(resp.document) != len(key_doc):
+            raise ContractError(
+                f"response document {resp.document.doc_id!r} has {len(resp.document)} tokens, "
+                f"but key document {key_doc.doc_id!r} has {len(key_doc)}"
+            )
         return _pick(resp, response_name) if resp is not None else None
 
     if setting.kind == "gold_plus_window":

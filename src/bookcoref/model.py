@@ -439,9 +439,7 @@ def union(parts: Sequence[ClusterSet]) -> ClusterSet:
         if p.stage != stage:
             raise CompositionError(f"union across stages {stage!r} and {p.stage!r}")
     merged: dict[ClusterKey, set[Mention]] = {}
-    order: dict[ClusterKey, None] = {}
     for p in parts:
         for key, ms in p.clusters.items():
-            order.setdefault(key, None)
             merged.setdefault(key, set()).update(ms)
-    return _sorted_set(doc_id, stage, {key: tuple(sorted(merged[key])) for key in order})
+    return _sorted_set(doc_id, stage, {key: tuple(sorted(ms)) for key, ms in merged.items()})

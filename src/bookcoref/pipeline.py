@@ -12,10 +12,11 @@ Hard contracts, enforced with errors rather than silent repair:
 
 * linkers may only return spans in bounds and keys from the document's
   character index;
-* expanders must preserve every seed mention (clusters only grow), stay
-  inside their window, and may introduce mentions only for keys present in
-  the seed map (empty-seeded keys included, so characters unseen in a window
-  can be recovered at group level).
+* expanders take and return book offsets, must preserve every seed mention
+  (clusters only grow), stay inside their window, and may introduce mentions
+  only for keys present in the seed map (empty-seeded keys included, so
+  characters unseen in a window can be recovered at group level). Only the
+  window-local ``/expand`` wire re-bases, in :class:`bookcoref.remote.HttpExpander`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .model import (
     Document,
     Mention,
     restrict,
-    shift,
     union,
 )
 from .windowing import GroupedWindowPlan, WindowPlan, plan_groups, plan_windows
@@ -84,7 +84,9 @@ class JudgeRequest:
 
 @dataclass(frozen=True, slots=True)
 class ExpandRequest:
-    """One window (or grouped window) of text plus its window-local seeds."""
+    """One window (or grouped window) ``[lo, hi)`` of a book: ``tokens`` is
+    its text, so ``tokens[i]`` is book token ``lo + i``; ``seeds`` and the
+    expander's reply are in book offsets."""
 
     doc_id: str
     lo: int
@@ -112,6 +114,8 @@ class Judge(Protocol):
 
 @runtime_checkable
 class Expander(Protocol):
+    """Completes one window's seed clusters, in book offsets (see :class:`ExpandRequest`)."""
+
     name: str
 
     def expand(self, request: ExpandRequest) -> Mapping[ClusterKey, Iterable[Mention]]: ...
@@ -318,8 +322,8 @@ class OracleExpander:
         self._gold = gold
 
     def expand(self, request: ExpandRequest) -> Mapping[ClusterKey, Iterable[Mention]]:
-        window = shift(restrict(self._gold, request.lo, request.hi), -request.lo)
-        return {key: window.clusters.get(key, ()) for key in request.seeds}
+        window = restrict(self._gold, request.lo, request.hi).clusters
+        return {key: window.get(key, ()) for key in request.seeds}
 
 
 def initialize(
@@ -329,9 +333,10 @@ def initialize(
 ) -> ClusterSet:
     """Run the linker and validate its output into stage "initialized".
 
-    Unknown character keys and out-of-bounds spans are contract errors;
-    single-token pronoun spans are kept but recorded as warnings (linkers
-    are supposed to return explicit mentions only).
+    Unknown character keys, out-of-bounds spans and a span placed in two
+    clusters are contract errors; single-token pronoun spans are kept but
+    recorded as warnings (linkers are supposed to return explicit mentions
+    only).
     """
     out = linker.link(doc)
     n = len(doc.tokens)
@@ -339,9 +344,12 @@ def initialize(
     for key in out.clusters:
         if key not in known:
             raise ContractError(f"linker returned unknown character {key!r}")
+    owner: dict[Mention, ClusterKey] = {}
     for key, m in out.mentions():
         if m.end >= n:
             raise ContractError(f"linker span ({m.start},{m.end}) out of bounds for {key!r}")
+        if owner.setdefault(m, key) != key:
+            raise ContractError(f"linker placed span ({m.start},{m.end}) in clusters {owner[m]!r} and {key!r}")
         if m.start == m.end and doc.tokens[m.start].lower() in PRONOUNS:
             msg = f"linker returned pronoun span ({m.start},{m.end}) {doc.tokens[m.start]!r} for {key!r}"
             if trace is not None:
@@ -446,47 +454,32 @@ def _expand_window(
     target_stage: str,
 ) -> tuple[ClusterSet, int]:
     """Expand one range; returns the expanded part and its seed count."""
-    seeds_local = shift(restrict(cs, lo, hi), -lo)
-    request = ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], seeds_local.clusters)
-    raw = expander.expand(request)
-    width = hi - lo
+    seeds = restrict(cs, lo, hi)
+    raw = expander.expand(ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], seeds.clusters))
     span_owner: dict[Mention, ClusterKey] = {}
-    out: dict[ClusterKey, tuple[Mention, ...]] = {}
-    for key in seeds_local.clusters:
-        out[key] = ()
+    out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(seeds.clusters, ())
     for key, mentions in raw.items():
-        if key not in seeds_local.clusters:
-            raise ContractError(
-                f"expander emitted unknown cluster key {key!r} in window [{lo},{hi})"
-            )
+        if key not in out:
+            raise ContractError(f"expander emitted unknown cluster key {key!r} in window [{lo},{hi})")
         ms = set(mentions)
         for m in ms:
-            if not (0 <= m.start and m.end < width):
+            if not (lo <= m.start and m.end < hi):
                 raise ContractError(
                     f"expander span ({m.start},{m.end}) outside window [{lo},{hi}) for {key!r}"
                 )
-            owner = span_owner.setdefault(m, key)
-            if owner != key:
+            if span_owner.setdefault(m, key) != key:
                 raise ContractError(
                     f"expander placed span ({m.start},{m.end}) in clusters "
-                    f"{owner!r} and {key!r} in window [{lo},{hi})"
+                    f"{span_owner[m]!r} and {key!r} in window [{lo},{hi})"
                 )
-        missing = set(seeds_local.clusters[key]) - ms
-        if missing:
-            m = sorted(missing)[0]
-            raise ContractError(
-                f"expander dropped seed mention ({m.start + lo},{m.end + lo}) of {key!r} "
-                f"in window [{lo},{hi})"
-            )
         out[key] = tuple(sorted(ms))
-    for key, seed_ms in seeds_local.clusters.items():
-        if seed_ms and key not in raw:
-            m = seed_ms[0]
-            raise ContractError(
-                f"expander dropped seed mention ({m.start + lo},{m.end + lo}) of {key!r} "
-                f"in window [{lo},{hi})"
-            )
-    return shift(ClusterSet(cs.doc_id, target_stage, out), lo), seeds_local.n_mentions
+    for key, seed_ms in seeds.clusters.items():
+        for m in seed_ms:
+            if span_owner.get(m) != key:
+                raise ContractError(
+                    f"expander dropped seed mention ({m.start},{m.end}) of {key!r} in window [{lo},{hi})"
+                )
+    return ClusterSet(cs.doc_id, target_stage, out), seeds.n_mentions
 
 
 def expand_pass(
@@ -498,10 +491,10 @@ def expand_pass(
     *,
     executor: Executor | None = None,
 ) -> ClusterSet:
-    """One expansion sweep: restrict to each plan range, re-base, expand,
-    verify the contracts, re-base back, and union across ranges. The
-    expander calls run on ``executor`` if one is given, else on the calling
-    thread; component errors pass through unretried.
+    """One expansion sweep: restrict to each plan range, expand, verify the
+    contracts, and union across ranges. The expander calls run on
+    ``executor`` if one is given, else on the calling thread; component
+    errors pass through unretried.
 
     A window plan advances refined -> window_expanded; a grouped plan
     advances window_expanded -> final.
@@ -525,11 +518,7 @@ def expand_pass(
                 f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
                 f"plan with boundary_rule='mention_safe' and this cluster set as guard"
             )
-
-    def work(rng: tuple[int, int]) -> tuple[ClusterSet, int]:
-        return _expand_window(doc, cs, rng[0], rng[1], expander, target)
-
-    results = _map_in_order(work, ranges, executor)
+    results = _map_in_order(lambda rng: _expand_window(doc, cs, *rng, expander, target), ranges, executor)
 
     if trace is not None:
         for rng, (part, seeds) in zip(ranges, results):

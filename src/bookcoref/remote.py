@@ -6,10 +6,11 @@ Wire protocol (JSON over HTTP):
     POST /judge   {"prompt", "decoding"}                  -> {"answer": "Yes"|"No"}
     POST /expand  {"tokens", "seeds": {name: [[s,e],...]}} -> {"clusters": {name: [[s,e],...]}}
 
-Spans are 0-based, end-inclusive. Requests carry a fixed decoding
-configuration so that services can honour the determinism contract. A
-response that is not of this shape is a :class:`ContractError` naming the
-route.
+Spans are 0-based, end-inclusive; ``/expand`` spans count from the first
+token of the window sent (:class:`HttpExpander` re-bases them). Requests
+carry a fixed decoding configuration so that services can honour the
+determinism contract. A response that is not of this shape is a
+:class:`ContractError` naming the route.
 
 The client uses only the standard library: each thread keeps one
 keep-alive ``http.client`` connection, and responses are cached in one
@@ -37,7 +38,7 @@ import weakref
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import CacheError, ConfigError, ContractError, FinalTransportError, TransportError
-from .model import ClusterKey, ClusterSet, Document, Mention, clusters_from_json, clusters_to_json
+from .model import ClusterKey, ClusterSet, Document, Mention, clusters_from_json, clusters_to_json, shift
 from .pipeline import ExpandRequest, JudgeRequest
 
 CACHE_DIR_ENV = "BOOKCOREF_CACHE_DIR"
@@ -433,13 +434,18 @@ class HttpJudge:
 
 
 class HttpExpander:
+    """An expander behind the window-local ``POST /expand``: the book-offset
+    seeds go out shifted by ``-lo``, and the reply comes back shifted by ``+lo``."""
+
     def __init__(self, client: ServiceClient):
         self.client = client
         self.name = f"http:{client.base_url}/expand"
 
     def expand(self, request: ExpandRequest) -> Mapping[ClusterKey, Iterable[Mention]]:
-        seeds = clusters_to_json(request.seeds, ContractError, "/expand")
+        seeds = shift(ClusterSet(request.doc_id, "prediction", request.seeds), -request.lo)
+        seeds = clusters_to_json(seeds.clusters, ContractError, "/expand")
         data = self.client.post("/expand", {"tokens": list(request.tokens), "seeds": seeds})
         # each name back to the request's own key (1, not "1")
         keys = {str(key): key for key in request.seeds}
-        return clusters_from_json(data.get("clusters"), ContractError, "/expand", lambda name: keys.get(name, name))
+        reply = clusters_from_json(data.get("clusters"), ContractError, "/expand", lambda name: keys.get(name, name))
+        return shift(ClusterSet(request.doc_id, "prediction", reply), request.lo).clusters

@@ -210,17 +210,16 @@ def test_algebra_seed_preservation_adversarial():
                         self.fired = True
                         break
             elif self.mode == "out-of-window":
-                width = request.hi - request.lo
                 key = next(iter(out))
-                out[key] = list(out[key]) + [Mention(width + 1, width + 2)]
+                out[key] = list(out[key]) + [Mention(request.hi + 1, request.hi + 2)]
                 self.fired = True
             elif self.mode == "unknown-key":
-                out["__ghost__"] = [Mention(0, 0)]
+                out["__ghost__"] = [Mention(request.lo, request.lo)]
                 self.fired = True
             else:  # duplicate span across two clusters
                 keys = list(out)
-                out[keys[0]] = list(out[keys[0]]) + [Mention(0, 0)]
-                out[keys[1]] = list(out[keys[1]]) + [Mention(0, 0)]
+                out[keys[0]] = list(out[keys[0]]) + [Mention(request.lo, request.lo)]
+                out[keys[1]] = list(out[keys[1]]) + [Mention(request.lo, request.lo)]
                 self.fired = True
             return out
 

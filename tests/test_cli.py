@@ -356,6 +356,20 @@ class TestHostileInput:
         assert main(["validate", str(bad)]) == 1
         assert "E span-out-of-bounds at A:(2,5)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("setting, unit", [("full", "d"), ("gold+window", "d"), ("split", "d#w1")])
+    def test_response_with_another_token_count_exits_1_and_writes_nothing(self, tmp_path, capsys, setting, unit):
+        """A 10-token response is not scored against a 3-token key unit,
+        though each file's spans fit its own tokens."""
+        key = tmp_path / "key.jsonl"
+        response = tmp_path / "long.jsonl"
+        key.write_text(json.dumps({"doc_id": "d", "tokens": ["a", "b", "c"], "characters": ["A"], "clusters": {"A": [[0, 0], [2, 2]]}}) + "\n")
+        response.write_text(json.dumps({"doc_id": unit, "tokens": ["a"] * 10, "characters": [], "clusters": {"0": [[0, 0], [5, 8]]}}) + "\n")
+        assert main(["score", "--setting", setting, str(key), str(response), "--results", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"bookcoref: response document '{unit}' has 10 tokens, but key document '{unit}' has 3" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["key.jsonl", "long.jsonl"]
+
     def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"
         path.write_text(open(tiny_jsonl).read() + "[" * 100_000 + "\n")

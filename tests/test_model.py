@@ -253,7 +253,7 @@ def test_indexed_restrict_equals_scan(data):
     point = st.one_of(st.sampled_from(edges), st.integers(0, 50))
     ranges = [tuple(sorted(p)) for p in data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=5))]
     ranges += [(lo, lo) for lo, _ in ranges]
-    for lo, hi in ranges + ranges[::-1]:  # repeated calls reuse one index
+    for lo, hi in ranges + ranges[::-1]:  # repeated calls, in both orders, answer alike
         got = restrict(x, lo, hi)
         assert list(got.clusters.items()) == list(scan(x, lo, hi).items()), (lo, hi)
         assert all(type(ms) is tuple for ms in got.clusters.values())
@@ -266,7 +266,7 @@ def test_indexed_restrict_equals_scan(data):
 def test_restrict_from_eight_threads_is_identical():
     rng = random.Random(5)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the index build too
+    sys.setswitchinterval(1e-6)  # switch threads often, inside restrict's bisects too
     try:
         for trial in range(25):
             x = random_cluster_set(rng, n_tokens=400)
@@ -277,7 +277,7 @@ def test_restrict_from_eight_threads_is_identical():
             barrier = threading.Barrier(8)
 
             def work():
-                barrier.wait(timeout=30)  # all eight threads meet the unindexed set at once
+                barrier.wait(timeout=30)  # all eight threads restrict the same set at once
                 return [restrict(x, lo, hi).clusters for lo, hi in windows]
 
             with ThreadPoolExecutor(max_workers=8) as pool:

@@ -15,7 +15,7 @@ from bookcoref.errors import (
     TransportError,
 )
 from bookcoref.metrics import conll, linking_prf
-from bookcoref.model import ClusterSet, Document, Mention, restrict, shift
+from bookcoref.model import ClusterSet, Document, Mention, restrict
 from bookcoref.pipeline import (
     DEFAULT_CONTEXT_WORDS,
     AcceptAllJudge,
@@ -143,6 +143,21 @@ class TestInitialize:
 
         with pytest.raises(ContractError, match="out of bounds"):
             initialize(make_doc(), BadLinker())
+
+    def test_span_in_two_clusters_is_the_linkers_contract_error(self):
+        class DoubleLinker:
+            name = "double"
+
+            def link(self, doc):
+                return ClusterSet.build(doc.doc_id, "initialized", {"B": [(1, 1)], "A": [(0, 0), (1, 1)]})
+
+        doc = make_doc(3, characters=("A", "B"))
+        message = r"^linker placed span \(1,1\) in clusters 'A' and 'B'$"
+        with pytest.raises(ContractError, match=message):
+            initialize(doc, DoubleLinker())
+        # refused before any expander runs, so the expander is not blamed
+        with pytest.raises(ContractError, match=message):
+            run(doc, PipelineConfig(window_len=3), DoubleLinker(), AcceptAllJudge(), IdentityExpander())
 
     def test_pronoun_span_kept_with_warning(self):
         doc = Document("d", ("she", "smiled"), ("Jane",))
@@ -397,7 +412,7 @@ class TestExpandPass:
 
             def expand(self, request):
                 out = {k: list(ms) for k, ms in request.seeds.items()}
-                out["Ann"] = list(out["Ann"]) + [Mention(request.hi - request.lo, request.hi - request.lo)]
+                out["Ann"] = list(out["Ann"]) + [Mention(request.hi, request.hi)]
                 return out
 
         plan = plan_windows(doc, 10, "strict")
@@ -413,7 +428,7 @@ class TestExpandPass:
 
             def expand(self, request):
                 out = dict(request.seeds)
-                out["Ghost"] = [Mention(0, 0)]
+                out["Ghost"] = [Mention(request.lo, request.lo)]
                 return out
 
         plan = plan_windows(doc, 10, "strict")
@@ -429,8 +444,8 @@ class TestExpandPass:
 
             def expand(self, request):
                 out = {k: list(ms) for k, ms in request.seeds.items()}
-                out["Ann"] = list(out["Ann"]) + [Mention(5, 5)]
-                out["Ben"] = list(out["Ben"]) + [Mention(5, 5)]
+                out["Ann"] = list(out["Ann"]) + [Mention(request.lo, request.lo)]
+                out["Ben"] = list(out["Ben"]) + [Mention(request.lo, request.lo)]
                 return out
 
         plan = plan_windows(doc, 10, "strict")
@@ -453,7 +468,7 @@ class TestExpandPass:
                 self._gold = gold
 
             def expand(self, request):
-                window = shift(restrict(self._gold, request.lo, request.hi), -request.lo)
+                window = restrict(self._gold, request.lo, request.hi)
                 return {
                     k: (window.clusters.get(k, ()) if request.seeds[k] else ())
                     for k in request.seeds

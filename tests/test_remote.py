@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import select
@@ -156,6 +157,26 @@ class TestWireComponents:
         out = expander.expand(request)
         assert set(out) == {"Ann", "Ben"}
         assert list(out["Ann"]) == [Mention(0, 0)]
+
+    def test_expand_sends_window_offsets_and_returns_book_offsets(self, service):
+        _, url = service
+        client = client_for(url)
+        sent = []
+        post = client.transport.post
+
+        def recording_post(route, body):
+            sent.append(body)
+            return post(route, body)
+
+        client.transport.post = recording_post
+        # the window [2, 6) of DOC: seeds in book offsets, tokens[i] is book token 2 + i
+        request = ExpandRequest("wire", 2, 6, DOC.tokens[2:6], {"Ann": (Mention(5, 5),), "Ben": (Mention(2, 2),)})
+        out = HttpExpander(client).expand(request)
+        body = b'{"seeds":{"Ann":[[3,3]],"Ben":[[0,0]]},"tokens":["Ben","and","bad","Ann"]}'
+        assert sent == [body]
+        assert client.log[0]["request"] == hashlib.sha256(b"/expand\n" + body).hexdigest()
+        # the echo service replies in window offsets; the expander answers in book offsets
+        assert {key: list(ms) for key, ms in out.items()} == {"Ann": [Mention(5, 5)], "Ben": [Mention(2, 2)]}
 
     def test_retry_recovers_from_transient_500(self, service):
         server, url = service
