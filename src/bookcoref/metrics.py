@@ -334,10 +334,13 @@ def linking_prf(key: ClusterSet, response: ClusterSet) -> PRF:
         raise ContractError("linking requires character-keyed response clusters, got anonymous keys")
     if any(not isinstance(k, str) for k in key.clusters):
         raise ContractError("linking requires character-keyed key clusters, got anonymous keys")
-    key_pairs = key.pairs()
-    resp_pairs = response.pairs()
-    tp = len(key_pairs & resp_pairs)
-    return PRF.from_counts(tp, len(resp_pairs), tp, len(key_pairs))
+    # counted per character, which equals counting the (span, key) pairs
+    # without building a tuple per pair
+    key_ms = key.clusters
+    tp = sum(len(set(ms).intersection(key_ms[k])) for k, ms in response.clusters.items() if k in key_ms)
+    n_response = sum(len(set(ms)) for ms in response.clusters.values())
+    n_key = sum(len(set(ms)) for ms in key_ms.values())
+    return PRF.from_counts(tp, n_response, tp, n_key)
 
 
 def chain_distance(positions: Sequence[int]) -> tuple[int, int]:

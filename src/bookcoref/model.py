@@ -9,9 +9,9 @@ hashes and sorts like that plain tuple, so sets, sorts and comparisons of
 mentions run at C speed, and only construction checks the range.
 
 All types are immutable after construction; the operations in this module
-(:func:`validate`, :func:`restrict`, :func:`union`, :func:`shift`,
-:func:`drop_empty`) are pure functions, so values can be shared freely across
-threads.
+(:func:`validate`, :func:`cut`, :func:`restrict`, :func:`union`,
+:func:`shift`, :func:`drop_empty`) are pure functions, so values can be
+shared freely across threads.
 
 The JSON form of a cluster map, ``{name: [[start, end], ...]}``, is built
 and read only here, by :func:`clusters_to_json` and
@@ -20,15 +20,18 @@ and read only here, by :func:`clusters_to_json` and
 :class:`ClusterSet` holds each cluster as a tuple sorted by ``(start, end)``:
 its constructor sorts any cluster that is not, so sets built from the same
 mentions in any order are equal, and this module's operations keep the
-order by construction. :func:`restrict` is the one window-slicing operation:
-it bisects each sorted cluster for the mentions that start in the window,
-so a window costs O(C log M + k) for C clusters, M mentions and k kept, and
-slicing a book into W windows is O(W C log M + M) rather than O(W M).
+order by construction. :func:`cut` is the one window-slicing operation: it
+slices a set at every range of a window plan in one pass, bisecting each
+sorted cluster for the mentions that start inside the plan and walking those
+once, so a plan of W windows costs O(C log M + M) for C clusters and M
+mentions (plus the O(W C) entries of its W result sets) rather than W
+passes over every cluster. :func:`restrict` is its one-range case, O(C log M
++ k) for the k mentions that start in the range.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -266,6 +269,10 @@ class ClusterSet:
         _check_stage(stage)
         return _sorted_set(self.doc_id, stage, self.clusters)
 
+    def with_doc_id(self, doc_id: str) -> "ClusterSet":
+        """The same clusters and stage under another document id (a window's)."""
+        return _sorted_set(doc_id, self.stage, self.clusters)
+
     def advanced(self) -> "ClusterSet":
         """Move to the next stage of the pipeline chain."""
         nxt = _NEXT_STAGE.get(self.stage)
@@ -376,6 +383,55 @@ def check_bounds(doc: Document, cs: ClusterSet) -> None:
             )
 
 
+def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
+    """Slice ``cs`` at every range of a plan at once: element ``i`` equals
+    ``restrict(cs, *ranges[i])``, the same keys in the same order, empty
+    clusters and duplicates kept, offsets in global coordinates.
+
+    ``ranges`` are ``[lo, hi)`` token ranges, sorted and non-overlapping;
+    gaps between them and empty ``[lo, lo)`` ranges are allowed. A range
+    with ``lo < 0`` or ``hi < lo``, or one that starts before the previous
+    range ends, raises :class:`SpanRangeError` naming it.
+
+    Cost: each cluster is sorted by ``(start, end)``, so two ``bisect``
+    lookups find the mentions that start inside the plan's span, and one walk
+    over those, a range at a time, drops each into its range (those that end
+    past it are dropped): O(C log M + M) for a plan over C clusters and M
+    mentions, plus a bisect per cluster and range it holds mentions in. The
+    W result sets share one key order and hold O(W C) entries, as W calls
+    of :func:`restrict` would.
+    """
+    prev = 0
+    for lo, hi in ranges:
+        if lo < 0 or hi < lo:
+            raise SpanRangeError(f"invalid restriction range [{lo}, {hi})")
+        if lo < prev:
+            raise SpanRangeError(
+                f"restriction range [{lo}, {hi}) overlaps or precedes the range before it, which ends at {prev}"
+            )
+        prev = hi
+    if not ranges:
+        return []
+    los = [lo for lo, _ in ranges]
+    his = [hi for _, hi in ranges]
+    first, last = (los[0],), (his[-1],)
+    out: list[dict[ClusterKey, tuple[Mention, ...]]] = [dict.fromkeys(cs.clusters, ()) for _ in ranges]
+    for key, ms in cs.clusters.items():
+        i = bisect_left(ms, first)
+        end = bisect_left(ms, last, i)
+        while i < end:
+            # the last range that starts at or before this mention
+            j = bisect_right(los, ms[i][0]) - 1
+            hi = his[j]
+            if ms[i][0] >= hi:  # in the gap after range j: skip to range j + 1
+                i = bisect_left(ms, (los[j + 1],), i, end)
+                continue
+            k = bisect_left(ms, (hi,), i, end)
+            out[j][key] = tuple([m for m in ms[i:k] if m[1] < hi])
+            i = k
+    return [_sorted_set(cs.doc_id, cs.stage, clusters) for clusters in out]
+
+
 def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:
     """Keep exactly the mentions fully contained in the token range [lo, hi).
 
@@ -383,23 +439,17 @@ def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:
     as empty entries so character keys survive a later :func:`union`.
     Mentions keep their order, and duplicates are kept.
 
-    Cost: each cluster is sorted by ``(start, end)``, so two ``bisect``
-    lookups find the mentions that start inside the range, and only those
-    are examined: O(C log M + k) for C clusters and k mentions starting in
-    the range. The ones that end past ``hi`` are dropped.
+    This is :func:`cut` over the one range ``[lo, hi)``: two ``bisect``
+    lookups per sorted cluster find the mentions that start inside the
+    range, and only those are examined, so it costs O(C log M + k) for C
+    clusters and k mentions starting in the range. To slice a whole plan,
+    call :func:`cut` once rather than this once per window.
     """
-    if lo < 0 or hi < lo:
-        raise SpanRangeError(f"invalid restriction range [{lo}, {hi})")
-    lo_key, hi_key = (lo,), (hi,)
-    out: dict[ClusterKey, tuple[Mention, ...]] = {}
-    for key, ms in cs.clusters.items():
-        inside = ms[bisect_left(ms, lo_key) : bisect_left(ms, hi_key)]
-        out[key] = tuple([m for m in inside if m[1] < hi])
-    return _sorted_set(cs.doc_id, cs.stage, out)
+    return cut(cs, [(lo, hi)])[0]
 
 
 def drop_empty(cs: ClusterSet) -> ClusterSet:
-    """The same set without its empty clusters (e.g. after :func:`restrict`,
+    """The same set without its empty clusters (e.g. after :func:`cut`,
     when a window is scored or written out on its own)."""
     return _sorted_set(cs.doc_id, cs.stage, {key: ms for key, ms in cs.clusters.items() if ms})
 

@@ -38,6 +38,7 @@ from .model import (
     ClusterSet,
     Document,
     Mention,
+    cut,
     restrict,
     union,
 )
@@ -447,14 +448,14 @@ def refine(
 
 def _expand_window(
     doc: Document,
-    cs: ClusterSet,
+    seeds: ClusterSet,
     lo: int,
     hi: int,
     expander: Expander,
     target_stage: str,
 ) -> tuple[ClusterSet, int]:
-    """Expand one range; returns the expanded part and its seed count."""
-    seeds = restrict(cs, lo, hi)
+    """Expand one range from its seeds (the set cut to the range); returns
+    the expanded part and its seed count."""
     raw = expander.expand(ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], seeds.clusters))
     span_owner: dict[Mention, ClusterKey] = {}
     out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(seeds.clusters, ())
@@ -479,7 +480,7 @@ def _expand_window(
                 raise ContractError(
                     f"expander dropped seed mention ({m.start},{m.end}) of {key!r} in window [{lo},{hi})"
                 )
-    return ClusterSet(cs.doc_id, target_stage, out), seeds.n_mentions
+    return ClusterSet(seeds.doc_id, target_stage, out), seeds.n_mentions
 
 
 def expand_pass(
@@ -491,10 +492,12 @@ def expand_pass(
     *,
     executor: Executor | None = None,
 ) -> ClusterSet:
-    """One expansion sweep: restrict to each plan range, expand, verify the
-    contracts, and union across ranges. The expander calls run on
-    ``executor`` if one is given, else on the calling thread; component
-    errors pass through unretried.
+    """One expansion sweep: cut the set at every plan range, expand each
+    range from its seeds, verify the contracts, and union across ranges. The
+    set is sliced once, on the calling thread, by
+    :func:`~bookcoref.model.cut` (O(C log M + M) for C clusters and M
+    mentions); the expander calls run on ``executor`` if one is given, else
+    on the calling thread; component errors pass through unretried.
 
     A window plan advances refined -> window_expanded; a grouped plan
     advances window_expanded -> final.
@@ -509,16 +512,21 @@ def expand_pass(
         label = "window"
     if cs.stage != expected:
         raise StageError(f"{label} expansion expects stage {expected!r}, got {cs.stage!r}")
-    # refuse plans that would silently lose boundary-crossing mentions
-    starts = [lo for lo, _ in ranges]
-    for key, m in cs.mentions():
-        i = bisect_right(starts, m.start) - 1
-        if i < 0 or not m.within(*ranges[i]):
-            raise PlanningError(
-                f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
-                f"plan with boundary_rule='mention_safe' and this cluster set as guard"
-            )
-    results = _map_in_order(lambda rng: _expand_window(doc, cs, *rng, expander, target), ranges, executor)
+    parts = cut(cs, ranges)
+    # refuse plans that would silently lose boundary-crossing mentions: the
+    # parts keep every mention unless one crosses; only then is it looked up
+    if sum(part.n_mentions for part in parts) != cs.n_mentions:
+        starts = [lo for lo, _ in ranges]
+        for key, m in cs.mentions():
+            i = bisect_right(starts, m.start) - 1
+            if i < 0 or not m.within(*ranges[i]):
+                raise PlanningError(
+                    f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
+                    f"plan with boundary_rule='mention_safe' and this cluster set as guard"
+                )
+    results = _map_in_order(
+        lambda item: _expand_window(doc, item[1], *item[0], expander, target), list(zip(ranges, parts)), executor
+    )
 
     if trace is not None:
         for rng, (part, seeds) in zip(ranges, results):

@@ -1,14 +1,26 @@
 import hashlib
 import json
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from bookcoref import harness, windowing
-from bookcoref.formats import CorpusFile, DocumentRecord
-from bookcoref.harness import Setting, evaluate
+from bookcoref import harness, model, pipeline, windowing
+from bookcoref.formats import CorpusFile, DocumentRecord, dumps_jsonl
+from bookcoref.harness import SETTINGS, Setting, evaluate
+from bookcoref.metrics import linking_prf
 from bookcoref.model import ClusterSet, Document
-from bookcoref.windowing import plan_windows, split_corpus
+from bookcoref.pipeline import (
+    IdentityExpander,
+    OracleExpander,
+    OracleJudge,
+    OracleLinker,
+    PipelineConfig,
+    expand_pass,
+    pattern_match,
+    run,
+)
+from bookcoref.windowing import plan_groups, plan_windows, split_corpus
 
 
 def doc_with(doc_id, n, gold_clusters, characters=("A", "B")):
@@ -129,9 +141,10 @@ class TestAlignment:
         assert run.pooled.conll_f1 == pytest.approx(1.0)
 
 
-class TestRestrictOncePerWindow:
-    """Each cluster set is sliced once per window, however many things the
-    caller derives from the slice (kept counts, crossings, window records)."""
+class TestCutOncePerPlan:
+    """Each cluster set is sliced by one ``cut`` per window plan, however many
+    things the caller derives from the parts (kept counts, crossings, window
+    records), and no windowed path calls ``restrict``."""
 
     @staticmethod
     def corpus():
@@ -140,39 +153,64 @@ class TestRestrictOncePerWindow:
         return CorpusFile([rec, doc_with("b2", 300, {"A": [(3, 3), (9, 9)]})])
 
     @staticmethod
-    def count_restricts(monkeypatch, module):
-        calls = Counter()
-        real = module.restrict
+    def count_calls(monkeypatch, module):
+        """Count ``module.cut`` calls by (set, ranges); any ``restrict`` call
+        in the windowed paths' modules is counted too."""
+        cuts, restricts = Counter(), Counter()
+        real = module.cut
 
-        def counting(cs, lo, hi):
-            calls[id(cs), lo, hi] += 1
-            return real(cs, lo, hi)
+        def counting(cs, ranges):
+            cuts[id(cs), tuple(ranges)] += 1
+            return real(cs, ranges)
 
-        monkeypatch.setattr(module, "restrict", counting)
-        return calls
+        def counting_restrict(real_restrict):
+            def wrapper(cs, lo, hi):
+                restricts[id(cs), lo, hi] += 1
+                return real_restrict(cs, lo, hi)
+
+            return wrapper
+
+        monkeypatch.setattr(module, "cut", counting)
+        for mod in (model, windowing, harness, pipeline):
+            if hasattr(mod, "restrict"):
+                monkeypatch.setattr(mod, "restrict", counting_restrict(mod.restrict))
+        return cuts, restricts
 
     @staticmethod
-    def once_per_window(pairs):
-        return Counter(
-            {(id(cs), lo, hi): 1 for doc, cs in pairs for lo, hi in plan_windows(doc, 500).windows}
-        )
+    def once_per_plan(pairs):
+        return Counter({(id(cs), plan.windows): 1 for plan, cs in pairs})
 
     def test_split_corpus(self, monkeypatch):
         corpus = self.corpus()
-        calls = self.count_restricts(monkeypatch, windowing)
+        cuts, restricts = self.count_calls(monkeypatch, windowing)
         result = split_corpus(corpus, 500)
         assert [(m.start, m.end) for *_, m in result.crossings] == [(498, 502), (999, 1001), (499, 500)]
-        sets = [(rec.document, cs) for rec in corpus.records for cs in rec.cluster_sets.values()]
-        assert calls == self.once_per_window(sets)
+        sets = [(plan_windows(rec.document, 500), cs) for rec in corpus.records for cs in rec.cluster_sets.values()]
+        assert cuts == self.once_per_plan(sets)
+        assert restricts == Counter()
 
     def test_gold_plus_window(self, monkeypatch):
         key = self.corpus()
         response = as_prediction(key)
-        calls = self.count_restricts(monkeypatch, harness)
+        cuts, restricts = self.count_calls(monkeypatch, harness)
         evaluate(Setting("gold_plus_window", 500), key, response)
-        sets = [(rec.document, rec.cluster_sets["gold"]) for rec in key.records]
-        sets += [(rec.document, rec.cluster_sets["prediction"]) for rec in response.records]
-        assert calls == self.once_per_window(sets)
+        sets = [(plan_windows(rec.document, 500), rec.cluster_sets["gold"]) for rec in key.records]
+        sets += [(plan_windows(rec.document, 500), rec.cluster_sets["prediction"]) for rec in response.records]
+        assert cuts == self.once_per_plan(sets)
+        assert restricts == Counter()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_expand_pass_window_and_group(self, monkeypatch, jobs):
+        rec = self.corpus().records[0]
+        doc, refined = rec.document, rec.cluster_sets["gold"].with_stage("refined")
+        cuts, restricts = self.count_calls(monkeypatch, pipeline)
+        plan = plan_windows(doc, 300, "mention_safe", refined)
+        grouped = plan_groups(plan, 2)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            expanded = expand_pass(doc, refined, plan, IdentityExpander(), executor=pool)
+            expand_pass(doc, expanded, grouped, IdentityExpander(), executor=pool)
+        assert cuts == Counter({(id(refined), plan.windows): 1, (id(expanded), grouped.groups): 1})
+        assert restricts == Counter()
 
 
 class TestArtifacts:
@@ -275,3 +313,75 @@ class TestUnitBookkeeping:
         assert [u for u, _ in run.units] == units
         assert run.missing_units == missing
         assert run.unmatched_responses == unmatched
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pattern_response(gold_corpus):
+    """The exact-name-matching baseline's links, as a response corpus."""
+    return CorpusFile(
+        [DocumentRecord(rec.document, {"prediction": pattern_match(rec.document).with_stage("prediction")})
+         for rec in gold_corpus.records]
+    )
+
+
+class TestSeed13OutputsArePinned:
+    """sha256 digests of what the windowed paths produce on the seed-13
+    corpus: the split corpus, the three settings' runs, character-linking
+    scores and the oracle pipeline's predictions with their traces."""
+
+    #: dumps_jsonl of the split corpus, then its crossings as JSON, per max_len
+    SPLIT = {
+        1500: "c23d4212412b710d6096143eabf6d7c6e2f5df8f0656bcfe6d095188bd0e0c07",
+        700: "001bd5a0d09b1450a7cc48a6f30d92c9916dbade4259e0aefda6379ee0350170",
+    }
+    #: run_digest of the gold corpus scored against the pattern baseline
+    EVAL = {
+        "full_book": "105933587cb99d401901086ed69f24d98ed0a6934f33d1aab1dbe45eff4077c9",
+        "split": "2be340ddf6dd6ee64e7db4ca799ce415f123f3e04018ec0eccb188e7f90a6ef3",
+        "gold_plus_window": "001f9891925e40360da70884980a6bfbd51c302ca4bab09425ec714b49de009d",
+    }
+    #: the per-document linking_prf of the pattern baseline against gold
+    LINKING = "3277757232539c8af33e603c1eb8fe9eb2034d5ff3b1c364c7c53797bc9359b2"
+    #: the oracle pipeline's prediction JSONL, then its traces without timings
+    PIPELINE = (
+        "8f6a253c31f7cdde8757fff6b4638c0f8976f6c43d402ce02ad33956b70a6a35",
+        "e40a1dc86d4057884a708f9c9d17d2b85de7cc95fffe9f5a89208e98f0ffcd4e",
+    )
+
+    @pytest.mark.parametrize("max_len", sorted(SPLIT))
+    def test_split_corpus(self, gold_corpus, max_len):
+        result = split_corpus(gold_corpus, max_len)
+        crossings = [[doc_id, name, str(key), list(m)] for doc_id, name, key, m in result.crossings]
+        assert sha256(dumps_jsonl(result.corpus) + json.dumps(crossings)) == self.SPLIT[max_len]
+
+    @pytest.mark.parametrize("kind", SETTINGS)
+    def test_evaluate(self, gold_corpus, pattern_response, kind):
+        response = split_corpus(pattern_response).corpus if kind == "split" else pattern_response
+        assert run_digest(evaluate(Setting(kind), gold_corpus, response)) == self.EVAL[kind]
+
+    def test_linking_prf(self, gold_corpus, pattern_response):
+        responses = pattern_response.by_id()
+        scores = [
+            linking_prf(rec.cluster_sets["gold"], responses[rec.document.doc_id].cluster_sets["prediction"]).to_dict()
+            for rec in gold_corpus.records
+        ]
+        assert sha256(json.dumps(scores, sort_keys=True)) == self.LINKING
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_oracle_pipeline(self, gold_corpus, jobs):
+        out = CorpusFile()
+        traces = []
+        for rec in gold_corpus.records:
+            gold = rec.cluster_sets["gold"]
+            final, trace = run(
+                rec.document, PipelineConfig(jobs=jobs), OracleLinker(gold), OracleJudge(gold), OracleExpander(gold)
+            )
+            out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
+            trace_dict = trace.to_dict()
+            trace_dict.pop("stage_seconds")
+            traces.append(trace_dict)
+        assert (sha256(dumps_jsonl(out, "prediction")), sha256(json.dumps(traces, sort_keys=True))) == self.PIPELINE

@@ -18,6 +18,7 @@ from bookcoref.model import (
     Mention,
     clusters_from_json,
     clusters_to_json,
+    cut,
     drop_empty,
     prediction_key,
     restrict,
@@ -261,6 +262,69 @@ def test_indexed_restrict_equals_scan(data):
     assert restrict(x, 0, 50) == x
     assert repr(x) == shown
     assert x == fresh and repr(fresh) == shown
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_cut_equals_a_scan_per_range(data):
+    """``cut`` over a plan equals a scan per range. The ranges are drawn as
+    consecutive pairs of sorted points, each kept or not: a kept pair next
+    to a kept pair shares its edge, a dropped one leaves a gap, and equal
+    points make empty ranges; edges fall on mention edges as well as
+    anywhere, so mentions straddle edges, and mentions start past the last
+    range."""
+    x = data.draw(raw_cluster_sets())
+    shown = repr(x)
+    edges = [0, 50] + [v for _, m in x.mentions() for v in (m.start, m.end, m.end + 1)]
+    point = st.one_of(st.sampled_from(edges), st.integers(0, 50))
+    points = sorted(data.draw(st.lists(point, max_size=10)))
+    pairs = list(zip(points, points[1:]))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    ranges = [pair for pair, kept in zip(pairs, keep) if kept]
+    got = cut(x, ranges)
+    assert [list(part.clusters.items()) for part in got] == [list(scan(x, lo, hi).items()) for lo, hi in ranges]
+    assert all(type(ms) is tuple for part in got for ms in part.clusters.values())
+    assert all((part.doc_id, part.stage) == (x.doc_id, x.stage) for part in got)
+    assert repr(x) == shown
+
+
+class TestCut:
+    X = cs(
+        {"Darcy": [(0, 1), (2, 4), (3, 3), (3, 3), (4, 6), (9, 9), (12, 12)], "Bingley": [], "Jane": [(5, 5), (7, 8)]}
+    )
+
+    def test_gaps_adjacent_and_empty_ranges(self):
+        parts = cut(self.X, [(0, 4), (4, 4), (4, 7), (8, 11)])
+        assert [part.clusters for part in parts] == [
+            {"Darcy": ((0, 1), (3, 3), (3, 3)), "Bingley": (), "Jane": ()},
+            {"Darcy": (), "Bingley": (), "Jane": ()},
+            {"Darcy": ((4, 6),), "Bingley": (), "Jane": ((5, 5),)},
+            {"Darcy": ((9, 9),), "Bingley": (), "Jane": ()},
+        ]
+        # (2, 4) straddles an edge of two adjacent ranges, (7, 8) the end of
+        # a gap, and (12, 12) lies past the last range
+        assert parts == [restrict(self.X, lo, hi) for lo, hi in [(0, 4), (4, 4), (4, 7), (8, 11)]]
+
+    def test_no_ranges(self):
+        assert cut(self.X, []) == []
+
+    @pytest.mark.parametrize(
+        "ranges, message",
+        [
+            ([(-1, 2)], r"^invalid restriction range \[-1, 2\)$"),
+            ([(0, 3), (5, 2)], r"^invalid restriction range \[5, 2\)$"),
+            ([(3, 6), (0, 2)], r"^restriction range \[0, 2\) overlaps or precedes the range before it, which ends at 6$"),
+            ([(0, 5), (4, 8)], r"^restriction range \[4, 8\) overlaps or precedes the range before it, which ends at 5$"),
+        ],
+    )
+    def test_bad_ranges_are_named(self, ranges, message):
+        with pytest.raises(SpanRangeError, match=message):
+            cut(self.X, ranges)
+
+    def test_restrict_error_text_is_unchanged(self):
+        for lo, hi in [(5, 2), (-1, 2)]:
+            with pytest.raises(SpanRangeError, match=rf"^invalid restriction range \[{lo}, {hi}\)$"):
+                restrict(self.X, lo, hi)
 
 
 def test_restrict_from_eight_threads_is_identical():
