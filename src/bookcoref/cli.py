@@ -191,14 +191,15 @@ def _cmd_score_linking(args: argparse.Namespace) -> int:
         per_doc.append((rec.document.doc_id, prf))
         p, r, f1 = prf.as_percentages()
         print(f"{rec.document.doc_id}: P={p:.1f} R={r:.1f} F1={f1:.1f}")
-    pp, rr, _ = pool_prf([prf for _, prf in per_doc]).as_percentages()
-    print(f"pooled: P={pp:.1f} R={rr:.1f}")
+    pooled = pool_prf([prf for _, prf in per_doc])
+    pp, rr, ff = pooled.as_percentages()
+    print(f"pooled: P={pp:.1f} R={rr:.1f} F1={ff:.1f}")
     _write_json(
         args,
         {
             "command": "score-linking",
             "per_doc": {doc: prf.to_dict() for doc, prf in per_doc},
-            "pooled": {"precision_pct": pp, "recall_pct": rr},
+            "pooled": {"precision_pct": pp, "recall_pct": rr, "f1_pct": ff, "counts": pooled.to_dict()["counts"]},
         },
     )
     return 0

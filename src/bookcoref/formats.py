@@ -43,9 +43,6 @@ class DocumentRecord:
     document: Document
     cluster_sets: dict[str, ClusterSet] = field(default_factory=dict)
 
-    def get(self, name: str) -> ClusterSet | None:
-        return self.cluster_sets.get(name)
-
     def only(self) -> ClusterSet:
         """The sole cluster set, when exactly one is attached."""
         if len(self.cluster_sets) != 1:
@@ -69,9 +66,6 @@ class CorpusFile:
 
     def by_id(self) -> dict[str, DocumentRecord]:
         return {r.document.doc_id: r for r in self.records}
-
-    def doc_ids(self) -> list[str]:
-        return [r.document.doc_id for r in self.records]
 
 
 def _undecodable(path: str) -> ParseError:
@@ -253,11 +247,12 @@ def _check_row_text(doc: Document) -> None:
         )
 
 
-def write_conll(corpus: CorpusFile, path: str, clusters_from: str | None = None) -> None:
+def write_conll(corpus: CorpusFile, path: str) -> None:
     """Export to CoNLL-2012 layout: doc id, part, index, token, coref column.
 
-    Character names are lost; cluster keys become integer ids assigned in
-    first-mention order. Every record is checked and labelled before the file
+    Each record's "gold" set is written, else its sole set. Character names
+    are lost; cluster keys become integer ids assigned in first-mention
+    order. Every record is checked and labelled before the file
     is opened, so a bad record (see :func:`_check_row_text`) leaves no output
     behind; each document is then written with one call. The cost is linear
     in tokens plus mentions.
@@ -266,7 +261,7 @@ def write_conll(corpus: CorpusFile, path: str, clusters_from: str | None = None)
     for rec in corpus.records:
         doc = rec.document
         _check_row_text(doc)
-        docs.append((doc, _coref_labels(_pick_clusters(rec, clusters_from), len(doc.tokens))))
+        docs.append((doc, _coref_labels(_pick_clusters(rec, None), len(doc.tokens))))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc, labels in docs:
             prefix = f"{doc.doc_id}\t0\t"
@@ -344,9 +339,3 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     except UnicodeDecodeError as e:
         raise _undecodable(path) from e
     return corpus
-
-
-def dumps_jsonl(corpus: CorpusFile, clusters_from: str | None = None) -> str:
-    """In-memory variant of :func:`write_jsonl`: the file's text as a string."""
-    out = [_record_line(rec, clusters_from) for rec in corpus.records]
-    return "\n".join(out) + ("\n" if out else "")

@@ -1,7 +1,10 @@
 """Evaluation harness: the three scoring settings, count pooling, and run
 artifacts.
 
-Settings differ only in their units; one loop scores them all.
+Settings differ only in their units; one loop scores them all. A key
+document is scored from its ``gold`` cluster set and a response document
+from its ``prediction`` set; a record that carries one set under another
+name is scored from that set.
 
 * ``full_book``        - score whole documents against each other; every key
   document is a unit, even one with no mentions on either side.
@@ -133,22 +136,20 @@ _Unit = tuple[str, ClusterSet, ClusterSet | None]
 _Lookup = Callable[[Document], ClusterSet | None]
 
 
-def _document_units(docs: CorpusFile, key_name: str, response_for: _Lookup) -> Iterator[_Unit]:
+def _document_units(docs: CorpusFile, response_for: _Lookup) -> Iterator[_Unit]:
     """full_book's units, and split's once the key corpus is cut into windows."""
     for rec in docs.records:
-        key_cs = _pick(rec, key_name)
+        key_cs = _pick(rec, "gold")
         if key_cs is not None:
             yield rec.document.doc_id, key_cs, response_for(rec.document)
 
 
-def _window_units(
-    docs: CorpusFile, key_name: str, response_for: _Lookup, window_len: int, missing: list[str]
-) -> Iterator[_Unit]:
+def _window_units(docs: CorpusFile, response_for: _Lookup, window_len: int, missing: list[str]) -> Iterator[_Unit]:
     """gold_plus_window's units: each side of a document is sliced at every
     window by one :func:`~bookcoref.model.cut`. A missing response is flagged
     here, for the document, and its windows are scored against an empty set."""
     for rec in docs.records:
-        key_cs = _pick(rec, key_name)
+        key_cs = _pick(rec, "gold")
         if key_cs is None:
             continue
         doc_id = rec.document.doc_id
@@ -165,8 +166,6 @@ def evaluate(
     setting: Setting,
     key_corpus: CorpusFile,
     response_corpus: CorpusFile,
-    key_name: str = "gold",
-    response_name: str = "prediction",
     drop_singletons: bool = True,
 ) -> EvalRun:
     """Score a response corpus against a key corpus under one setting.
@@ -190,14 +189,14 @@ def evaluate(
                 f"response document {resp.document.doc_id!r} has {len(resp.document)} tokens, "
                 f"but key document {key_doc.doc_id!r} has {len(key_doc)}"
             )
-        return _pick(resp, response_name) if resp is not None else None
+        return _pick(resp, "prediction") if resp is not None else None
 
     if setting.kind == "gold_plus_window":
-        units = _window_units(key_corpus, key_name, response_for, setting.window_len, run.missing_units)
+        units = _window_units(key_corpus, response_for, setting.window_len, run.missing_units)
     elif setting.kind == "split":
-        units = _document_units(split_corpus(key_corpus, setting.window_len).corpus, key_name, response_for)
+        units = _document_units(split_corpus(key_corpus, setting.window_len).corpus, response_for)
     else:
-        units = _document_units(key_corpus, key_name, response_for)
+        units = _document_units(key_corpus, response_for)
 
     skip_empty = setting.kind != "full_book"
     for unit_id, key_cs, resp_cs in units:

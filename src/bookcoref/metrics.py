@@ -228,24 +228,21 @@ def ceaf_phi4(key: Clustering | ClusterSet, response: Clustering | ClusterSet) -
 
 @dataclass(frozen=True, slots=True)
 class ScoreReport:
-    """The three coreference metrics for one scoring unit, plus their mean."""
+    """The three coreference metrics for one scoring unit, plus their mean.
+    Character linking is scored apart, by :func:`linking_prf`."""
 
     muc: PRF
     b3: PRF
     ceaf: PRF
     conll_f1: float
-    linking: PRF | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "muc": self.muc.to_dict(),
             "b3": self.b3.to_dict(),
             "ceaf_phi4": self.ceaf.to_dict(),
             "conll_f1": self.conll_f1,
         }
-        if self.linking is not None:
-            d["linking"] = self.linking.to_dict()
-        return d
 
     def row(self) -> str:
         return (
@@ -265,9 +262,9 @@ def conll(
     key: Clustering | ClusterSet,
     response: Clustering | ClusterSet,
     drop_singletons: bool = True,
-    linking: PRF | None = None,
 ) -> ScoreReport:
     """Score all three metrics; CoNLL-F1 is exactly their arithmetic mean.
+    Character linking is not part of the report (see :func:`linking_prf`).
 
     Empty clusters are always dropped before scoring; singletons are dropped
     by default (the gold data has none, and the established scorer setup on
@@ -277,7 +274,7 @@ def conll(
     m = _prf(_muc_links, recall, precision)
     b = _prf(_b3_overlap, recall, precision)
     c = _ceaf_phi4(recall, precision)
-    return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0, linking)
+    return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0)
 
 
 def pool_prf(prfs: Sequence[PRF]) -> PRF:
@@ -299,10 +296,7 @@ def pool_reports(reports: Sequence[ScoreReport]) -> ScoreReport:
     m = pool_prf([r.muc for r in reports])
     b = pool_prf([r.b3 for r in reports])
     c = pool_prf([r.ceaf for r in reports])
-    link = None
-    if reports and all(r.linking is not None for r in reports):
-        link = pool_prf([r.linking for r in reports])  # type: ignore[list-item]
-    return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0, link)
+    return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0)
 
 
 def macro_reports(reports: Sequence[ScoreReport]) -> ScoreReport:
@@ -422,8 +416,9 @@ class CorpusStats:
         )
 
 
-def corpus_stats(corpus: CorpusFile, clusters_from: str = "gold") -> CorpusStats:
-    """Totals, per-document means, and micro-averaged chain statistics."""
+def corpus_stats(corpus: CorpusFile) -> CorpusStats:
+    """Totals, per-document means, and micro-averaged chain statistics, from
+    each record's ``gold`` cluster set, or its only set."""
     docs = len(corpus.records)
     tokens = 0
     mentions = 0
@@ -433,7 +428,7 @@ def corpus_stats(corpus: CorpusFile, clusters_from: str = "gold") -> CorpusStats
     per_doc_ratio: list[float] = []
     for rec in corpus.records:
         tokens += len(rec.document.tokens)
-        cs = rec.cluster_sets.get(clusters_from)
+        cs = rec.cluster_sets.get("gold")
         if cs is None and rec.cluster_sets:
             cs = rec.only()
         if cs is None:

@@ -9,9 +9,9 @@ hashes and sorts like that plain tuple, so sets, sorts and comparisons of
 mentions run at C speed, and only construction checks the range.
 
 All types are immutable after construction; the operations in this module
-(:func:`validate`, :func:`cut`, :func:`restrict`, :func:`union`,
-:func:`shift`, :func:`drop_empty`) are pure functions, so values can be
-shared freely across threads.
+(:func:`validate`, :func:`cut`, :func:`crossing_mentions`,
+:func:`restrict`, :func:`union`, :func:`shift`, :func:`drop_empty`) are pure
+functions, so values can be shared freely across threads.
 
 The JSON form of a cluster map, ``{name: [[start, end], ...]}``, is built
 and read only here, by :func:`clusters_to_json` and
@@ -26,7 +26,9 @@ sorted cluster for the mentions that start inside the plan and walking those
 once, so a plan of W windows costs O(C log M + M) for C clusters and M
 mentions (plus the O(W C) entries of its W result sets) rather than W
 passes over every cluster. :func:`restrict` is its one-range case, O(C log M
-+ k) for the k mentions that start in the range.
++ k) for the k mentions that start in the range. :func:`crossing_mentions`
+names the mentions a plan's cut drops because they cross a range edge: the
+corpus split reports them, and an expansion pass refuses them.
 """
 
 from __future__ import annotations
@@ -135,9 +137,9 @@ class Mention(tuple):
     Hashing, equality and ordering are the tuple's own: a mention equals the
     tuple ``(start, end)`` and hashes like it, sorts by ``(start, end)``,
     unpacks as ``start, end = m``, and ``json.dumps`` writes it as
-    ``[start, end]``. ``len(m)`` is the span length in tokens, not 2, so the
-    class is a plain tuple subclass: a ``NamedTuple``'s ``_make`` and
-    ``_replace`` would count ``len()``. ``pickle`` and ``copy`` rebuild a
+    ``[start, end]``. The class is a plain tuple subclass, not a
+    ``NamedTuple``: a ``NamedTuple``'s ``_make`` and ``_replace`` would build
+    a mention without the range check. ``pickle`` and ``copy`` rebuild a
     mention through the checking constructor.
     """
 
@@ -156,16 +158,6 @@ class Mention(tuple):
 
     def __repr__(self) -> str:
         return f"Mention(start={self[0]!r}, end={self[1]!r})"
-
-    def __len__(self) -> int:
-        return self[1] - self[0] + 1
-
-    def shifted(self, delta: int) -> "Mention":
-        return Mention(self[0] + delta, self[1] + delta)
-
-    def within(self, lo: int, hi: int) -> bool:
-        """True if the span lies fully inside the token range [lo, hi)."""
-        return lo <= self[0] and self[1] < hi
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,9 +230,6 @@ class ClusterSet:
         }
         return cls(doc_id, stage, norm)
 
-    def keys(self) -> Sequence[ClusterKey]:
-        return list(self.clusters)
-
     def sorted_keys(self) -> list[ClusterKey]:
         return sorted(self.clusters, key=_key_order)
 
@@ -258,12 +247,9 @@ class ClusterSet:
         """(span, key) pairs, the unit of character-linking evaluation."""
         return {(m, key) for key, ms in self.clusters.items() for m in ms}
 
-    def partition(self, drop_empty: bool = True) -> list[frozenset[Mention]]:
-        """Clusters as mention sets, for the coreference scorers."""
-        parts = [frozenset(ms) for _, ms in sorted(self.clusters.items(), key=lambda kv: _key_order(kv[0]))]
-        if drop_empty:
-            parts = [p for p in parts if p]
-        return parts
+    def partition(self) -> list[frozenset[Mention]]:
+        """Non-empty clusters as mention sets, for the coreference scorers."""
+        return [frozenset(self.clusters[key]) for key in self.sorted_keys() if self.clusters[key]]
 
     def with_stage(self, stage: str) -> "ClusterSet":
         _check_stage(stage)
@@ -430,6 +416,18 @@ def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
             out[j][key] = tuple([m for m in ms[i:k] if m[1] < hi])
             i = k
     return [_sorted_set(cs.doc_id, cs.stage, clusters) for clusters in out]
+
+
+def crossing_mentions(cs: ClusterSet, parts: Sequence[ClusterSet]) -> list[tuple[ClusterKey, Mention]]:
+    """The ``(key, mention)`` pairs of ``cs`` that no range of a plan holds
+    whole, in :meth:`ClusterSet.mentions` order, where ``parts`` is
+    ``cut(cs, ranges)``. The parts keep every mention that does not cross a
+    range edge, so when their sizes add up to ``cs.n_mentions`` there is
+    none and nothing is looked up."""
+    if sum(part.n_mentions for part in parts) == cs.n_mentions:
+        return []
+    contained = {m for part in parts for ms in part.clusters.values() for m in ms}
+    return [(key, m) for key, m in cs.mentions() if m not in contained]
 
 
 def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:

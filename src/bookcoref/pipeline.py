@@ -25,7 +25,6 @@ import hashlib
 import json
 import threading
 import time
-from bisect import bisect_right
 from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from .model import (
     ClusterSet,
     Document,
     Mention,
+    crossing_mentions,
     cut,
     restrict,
     union,
@@ -513,17 +513,14 @@ def expand_pass(
     if cs.stage != expected:
         raise StageError(f"{label} expansion expects stage {expected!r}, got {cs.stage!r}")
     parts = cut(cs, ranges)
-    # refuse plans that would silently lose boundary-crossing mentions: the
-    # parts keep every mention unless one crosses; only then is it looked up
-    if sum(part.n_mentions for part in parts) != cs.n_mentions:
-        starts = [lo for lo, _ in ranges]
-        for key, m in cs.mentions():
-            i = bisect_right(starts, m.start) - 1
-            if i < 0 or not m.within(*ranges[i]):
-                raise PlanningError(
-                    f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
-                    f"plan with boundary_rule='mention_safe' and this cluster set as guard"
-                )
+    # refuse plans that would silently lose boundary-crossing mentions
+    crossing = crossing_mentions(cs, parts)
+    if crossing:
+        key, m = crossing[0]
+        raise PlanningError(
+            f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
+            f"plan with boundary_rule='mention_safe' and this cluster set as guard"
+        )
     results = _map_in_order(
         lambda item: _expand_window(doc, item[1], *item[0], expander, target), list(zip(ranges, parts)), executor
     )

@@ -9,15 +9,13 @@ ceil(N / G) groups.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import ConfigError, PlanningError
 from .formats import CorpusFile, DocumentRecord
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
 # which checks that the tracer wraps it in every windowed module
-from .model import ClusterSet, Document, Mention, cut, drop_empty, restrict, shift  # noqa: F401
+from .model import ClusterSet, Document, Mention, crossing_mentions, cut, drop_empty, restrict, shift  # noqa: F401
 
 DEFAULT_WINDOW_LEN = 1500
 DEFAULT_GROUP_SIZE = 10
@@ -37,17 +35,6 @@ class WindowPlan:
     def __len__(self) -> int:
         return len(self.windows)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "doc_id": self.doc_id,
-                "max_len": self.max_len,
-                "boundary_rule": self.boundary_rule,
-                "windows": [list(w) for w in self.windows],
-            },
-            separators=(",", ":"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class GroupedWindowPlan:
@@ -60,19 +47,6 @@ class GroupedWindowPlan:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "doc_id": self.plan.doc_id,
-                "max_len": self.plan.max_len,
-                "boundary_rule": self.plan.boundary_rule,
-                "group_size": self.group_size,
-                "windows": [list(w) for w in self.plan.windows],
-                "groups": [list(g) for g in self.groups],
-            },
-            separators=(",", ":"),
-        )
 
 
 def plan_windows(
@@ -113,7 +87,7 @@ def plan_windows(
                 hi -= 1
             if hi == lo:
                 m = forbidden[lo + 1]
-                if len(m) > max_len:
+                if m[1] - m[0] + 1 > max_len:
                     raise PlanningError(
                         f"guard mention ({m.start},{m.end}) is longer than max_len={max_len}"
                     )
@@ -174,11 +148,7 @@ def split_corpus(corpus: CorpusFile, max_len: int = DEFAULT_WINDOW_LEN) -> Split
         # each set is cut once per plan; crossings and records share the parts
         parts = {name: cut(cs, plan.windows) for name, cs in rec.cluster_sets.items()}
         for name, cs in rec.cluster_sets.items():
-            if sum(part.n_mentions for part in parts[name]) != cs.n_mentions:
-                contained = {m for part in parts[name] for _, m in part.mentions()}
-                for key, m in cs.mentions():
-                    if m not in contained:
-                        crossings.append((doc.doc_id, name, key, m))
+            crossings += [(doc.doc_id, name, key, m) for key, m in crossing_mentions(cs, parts[name])]
         for i, (lo, hi) in enumerate(plan.windows, 1):
             meta = dict(doc.source or {})
             meta.update(
@@ -188,13 +158,3 @@ def split_corpus(corpus: CorpusFile, max_len: int = DEFAULT_WINDOW_LEN) -> Split
             sets = {name: shift(drop_empty(parts[name][i - 1]), -lo).with_doc_id(wdoc.doc_id) for name in parts}
             out.records.append(DocumentRecord(wdoc, sets))
     return SplitResult(out, crossings)
-
-
-def covers(ranges: Iterable[tuple[int, int]], n: int) -> bool:
-    """True if the ranges are contiguous, non-overlapping and cover [0, n)."""
-    pos = 0
-    for lo, hi in ranges:
-        if lo != pos or hi < lo:
-            return False
-        pos = hi
-    return pos == n

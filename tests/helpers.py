@@ -1,0 +1,25 @@
+"""Small helpers the tests share: a plan-coverage check, the text of a JSONL
+corpus, and the containment test that the reference restriction scans with."""
+
+from bookcoref.formats import _record_line
+
+
+def covers(ranges, n):
+    """True if the ranges are contiguous, non-overlapping and cover [0, n)."""
+    pos = 0
+    for lo, hi in ranges:
+        if lo != pos or hi < lo:
+            return False
+        pos = hi
+    return pos == n
+
+
+def jsonl_text(corpus, clusters_from=None):
+    """The text that ``write_jsonl(corpus, path, clusters_from)`` writes."""
+    out = [_record_line(rec, clusters_from) for rec in corpus.records]
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def within(m, lo, hi):
+    """True if the span ``m`` lies fully inside the token range [lo, hi)."""
+    return lo <= m[0] and m[1] < hi

@@ -348,11 +348,11 @@ def _prepare_reference(clustering, drop_singletons):
     return parts
 
 
-def conll_reference(key, response, drop_singletons=True, linking=None):
+def conll_reference(key, response, drop_singletons=True):
     k = _prepare_reference(key, drop_singletons)
     r = _prepare_reference(response, drop_singletons)
     m, b, c = muc_reference(k, r), b_cubed_reference(k, r), ceaf_phi4_reference(k, r)
-    return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0, linking)
+    return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0)
 
 
 def order_mentions_reference(

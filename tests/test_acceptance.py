@@ -31,8 +31,9 @@ from bookcoref.pipeline import (
     pattern_match,
     run,
 )
-from bookcoref.windowing import covers, plan_groups, plan_windows, split_corpus
+from bookcoref.windowing import plan_groups, plan_windows, split_corpus
 
+from helpers import covers
 from oracles import (
     b3_brute,
     ceaf_phi4_brute,

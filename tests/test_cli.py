@@ -217,7 +217,7 @@ class TestConvertAndSplit:
         out = tmp_path / "windows.jsonl"
         assert main(["split", tiny_jsonl, str(out), "--window-len", "10"]) == 0
         corpus = read_jsonl(str(out))
-        assert corpus.doc_ids() == ["tiny#w1", "tiny#w2"]
+        assert list(corpus.by_id()) == ["tiny#w1", "tiny#w2"]
         assert "0 boundary-crossing" in capsys.readouterr().out
 
 
@@ -250,6 +250,17 @@ class TestScoreCommands:
         out = capsys.readouterr().out
         # pattern matching finds Ann@0, Ben@8, Ben@13: precision 1, recall 3/6
         assert "pooled: P=100.0 R=50.0" in out
+
+    def test_score_linking_pools_f1_and_counts(self, tiny_jsonl, tmp_path, capsys):
+        """The pooled report carries F1 and the counts, as ``score``'s do."""
+        pred = tmp_path / "pred.jsonl"
+        assert main(["pipeline", "run", tiny_jsonl, str(pred), "--stages", "init", "--linker", "pattern"]) == 0
+        capsys.readouterr()
+        assert main(["score-linking", "--json", tiny_jsonl, str(pred)]) == 0
+        out = capsys.readouterr().out
+        assert "pooled: P=100.0 R=50.0 F1=66.7\n" in out
+        pooled = json.loads(out[out.index("\n{") + 1 :])["pooled"]
+        assert pooled == {"precision_pct": 100.0, "recall_pct": 50.0, "f1_pct": 66.7, "counts": [3, 3, 3, 6]}
 
     def test_rescores_external_prediction_file_with_anonymous_keys(self, tiny_jsonl, tmp_path, capsys):
         """Prediction files from third-party systems carry integer cluster
@@ -474,4 +485,4 @@ class TestSynthCommand:
         assert main(["synth", str(out)]) == 0
         assert "3 docs, 229257 tokens" in capsys.readouterr().out
         corpus = read_jsonl(str(out))
-        assert corpus.doc_ids() == gold_corpus.doc_ids()
+        assert list(corpus.by_id()) == list(gold_corpus.by_id())

@@ -10,7 +10,6 @@ from bookcoref.formats import (
     CorpusFile,
     DocumentRecord,
     _coref_labels,
-    dumps_jsonl,
     read_conll,
     read_jsonl,
     write_conll,
@@ -18,6 +17,7 @@ from bookcoref.formats import (
 )
 from bookcoref.metrics import conll
 from bookcoref.model import ClusterSet, Document, Mention, validate
+from helpers import jsonl_text
 from oracles import coref_labels_reference
 
 #: sha256 of the CoNLL export of the seed-13 reference corpus
@@ -98,7 +98,7 @@ class TestReadJsonl:
             ['{"doc_id":"x","tokens":["A","b"],"characters":[],"clusters":{"0":[[0,0]],"1":[[1,1]]}}'],
         )
         cs = read_jsonl(path, clusters_as="prediction").records[0].cluster_sets["prediction"]
-        assert set(cs.keys()) == {0, 1}
+        assert set(cs.clusters) == {0, 1}
         assert cs.stage == "prediction"
 
     def test_prediction_keys_that_parse_alike_stay_apart(self, tmp_path):
@@ -113,7 +113,7 @@ class TestReadJsonl:
     def test_only_canonical_ascii_integers_become_int_keys(self, tmp_path, key):
         line = json.dumps({"doc_id": "x", "tokens": ["A"], "characters": [], "clusters": {key: [[0, 0]], "-1": [[0, 0]]}})
         cs = read_jsonl(write_lines(tmp_path / "p.jsonl", [line]), clusters_as="prediction").records[0].cluster_sets["prediction"]
-        assert set(cs.keys()) == {key, -1}
+        assert set(cs.clusters) == {key, -1}
 
 
 class TestJsonlRoundTrip:
@@ -130,7 +130,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "gold.jsonl"
         write_jsonl(gold_corpus, str(path))
         back = read_jsonl(str(path))
-        assert back.doc_ids() == gold_corpus.doc_ids()
+        assert list(back.by_id()) == list(gold_corpus.by_id())
         for a, b in zip(gold_corpus.records, back.records):
             assert a.document.tokens == b.document.tokens
             assert a.document.characters == b.document.characters
@@ -144,7 +144,7 @@ class TestJsonlRoundTrip:
     def test_dumps_matches_file_writer(self, gold_corpus, tmp_path):
         path = tmp_path / "gold.jsonl"
         write_jsonl(gold_corpus, str(path))
-        assert path.read_text(encoding="utf-8") == dumps_jsonl(gold_corpus)
+        assert path.read_text(encoding="utf-8") == jsonl_text(gold_corpus)
 
     def test_cluster_keys_that_print_alike_are_schema_error_and_write_nothing(self, tmp_path):
         good = DocumentRecord(Document("ok", ("a",)), {"gold": ClusterSet.build("ok", "gold", {"A": [(0, 0)]})})
@@ -252,9 +252,9 @@ class TestConll:
 
     def test_missing_cluster_set_writes_nothing(self, tmp_path):
         rec = DocumentRecord(Document("d", ("a",)), {"gold": ClusterSet("d", "gold", {})})
-        path = tmp_path / "x.conll"
+        path = tmp_path / "x.jsonl"
         with pytest.raises(SchemaError, match="no cluster set 'prediction'"):
-            write_conll(CorpusFile([rec]), str(path), clusters_from="prediction")
+            write_jsonl(CorpusFile([rec]), str(path), clusters_from="prediction")
         assert not path.exists()
 
     def test_non_utf8_byte_is_parse_error_naming_its_row(self, tmp_path):

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from bookcoref import harness, model, pipeline, windowing
-from bookcoref.formats import CorpusFile, DocumentRecord, dumps_jsonl
+from bookcoref.formats import CorpusFile, DocumentRecord
 from bookcoref.harness import SETTINGS, Setting, evaluate
 from bookcoref.metrics import linking_prf
 from bookcoref.model import ClusterSet, Document
@@ -21,6 +21,7 @@ from bookcoref.pipeline import (
     run,
 )
 from bookcoref.windowing import plan_groups, plan_windows, split_corpus
+from helpers import jsonl_text
 
 
 def doc_with(doc_id, n, gold_clusters, characters=("A", "B")):
@@ -333,7 +334,7 @@ class TestSeed13OutputsArePinned:
     corpus: the split corpus, the three settings' runs, character-linking
     scores and the oracle pipeline's predictions with their traces."""
 
-    #: dumps_jsonl of the split corpus, then its crossings as JSON, per max_len
+    #: the JSONL text of the split corpus, then its crossings as JSON, per max_len
     SPLIT = {
         1500: "c23d4212412b710d6096143eabf6d7c6e2f5df8f0656bcfe6d095188bd0e0c07",
         700: "001bd5a0d09b1450a7cc48a6f30d92c9916dbade4259e0aefda6379ee0350170",
@@ -356,7 +357,7 @@ class TestSeed13OutputsArePinned:
     def test_split_corpus(self, gold_corpus, max_len):
         result = split_corpus(gold_corpus, max_len)
         crossings = [[doc_id, name, str(key), list(m)] for doc_id, name, key, m in result.crossings]
-        assert sha256(dumps_jsonl(result.corpus) + json.dumps(crossings)) == self.SPLIT[max_len]
+        assert sha256(jsonl_text(result.corpus) + json.dumps(crossings)) == self.SPLIT[max_len]
 
     @pytest.mark.parametrize("kind", SETTINGS)
     def test_evaluate(self, gold_corpus, pattern_response, kind):
@@ -384,4 +385,4 @@ class TestSeed13OutputsArePinned:
             trace_dict = trace.to_dict()
             trace_dict.pop("stage_seconds")
             traces.append(trace_dict)
-        assert (sha256(dumps_jsonl(out, "prediction")), sha256(json.dumps(traces, sort_keys=True))) == self.PIPELINE
+        assert (sha256(jsonl_text(out, "prediction")), sha256(json.dumps(traces, sort_keys=True))) == self.PIPELINE

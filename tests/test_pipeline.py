@@ -202,7 +202,7 @@ class TestRefine:
 
     def test_reject_all_empties_every_cluster_but_keeps_keys(self):
         out = refine(self.DOC, self.INIT, RejectAllJudge())
-        assert set(out.keys()) == {"Darcy", "Bingley"}
+        assert set(out.clusters) == {"Darcy", "Bingley"}
         assert out.n_mentions == 0
 
     def test_requires_initialized_stage(self):

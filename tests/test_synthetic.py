@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from bookcoref import synthetic
 from bookcoref.cli import main
 from bookcoref.errors import GeneratorError
-from bookcoref.formats import dumps_jsonl, read_jsonl
+from bookcoref.formats import read_jsonl
 from bookcoref.metrics import corpus_stats
 from bookcoref.model import validate
 from bookcoref.synthetic import BOOK_SPECS, DISTANCE_TARGET, WINDOW, BookSpec, _PlannedMention, make_reference_corpus
+from helpers import jsonl_text
 from oracles import order_mentions_reference, place_book_reference, pooled_distance_reference
 
 #: sha256 of the default-seed corpus as JSONL; the benchmark and the
@@ -26,11 +27,11 @@ SEED_99_SHA256 = "237c6b065a4f062a1f4cdafc9b8173b9f33b8dd4215d563bda80cd6ac724d1
 
 def test_same_seed_is_bit_identical(gold_corpus):
     again = make_reference_corpus()
-    assert dumps_jsonl(again) == dumps_jsonl(gold_corpus)
+    assert jsonl_text(again) == jsonl_text(gold_corpus)
 
 
 def test_default_corpus_is_pinned(gold_corpus):
-    assert hashlib.sha256(dumps_jsonl(gold_corpus).encode()).hexdigest() == SEED_13_SHA256
+    assert hashlib.sha256(jsonl_text(gold_corpus).encode()).hexdigest() == SEED_13_SHA256
 
 
 def test_seed_9_calibrates(tmp_path, capsys):
@@ -54,7 +55,7 @@ def test_unreachable_calibration_is_a_named_error(monkeypatch, tmp_path, capsys)
 
 def test_different_seed_differs():
     other = make_reference_corpus(seed=99)
-    assert hashlib.sha256(dumps_jsonl(other).encode()).hexdigest() == SEED_99_SHA256
+    assert hashlib.sha256(jsonl_text(other).encode()).hexdigest() == SEED_99_SHA256
     stats = corpus_stats(other)
     # shape targets still hold under any seed
     assert stats.docs == 3

@@ -5,7 +5,8 @@ import pytest
 from bookcoref.errors import ConfigError, PlanningError
 from bookcoref.formats import CorpusFile, DocumentRecord
 from bookcoref.model import ClusterSet, Document, Mention, shift
-from bookcoref.windowing import covers, plan_groups, plan_windows, split_corpus, window_doc_id
+from bookcoref.windowing import plan_groups, plan_windows, split_corpus, window_doc_id
+from helpers import covers, within
 
 
 def doc_of(n, doc_id="d", characters=("A", "B")):
@@ -70,7 +71,7 @@ class TestPlanWindows:
             planned += 1
             assert covers(safe.windows, n)
             for _, m in guard.mentions():
-                assert any(m.within(lo, hi) for lo, hi in safe.windows), (m, safe.windows)
+                assert any(within(m, lo, hi) for lo, hi in safe.windows), (m, safe.windows)
         # strict coverage is checked on every iteration; most iterations
         # also exercise a full mention_safe plan
         assert planned > 800
@@ -81,22 +82,6 @@ class TestPlanWindows:
         a = plan_windows(d, 1500, "mention_safe", guard)
         b = plan_windows(d, 1500, "mention_safe", guard)
         assert a == b
-
-    def test_plans_serialize_to_json(self):
-        import json
-
-        plan = plan_windows(doc_of(3200), 1500, "strict")
-        payload = json.loads(plan.to_json())
-        assert payload == {
-            "doc_id": "d",
-            "max_len": 1500,
-            "boundary_rule": "strict",
-            "windows": [[0, 1500], [1500, 3000], [3000, 3200]],
-        }
-        grouped = plan_groups(plan, 2)
-        gp = json.loads(grouped.to_json())
-        assert gp["group_size"] == 2
-        assert gp["groups"] == [[0, 3000], [3000, 3200]]
 
 
 class TestPlanGroups:
@@ -148,7 +133,7 @@ class TestSplitCorpus:
         w1, w2 = result.corpus.records
         assert w1.cluster_sets["gold"].clusters["A"] == (Mention(0, 1), Mention(1400, 1401))
         # B has no mentions in window 2, so its key is gone there
-        assert set(w2.cluster_sets["gold"].keys()) == {"A"}
+        assert set(w2.cluster_sets["gold"].clusters) == {"A"}
         assert w2.cluster_sets["gold"].clusters["A"] == (Mention(500, 503),)
 
     def test_character_list_inherited(self):
