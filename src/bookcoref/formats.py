@@ -43,13 +43,19 @@ class DocumentRecord:
     document: Document
     cluster_sets: dict[str, ClusterSet] = field(default_factory=dict)
 
-    def only(self) -> ClusterSet:
-        """The sole cluster set, when exactly one is attached."""
-        if len(self.cluster_sets) != 1:
-            raise SchemaError(
-                f"document {self.document.doc_id!r} has {len(self.cluster_sets)} cluster sets, expected 1"
-            )
-        return next(iter(self.cluster_sets.values()))
+    def pick(self, name: str) -> ClusterSet:
+        """The cluster set called ``name``, else the sole set attached; a
+        record with neither is a :class:`SchemaError`."""
+        sets = self.cluster_sets
+        cs = sets.get(name)
+        if cs is not None:
+            return cs
+        if len(sets) == 1:
+            return next(iter(sets.values()))
+        raise SchemaError(
+            f"document {self.document.doc_id!r} has no cluster set {name!r} and not exactly one other: "
+            f"it has {sorted(sets)}"
+        )
 
 
 @dataclass
@@ -143,20 +149,14 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     return corpus
 
 
-def _pick_clusters(rec: DocumentRecord, clusters_from: str | None) -> ClusterSet:
-    if clusters_from is not None:
-        cs = rec.cluster_sets.get(clusters_from)
-        if cs is None:
-            raise SchemaError(f"document {rec.document.doc_id!r} has no cluster set {clusters_from!r}")
-        return cs
-    if "gold" in rec.cluster_sets:
-        return rec.cluster_sets["gold"]
-    return rec.only()
-
-
 def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
     doc = rec.document
-    cs = _pick_clusters(rec, clusters_from)
+    if clusters_from is None:
+        cs = rec.pick("gold")
+    else:
+        cs = rec.cluster_sets.get(clusters_from)
+        if cs is None:
+            raise SchemaError(f"document {doc.doc_id!r} has no cluster set {clusters_from!r}")
     obj: dict = {
         "doc_id": doc.doc_id,
         "tokens": list(doc.tokens),
@@ -171,9 +171,11 @@ def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
 def write_jsonl(corpus: CorpusFile, path: str, clusters_from: str | None = None) -> None:
     """Write a corpus in canonical JSONL form.
 
-    ``clusters_from`` picks the named set to serialize; default: "gold" if
-    present, else the record's sole set. Every record is serialized before
-    the file is opened, so a bad record leaves no output behind.
+    ``clusters_from`` names the set to serialize, and a record without it is
+    a :class:`SchemaError`; by default each record's
+    :meth:`~DocumentRecord.pick` of "gold" is written. Every record is
+    serialized before the file is opened, so a bad record leaves no output
+    behind.
     """
     lines = [_record_line(rec, clusters_from) for rec in corpus.records]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -250,18 +252,18 @@ def _check_row_text(doc: Document) -> None:
 def write_conll(corpus: CorpusFile, path: str) -> None:
     """Export to CoNLL-2012 layout: doc id, part, index, token, coref column.
 
-    Each record's "gold" set is written, else its sole set. Character names
-    are lost; cluster keys become integer ids assigned in first-mention
-    order. Every record is checked and labelled before the file
-    is opened, so a bad record (see :func:`_check_row_text`) leaves no output
-    behind; each document is then written with one call. The cost is linear
-    in tokens plus mentions.
+    Each record's :meth:`~DocumentRecord.pick` of "gold" is written.
+    Character names are lost; cluster keys become integer ids assigned in
+    first-mention order. Every record is checked and labelled before the
+    file is opened, so a bad record (see :func:`_check_row_text`) leaves no
+    output behind; each document is then written with one call. The cost is
+    linear in tokens plus mentions.
     """
     docs = []
     for rec in corpus.records:
         doc = rec.document
         _check_row_text(doc)
-        docs.append((doc, _coref_labels(_pick_clusters(rec, None), len(doc.tokens))))
+        docs.append((doc, _coref_labels(rec.pick("gold"), len(doc.tokens))))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc, labels in docs:
             prefix = f"{doc.doc_id}\t0\t"

@@ -4,7 +4,9 @@ artifacts.
 Settings differ only in their units; one loop scores them all. A key
 document is scored from its ``gold`` cluster set and a response document
 from its ``prediction`` set; a record that carries one set under another
-name is scored from that set.
+name is scored from that set, and any other record is a
+:class:`~bookcoref.errors.SchemaError` (see
+:meth:`~bookcoref.formats.DocumentRecord.pick`).
 
 * ``full_book``        - score whole documents against each other; every key
   document is a unit, even one with no mentions on either side.
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .errors import ConfigError, ContractError
-from .formats import CorpusFile, DocumentRecord
+from .formats import CorpusFile
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
 # which checks that the tracer wraps it in every windowed module
@@ -125,13 +127,6 @@ def _peak_rss_mb() -> float | None:
         return None
 
 
-def _pick(rec: DocumentRecord, name: str) -> ClusterSet | None:
-    cs = rec.cluster_sets.get(name)
-    if cs is None and len(rec.cluster_sets) == 1:
-        cs = next(iter(rec.cluster_sets.values()))
-    return cs
-
-
 _Unit = tuple[str, ClusterSet, ClusterSet | None]
 _Lookup = Callable[[Document], ClusterSet | None]
 
@@ -139,9 +134,7 @@ _Lookup = Callable[[Document], ClusterSet | None]
 def _document_units(docs: CorpusFile, response_for: _Lookup) -> Iterator[_Unit]:
     """full_book's units, and split's once the key corpus is cut into windows."""
     for rec in docs.records:
-        key_cs = _pick(rec, "gold")
-        if key_cs is not None:
-            yield rec.document.doc_id, key_cs, response_for(rec.document)
+        yield rec.document.doc_id, rec.pick("gold"), response_for(rec.document)
 
 
 def _window_units(docs: CorpusFile, response_for: _Lookup, window_len: int, missing: list[str]) -> Iterator[_Unit]:
@@ -149,9 +142,7 @@ def _window_units(docs: CorpusFile, response_for: _Lookup, window_len: int, miss
     window by one :func:`~bookcoref.model.cut`. A missing response is flagged
     here, for the document, and its windows are scored against an empty set."""
     for rec in docs.records:
-        key_cs = _pick(rec, "gold")
-        if key_cs is None:
-            continue
+        key_cs = rec.pick("gold")
         doc_id = rec.document.doc_id
         resp_cs = response_for(rec.document)
         if resp_cs is None:
@@ -189,7 +180,7 @@ def evaluate(
                 f"response document {resp.document.doc_id!r} has {len(resp.document)} tokens, "
                 f"but key document {key_doc.doc_id!r} has {len(key_doc)}"
             )
-        return _pick(resp, "prediction") if resp is not None else None
+        return resp.pick("prediction") if resp is not None else None
 
     if setting.kind == "gold_plus_window":
         units = _window_units(key_corpus, response_for, setting.window_len, run.missing_units)

@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from operator import neg
+from operator import mul, neg
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ContractError
@@ -341,18 +341,15 @@ def chain_distance(positions: Sequence[int]) -> tuple[int, int]:
     """Pair count and summed pairwise distance for one chain.
 
     ``positions`` are mention start offsets sorted ascending. Computes
-    sum_{i<j}(p_j - p_i) in O(k) via prefix weighting, bit-identical to the
-    quadratic double loop. Fewer than two positions yield (0, 0).
+    sum_{i<j}(p_j - p_i) in O(k) via prefix weighting: the i-th smallest of
+    k positions is subtracted k - 1 - i times and added i times, so it is
+    weighted 2i + 1 - k. The sum is exact integer arithmetic, bit-identical
+    to the quadratic double loop. Fewer than two positions yield (0, 0).
     """
     k = len(positions)
     if k < 2:
         return (0, 0)
-    total = 0
-    w = 1 - k
-    for p in positions:
-        total += p * w
-        w += 2
-    return (k * (k - 1) // 2, total)
+    return (k * (k - 1) // 2, sum(map(mul, positions, range(1 - k, k, 2))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,7 +415,8 @@ class CorpusStats:
 
 def corpus_stats(corpus: CorpusFile) -> CorpusStats:
     """Totals, per-document means, and micro-averaged chain statistics, from
-    each record's ``gold`` cluster set, or its only set."""
+    each record's :meth:`~bookcoref.formats.DocumentRecord.pick` of ``gold``.
+    A record with no cluster set counts its document and tokens only."""
     docs = len(corpus.records)
     tokens = 0
     mentions = 0
@@ -428,11 +426,9 @@ def corpus_stats(corpus: CorpusFile) -> CorpusStats:
     per_doc_ratio: list[float] = []
     for rec in corpus.records:
         tokens += len(rec.document.tokens)
-        cs = rec.cluster_sets.get("gold")
-        if cs is None and rec.cluster_sets:
-            cs = rec.only()
-        if cs is None:
+        if not rec.cluster_sets:
             continue
+        cs = rec.pick("gold")
         doc_mentions = 0
         doc_chains = 0
         for _, ms in cs.clusters.items():

@@ -229,17 +229,18 @@ def pattern_match(doc: Document) -> ClusterSet:
     """Reference linker: case-sensitive exact token-sequence match of each
     full character name (whitespace-tokenized). Overlapping matches of the
     same character keep the leftmost; overlapping matches of different
-    characters are all kept."""
-    starts: dict[str, list[int]] = {}
+    characters are all kept. Only the tokens that begin a name are indexed."""
+    names = [tuple(name.split()) for name in doc.characters]
+    starts: dict[str, list[int]] = {toks[0]: [] for toks in names if toks}
     for i, tok in enumerate(doc.tokens):
-        starts.setdefault(tok, []).append(i)
+        if tok in starts:
+            starts[tok].append(i)
     clusters: dict[ClusterKey, list[Mention]] = {}
-    for name in doc.characters:
-        name_toks = tuple(name.split())
+    for name, name_toks in zip(doc.characters, names):
         length = len(name_toks)
         kept: list[Mention] = []
         last_end = -1
-        for i in starts.get(name_toks[0], []):
+        for i in starts[name_toks[0]]:
             if tuple(doc.tokens[i : i + length]) == name_toks and i > last_end:
                 kept.append(Mention(i, i + length - 1))
                 last_end = i + length - 1

@@ -28,6 +28,13 @@ id, that chain's centre, its anchor and its token length. One pass then
 costs one sort of each book's mention indices by target and one placement
 loop over them. Passes deal in plain index and start lists; only the
 placement calibration returns is materialised as mentions and tokens.
+
+A pass makes no builtin call per mention: targets are clamped only in a
+pass where one of them lies outside the book, the placement loop reads
+precomputed gaps and tests a window's end with one remainder, and each
+chain's distance is summed by :func:`~bookcoref.metrics.chain_distance` at
+C speed. The float operations and their order are fixed, because the
+corpus of every seed is pinned byte for byte.
 """
 
 from __future__ import annotations
@@ -207,10 +214,16 @@ def _order_mentions(centres: list[float], anchors: list[float], alpha: float, n:
     chain centre: small values give per-chain blocks, large values full
     interleaving. Targets clamp to ``[0, n]``; the sort is stable, so tied
     targets keep plan order.
+
+    The bare targets are built first, and clamped, with conditional
+    expressions rather than calls, only when one of them lies outside
+    ``[0, n]``.
     """
     an = alpha * n  # exact: alpha * n * a is (alpha * n) * a; hoisting n * a instead rounds differently
     fn = float(n)
-    ts = [min(max(c + an * a, 0.0), fn) for c, a in zip(centres, anchors)]
+    ts = [c + an * a for c, a in zip(centres, anchors)]
+    if min(ts) < 0.0 or max(ts) > fn:
+        ts = [0.0 if t < 0.0 else fn if t > fn else t for t in ts]
     return sorted(range(len(ts)), key=ts.__getitem__)
 
 
@@ -223,6 +236,13 @@ def _place_book(spec: BookSpec, lengths: list[int], extras: list[float]) -> list
     budget. Starts that would straddle a window boundary jump to the
     boundary (the budget keeps headroom for those jumps). So the starts
     ascend strictly.
+
+    The loop makes no builtin call per mention. The gaps (``extra * scale``)
+    are computed up front. A mention of ``length >= 1`` tokens at offset
+    ``r = s % WINDOW`` into its window crosses the window's end exactly when
+    ``r + length > WINDOW``. The cursor only moves forward: without a jump
+    ``s = int(cursor) <= cursor``, because the cursor is positive, and a jump
+    puts ``s`` past it, so the cursor moves to ``s`` only then.
     """
     n = spec.n_tokens
     headroom = 8 * (n // WINDOW + 1)
@@ -230,16 +250,20 @@ def _place_book(spec: BookSpec, lengths: list[int], extras: list[float]) -> list
     if budget <= 0:
         raise GeneratorError(f"{spec.doc_id}: token budget too small for its mentions")
     scale = budget / sum(extras)
+    gaps = [extra * scale for extra in extras]
     starts: list[int] = []
-    cursor = extras[0] * scale
-    for length, extra in zip(lengths, extras[1:]):
+    append = starts.append
+    cursor = gaps[0]
+    for length, gap in zip(lengths, gaps[1:]):
         s = int(cursor)
-        if s // WINDOW != (s + length - 1) // WINDOW:
-            s = (s // WINDOW + 1) * WINDOW
+        r = s % WINDOW
+        if r + length > WINDOW:
+            s += WINDOW - r
+            cursor = float(s)
         if s + length > n:
             raise GeneratorError(f"placement overflow in {spec.doc_id}")
-        starts.append(s)
-        cursor = max(cursor, float(s)) + length + 1 + extra * scale
+        append(s)
+        cursor = cursor + length + 1 + gap  # not +=: the floats add left to right
     return starts
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,15 @@ class TestConll:
         assert not path.exists()
         with pytest.raises(SchemaError, match=r"span \(2, 2\)"):
             _coref_labels(ClusterSet.build("d", "gold", {"A": [(2, 2)]}), 2)
+
+    def test_pick_takes_the_named_set_else_the_sole_set(self):
+        doc = Document("d", ("a",))
+        gold, other = ClusterSet("d", "gold", {}), ClusterSet("d", "prediction", {})
+        assert DocumentRecord(doc, {"gold": gold, "prediction": other}).pick("gold") is gold
+        assert DocumentRecord(doc, {"prediction": other}).pick("gold") is other
+        for sets in ({}, {"silver": gold, "extra": other}):
+            with pytest.raises(SchemaError, match="^document 'd' has no cluster set 'gold'.* " + re.escape(str(sorted(sets))) + "$"):
+                DocumentRecord(doc, sets).pick("gold")
 
     def test_missing_cluster_set_writes_nothing(self, tmp_path):
         rec = DocumentRecord(Document("d", ("a",)), {"gold": ClusterSet("d", "gold", {})})

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from bookcoref import harness, model, pipeline, windowing
+from bookcoref.errors import SchemaError
 from bookcoref.formats import CorpusFile, DocumentRecord
 from bookcoref.harness import SETTINGS, Setting, evaluate
 from bookcoref.metrics import linking_prf
@@ -134,6 +135,24 @@ class TestAlignment:
         )
         run = evaluate(Setting("full_book", 1500), small_corpus, response)
         assert run.unmatched_responses == ["stray"]
+
+    @pytest.mark.parametrize("kind", SETTINGS)
+    def test_key_record_without_gold_or_a_sole_set_is_a_schema_error(self, kind):
+        """A key record with two sets, neither named gold, used to be dropped
+        without a word: no unit, no missing unit, its response unmatched."""
+        rec = doc_with("k", 20, {"A": [(0, 0), (5, 5)]})
+        cs = rec.cluster_sets["gold"]
+        key = CorpusFile([DocumentRecord(rec.document, {"silver": cs, "extra": cs})])
+        # split scores the key's windows, so the error names the first of them
+        with pytest.raises(SchemaError, match=r"^document 'k(#w1)?' has no cluster set 'gold'.*\['extra', 'silver'\]"):
+            evaluate(Setting(kind, 10), key, as_prediction(CorpusFile([rec])))
+
+    def test_response_record_without_prediction_or_a_sole_set_is_a_schema_error(self, small_corpus):
+        response = as_prediction(small_corpus)
+        sets = response.records[0].cluster_sets
+        sets["other"] = sets["more"] = sets.pop("prediction")
+        with pytest.raises(SchemaError, match=r"^document 'b1' has no cluster set 'prediction'"):
+            evaluate(Setting("full_book", 1500), small_corpus, response)
 
     def test_split_matches_by_window_id(self, small_corpus):
         response = as_prediction(split_corpus(small_corpus, 500).corpus)

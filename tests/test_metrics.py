@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
-from bookcoref.errors import ContractError
+from bookcoref.errors import ContractError, SchemaError
 from bookcoref.formats import CorpusFile, DocumentRecord
 from bookcoref.metrics import (
     PRF,
@@ -246,6 +246,18 @@ class TestCorpusStats:
         stats = corpus_stats(CorpusFile([DocumentRecord(doc, {"gold": cs})]))
         # A: pairs 0-0, 0-5, 0-5; B: 2-7
         assert (stats.mention_pairs, stats.mention_distance) == (4, 3.75)
+
+    def test_record_without_cluster_sets_counts_only_its_tokens(self):
+        doc = Document("d", tuple(f"t{i}" for i in range(100)), ("A",))
+        cs = ClusterSet.build("d", "gold", {"A": [(0, 0), (50, 50)]})
+        stats = corpus_stats(CorpusFile([DocumentRecord(doc, {"gold": cs}), DocumentRecord(doc)]))
+        assert (stats.docs, stats.tokens, stats.mentions, stats.mention_distance) == (2, 200, 2, 50)
+
+    def test_record_without_gold_or_a_sole_set_is_a_schema_error(self):
+        doc = Document("d", ("a",))
+        cs = ClusterSet("d", "gold", {})
+        with pytest.raises(SchemaError, match="has no cluster set 'gold'"):
+            corpus_stats(CorpusFile([DocumentRecord(doc, {"silver": cs, "extra": cs})]))
 
     def test_empty_corpus(self):
         stats = corpus_stats(CorpusFile())

@@ -94,7 +94,8 @@ def planned_books(draw):
     """One book's plan with the edge cases of a placement pass drawn often:
     equal chain centres, targets that clamp to 0 and to ``n`` (so they tie),
     anchors one ulp apart, mentions long enough to straddle a window
-    boundary, and budgets too small for the mentions. A seeded ``Random``
+    boundary, a first mention on either side of a window's end, and budgets
+    too small for the mentions. A seeded ``Random``
     draws the sizes and fills the per-mention lists; Hypothesis would favour
     tiny books. ``--hypothesis-show-statistics`` shows how often each case
     comes up."""
@@ -117,7 +118,35 @@ def planned_books(draw):
         anchors.append(near if rng.random() < 0.3 else pick((-0.5, 0.0, 0.5), -0.5, 0.5))
     lengths = [rng.randint(1, longest) for _ in range(m)]
     extras = [rng.expovariate(1.0) + 1e-6 for _ in range(m + 1)]
+    if rng.random() < 0.3:
+        # the first mention placed, whatever its index, ends on the first
+        # window's last token (edge 0) or would cross its end by one token
+        # (edge 1): all mentions get one length, and the first gap puts the
+        # cursor half a token past that start
+        edge = rng.choice((0, 1))
+        length = rng.randint(1 + edge, max(longest, 1 + edge))
+        lengths = [length] * m
+        budget = n - m * (length + 1) - 8 * (n // WINDOW + 1)
+        cursor = WINDOW - length + edge + 0.5
+        if budget > cursor:
+            extras[0] = cursor * sum(extras[1:]) / (budget - cursor)
     return BookSpec("book", n, k, m, 0, 0), chains, centres, anchors, lengths, extras
+
+
+def unjumped_ends(spec, lengths, extras, starts):
+    """Per placed mention, ``r + length`` for the offset ``r`` into its window
+    of the start it had before any jump: ``WINDOW`` for a mention that ends on
+    the window's last token, ``WINDOW + 1`` for one that would cross its end
+    by one token and so jumps. Replays the cursor of ``place_book_reference``
+    from the placed ``starts``."""
+    n = spec.n_tokens
+    scale = (n - sum(lengths) - len(lengths) - 8 * (n // WINDOW + 1)) / sum(extras)
+    cursor = extras[0] * scale
+    ends = []
+    for length, extra, s in zip(lengths, extras[1:], starts):
+        ends.append(int(cursor) % WINDOW + length)
+        cursor = max(cursor, float(s)) + length + 1 + extra * scale
+    return ends
 
 
 @settings(max_examples=1000, deadline=None)
@@ -147,6 +176,11 @@ def test_placement_pass_equals_reference(books, alpha):
         assert starts == [s for s, _ in placed]
         if any(s % WINDOW == 0 and s for s in starts):
             event("a start jumped to a window boundary")
+        ends = unjumped_ends(spec, [lengths[i] for i in order], extras, starts)
+        if WINDOW in ends:
+            event("a mention ends on a window's last token")
+        if WINDOW + 1 in ends:
+            event("a mention would cross a window's end by one token")
         reference.append(placed)
         placed_chains.append([chains[i] for i in order])
         placed_starts.append(starts)
