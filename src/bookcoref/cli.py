@@ -20,11 +20,12 @@ from typing import Sequence
 from . import __version__
 from .errors import BookcorefError, CacheError, ConfigError, ParseError, SchemaError
 from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, write_conll, write_jsonl
-from .harness import Setting, evaluate
+from .harness import Setting, check_token_counts, evaluate
 from .memsim import Policy, simulate, sweep, sweep_csv
 from .metrics import corpus_stats, linking_prf, pool_prf
 from .model import check_bounds, validate
 from .pipeline import (
+    DEFAULT_CONTEXT_WORDS,
     AcceptAllJudge,
     IdentityExpander,
     OracleExpander,
@@ -37,7 +38,7 @@ from .pipeline import (
 )
 from .remote import HttpExpander, HttpJudge, HttpLinker, ServiceClient
 from .synthetic import DEFAULT_SEED, make_reference_corpus
-from .windowing import split_corpus
+from .windowing import DEFAULT_GROUP_SIZE, DEFAULT_WINDOW_LEN, split_corpus
 
 _SETTINGS = {"full": "full_book", "split": "split", "gold+window": "gold_plus_window"}
 
@@ -187,6 +188,7 @@ def _cmd_score_linking(args: argparse.Namespace) -> int:
         resp = responses.get(rec.document.doc_id)
         if resp is None:
             raise SchemaError(f"response corpus is missing document {rec.document.doc_id!r}")
+        check_token_counts(rec.document, resp.document)
         prf = linking_prf(rec.cluster_sets["gold"], resp.cluster_sets["prediction"])
         per_doc.append((rec.document.doc_id, prf))
         p, r, f1 = prf.as_percentages()
@@ -235,7 +237,6 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         window_len=args.window_len,
         group_size=args.group_size,
         judge_context_words=args.context_words,
-        boundary_rule=args.boundary,
         stages=stages,
         jobs=args.jobs,
         endpoints={"all": args.endpoint} if args.endpoint else None,
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="cut books into independent window-documents")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--window-len", type=int, default=1500)
+    p.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN)
     common_out(p)
     p.set_defaults(func=_cmd_split)
 
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", choices=sorted(_SETTINGS), default="full")
     p.add_argument("key")
     p.add_argument("response")
-    p.add_argument("--window-len", type=int, default=1500)
+    p.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN)
     p.add_argument("--keep-singletons", action="store_true", help="score singleton clusters too")
     p.add_argument("--results", help="directory for run.json / units.jsonl / summary.txt")
     common_out(p)
@@ -403,10 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--judge", choices=("accept", "reject", "oracle", "http"), default="accept")
     pr.add_argument("--expander", choices=("identity", "oracle", "http"), default="identity")
     pr.add_argument("--endpoint", help="base URL of the annotator service")
-    pr.add_argument("--window-len", type=int, default=1500)
-    pr.add_argument("--group-size", type=int, default=10)
-    pr.add_argument("--context-words", type=int, default=400)
-    pr.add_argument("--boundary", choices=("strict", "mention_safe"), default="mention_safe")
+    pr.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN)
+    pr.add_argument("--group-size", type=int, default=DEFAULT_GROUP_SIZE)
+    pr.add_argument("--context-words", type=int, default=DEFAULT_CONTEXT_WORDS)
     pr.add_argument("--retries", type=_non_negative_int, default=2, help="HTTP attempts after the first")
     pr.add_argument("--timeout", type=float, default=30.0)
     pr.add_argument("--cache-dir", help="service response cache (default: $BOOKCOREF_CACHE_DIR)")

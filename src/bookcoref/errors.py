@@ -26,7 +26,7 @@ class ContractError(BookcorefError):
 
 
 class PlanningError(BookcorefError):
-    """A window plan cannot satisfy its boundary rule."""
+    """No window plan keeps a guard mention whole, or a plan cuts a seed."""
 
 
 class ConfigError(BookcorefError):

@@ -38,12 +38,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .errors import ConfigError, ContractError
-from .formats import CorpusFile
+from .formats import CorpusFile, DocumentRecord
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
 # which checks that the tracer wraps it in every windowed module
 from .model import ClusterSet, Document, cut, drop_empty, restrict  # noqa: F401
-from .windowing import plan_windows, split_corpus, window_doc_id
+from .windowing import DEFAULT_WINDOW_LEN, plan_windows, split_corpus, window_doc_id
 
 SETTINGS = ("full_book", "split", "gold_plus_window")
 
@@ -51,7 +51,7 @@ SETTINGS = ("full_book", "split", "gold_plus_window")
 @dataclass(frozen=True, slots=True)
 class Setting:
     kind: str
-    window_len: int = 1500
+    window_len: int = DEFAULT_WINDOW_LEN
 
     def __post_init__(self) -> None:
         if self.kind not in SETTINGS:
@@ -148,9 +148,19 @@ def _window_units(docs: CorpusFile, response_for: _Lookup, window_len: int, miss
         if resp_cs is None:
             missing.append(doc_id)
             resp_cs = ClusterSet(doc_id, "prediction")
-        windows = plan_windows(rec.document, window_len, "strict").windows
+        windows = plan_windows(rec.document, window_len).windows
         for i, (key_part, resp_part) in enumerate(zip(cut(key_cs, windows), cut(resp_cs, windows)), 1):
             yield window_doc_id(doc_id, i), drop_empty(key_part), drop_empty(resp_part)
+
+
+def check_token_counts(key_doc: Document, resp_doc: Document) -> None:
+    """A response document must have as many tokens as its key document;
+    one that does not is a :class:`ContractError`."""
+    if len(resp_doc) != len(key_doc):
+        raise ContractError(
+            f"response document {resp_doc.doc_id!r} has {len(resp_doc)} tokens, "
+            f"but key document {key_doc.doc_id!r} has {len(key_doc)}"
+        )
 
 
 def evaluate(
@@ -175,17 +185,17 @@ def evaluate(
     def response_for(key_doc: Document) -> ClusterSet | None:
         looked_up.add(key_doc.doc_id)
         resp = responses.get(key_doc.doc_id)
-        if resp is not None and len(resp.document) != len(key_doc):
-            raise ContractError(
-                f"response document {resp.document.doc_id!r} has {len(resp.document)} tokens, "
-                f"but key document {key_doc.doc_id!r} has {len(key_doc)}"
-            )
-        return resp.pick("prediction") if resp is not None else None
+        if resp is None:
+            return None
+        check_token_counts(key_doc, resp.document)
+        return resp.pick("prediction")
 
     if setting.kind == "gold_plus_window":
         units = _window_units(key_corpus, response_for, setting.window_len, run.missing_units)
     elif setting.kind == "split":
-        units = _document_units(split_corpus(key_corpus, setting.window_len).corpus, response_for)
+        # pick each key record's set before the cut, so an error names the book
+        picked = CorpusFile([DocumentRecord(rec.document, {"gold": rec.pick("gold")}) for rec in key_corpus.records])
+        units = _document_units(split_corpus(picked, setting.window_len).corpus, response_for)
     else:
         units = _document_units(key_corpus, response_for)
 

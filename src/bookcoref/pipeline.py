@@ -28,7 +28,7 @@ import time
 from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 from .errors import ConfigError, ContractError, PlanningError, StageError, TransportError
 from .model import (
@@ -42,7 +42,7 @@ from .model import (
     restrict,
     union,
 )
-from .windowing import GroupedWindowPlan, WindowPlan, plan_groups, plan_windows
+from .windowing import DEFAULT_GROUP_SIZE, DEFAULT_WINDOW_LEN, GroupedWindowPlan, WindowPlan, plan_groups, plan_windows
 
 #: Verbatim refinement prompt; the excerpt highlights the mention with [ ].
 PROMPT_TEMPLATE = (
@@ -96,14 +96,12 @@ class ExpandRequest:
     seeds: Mapping[ClusterKey, tuple[Mention, ...]]
 
 
-@runtime_checkable
 class Linker(Protocol):
     name: str
 
     def link(self, doc: Document) -> ClusterSet: ...
 
 
-@runtime_checkable
 class Judge(Protocol):
     """Answers one yes/no question per mention. Reading ``request.prompt``
     renders the prompt each time; a judge that needs it twice keeps it."""
@@ -113,7 +111,6 @@ class Judge(Protocol):
     def judge(self, request: JudgeRequest) -> bool: ...
 
 
-@runtime_checkable
 class Expander(Protocol):
     """Completes one window's seed clusters, in book offsets (see :class:`ExpandRequest`)."""
 
@@ -128,7 +125,9 @@ ALL_STAGES = ("init", "refine", "window", "group")
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline constants; defaults mirror the published procedure
-    (1500-token windows, groups of 10, 400 context words).
+    (1500-token windows, groups of 10, 400 context words). Windows are
+    planned around the seed mentions that enter the window stage (see
+    :func:`~bookcoref.windowing.plan_windows`), so no seed is cut.
 
     ``jobs`` is the size of the thread pool that :func:`run` hands to the
     refine stage (one judge call per mention) and to each expansion pass
@@ -139,10 +138,9 @@ class PipelineConfig:
     here: retrying is the HTTP client's job (``ServiceClient(retries=...)``).
     """
 
-    window_len: int = 1500
-    group_size: int = 10
+    window_len: int = DEFAULT_WINDOW_LEN
+    group_size: int = DEFAULT_GROUP_SIZE
     judge_context_words: int = DEFAULT_CONTEXT_WORDS
-    boundary_rule: str = "mention_safe"
     stages: tuple[str, ...] = ("init", "refine", "window", "group")
     jobs: int = 1
     endpoints: Mapping[str, str] | None = None
@@ -165,7 +163,10 @@ class PipelineConfig:
             "window_len": self.window_len,
             "group_size": self.group_size,
             "judge_context_words": self.judge_context_words,
-            "boundary_rule": self.boundary_rule,
+            # windows are always planned around the seeds; the key stays so the
+            # payload bytes, and with them the hash that every trace carries
+            # (pinned by the seed-13 trace digest), keep their value
+            "boundary_rule": "mention_safe",
             "stages": list(self.stages),
             "endpoints": dict(self.endpoints or {}),
         }
@@ -520,7 +521,7 @@ def expand_pass(
         key, m = crossing[0]
         raise PlanningError(
             f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
-            f"plan with boundary_rule='mention_safe' and this cluster set as guard"
+            f"plan the windows with this cluster set as guard"
         )
     results = _map_in_order(
         lambda item: _expand_window(doc, item[1], *item[0], expander, target), list(zip(ranges, parts)), executor
@@ -578,8 +579,7 @@ def run(
 
         if "window" in config.stages:
             t0 = time.perf_counter()
-            guard = cs if config.boundary_rule == "mention_safe" else None
-            plan = plan_windows(doc, config.window_len, config.boundary_rule, guard)
+            plan = plan_windows(doc, config.window_len, guard=cs)
             cs = expand_pass(doc, cs, plan, expander, trace, executor=pool)
             trace.stage_seconds["window"] = time.perf_counter() - t0
             trace.snapshots["window_expanded"] = cs

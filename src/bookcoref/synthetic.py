@@ -48,6 +48,7 @@ from .formats import CorpusFile, DocumentRecord
 from .metrics import chain_distance, linking_prf
 from .model import ClusterSet, Document, Mention, validate
 from .pipeline import pattern_match
+from .windowing import DEFAULT_WINDOW_LEN
 
 DEFAULT_SEED = 13
 
@@ -80,7 +81,7 @@ BOOK_SPECS = (
     BookSpec("synthetic_manor", 144_968, 38, 15_324, 2_897, 134),
 )
 
-WINDOW = 1500  # mentions are kept clear of multiples of this
+WINDOW = DEFAULT_WINDOW_LEN  # mentions are kept clear of multiples of this
 
 _FILLER = (
     "the of and a to in that it was his with as had her for he at by on not "

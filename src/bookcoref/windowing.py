@@ -2,9 +2,12 @@
 and the independent-window corpus split used for medium-length evaluation.
 
 Windows are consecutive, non-overlapping [lo, hi) token ranges covering the
-whole document, each at most ``max_len`` tokens (default 1500). Groups join
-``G`` consecutive windows (default 10); a plan of N windows yields
-ceil(N / G) groups.
+whole document, each at most ``max_len`` tokens (default 1500). Without a
+guard cluster set they are exact ``max_len`` chunks; with one, each boundary
+moves left off the guard's mentions, so none of them is split. The pipeline
+plans around its seed mentions; the corpus split and the evaluation
+settings cut exact chunks. Groups join ``G`` consecutive windows (default
+10); a plan of N windows yields ceil(N / G) groups.
 """
 
 from __future__ import annotations
@@ -20,17 +23,12 @@ from .model import ClusterSet, Document, Mention, crossing_mentions, cut, drop_e
 DEFAULT_WINDOW_LEN = 1500
 DEFAULT_GROUP_SIZE = 10
 
-BOUNDARY_RULES = ("strict", "mention_safe")
-
 
 @dataclass(frozen=True, slots=True)
 class WindowPlan:
     """An ordered partition of [0, n_tokens) into windows."""
 
-    doc_id: str
     windows: tuple[tuple[int, int], ...]
-    max_len: int
-    boundary_rule: str
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -41,38 +39,27 @@ class GroupedWindowPlan:
     """Groups of consecutive windows; group j spans windows
     G*(j-1)+1 .. min(G*j, N) in 1-based window numbering."""
 
-    plan: WindowPlan
-    group_size: int
     groups: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.groups)
 
 
-def plan_windows(
-    doc: Document,
-    max_len: int = DEFAULT_WINDOW_LEN,
-    boundary_rule: str = "strict",
-    guard: ClusterSet | None = None,
-) -> WindowPlan:
+def plan_windows(doc: Document, max_len: int = DEFAULT_WINDOW_LEN, guard: ClusterSet | None = None) -> WindowPlan:
     """Partition a document into windows of at most ``max_len`` tokens.
 
-    ``strict`` cuts exact max_len chunks with a final remainder. Under
-    ``mention_safe`` each proposed boundary moves left to the largest
-    position that is not interior to any guard mention (never below the
-    previous boundary + 1), so no guard mention is ever split.
+    Without a guard, cut exact max_len chunks with a final remainder. With
+    one, each proposed boundary moves left to the largest position that is
+    not interior to any guard mention (never below the previous boundary +
+    1), so no guard mention is ever split; a plan that cuts no guard mention
+    as exact chunks is left as it is.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    if boundary_rule not in BOUNDARY_RULES:
-        raise ConfigError(f"unknown boundary rule {boundary_rule!r}")
-    if boundary_rule == "mention_safe" and guard is None:
-        raise ConfigError("mention_safe planning requires a guard cluster set")
 
     n = len(doc.tokens)
     forbidden: dict[int, Mention] = {}
-    if boundary_rule == "mention_safe":
-        assert guard is not None
+    if guard is not None:
         for _, m in guard.mentions():
             # a boundary at p splits (s, e) iff s < p <= e
             for p in range(m.start + 1, m.end + 1):
@@ -82,22 +69,19 @@ def plan_windows(
     lo = 0
     while lo < n:
         hi = min(lo + max_len, n)
-        if boundary_rule == "mention_safe" and hi < n:
-            while hi > lo and hi in forbidden:
-                hi -= 1
-            if hi == lo:
-                m = forbidden[lo + 1]
-                if m[1] - m[0] + 1 > max_len:
-                    raise PlanningError(
-                        f"guard mention ({m.start},{m.end}) is longer than max_len={max_len}"
-                    )
-                raise PlanningError(
-                    f"overlapping guard mentions (e.g. ({m.start},{m.end})) leave no valid "
-                    f"boundary in [{lo + 1}, {lo + max_len}]"
-                )
+        while lo < hi < n and hi in forbidden:
+            hi -= 1
+        if hi == lo:
+            m = forbidden[lo + 1]
+            if m[1] - m[0] + 1 > max_len:
+                raise PlanningError(f"guard mention ({m.start},{m.end}) is longer than max_len={max_len}")
+            raise PlanningError(
+                f"overlapping guard mentions (e.g. ({m.start},{m.end})) leave no valid "
+                f"boundary in [{lo + 1}, {lo + max_len}]"
+            )
         windows.append((lo, hi))
         lo = hi
-    return WindowPlan(doc.doc_id, tuple(windows), max_len, boundary_rule)
+    return WindowPlan(tuple(windows))
 
 
 def plan_groups(plan: WindowPlan, group_size: int = DEFAULT_GROUP_SIZE) -> GroupedWindowPlan:
@@ -109,7 +93,7 @@ def plan_groups(plan: WindowPlan, group_size: int = DEFAULT_GROUP_SIZE) -> Group
         (ws[i][0], ws[min(i + group_size, len(ws)) - 1][1])
         for i in range(0, len(ws), group_size)
     ]
-    return GroupedWindowPlan(plan, group_size, tuple(groups))
+    return GroupedWindowPlan(tuple(groups))
 
 
 def window_doc_id(doc_id: str, index: int) -> str:
@@ -133,7 +117,7 @@ class SplitResult:
 def split_corpus(corpus: CorpusFile, max_len: int = DEFAULT_WINDOW_LEN) -> SplitResult:
     """Cut every document into independent window-documents.
 
-    Windows use strict boundaries; every attached cluster set is sliced at
+    Windows are exact ``max_len`` chunks; every attached cluster set is sliced at
     every window of the plan by one :func:`~bookcoref.model.cut` (full
     containment, O(C log M + M) per set), stripped of empty clusters and
     re-based to window-local coordinates. Mentions crossing a boundary are
@@ -144,7 +128,7 @@ def split_corpus(corpus: CorpusFile, max_len: int = DEFAULT_WINDOW_LEN) -> Split
     crossings: list[tuple[str, str, object, Mention]] = []
     for rec in corpus.records:
         doc = rec.document
-        plan = plan_windows(doc, max_len, "strict")
+        plan = plan_windows(doc, max_len)
         # each set is cut once per plan; crossings and records share the parts
         parts = {name: cut(cs, plan.windows) for name, cs in rec.cluster_sets.items()}
         for name, cs in rec.cluster_sets.items():

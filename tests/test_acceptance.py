@@ -182,7 +182,7 @@ def test_algebra_window_coverage():
         n = rng.randint(1, 2000)
         max_len = rng.randint(1, 200)
         doc = Document("d", tuple("x" * 1 for _ in range(n)))
-        plan = plan_windows(doc, max_len, "strict")
+        plan = plan_windows(doc, max_len)
         assert covers(plan.windows, n)
         grouped = plan_groups(plan, rng.randint(1, 12))
         assert covers(grouped.groups, n)
@@ -231,7 +231,7 @@ def test_algebra_seed_preservation_adversarial():
         doc = Document("d", tuple(f"t{i}" for i in range(n)), ("c0", "c1", "c2"))
         cs = _random_cluster_set(rng, n, stage="refined")
         try:
-            plan = plan_windows(doc, rng.randint(4, n), "mention_safe", guard=cs)
+            plan = plan_windows(doc, rng.randint(4, n), guard=cs)
         except PlanningError:
             continue  # overlapping mentions covered a whole window range
         if rng.random() < 0.18 or adversarial >= 1000:

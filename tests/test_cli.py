@@ -64,7 +64,7 @@ class TestParser:
         out = capsys.readouterr().out
         for flag in (
             "--stages", "--linker", "--judge", "--expander", "--endpoint",
-            "--window-len", "--group-size", "--context-words", "--boundary",
+            "--window-len", "--group-size", "--context-words",
             "--retries", "--timeout", "--cache-dir",
         ):
             assert flag in out
@@ -380,6 +380,29 @@ class TestHostileInput:
         assert f"bookcoref: response document '{unit}' has 10 tokens, but key document '{unit}' has 3" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["key.jsonl", "long.jsonl"]
+
+    def test_score_linking_refuses_a_response_with_another_token_count(self, tmp_path, capsys):
+        """Linking scores pair spans by offset, so a 10-token response is not
+        scored against a 3-token key document, as under ``score``."""
+        key = tmp_path / "short.jsonl"
+        response = tmp_path / "long.jsonl"
+        key.write_text(json.dumps({"doc_id": "d", "tokens": ["a", "b", "c"], "characters": ["A"], "clusters": {"A": [[0, 0], [2, 2]]}}) + "\n")
+        response.write_text(json.dumps({"doc_id": "d", "tokens": ["a"] * 10, "characters": ["A"], "clusters": {"A": [[0, 0], [5, 8]]}}) + "\n")
+        assert main(["score-linking", str(key), str(response), "--out", str(tmp_path / "out.json")]) == 1
+        captured = capsys.readouterr()
+        assert "bookcoref: response document 'd' has 10 tokens, but key document 'd' has 3" in captured.err
+        assert "Traceback" not in captured.err
+        assert "P=" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.jsonl", "short.jsonl"]
+
+    def test_score_linking_missing_response_document_exits_2(self, tmp_path, capsys):
+        key = tmp_path / "key.jsonl"
+        response = tmp_path / "other.jsonl"
+        key.write_text(json.dumps({"doc_id": "d", "tokens": ["a"], "characters": ["A"], "clusters": {"A": [[0, 0]]}}) + "\n")
+        response.write_text(json.dumps({"doc_id": "e", "tokens": ["a"], "characters": [], "clusters": {}}) + "\n")
+        assert main(["score-linking", str(key), str(response)]) == 2
+        err = capsys.readouterr().err
+        assert "bookcoref: response corpus is missing document 'd'" in err and "Traceback" not in err
 
     def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"

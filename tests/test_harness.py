@@ -143,8 +143,8 @@ class TestAlignment:
         rec = doc_with("k", 20, {"A": [(0, 0), (5, 5)]})
         cs = rec.cluster_sets["gold"]
         key = CorpusFile([DocumentRecord(rec.document, {"silver": cs, "extra": cs})])
-        # split scores the key's windows, so the error names the first of them
-        with pytest.raises(SchemaError, match=r"^document 'k(#w1)?' has no cluster set 'gold'.*\['extra', 'silver'\]"):
+        # split picks the key's set before cutting it, so every setting names the book
+        with pytest.raises(SchemaError, match=r"^document 'k' has no cluster set 'gold'.*\['extra', 'silver'\]"):
             evaluate(Setting(kind, 10), key, as_prediction(CorpusFile([rec])))
 
     def test_response_record_without_prediction_or_a_sole_set_is_a_schema_error(self, small_corpus):
@@ -224,7 +224,7 @@ class TestCutOncePerPlan:
         rec = self.corpus().records[0]
         doc, refined = rec.document, rec.cluster_sets["gold"].with_stage("refined")
         cuts, restricts = self.count_calls(monkeypatch, pipeline)
-        plan = plan_windows(doc, 300, "mention_safe", refined)
+        plan = plan_windows(doc, 300, guard=refined)
         grouped = plan_groups(plan, 2)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             expanded = expand_pass(doc, refined, plan, IdentityExpander(), executor=pool)

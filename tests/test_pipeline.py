@@ -344,7 +344,7 @@ class TestExpandPass:
     def test_identity_expander_preserves_clusters(self):
         doc, gold = gold_small()
         cs = explicit_mentions(doc, gold).with_stage("refined")
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         out = expand_pass(doc, cs, plan, IdentityExpander())
         assert out.stage == "window_expanded"
         assert out.clusters == cs.clusters
@@ -352,7 +352,7 @@ class TestExpandPass:
     def test_oracle_closure_window_and_group(self):
         doc, gold = gold_small()
         cs = explicit_mentions(doc, gold).with_stage("refined")
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         out = expand_pass(doc, cs, plan, OracleExpander(gold))
         assert out.clusters == gold.clusters
         grouped = plan_groups(plan, 2)
@@ -362,7 +362,7 @@ class TestExpandPass:
 
     def test_stage_gates(self):
         doc, gold = gold_small()
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         with pytest.raises(StageError):
             expand_pass(doc, gold, plan, IdentityExpander())
         grouped = plan_groups(plan, 2)
@@ -385,7 +385,7 @@ class TestExpandPass:
                         break
                 return out
 
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         with pytest.raises(ContractError, match=r"dropped seed mention \(\d+,\d+\) of .* in window"):
             expand_pass(doc, cs, plan, DropsOne())
 
@@ -399,7 +399,7 @@ class TestExpandPass:
             def expand(self, request):
                 return {k: ms for k, ms in request.seeds.items() if not ms or k != "Ann"}
 
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         with pytest.raises(ContractError, match="dropped seed mention"):
             expand_pass(doc, cs, plan, OmitsKey())
 
@@ -415,7 +415,7 @@ class TestExpandPass:
                 out["Ann"] = list(out["Ann"]) + [Mention(request.hi, request.hi)]
                 return out
 
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         with pytest.raises(ContractError, match="outside window"):
             expand_pass(doc, cs, plan, Overflows())
 
@@ -431,7 +431,7 @@ class TestExpandPass:
                 out["Ghost"] = [Mention(request.lo, request.lo)]
                 return out
 
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         with pytest.raises(ContractError, match="unknown cluster key"):
             expand_pass(doc, cs, plan, Invents())
 
@@ -448,7 +448,7 @@ class TestExpandPass:
                 out["Ben"] = list(out["Ben"]) + [Mention(request.lo, request.lo)]
                 return out
 
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         with pytest.raises(ContractError, match="in clusters"):
             expand_pass(doc, cs, plan, DoubleBooks())
 
@@ -477,7 +477,7 @@ class TestExpandPass:
         # Ben has no explicit seed in window 1 (tokens 0-9 hold only "Ben"@8,
         # drop it to create the gap), Ann has no seed in window 2
         seeds = ClusterSet.build("small", "refined", {"Ann": [(0, 0)], "Ben": [(13, 13)]})
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         expander = SeededOnlyOracle(gold)
         after_windows = expand_pass(doc, seeds, plan, expander)
         # window pass: Ben missing from window 1, Ann missing from window 2
@@ -488,21 +488,22 @@ class TestExpandPass:
         assert final.clusters == gold.clusters
 
     def test_boundary_crossing_input_mention_is_refused_loudly(self):
-        """A strict plan that would silently lose a boundary-crossing seed
-        is rejected instead (mention_safe planning avoids the situation)."""
+        """An unguarded plan that would silently lose a boundary-crossing
+        seed is rejected instead (planning with the seeds as guard avoids
+        the situation)."""
         doc, _ = gold_small()
         cs = ClusterSet.build("small", "refined", {"Ann": [(9, 10)], "Ben": []})
-        strict = plan_windows(doc, 10, "strict")
+        plain = plan_windows(doc, 10)
         with pytest.raises(PlanningError, match=r"\(9,10\) of 'Ann' crosses"):
-            expand_pass(doc, cs, strict, IdentityExpander())
-        safe = plan_windows(doc, 10, "mention_safe", guard=cs)
+            expand_pass(doc, cs, plain, IdentityExpander())
+        safe = plan_windows(doc, 10, guard=cs)
         out = expand_pass(doc, cs, safe, IdentityExpander())
         assert out.clusters == cs.clusters
 
     def test_window_order_independence_via_parallel_jobs(self):
         doc, gold = gold_small()
         cs = explicit_mentions(doc, gold).with_stage("refined")
-        plan = plan_windows(doc, 5, "strict")
+        plan = plan_windows(doc, 5)
         serial = expand_pass(doc, cs, plan, OracleExpander(gold))
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = expand_pass(doc, cs, plan, OracleExpander(gold), executor=pool)
@@ -511,7 +512,7 @@ class TestExpandPass:
     def test_monotone_growth_through_expansion(self):
         doc, gold = gold_small()
         cs = explicit_mentions(doc, gold).with_stage("refined")
-        plan = plan_windows(doc, 10, "strict")
+        plan = plan_windows(doc, 10)
         out = expand_pass(doc, cs, plan, OracleExpander(gold))
         assert out.n_mentions >= cs.n_mentions
 
@@ -680,7 +681,7 @@ class TestConcurrentJudging:
     def test_failing_expander_stops_after_calls_in_flight(self):
         doc = names_doc()
         cs = pattern_match(doc).advanced()
-        plan = plan_windows(doc, 10, "mention_safe", guard=cs)
+        plan = plan_windows(doc, 10, guard=cs)
         calls = []
 
         class DeadExpander:

@@ -1,10 +1,11 @@
 import random
+from math import ceil
 
 import pytest
 
-from bookcoref.errors import ConfigError, PlanningError
+from bookcoref.errors import PlanningError
 from bookcoref.formats import CorpusFile, DocumentRecord
-from bookcoref.model import ClusterSet, Document, Mention, shift
+from bookcoref.model import ClusterSet, Document, Mention, crossing_mentions, cut, shift
 from bookcoref.windowing import plan_groups, plan_windows, split_corpus, window_doc_id
 from helpers import covers, within
 
@@ -15,50 +16,51 @@ def doc_of(n, doc_id="d", characters=("A", "B")):
 
 class TestPlanWindows:
     def test_strict_arithmetic_chunking(self):
-        plan = plan_windows(doc_of(3200), 1500, "strict")
+        plan = plan_windows(doc_of(3200), 1500)
         assert plan.windows == ((0, 1500), (1500, 3000), (3000, 3200))
 
     def test_mention_safe_moves_boundary_left(self):
         guard = ClusterSet.build("d", "gold", {"A": [(1498, 1502)]})
-        plan = plan_windows(doc_of(3200), 1500, "mention_safe", guard)
+        plan = plan_windows(doc_of(3200), 1500, guard)
         assert plan.windows == ((0, 1498), (1498, 2998), (2998, 3200))
 
     def test_degenerate_single_window(self):
-        plan = plan_windows(doc_of(1499), 1500, "strict")
+        plan = plan_windows(doc_of(1499), 1500)
         assert plan.windows == ((0, 1499),)
 
     def test_guard_mention_longer_than_max_len(self):
         guard = ClusterSet.build("d", "gold", {"A": [(0, 10)]})
         with pytest.raises(PlanningError, match=r"\(0,10\)"):
-            plan_windows(doc_of(100), 5, "mention_safe", guard)
-
-    def test_mention_safe_requires_guard(self):
-        with pytest.raises(ConfigError):
-            plan_windows(doc_of(10), 5, "mention_safe")
+            plan_windows(doc_of(100), 5, guard)
 
     def test_unsplit_guard_mention_at_exact_boundary_is_fine(self):
         guard = ClusterSet.build("d", "gold", {"A": [(1495, 1499)]})
-        plan = plan_windows(doc_of(3000), 1500, "mention_safe", guard)
+        plan = plan_windows(doc_of(3000), 1500, guard)
         assert plan.windows == ((0, 1500), (1500, 3000))
 
     def test_partition_coverage_property(self):
+        """Both plans partition the document; a guarded plan splits no guard
+        mention, and it equals the unguarded plan whenever that one splits
+        none (so a pipeline always planning around its seeds loses nothing
+        an unguarded plan could have run)."""
         rng = random.Random(3)
-        planned = 0
+        planned = unchanged = 0
         for _ in range(1200):
             n = rng.randint(1, 400)
             max_len = rng.randint(1, 60)
             d = doc_of(n)
-            strict = plan_windows(d, max_len, "strict")
-            assert covers(strict.windows, n)
-            assert all(hi - lo <= max_len for lo, hi in strict.windows)
+            plain = plan_windows(d, max_len)
+            assert covers(plain.windows, n)
+            assert all(hi - lo <= max_len for lo, hi in plain.windows)
             ms = []
             for _ in range(rng.randint(0, 8)):
                 s = rng.randrange(n)
                 e = min(n - 1, s + rng.randint(0, max_len - 1))
                 ms.append((s, e))
             guard = ClusterSet.build("d", "gold", {"A": ms})
+            crossed = crossing_mentions(guard, cut(guard, plain.windows))
             try:
-                safe = plan_windows(d, max_len, "mention_safe", guard)
+                safe = plan_windows(d, max_len, guard)
             except PlanningError:
                 # legal only when some window range is wholly covered by
                 # guard-mention interiors, leaving no boundary position
@@ -67,38 +69,44 @@ class TestPlanWindows:
                     all(p in interiors for p in range(lo + 1, lo + max_len + 1))
                     for lo in range(0, n, 1)
                 ), "planner gave up although a boundary existed"
+                assert crossed, "planner gave up although the unguarded plan splits no guard mention"
                 continue
             planned += 1
             assert covers(safe.windows, n)
             for _, m in guard.mentions():
                 assert any(within(m, lo, hi) for lo, hi in safe.windows), (m, safe.windows)
-        # strict coverage is checked on every iteration; most iterations
-        # also exercise a full mention_safe plan
+            if not crossed:
+                unchanged += 1
+                assert safe.windows == plain.windows
+        # unguarded coverage is checked on every iteration; most iterations
+        # also exercise a full guarded plan, and many of those a guard that
+        # the unguarded plan leaves whole
         assert planned > 800
+        assert unchanged > 300
 
     def test_determinism(self):
         d = doc_of(5000)
         guard = ClusterSet.build("d", "gold", {"A": [(10, 12), (1499, 1503)]})
-        a = plan_windows(d, 1500, "mention_safe", guard)
-        b = plan_windows(d, 1500, "mention_safe", guard)
+        a = plan_windows(d, 1500, guard)
+        b = plan_windows(d, 1500, guard)
         assert a == b
 
 
 class TestPlanGroups:
     def test_ceil_grouping(self):
-        plan = plan_windows(doc_of(23 * 100), 100, "strict")
+        plan = plan_windows(doc_of(23 * 100), 100)
         grouped = plan_groups(plan, 10)
         assert len(plan) == 23
         assert len(grouped) == 3
         assert grouped.groups == ((0, 1000), (1000, 2000), (2000, 2300))
 
     def test_group_size_one_is_identity(self):
-        plan = plan_windows(doc_of(450), 100, "strict")
+        plan = plan_windows(doc_of(450), 100)
         grouped = plan_groups(plan, 1)
         assert grouped.groups == plan.windows
 
     def test_single_group_when_g_equals_n(self):
-        plan = plan_windows(doc_of(1000), 100, "strict")
+        plan = plan_windows(doc_of(1000), 100)
         grouped = plan_groups(plan, 10)
         assert grouped.groups == ((0, 1000),)
 
@@ -106,12 +114,11 @@ class TestPlanGroups:
         rng = random.Random(5)
         for _ in range(400):
             n = rng.randint(1, 3000)
-            plan = plan_windows(doc_of(n), rng.randint(1, 200), "strict")
-            grouped = plan_groups(plan, rng.randint(1, 12))
+            plan = plan_windows(doc_of(n), rng.randint(1, 200))
+            group_size = rng.randint(1, 12)
+            grouped = plan_groups(plan, group_size)
             assert covers(grouped.groups, n)
-            from math import ceil
-
-            assert len(grouped) == ceil(len(plan) / grouped.group_size)
+            assert len(grouped) == ceil(len(plan) / group_size)
 
 
 class TestSplitCorpus:
