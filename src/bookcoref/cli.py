@@ -23,7 +23,7 @@ from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, write_c
 from .harness import Setting, check_token_counts, evaluate
 from .memsim import Policy, simulate, sweep, sweep_csv
 from .metrics import corpus_stats, linking_prf, pool_prf
-from .model import check_bounds, validate
+from .model import Document, check_bounds, validate
 from .pipeline import (
     DEFAULT_CONTEXT_WORDS,
     AcceptAllJudge,
@@ -73,8 +73,12 @@ def _write_json(args: argparse.Namespace, payload: dict) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _is_conll(path: str) -> bool:
+    return path.endswith((".conll", ".conll12", ".v4_gold_conll"))
+
+
 def _load_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
-    if path.endswith((".conll", ".conll12", ".v4_gold_conll")):
+    if _is_conll(path):
         return read_conll(path, clusters_as=clusters_as)
     return read_jsonl(path, clusters_as=clusters_as)
 
@@ -99,6 +103,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _with_key_names(corpus: CorpusFile) -> CorpusFile:
+    """A corpus read from CoNLL, each document's character index naming its
+    integer cluster keys in numbered order, so that the JSONL written from it
+    validates: CoNLL carries no character names."""
+    records = []
+    for rec in corpus.records:
+        doc = rec.document
+        names = tuple(str(k) for k in sorted(rec.pick("gold").clusters))
+        records.append(DocumentRecord(Document(doc.doc_id, doc.tokens, names, doc.source), rec.cluster_sets))
+    return CorpusFile(records)
+
+
 def _cmd_convert(args: argparse.Namespace) -> int:
     to = args.to
     if to is None:
@@ -107,6 +123,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if to == "conll":
         write_conll(corpus, args.output)
     else:
+        if _is_conll(args.input):
+            corpus = _with_key_names(corpus)
         write_jsonl(corpus, args.output)
     print(f"converted {args.input} -> {args.output} ({len(corpus)} documents, format {to})")
     _write_json(args, {"command": "convert", "input": args.input, "output": args.output, "format": to})

@@ -16,8 +16,12 @@ their original order. Re-writing a file produced by these writers is
 byte-identical.
 
 Cost: the CoNLL writer labels only the tokens where a mention starts or ends
-and writes each document with one call, so an export is linear in tokens plus
-mentions; the CoNLL reader is one pass over the rows. Both
+and writes each document in chunks of rows, so an export is linear in tokens
+plus mentions; the CoNLL reader is one pass over the rows. Memory goes on
+token text, not on clusters: both readers keep one string per distinct token
+text in a file, so a read book holds about 22 bytes a token (its tokens tuple
+and its mentions) rather than a fresh string each, and the writer holds a
+document's labels and one chunk of rows, not its whole text. Both
 readers report a file that is not UTF-8 as a :class:`ParseError` naming the
 line of the first bad byte.
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator
 
 from .errors import ParseError, SchemaError
@@ -99,12 +103,15 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     """Read a JSONL corpus; the "clusters" key becomes a set named ``clusters_as``.
 
     The set's stage is ``clusters_as`` when that is a known stage name,
-    else "gold". Unknown record keys land in ``Document.source``.
+    else "gold". Unknown record keys land in ``Document.source``. Every
+    token of the file with the same text is the same string object, so the
+    corpus holds one string per distinct token text.
     """
     stage = clusters_as if clusters_as in STAGES else "gold"
     key = prediction_key if stage == "prediction" else None
     corpus = CorpusFile()
     seen_ids: set[str] = set()
+    texts: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -131,8 +138,16 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
                     raise SchemaError(f"line {lineno}: 'doc_id' must be a string, got {type(doc_id).__name__}")
                 tokens = obj["tokens"]
                 characters = obj["characters"]
-                # map(isinstance, ...) checks each item at C speed
-                if not isinstance(tokens, list) or not all(map(isinstance, tokens, repeat(str))):
+                # each token becomes the file's first string of its text; a str
+                # never equals a non-str, so the tokens are all strings exactly when
+                # the texts new to this record are (newest last, hence reversed)
+                known = len(texts)
+                try:
+                    shared = tuple(map(texts.setdefault, tokens, tokens)) if isinstance(tokens, list) else None
+                except TypeError:  # an unhashable token
+                    shared = None
+                new = islice(reversed(texts), len(texts) - known)
+                if shared is None or not all(map(isinstance, new, repeat(str))):
                     raise SchemaError(f"line {lineno}: 'tokens' must be an array of strings")
                 if not isinstance(characters, list) or not all(map(isinstance, characters, repeat(str))):
                     raise SchemaError(f"line {lineno}: 'characters' must be an array of strings")
@@ -140,7 +155,7 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
                     raise SchemaError(f"line {lineno}: duplicate doc_id {doc_id!r}")
                 seen_ids.add(doc_id)
                 extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
-                doc = Document(doc_id, tuple(tokens), tuple(characters), extra or None)
+                doc = Document(doc_id, shared, tuple(characters), extra or None)
                 clusters = clusters_from_json(obj["clusters"], SchemaError, f"line {lineno}", key)
                 cs = ClusterSet(doc_id, stage, clusters)
                 corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
@@ -188,6 +203,8 @@ def write_jsonl(corpus: CorpusFile, path: str, clusters_from: str | None = None)
 
 _CONLL_BEGIN = re.compile(r"#begin document \((?P<id>.*)\); part (?P<part>\d+)\s*$")
 _COREF_ITEM = re.compile(r"^(\()?(\d+)(\))?$")
+#: ``write_conll`` joins and writes a document's rows this many at a time.
+_CONLL_CHUNK_ROWS = 4096
 
 
 def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
@@ -256,8 +273,10 @@ def write_conll(corpus: CorpusFile, path: str) -> None:
     Character names are lost; cluster keys become integer ids assigned in
     first-mention order. Every record is checked and labelled before the
     file is opened, so a bad record (see :func:`_check_row_text`) leaves no
-    output behind; each document is then written with one call. The cost is
-    linear in tokens plus mentions.
+    output behind. Each document is then written as its header, its rows
+    joined ``_CONLL_CHUNK_ROWS`` at a time, and its end line, so beyond the
+    labels the writer holds one chunk of rows, not a copy of the document's
+    text. The cost is linear in tokens plus mentions.
     """
     docs = []
     for rec in corpus.records:
@@ -266,18 +285,26 @@ def write_conll(corpus: CorpusFile, path: str) -> None:
         docs.append((doc, _coref_labels(rec.pick("gold"), len(doc.tokens))))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for doc, labels in docs:
+            f.write(f"#begin document ({doc.doc_id}); part 000\n")
             prefix = f"{doc.doc_id}\t0\t"
-            rows = [f"{prefix}{i}\t{tok}\t{label}\n" for i, (tok, label) in enumerate(zip(doc.tokens, labels))]
-            f.write(f"#begin document ({doc.doc_id}); part 000\n{''.join(rows)}#end document\n")
+            tokens = doc.tokens
+            for lo in range(0, len(tokens), _CONLL_CHUNK_ROWS):
+                hi = lo + _CONLL_CHUNK_ROWS
+                rows = zip(range(lo, hi), tokens[lo:hi], labels[lo:hi])
+                f.write("".join([f"{prefix}{i}\t{tok}\t{label}\n" for i, tok, label in rows]))
+            f.write("#end document\n")
 
 
 def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     """Read a CoNLL-2012 export back into a corpus.
 
     Clusters come back integer-keyed (names are not representable), so the
-    attached set defaults to stage "prediction".
+    attached set defaults to stage "prediction". Each row's token is replaced
+    by the file's first string of the same text as it is read, so the corpus
+    holds one string per distinct token text.
     """
     corpus = CorpusFile()
+    texts: dict[str, str] = {}
     doc_id: str | None = None
     tokens: list[str] = []
     open_stacks: dict[int, list[int]] = {}
@@ -321,7 +348,7 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
                     raise ParseError("expected at least token and coreference columns", row)
                 token, label = cols[-2], cols[-1]
                 idx = len(tokens)
-                tokens.append(token)
+                tokens.append(texts.setdefault(token, token))
                 if label != "-":
                     for item in label.split("|"):
                         im = _COREF_ITEM.match(item)

@@ -1,7 +1,8 @@
 """Small helpers the tests share: a plan-coverage check, the text of a JSONL
-corpus, and the containment test that the reference restriction scans with."""
+corpus, the CoNLL export formatted one string per document, and the
+containment test that the reference restriction scans with."""
 
-from bookcoref.formats import _record_line
+from bookcoref.formats import _coref_labels, _record_line
 
 
 def covers(ranges, n):
@@ -18,6 +19,19 @@ def jsonl_text(corpus, clusters_from=None):
     """The text that ``write_jsonl(corpus, path, clusters_from)`` writes."""
     out = [_record_line(rec, clusters_from) for rec in corpus.records]
     return "\n".join(out) + ("\n" if out else "")
+
+
+def conll_text(corpus):
+    """The CoNLL export of ``corpus``, each document formatted as one string:
+    the bytes that ``write_conll`` writes in chunks of rows."""
+    out = []
+    for rec in corpus.records:
+        doc = rec.document
+        labels = _coref_labels(rec.pick("gold"), len(doc.tokens))
+        prefix = f"{doc.doc_id}\t0\t"
+        rows = [f"{prefix}{i}\t{tok}\t{label}\n" for i, (tok, label) in enumerate(zip(doc.tokens, labels))]
+        out.append(f"#begin document ({doc.doc_id}); part 000\n{''.join(rows)}#end document\n")
+    return "".join(out)
 
 
 def within(m, lo, hi):

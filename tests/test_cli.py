@@ -178,6 +178,21 @@ class TestConvertAndSplit:
         }
         assert spans == original
 
+    def test_jsonl_from_conll_names_its_keys_and_validates(self, tmp_path, capsys):
+        """CoNLL carries no character names, so the JSONL written from it lists
+        its integer keys as characters, in numbered order, and validates."""
+        doc = Document("d", tuple(f"t{i}" for i in range(12)), tuple(f"C{i}" for i in range(12)))
+        gold = ClusterSet.build("d", "gold", {f"C{i}": [(i, i)] for i in range(12)})
+        src = tmp_path / "gold.jsonl"
+        write_jsonl(CorpusFile([DocumentRecord(doc, {"gold": gold})]), str(src))
+        conll_path, back, again = tmp_path / "gold.conll", tmp_path / "back.jsonl", tmp_path / "again.jsonl"
+        assert main(["convert", str(src), str(conll_path)]) == 0
+        assert main(["convert", str(conll_path), str(back)]) == 0
+        assert json.loads(back.read_text())["characters"] == [str(i) for i in range(12)]
+        assert main(["validate", str(back)]) == 0
+        assert main(["convert", str(back), str(again)]) == 0
+        assert again.read_bytes() == back.read_bytes()
+
     def test_span_past_document_end_exits_1_and_writes_nothing(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(
@@ -317,6 +332,22 @@ class TestHostileInput:
         kind = {list: "list", int: "int", type(None): "NoneType", bool: "bool"}[type(doc_id)]
         assert f"bookcoref: line 2: 'doc_id' must be a string, got {kind}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["1", "1.0", "true", "null", '["a"]', '{"a":1}', '["a", 1]'])
+    def test_token_that_is_not_a_string_exits_2_and_writes_nothing(self, tmp_path, capsys, token):
+        """Line 1 holds the texts "a" and "b" already, so the bad token is the
+        only text new to line 2; an unhashable one (a list or an object) is
+        refused too."""
+        src = tmp_path / "bad.jsonl"
+        src.write_text(
+            '{"doc_id":"x","tokens":["a","b"],"characters":[],"clusters":{}}\n'
+            f'{{"doc_id":"y","tokens":["a",{token},"b"],"characters":[],"clusters":{{}}}}\n'
+        )
+        out = tmp_path / "out.jsonl"
+        assert main(["convert", str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bookcoref: line 2: 'tokens' must be an array of strings" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field", ["tokens", "doc_id"])
     def test_lone_surrogate_escape_exits_2_and_writes_nothing(self, tmp_path, capsys, field):

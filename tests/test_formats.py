@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from bookcoref.errors import ParseError, SchemaError
 from bookcoref.formats import (
+    _CONLL_CHUNK_ROWS,
     CorpusFile,
     DocumentRecord,
     _coref_labels,
@@ -18,7 +21,7 @@ from bookcoref.formats import (
 )
 from bookcoref.metrics import conll
 from bookcoref.model import ClusterSet, Document, Mention, validate
-from helpers import jsonl_text
+from helpers import conll_text, jsonl_text
 from oracles import coref_labels_reference
 
 #: sha256 of the CoNLL export of the seed-13 reference corpus
@@ -272,6 +275,103 @@ class TestConll:
         path.write_bytes(b"#begin document (d); part 000\nd\t0\t0\ta\t-\nd\t0\t1\t\xff\t-\n#end document\n")
         with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
             read_conll(str(path))
+
+
+def _traced(fn):
+    """``fn()``, and the bytes it allocated that are still held after a
+    collection, and the peak, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+class TestTokenTexts:
+    """A read corpus holds one string object per distinct token text, shared
+    across the documents of a file."""
+
+    @pytest.fixture(scope="class")
+    def books(self, gold_corpus, tmp_path_factory):
+        """The seed-13 corpus, and its fable and manor books alone, as JSONL and CoNLL."""
+        d = tmp_path_factory.mktemp("texts")
+        by_id = gold_corpus.by_id()
+        paths = {}
+        for name, corpus in (
+            ("all", gold_corpus),
+            ("synthetic_fable", CorpusFile([by_id["synthetic_fable"]])),
+            ("synthetic_manor", CorpusFile([by_id["synthetic_manor"]])),
+        ):
+            for suffix, write in ((".jsonl", write_jsonl), (".conll", write_conll)):
+                paths[name + suffix] = str(d / (name + suffix))
+                write(corpus, paths[name + suffix])
+        return paths
+
+    @pytest.mark.parametrize("read, suffix", [(read_jsonl, ".jsonl"), (read_conll, ".conll")], ids=["jsonl", "conll"])
+    def test_each_distinct_token_text_is_one_string(self, books, read, suffix):
+        corpus = read(books["all" + suffix])
+        tokens = [tok for rec in corpus for tok in rec.document.tokens]
+        assert len(tokens) > 200_000
+        assert len({id(tok) for tok in tokens}) == len(set(tokens))
+        manor = corpus.by_id()["synthetic_manor"].document.tokens
+        assert len({id(tok) for tok in manor}) == len(set(manor)) == 250
+
+    # The CoNLL reader allocates a few objects per row, which tracemalloc makes
+    # slow, so its bound is checked on the shorter fable book (36k tokens).
+    @pytest.mark.parametrize(
+        "read, name", [(read_jsonl, "synthetic_manor.jsonl"), (read_conll, "synthetic_fable.conll")], ids=["jsonl", "conll"]
+    )
+    def test_a_read_keeps_under_40_bytes_per_token(self, books, read, name):
+        """About 20 bytes a token stay: the tokens tuple and the mentions.
+        One fresh string per token kept about 72."""
+        corpus, held, _ = _traced(lambda: read(books[name]))
+        assert held / sum(len(rec.document) for rec in corpus) < 40
+
+
+class TestConllWriterChunks:
+    """``write_conll`` writes each document in chunks of rows; the bytes equal
+    one string per document (``helpers.conll_text``)."""
+
+    @staticmethod
+    def record(doc_id, n):
+        """A document of ``n`` tokens with mentions that open or close on
+        either side of every chunk edge, one over the whole document and one
+        on its last token."""
+        edges = range(_CONLL_CHUNK_ROWS, n, _CONLL_CHUNK_ROWS)
+        clusters = {
+            "A": [(0, n - 1)] + [(e - 1, e) for e in edges],
+            "B": [(n - 1, n - 1)] + [(e - 1, e - 1) for e in edges] + [(e, e) for e in edges],
+        }
+        doc = Document(doc_id, tuple(f"w{i % 7}" for i in range(n)))
+        return DocumentRecord(doc, {"gold": ClusterSet.build(doc_id, "gold", clusters)})
+
+    SIZES = (_CONLL_CHUNK_ROWS - 1, _CONLL_CHUNK_ROWS, _CONLL_CHUNK_ROWS + 1, 2 * _CONLL_CHUNK_ROWS + 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_one_document_at_a_chunk_edge(self, tmp_path, n):
+        corpus = CorpusFile([self.record("d", n)])
+        path = tmp_path / "d.conll"
+        write_conll(corpus, str(path))
+        assert path.read_bytes() == conll_text(corpus).encode()
+
+    def test_several_documents(self, tmp_path):
+        corpus = CorpusFile([self.record(f"d{n}", n) for n in (1, *self.SIZES)])
+        path = tmp_path / "all.conll"
+        write_conll(corpus, str(path))
+        data = path.read_bytes()
+        assert data == conll_text(corpus).encode() and data.count(b"#begin document") == 5
+
+    def test_peak_memory_stays_under_50_bytes_per_token(self, tmp_path):
+        """About 21 bytes a token: the labels and one chunk. Formatting a
+        document as one string peaked at about 112."""
+        n = 8 * _CONLL_CHUNK_ROWS + 1
+        corpus = CorpusFile([self.record("d", n)])
+        _, _, peak = _traced(lambda: write_conll(corpus, str(tmp_path / "d.conll")))
+        assert peak / n < 50
 
 
 @st.composite
