@@ -206,7 +206,7 @@ def _cmd_score_linking(args: argparse.Namespace) -> int:
         resp = responses.get(rec.document.doc_id)
         if resp is None:
             raise SchemaError(f"response corpus is missing document {rec.document.doc_id!r}")
-        check_token_counts(rec.document, resp.document)
+        check_token_counts(rec.document.doc_id, len(rec.document), resp.document)
         prf = linking_prf(rec.cluster_sets["gold"], resp.cluster_sets["prediction"])
         per_doc.append((rec.document.doc_id, prf))
         p, r, f1 = prf.as_percentages()

@@ -20,8 +20,12 @@ and writes each document in chunks of rows, so an export is linear in tokens
 plus mentions; the CoNLL reader is one pass over the rows. Memory goes on
 token text, not on clusters: both readers keep one string per distinct token
 text in a file, so a read book holds about 22 bytes a token (its tokens tuple
-and its mentions) rather than a fresh string each, and the writer holds a
-document's labels and one chunk of rows, not its whole text. Both
+and its mentions) rather than a fresh string each. A read's transient is its
+current line and one slice of it: the JSONL reader decodes the tokens of a
+written line about 64 KB of text at a time and maps each slice to the shared
+strings before it decodes the next, so it never holds one fresh string per
+token of a book. The writer holds a document's labels and one chunk of rows,
+not its whole text, and builds the labels from one int per bracket. Both
 readers report a file that is not UTF-8 as a :class:`ParseError` naming the
 line of the first bad byte.
 """
@@ -32,12 +36,15 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from json.decoder import scanstring
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import ParseError, SchemaError
 from .model import STAGES, ClusterSet, Document, Mention, _key_order, clusters_from_json, clusters_to_json, prediction_key
 
 _REQUIRED_KEYS = ("doc_id", "tokens", "characters", "clusters")
+_end = itemgetter(1)
 
 
 @dataclass
@@ -98,6 +105,121 @@ def _undecodable(path: str) -> ParseError:
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
+#: ``read_jsonl`` decodes a line's ``tokens`` array about this many characters
+#: of line text at a time.
+_TOKEN_SLICE = 1 << 16
+_HEAD = '{"doc_id":"'
+_TOKENS = ',"tokens":['
+_TOKENS_END = '"],"characters":'
+# In an array of strings, a '","' that is not between two elements (the
+# comma token's own text, or a string that holds '",') ends with a closing
+# quote, so ',' or ']' follows it; a boundary is followed by the next
+# element's text.
+_ELEMENT_BOUNDARY = re.compile(r'","(?![,\]])')
+
+
+def _new_texts_are_strings(texts: dict[str, str], known: int) -> bool:
+    """Whether the texts added to ``texts`` since it held ``known`` are all
+    strings. Each token is mapped to the file's first string of its text by
+    ``texts.setdefault``, and a str never equals a non-str, so a line's tokens
+    are all strings exactly when the texts new to it are (newest last, hence
+    reversed)."""
+    return all(map(isinstance, islice(reversed(texts), len(texts) - known), repeat(str)))
+
+
+def _sliced_object(line: str, texts: dict[str, str]) -> dict | None:
+    """The object of a line in the writers' layout, its tokens decoded
+    ``_TOKEN_SLICE`` characters of text at a time and each slice mapped to
+    the file's shared strings (``texts``) before the next is decoded, so a
+    read never holds one fresh string per token of a book.
+
+    The line is cut into its head, token slices at element boundaries, and
+    its other members; each piece is decoded on its own, so when every piece
+    decodes, the line is valid JSON and this is exactly its ``json.loads``
+    object, with ``"tokens"`` a tuple of strings (which JSON never decodes
+    to). Anything else returns ``None``, for the whole-line path to read and
+    word every error: another layout, a token that is not a string, a slice
+    that does not decode, and a ``\\u`` escape that may be a lone
+    surrogate. ``texts`` is then as it was.
+    """
+    if not line.startswith(_HEAD) or "\\ud" in line or "\\uD" in line:
+        return None
+    known = len(texts)
+    try:
+        doc_id, lo = scanstring(line, len(_HEAD))
+        if not line.startswith(_TOKENS + '"', lo):
+            return None
+        lo += len(_TOKENS)
+        end = line.find(_TOKENS_END, lo)  # the last token's closing quote
+        if end < 0:
+            return None
+        tokens: list[str] = []
+        while True:
+            cut = _ELEMENT_BOUNDARY.search(line, lo + _TOKEN_SLICE, end)
+            hi = cut.start() + 1 if cut else end + 1
+            part = json.loads("[" + line[lo:hi] + "]")
+            tokens += map(texts.setdefault, part, part)
+            del part
+            if cut is None:
+                break
+            lo = hi + 1
+        rest = json.loads("{" + line[end + 3 :])
+    except (ValueError, RecursionError, TypeError):  # TypeError: an unhashable token
+        rest = None
+    if rest is None or not _new_texts_are_strings(texts, known):
+        while len(texts) > known:
+            texts.popitem()
+        return None
+    # a later "doc_id" or "tokens" member wins, keeping the first one's place, as in json.loads
+    return {"doc_id": doc_id, "tokens": tuple(tokens), **rest}
+
+
+def _jsonl_record(
+    line: str, lineno: int, texts: dict[str, str], seen_ids: set[str], clusters_as: str, stage: str
+) -> DocumentRecord:
+    """The record of one non-blank line of a JSONL corpus (see :func:`read_jsonl`)."""
+    obj = _sliced_object(line, texts)
+    if obj is None:
+        try:
+            obj = json.loads(line)
+            # an escape such as "\ud800" reads as a lone surrogate, which
+            # no writer can encode; only a line with such an escape is searched
+            lone = ("\\ud" in line or "\\uD" in line) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False))
+        except json.JSONDecodeError as e:
+            raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
+        except RecursionError as e:
+            raise ParseError("JSON nested too deeply", lineno) from e
+        if not isinstance(obj, dict):
+            raise ParseError("record is not a JSON object", lineno)
+        if lone:
+            raise SchemaError(f"line {lineno}: a string holds the lone surrogate {lone.group()!r}")
+    missing = [k for k in _REQUIRED_KEYS if k not in obj]
+    if missing:
+        raise SchemaError(f"line {lineno}: missing required keys {missing}")
+    doc_id = obj["doc_id"]
+    if not isinstance(doc_id, str):
+        raise SchemaError(f"line {lineno}: 'doc_id' must be a string, got {type(doc_id).__name__}")
+    tokens = obj["tokens"]
+    characters = obj["characters"]
+    if type(tokens) is not tuple:  # the whole-line path: share and check the tokens here
+        known = len(texts)
+        try:
+            tokens = tuple(map(texts.setdefault, tokens, tokens)) if isinstance(tokens, list) else None
+        except TypeError:  # an unhashable token
+            tokens = None
+        if tokens is None or not _new_texts_are_strings(texts, known):
+            raise SchemaError(f"line {lineno}: 'tokens' must be an array of strings")
+    if not isinstance(characters, list) or not all(map(isinstance, characters, repeat(str))):
+        raise SchemaError(f"line {lineno}: 'characters' must be an array of strings")
+    if doc_id in seen_ids:
+        raise SchemaError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+    seen_ids.add(doc_id)
+    extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
+    doc = Document(doc_id, tokens, tuple(characters), extra or None)
+    key = prediction_key if stage == "prediction" else None
+    clusters = clusters_from_json(obj["clusters"], SchemaError, f"line {lineno}", key)
+    return DocumentRecord(doc, {clusters_as: ClusterSet(doc_id, stage, clusters)})
+
 
 def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     """Read a JSONL corpus; the "clusters" key becomes a set named ``clusters_as``.
@@ -106,59 +228,25 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     else "gold". Unknown record keys land in ``Document.source``. Every
     token of the file with the same text is the same string object, so the
     corpus holds one string per distinct token text.
+
+    A line in the writers' layout has its ``tokens`` decoded a slice of
+    about ``_TOKEN_SLICE`` characters at a time (see :func:`_sliced_object`),
+    so beyond the records it returns, a read holds the current line, one
+    slice's fresh strings and the record being built; each record's decoded
+    object is dropped before the next line is read. Any other line (spaces
+    between elements, another key order, a token that is not a string) is
+    decoded whole by ``json.loads``. Both paths give the same records and
+    the same errors, which name the line.
     """
     stage = clusters_as if clusters_as in STAGES else "gold"
-    key = prediction_key if stage == "prediction" else None
     corpus = CorpusFile()
     seen_ids: set[str] = set()
     texts: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    # an escape such as "\ud800" reads as a lone surrogate, which
-                    # no writer can encode; only a line with such an escape is searched
-                    lone = ("\\ud" in line or "\\uD" in line) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False))
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
-                except RecursionError as e:
-                    raise ParseError("JSON nested too deeply", lineno) from e
-                if not isinstance(obj, dict):
-                    raise ParseError("record is not a JSON object", lineno)
-                if lone:
-                    raise SchemaError(f"line {lineno}: a string holds the lone surrogate {lone.group()!r}")
-                missing = [k for k in _REQUIRED_KEYS if k not in obj]
-                if missing:
-                    raise SchemaError(f"line {lineno}: missing required keys {missing}")
-                doc_id = obj["doc_id"]
-                if not isinstance(doc_id, str):
-                    raise SchemaError(f"line {lineno}: 'doc_id' must be a string, got {type(doc_id).__name__}")
-                tokens = obj["tokens"]
-                characters = obj["characters"]
-                # each token becomes the file's first string of its text; a str
-                # never equals a non-str, so the tokens are all strings exactly when
-                # the texts new to this record are (newest last, hence reversed)
-                known = len(texts)
-                try:
-                    shared = tuple(map(texts.setdefault, tokens, tokens)) if isinstance(tokens, list) else None
-                except TypeError:  # an unhashable token
-                    shared = None
-                new = islice(reversed(texts), len(texts) - known)
-                if shared is None or not all(map(isinstance, new, repeat(str))):
-                    raise SchemaError(f"line {lineno}: 'tokens' must be an array of strings")
-                if not isinstance(characters, list) or not all(map(isinstance, characters, repeat(str))):
-                    raise SchemaError(f"line {lineno}: 'characters' must be an array of strings")
-                if doc_id in seen_ids:
-                    raise SchemaError(f"line {lineno}: duplicate doc_id {doc_id!r}")
-                seen_ids.add(doc_id)
-                extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
-                doc = Document(doc_id, shared, tuple(characters), extra or None)
-                clusters = clusters_from_json(obj["clusters"], SchemaError, f"line {lineno}", key)
-                cs = ClusterSet(doc_id, stage, clusters)
-                corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
+                if not line.isspace():
+                    corpus.records.append(_jsonl_record(line, lineno, texts, seen_ids, clusters_as, stage))
     except UnicodeDecodeError as e:
         raise _undecodable(path) from e
     return corpus
@@ -211,40 +299,49 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
     """Per-token coreference column using (k / k) / (k) bracket notation.
 
     Starts from ``"-"`` everywhere and fills only the tokens where a mention
-    starts or ends; each of those sorts only its own marks, so the cost is
-    linear in tokens plus mentions. A span that ends past the document is a
+    starts or ends, so the cost is linear in tokens plus mentions (and a sort
+    of the marks). A span that ends past the document is a
     :class:`SchemaError`.
     """
+    clusters = cs.clusters
+    for key, ms in clusters.items():
+        if ms and max(map(_end, ms)) >= n_tokens:
+            start, end = next(m for m in set(ms) if m[1] >= n_tokens)
+            raise SchemaError(
+                f"document {cs.doc_id!r}: span ({start}, {end}) of cluster {key!r} "
+                f"ends past the last token ({n_tokens} tokens)"
+            )
     # integer ids in first-mention order
-    firsts = sorted((ms[0], _key_order(key), key) for key, ms in cs.clusters.items() if ms)
+    firsts = sorted((ms[0], _key_order(key), key) for key, ms in clusters.items() if ms)
     ids = {key: i for i, (_, _, key) in enumerate(firsts)}
+    n, width = n_tokens, len(ids)
 
-    # per token: (group, order, id, text); sorting puts the opening brackets
-    # first, outermost first, then single-token mentions, then the closing
-    # brackets, innermost first
-    marks: dict[int, list[tuple[int, int, int, str]]] = {}
-    for key, ms in cs.clusters.items():
-        if not ms:
-            continue
-        k = ids[key]
-        for m in set(ms):
-            start, end = m
-            if end >= n_tokens:
-                raise SchemaError(
-                    f"document {cs.doc_id!r}: span ({start}, {end}) of cluster {key!r} "
-                    f"ends past the last token ({n_tokens} tokens)"
-                )
-            if start == end:
-                marks.setdefault(start, []).append((1, 0, k, f"({k})"))
-            else:
-                marks.setdefault(start, []).append((0, -end, k, f"({k}"))
-                marks.setdefault(end, []).append((2, -start, k, f"{k})"))
-
-    labels = ["-"] * n_tokens
-    for i, parts in marks.items():
-        parts.sort()
-        labels[i] = "|".join([p[3] for p in parts])
+    # Each mark is one int that sorts by its token, then by bracket order, then
+    # by cluster id: a mention opens at its start, outermost (last-ending) first,
+    # with a single-token mention last, and closes at its end, innermost
+    # (last-starting) first, after the token's openings. Equal marks (a
+    # mention given twice in a cluster) are written once.
+    labels = ["-"] * n
+    opening = sorted([(s * n + n - 1 - e) * width + ids[key] for key, ms in clusters.items() for s, e in ms])
+    _write_marks(labels, opening, n, width, closing=False)
+    del opening
+    closing = sorted([(e * n + n - 1 - s) * width + ids[key] for key, ms in clusters.items() for s, e in ms if s < e])
+    _write_marks(labels, closing, n, width, closing=True)
     return labels
+
+
+def _write_marks(labels: list[str], marks: list[int], n: int, width: int, closing: bool) -> None:
+    """Append each of ``_coref_labels``' sorted ``marks`` to its token's label."""
+    prev = -1
+    for mark in marks:
+        if mark == prev:
+            continue
+        prev = mark
+        rest, k = divmod(mark, width)
+        i, other = divmod(rest, n)
+        text = f"{k})" if closing else f"({k})" if other == n - 1 - i else f"({k}"
+        label = labels[i]
+        labels[i] = text if label == "-" else f"{label}|{text}"
 
 
 def _check_row_text(doc: Document) -> None:

@@ -16,10 +16,16 @@ name is scored from that set, and any other record is a
   window: both sides are restricted to each window (full containment),
   empty clusters dropped, and each window scored as its own unit.
 
-``split`` and ``gold_plus_window`` slice each cluster set at all of a
-document's windows with one :func:`~bookcoref.model.cut`, O(C log M + M) for
-C clusters and M mentions, rather than one :func:`~bookcoref.model.restrict`
-(O(C log M + k) for k kept) per window.
+``split`` and ``gold_plus_window`` share one per-document window loop. It
+slices each cluster set at all of a document's windows with one
+:func:`~bookcoref.model.cut`, O(C log M + M) for C clusters and M mentions,
+rather than one :func:`~bookcoref.model.restrict` (O(C log M + k) for k
+kept) per window. ``split`` cuts the key lazily, a book at a time, and
+re-bases each part to its window with :func:`~bookcoref.model.shift` only
+as that window is scored, so it never copies the key corpus into window
+documents. It picks every key record's set before it scores any window, so
+a record without one is reported ahead of an earlier book's response of
+the wrong length.
 
 In ``split`` and ``gold_plus_window``, a window where both sides are empty (a
 missing response counts as empty) carries no signal and is skipped. A unit
@@ -35,15 +41,15 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigError, ContractError
-from .formats import CorpusFile, DocumentRecord
+from .formats import CorpusFile
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
 # which checks that the tracer wraps it in every windowed module
-from .model import ClusterSet, Document, cut, drop_empty, restrict  # noqa: F401
-from .windowing import DEFAULT_WINDOW_LEN, plan_windows, split_corpus, window_doc_id
+from .model import ClusterSet, Document, cut, drop_empty, restrict, shift  # noqa: F401
+from .windowing import DEFAULT_WINDOW_LEN, plan_windows, window_doc_id
 
 SETTINGS = ("full_book", "split", "gold_plus_window")
 
@@ -128,38 +134,45 @@ def _peak_rss_mb() -> float | None:
 
 
 _Unit = tuple[str, ClusterSet, ClusterSet | None]
-_Lookup = Callable[[Document], ClusterSet | None]
+_Lookup = Callable[[str, int], ClusterSet | None]
 
 
-def _document_units(docs: CorpusFile, response_for: _Lookup) -> Iterator[_Unit]:
-    """full_book's units, and split's once the key corpus is cut into windows."""
-    for rec in docs.records:
-        yield rec.document.doc_id, rec.pick("gold"), response_for(rec.document)
+def _window_units(
+    keys: Iterable[tuple[Document, ClusterSet]], split: bool, window_len: int, response_for: _Lookup, missing: list[str]
+) -> Iterator[_Unit]:
+    """split's and gold_plus_window's units: each key set is sliced at every
+    window by one :func:`~bookcoref.model.cut`, and each part is made ready
+    only as its window is scored.
 
-
-def _window_units(docs: CorpusFile, response_for: _Lookup, window_len: int, missing: list[str]) -> Iterator[_Unit]:
-    """gold_plus_window's units: each side of a document is sliced at every
-    window by one :func:`~bookcoref.model.cut`. A missing response is flagged
-    here, for the document, and its windows are scored against an empty set."""
-    for rec in docs.records:
-        key_cs = rec.pick("gold")
-        doc_id = rec.document.doc_id
-        resp_cs = response_for(rec.document)
+    In ``split`` each window is a response document of its own, so its key
+    part is re-based to the window's coordinates with
+    :func:`~bookcoref.model.shift`. In ``gold_plus_window`` the response is
+    cut at the same windows; a missing one is flagged here, for the
+    document, and its windows are scored against an empty set.
+    """
+    for doc, key_cs in keys:
+        doc_id = doc.doc_id
+        windows = plan_windows(doc, window_len).windows
+        if split:
+            for i, ((lo, hi), key_part) in enumerate(zip(windows, cut(key_cs, windows)), 1):
+                unit_id = window_doc_id(doc_id, i)
+                yield unit_id, shift(drop_empty(key_part), -lo), response_for(unit_id, hi - lo)
+            continue
+        resp_cs = response_for(doc_id, len(doc))
         if resp_cs is None:
             missing.append(doc_id)
             resp_cs = ClusterSet(doc_id, "prediction")
-        windows = plan_windows(rec.document, window_len).windows
         for i, (key_part, resp_part) in enumerate(zip(cut(key_cs, windows), cut(resp_cs, windows)), 1):
             yield window_doc_id(doc_id, i), drop_empty(key_part), drop_empty(resp_part)
 
 
-def check_token_counts(key_doc: Document, resp_doc: Document) -> None:
-    """A response document must have as many tokens as its key document;
-    one that does not is a :class:`ContractError`."""
-    if len(resp_doc) != len(key_doc):
+def check_token_counts(key_id: str, n_tokens: int, resp_doc: Document) -> None:
+    """A response document must have as many tokens as the key document
+    ``key_id`` (``n_tokens``); one that does not is a :class:`ContractError`."""
+    if len(resp_doc) != n_tokens:
         raise ContractError(
             f"response document {resp_doc.doc_id!r} has {len(resp_doc)} tokens, "
-            f"but key document {key_doc.doc_id!r} has {len(key_doc)}"
+            f"but key document {key_id!r} has {n_tokens}"
         )
 
 
@@ -182,22 +195,25 @@ def evaluate(
     responses = response_corpus.by_id()
     looked_up: set[str] = set()
 
-    def response_for(key_doc: Document) -> ClusterSet | None:
-        looked_up.add(key_doc.doc_id)
-        resp = responses.get(key_doc.doc_id)
+    def response_for(doc_id: str, n_tokens: int) -> ClusterSet | None:
+        looked_up.add(doc_id)
+        resp = responses.get(doc_id)
         if resp is None:
             return None
-        check_token_counts(key_doc, resp.document)
+        check_token_counts(doc_id, n_tokens, resp.document)
         return resp.pick("prediction")
 
-    if setting.kind == "gold_plus_window":
-        units = _window_units(key_corpus, response_for, setting.window_len, run.missing_units)
-    elif setting.kind == "split":
-        # pick each key record's set before the cut, so an error names the book
-        picked = CorpusFile([DocumentRecord(rec.document, {"gold": rec.pick("gold")}) for rec in key_corpus.records])
-        units = _document_units(split_corpus(picked, setting.window_len).corpus, response_for)
+    if setting.kind == "full_book":
+        units: Iterator[_Unit] = (
+            (rec.document.doc_id, rec.pick("gold"), response_for(rec.document.doc_id, len(rec.document)))
+            for rec in key_corpus.records
+        )
     else:
-        units = _document_units(key_corpus, response_for)
+        keys: Iterable[tuple[Document, ClusterSet]] = ((rec.document, rec.pick("gold")) for rec in key_corpus.records)
+        if setting.kind == "split":
+            # a record without a set is reported before any window is scored
+            keys = list(keys)
+        units = _window_units(keys, setting.kind == "split", setting.window_len, response_for, run.missing_units)
 
     skip_empty = setting.kind != "full_book"
     for unit_id, key_cs, resp_cs in units:

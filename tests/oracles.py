@@ -20,18 +20,25 @@ reproduce its reports bit for bit.
 which keyed, ordered and placed ``_PlannedMention`` objects on every pass;
 the pass over hoisted per-mention lists must reproduce its order, starts and
 pooled distance exactly. Their bodies are kept as they were.
+
+``read_jsonl_reference`` is the earlier JSONL reader, which decoded every
+line whole with ``json.loads``; the reader that decodes a line's tokens a
+slice at a time must give the same corpus, or the same error, for any line.
+Its body is kept as it was.
 """
 
+import json
 from collections import Counter, OrderedDict
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations, repeat
 
 from scipy.optimize import linear_sum_assignment
 
-from bookcoref.errors import GeneratorError
+from bookcoref.errors import GeneratorError, ParseError, SchemaError
+from bookcoref.formats import _REQUIRED_KEYS, _SURROGATE, CorpusFile, DocumentRecord, _undecodable
 from bookcoref.memsim import SimReport
 from bookcoref.metrics import PRF, ScoreReport, chain_distance
-from bookcoref.model import ClusterSet, _key_order
+from bookcoref.model import STAGES, ClusterSet, Document, _key_order, clusters_from_json, prediction_key
 from bookcoref.synthetic import WINDOW, BookSpec, _PlannedMention
 
 
@@ -418,3 +425,62 @@ def pooled_distance_reference(per_book_placed: list[list[tuple[int, _PlannedMent
             pairs += p
             dist += d
     return dist / pairs if pairs else 0.0
+
+
+def read_jsonl_reference(path: str, clusters_as: str = "gold") -> CorpusFile:
+    """Read a JSONL corpus, each line decoded whole by ``json.loads``."""
+    stage = clusters_as if clusters_as in STAGES else "gold"
+    key = prediction_key if stage == "prediction" else None
+    corpus = CorpusFile()
+    seen_ids: set[str] = set()
+    texts: dict[str, str] = {}
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    # an escape such as "\ud800" reads as a lone surrogate, which
+                    # no writer can encode; only a line with such an escape is searched
+                    lone = ("\\ud" in line or "\\uD" in line) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False))
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
+                except RecursionError as e:
+                    raise ParseError("JSON nested too deeply", lineno) from e
+                if not isinstance(obj, dict):
+                    raise ParseError("record is not a JSON object", lineno)
+                if lone:
+                    raise SchemaError(f"line {lineno}: a string holds the lone surrogate {lone.group()!r}")
+                missing = [k for k in _REQUIRED_KEYS if k not in obj]
+                if missing:
+                    raise SchemaError(f"line {lineno}: missing required keys {missing}")
+                doc_id = obj["doc_id"]
+                if not isinstance(doc_id, str):
+                    raise SchemaError(f"line {lineno}: 'doc_id' must be a string, got {type(doc_id).__name__}")
+                tokens = obj["tokens"]
+                characters = obj["characters"]
+                # each token becomes the file's first string of its text; a str
+                # never equals a non-str, so the tokens are all strings exactly when
+                # the texts new to this record are (newest last, hence reversed)
+                known = len(texts)
+                try:
+                    shared = tuple(map(texts.setdefault, tokens, tokens)) if isinstance(tokens, list) else None
+                except TypeError:  # an unhashable token
+                    shared = None
+                new = islice(reversed(texts), len(texts) - known)
+                if shared is None or not all(map(isinstance, new, repeat(str))):
+                    raise SchemaError(f"line {lineno}: 'tokens' must be an array of strings")
+                if not isinstance(characters, list) or not all(map(isinstance, characters, repeat(str))):
+                    raise SchemaError(f"line {lineno}: 'characters' must be an array of strings")
+                if doc_id in seen_ids:
+                    raise SchemaError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+                seen_ids.add(doc_id)
+                extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
+                doc = Document(doc_id, shared, tuple(characters), extra or None)
+                clusters = clusters_from_json(obj["clusters"], SchemaError, f"line {lineno}", key)
+                cs = ClusterSet(doc_id, stage, clusters)
+                corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
+    except UnicodeDecodeError as e:
+        raise _undecodable(path) from e
+    return corpus

@@ -3,17 +3,20 @@ import hashlib
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookcoref import formats
 from bookcoref.errors import ParseError, SchemaError
 from bookcoref.formats import (
     _CONLL_CHUNK_ROWS,
     CorpusFile,
     DocumentRecord,
     _coref_labels,
+    _sliced_object,
     read_conll,
     read_jsonl,
     write_conll,
@@ -22,7 +25,7 @@ from bookcoref.formats import (
 from bookcoref.metrics import conll
 from bookcoref.model import ClusterSet, Document, Mention, validate
 from helpers import conll_text, jsonl_text
-from oracles import coref_labels_reference
+from oracles import coref_labels_reference, read_jsonl_reference
 
 #: sha256 of the CoNLL export of the seed-13 reference corpus
 REFERENCE_CONLL_SHA256 = "22f7e20303ff3b71c272d3cf55df27d8a5c99167d1e2c0141a9d6d27fe60ded0"
@@ -331,6 +334,13 @@ class TestTokenTexts:
         corpus, held, _ = _traced(lambda: read(books[name]))
         assert held / sum(len(rec.document) for rec in corpus) < 40
 
+    def test_a_jsonl_read_peaks_under_60_bytes_per_token(self, books):
+        """About 42 bytes a token: the record kept, its line, and the list and
+        tuple of its shared tokens. Decoding the line whole, one fresh string
+        per token, peaked at about 101."""
+        corpus, _, peak = _traced(lambda: read_jsonl(books["synthetic_manor.jsonl"]))
+        assert peak / len(corpus.records[0].document) < 60
+
 
 class TestConllWriterChunks:
     """``write_conll`` writes each document in chunks of rows; the bytes equal
@@ -372,6 +382,14 @@ class TestConllWriterChunks:
         corpus = CorpusFile([self.record("d", n)])
         _, _, peak = _traced(lambda: write_conll(corpus, str(tmp_path / "d.conll")))
         assert peak / n < 50
+
+    def test_peak_memory_on_a_book_stays_under_30_bytes_per_token(self, gold_corpus, tmp_path):
+        """On the seed-13 manor book (145k tokens, 15k mentions), about 19
+        bytes a token: the labels and one chunk. A 4-tuple and a bracket
+        string for every opening and closing peaked at about 44."""
+        manor = CorpusFile([gold_corpus.by_id()["synthetic_manor"]])
+        _, _, peak = _traced(lambda: write_conll(manor, str(tmp_path / "manor.conll")))
+        assert peak / len(manor.records[0].document) < 30
 
 
 @st.composite
@@ -427,3 +445,120 @@ def test_conll_roundtrip_keeps_partition(tmp_path_factory, case):
         return sorted(sorted(set(ms)) for ms in c.clusters.values() if ms)
 
     assert partition(back.cluster_sets["prediction"]) == partition(cs)
+
+
+class TestSlicedTokens:
+    """``read_jsonl`` decodes the tokens of a line in the writers' layout a
+    slice at a time; any other line is decoded whole."""
+
+    WRITTEN = '{"doc_id":"d","tokens":["a",",","b"],"characters":["A"],"clusters":{"A":[[0,0]]},"note":1}'
+
+    @pytest.mark.parametrize(
+        "line",
+        [WRITTEN, WRITTEN.replace('"note":1', '"tokens":["z"]'), WRITTEN.replace('"note":1', '"doc_id":"e"')],
+        ids=["written", "tokens-twice", "doc-id-twice"],
+    )
+    def test_a_written_line_is_sliced_into_its_json_object(self, line):
+        """The tokens come as a tuple of shared strings; a later duplicate key
+        wins in the first one's place, as in ``json.loads``."""
+        texts = {}
+        with mock.patch.object(formats, "_TOKEN_SLICE", 1):
+            obj = _sliced_object(line, texts)
+        want = json.loads(line)
+        assert list(obj) == list(want)
+        assert {k: list(v) if type(v) is tuple else v for k, v in obj.items()} == want
+        assert list(texts) == ["a", ",", "b"]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            WRITTEN.replace('","', '", "'),  # a space after a separator
+            WRITTEN.replace('"tokens":["a",",","b"],"characters":["A"]', '"characters":["A"],"tokens":["a",",","b"]'),
+            WRITTEN.replace('["a",",","b"]', '["a",1,"b"]'),
+            WRITTEN.replace('["a",",","b"]', '["a",["b"]]'),
+            WRITTEN.replace('"a"', '"\\ud800"'),
+            WRITTEN[:-1],
+            WRITTEN + "x",
+        ],
+        ids=["spaced", "reordered", "int-token", "nested-token", "surrogate-escape", "truncated", "trailing-garbage"],
+    )
+    def test_any_other_line_is_left_whole_and_texts_unchanged(self, line):
+        texts = {"a": "a"}
+        with mock.patch.object(formats, "_TOKEN_SLICE", 1):
+            assert _sliced_object(line, texts) is None
+        assert texts == {"a": "a"}
+
+    def test_a_book_read_in_small_slices_equals_the_whole_line_read(self, gold_jsonl):
+        with mock.patch.object(formats, "_TOKEN_SLICE", 97):
+            corpus = read_jsonl(gold_jsonl)
+        assert corpus == read_jsonl_reference(gold_jsonl)
+
+
+#: JSON texts of string tokens: commas, quotes, brackets, backslashes, the
+#: text that ends a written tokens array, non-ASCII text and escapes
+STRINGS = [json.dumps(t, ensure_ascii=False) for t in ["a", "b", ",", ",,", '"', '",', '","', "\\", "\\\\", "],", '"],"characters":', "", " ", "é", "日本", "😀"]]
+STRINGS += ['"\\u00e9"', '"\\u002c"', '"\\"\\\\"']
+#: JSON texts of tokens that only the whole-line path reads: lone surrogate
+#: (and paired) escapes, and values that are not strings
+ODD_TOKENS = ['"\\ud800"', '"x\\udc80"', '"\\ud83d\\ude00"', '"\\uD800"', "1", "1.5", "null", "true", "[]", '["a"]', '[","]', '{"a":1}']
+FAULTS = ["spaced", "reordered", "odd-token", "no-tokens", "tokens-twice", "doc-id-twice", "bad-characters", "bad-span",
+          "truncated", "trailing-garbage"]
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line of a corpus: half of them in the writers' layout, the others
+    with one fault: spaces after separators, keys in another order, a token
+    that is not a plain string, no tokens, a duplicate ``tokens`` or
+    ``doc_id`` key, a bad member, a truncation or trailing garbage."""
+    fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
+    texts = st.text(max_size=3).map(lambda t: json.dumps(t, ensure_ascii=False))
+    tokens = draw(st.lists(st.one_of(st.sampled_from(STRINGS), texts), min_size=1, max_size=12))
+    if fault == "odd-token":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ODD_TOKENS)))
+    elif fault == "no-tokens":
+        tokens = []
+    sep, colon = (", ", ": ") if fault == "spaced" else (",", ":")
+    members = [
+        ("doc_id", json.dumps(draw(st.sampled_from(["d", "e", 'q"', "é", "w,", "x\\", "1", "d2"])), ensure_ascii=False)),
+        ("tokens", "[" + sep.join(tokens) + "]"),
+        ("characters", '["A",1]' if fault == "bad-characters" else draw(st.sampled_from(['["A"]', "[]"]))),
+        ("clusters", '{"A":[[0]]}' if fault == "bad-span" else draw(st.sampled_from(['{"A":[[0,0]]}', "{}"]))),
+    ]
+    members += draw(st.sampled_from([[], [("note", '"x"')], [("n", "[1,[2,{}]]")]]))
+    if fault == "tokens-twice":
+        members.append(("tokens", '["z"]'))
+    elif fault == "doc-id-twice":
+        members.append(("doc_id", '"f"'))
+    elif fault == "reordered":
+        members = draw(st.permutations(members))
+    line = "{" + sep.join(json.dumps(k) + colon + v for k, v in members) + "}"
+    if fault == "truncated":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    elif fault == "trailing-garbage":
+        line += draw(st.sampled_from(["x", "}", "]", " ", "\t", ',"a":1}', "{}"]))
+    return line
+
+
+def _read_outcome(read, path):
+    """The corpus ``read`` makes of ``path``, or its error's class and text."""
+    try:
+        return read(path)
+    except Exception as e:  # noqa: BLE001 - the reference's raw errors are compared too
+        return type(e), str(e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(jsonl_lines(), min_size=1, max_size=3), st.integers(0, 24))
+def test_sliced_read_equals_whole_line_read(tmp_path_factory, lines, slice_len):
+    """Every line, written and read with slices of 0 to 24 characters, gives
+    the same corpus as decoding each line whole, or the same error."""
+    path = tmp_path_factory.getbasetemp() / "sliced.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = _read_outcome(read_jsonl_reference, str(path))
+    with mock.patch.object(formats, "_TOKEN_SLICE", slice_len):
+        got = _read_outcome(read_jsonl, str(path))
+    assert got == want
+    if isinstance(got, CorpusFile):
+        tokens = [tok for rec in got for tok in rec.document.tokens]
+        assert len({id(tok) for tok in tokens}) == len(set(tokens))

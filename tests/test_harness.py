@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -154,6 +156,16 @@ class TestAlignment:
         with pytest.raises(SchemaError, match=r"^document 'b1' has no cluster set 'prediction'"):
             evaluate(Setting("full_book", 1500), small_corpus, response)
 
+    def test_split_names_a_book_without_a_set_before_scoring_an_earlier_one(self):
+        """split picks every key record's set before it cuts any, so a record
+        without one is reported even after a response of the wrong length."""
+        short, bad = doc_with("k1", 20, {"A": [(0, 0)]}), doc_with("k2", 20, {"A": [(0, 0)]})
+        cs = bad.cluster_sets["gold"]
+        key = CorpusFile([short, DocumentRecord(bad.document, {"silver": cs, "extra": cs})])
+        response = as_prediction(split_corpus(CorpusFile([doc_with("k1", 25, {})]), 10).corpus)
+        with pytest.raises(SchemaError, match=r"^document 'k2' has no cluster set 'gold'"):
+            evaluate(Setting("split", 10), key, response)
+
     def test_split_matches_by_window_id(self, small_corpus):
         response = as_prediction(split_corpus(small_corpus, 500).corpus)
         run = evaluate(Setting("split", 500), small_corpus, response)
@@ -217,6 +229,25 @@ class TestCutOncePerPlan:
         sets = [(plan_windows(rec.document, 500), rec.cluster_sets["gold"]) for rec in key.records]
         sets += [(plan_windows(rec.document, 500), rec.cluster_sets["prediction"]) for rec in response.records]
         assert cuts == self.once_per_plan(sets)
+        assert restricts == Counter()
+
+    def test_split(self, monkeypatch):
+        """The split setting cuts each key set once per plan, through harness's
+        binding of ``cut``, and never copies the key into a window corpus."""
+        key = self.corpus()
+        response = as_prediction(split_corpus(key, 500).corpus)
+
+        def no_split_corpus(*args, **kwargs):
+            raise AssertionError("split_corpus called")
+
+        for mod in (windowing, harness):
+            if hasattr(mod, "split_corpus"):
+                monkeypatch.setattr(mod, "split_corpus", no_split_corpus)
+        cuts, restricts = self.count_calls(monkeypatch, harness)
+        run = evaluate(Setting("split", 500), key, response)
+        assert [u for u, _ in run.units] == ["b1#w1", "b1#w2", "b2#w1"]
+        assert run.pooled.conll_f1 == pytest.approx(1.0)
+        assert cuts == self.once_per_plan([(plan_windows(rec.document, 500), rec.cluster_sets["gold"]) for rec in key.records])
         assert restricts == Counter()
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -405,3 +436,20 @@ class TestSeed13OutputsArePinned:
             trace_dict.pop("stage_seconds")
             traces.append(trace_dict)
         assert (sha256(jsonl_text(out, "prediction")), sha256(json.dumps(traces, sort_keys=True))) == self.PIPELINE
+
+
+def test_split_scoring_peaks_under_8_bytes_per_token(gold_corpus):
+    """The split setting cuts the key one book at a time and re-bases each
+    window only as it is scored: about 4 bytes a token on the seed-13 manor
+    book. Copying the key into a window corpus first peaked at about 25."""
+    manor = CorpusFile([gold_corpus.by_id()["synthetic_manor"]])
+    response = split_corpus(split_chains(manor)).corpus
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = evaluate(Setting("split"), manor, response)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run.units) > 90
+    assert peak / len(manor.records[0].document) < 8
