@@ -118,7 +118,7 @@ def _with_key_names(corpus: CorpusFile) -> CorpusFile:
 def _cmd_convert(args: argparse.Namespace) -> int:
     to = args.to
     if to is None:
-        to = "conll" if args.output.endswith((".conll", ".conll12")) else "jsonl"
+        to = "conll" if _is_conll(args.output) else "jsonl"
     corpus = _read_corpus(args.input)
     if to == "conll":
         write_conll(corpus, args.output)
@@ -288,7 +288,8 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         print(f"wrote predictions to {args.output} (config {config.config_hash()})")
         payload = {"command": "pipeline-run", "config_hash": config.config_hash(), "stages": list(stages), "traces": traces}
         if client is not None:
-            payload["service_log"] = client.log
+            # cache hits and completion order vary from run to run
+            payload["timings"] = {"service_log": client.log}
     finally:
         if pool is not None:
             pool.shutdown()
@@ -316,18 +317,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         base = Policy.lru(args.capacity)
     else:
         base = Policy.dual(args.l_cap, args.g_cap)
+    policies = []
+    if args.sweep:
+        capacities = _sweep_capacities(args.sweep)
+        if args.policy == "lru":
+            policies = [Policy.lru(c) for c in capacities]
+        elif args.policy == "dual":
+            policies = [Policy.dual(c, c) for c in capacities]
+        else:
+            raise ConfigError("--sweep requires --policy lru or dual")
+    elif args.csv:
+        raise ConfigError("--csv requires --sweep")
     results = {}
     csv_chunks = []
     for rec in corpus.records:
         gold = rec.cluster_sets["gold"]
-        if args.sweep:
-            capacities = _sweep_capacities(args.sweep)
-            if args.policy == "lru":
-                policies = [Policy.lru(c) for c in capacities]
-            elif args.policy == "dual":
-                policies = [Policy.dual(c, c) for c in capacities]
-            else:
-                raise ConfigError("--sweep requires --policy lru or dual")
+        if policies:
             swept = sweep(gold, policies)
             results[rec.document.doc_id] = [r.to_dict() for _, r in swept]
             csv_chunks.append((rec.document.doc_id, sweep_csv(swept)))
@@ -461,8 +466,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
         with open(known.config, encoding="utf-8") as f:
             try:
                 defaults = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"config file {known.config!r}: {e.msg}", e.lineno) from e
+            except ValueError as e:  # a JSONDecodeError, or an integer literal too long to convert
+                line = getattr(e, "lineno", None)
+                raise ParseError(f"config file {known.config!r}: {getattr(e, 'msg', e)}", line) from e
             except RecursionError as e:
                 raise ParseError(f"config file {known.config!r}: JSON nested too deeply") from e
         if not isinstance(defaults, dict):

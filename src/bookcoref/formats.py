@@ -185,8 +185,8 @@ def _jsonl_record(
             # an escape such as "\ud800" reads as a lone surrogate, which
             # no writer can encode; only a line with such an escape is searched
             lone = ("\\ud" in line or "\\uD" in line) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False))
-        except json.JSONDecodeError as e:
-            raise ParseError(f"malformed JSON ({e.msg})", lineno) from e
+        except ValueError as e:  # a JSONDecodeError, or an integer literal too long to convert
+            raise ParseError(f"malformed JSON ({getattr(e, 'msg', e)})", lineno) from e
         except RecursionError as e:
             raise ParseError("JSON nested too deeply", lineno) from e
         if not isinstance(obj, dict):

@@ -69,7 +69,9 @@ class Setting:
 @dataclass
 class EvalRun:
     """Scores for one evaluation: per-unit reports plus pooled/macro corpus
-    aggregates, wall-clock seconds and best-effort peak memory."""
+    aggregates. What varies from run to run is kept apart, in ``timings``:
+    the wall-clock ``seconds`` and ``process_peak_rss_mb``, the best-effort
+    peak memory of the whole process so far, not of this call."""
 
     setting: Setting
     units: list[tuple[str, ScoreReport]] = field(default_factory=list)
@@ -77,8 +79,7 @@ class EvalRun:
     macro: ScoreReport | None = None
     missing_units: list[str] = field(default_factory=list)
     unmatched_responses: list[str] = field(default_factory=list)
-    seconds: float = 0.0
-    peak_rss_mb: float | None = None
+    timings: dict[str, float | None] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -88,8 +89,7 @@ class EvalRun:
             "units": {unit: report.to_dict() for unit, report in self.units},
             "missing_units": self.missing_units,
             "unmatched_responses": self.unmatched_responses,
-            "seconds": self.seconds,
-            "peak_rss_mb": self.peak_rss_mb,
+            "timings": self.timings,
         }
 
     def summary_table(self) -> str:
@@ -106,7 +106,7 @@ class EvalRun:
             lines.append(f"missing responses for: {', '.join(self.missing_units)}")
         if self.unmatched_responses:
             lines.append(f"unmatched response docs: {', '.join(self.unmatched_responses)}")
-        lines.append(f"scored in {self.seconds:.2f}s")
+        lines.append(f"scored in {self.timings.get('seconds', 0.0):.2f}s")
         return "\n".join(lines)
 
     def save(self, out_dir: str) -> None:
@@ -228,6 +228,5 @@ def evaluate(
     if run.units:
         run.pooled = pool_reports([r for _, r in run.units])
         run.macro = macro_reports([r for _, r in run.units])
-    run.seconds = time.perf_counter() - started
-    run.peak_rss_mb = _peak_rss_mb()
+    run.timings = {"seconds": time.perf_counter() - started, "process_peak_rss_mb": _peak_rss_mb()}
     return run

@@ -75,9 +75,10 @@ class PRF:
 
 
 def _norm(clustering: Clustering | ClusterSet) -> list[frozenset]:
+    """The clusters as sets, empty ones dropped: an empty cluster is no entity."""
     if isinstance(clustering, ClusterSet):
         return clustering.partition()
-    return [frozenset(c) for c in clustering]
+    return [frozenset(c) for c in clustering if c]
 
 
 _Rows = list[tuple[int, Counter]]
@@ -252,7 +253,7 @@ class ScoreReport:
 
 
 def _prepare(clustering: Clustering | ClusterSet, drop_singletons: bool) -> list[frozenset]:
-    parts = [c for c in _norm(clustering) if c]
+    parts = _norm(clustering)
     if drop_singletons:
         parts = [c for c in parts if len(c) > 1]
     return parts

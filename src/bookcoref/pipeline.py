@@ -180,7 +180,8 @@ class PipelineTrace:
     doc_id: str
     config_hash: str
     components: dict[str, str] = field(default_factory=dict)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
+    #: what varies from run to run: each stage's seconds
+    timings: dict[str, float] = field(default_factory=dict)
     snapshots: dict[str, ClusterSet] = field(default_factory=dict)
     judge_verdicts: list[tuple[ClusterKey, Mention, bool]] = field(default_factory=list)
     window_records: list[dict] = field(default_factory=list)
@@ -191,7 +192,7 @@ class PipelineTrace:
             "doc_id": self.doc_id,
             "config_hash": self.config_hash,
             "components": self.components,
-            "stage_seconds": self.stage_seconds,
+            "timings": self.timings,
             "mention_counts": {name: cs.n_mentions for name, cs in self.snapshots.items()},
             "judge_verdicts": [
                 [str(k), [m.start, m.end], v] for k, m, v in self.judge_verdicts
@@ -563,32 +564,27 @@ def run(
 
     own_pool = executor is None and config.jobs > 1
     with ThreadPoolExecutor(max_workers=config.jobs) if own_pool else nullcontext(executor) as pool:
-        t0 = time.perf_counter()
-        cs = initialize(doc, linker, trace)
-        trace.stage_seconds["init"] = time.perf_counter() - t0
-        trace.snapshots["initialized"] = cs
+        marks = [time.perf_counter()]
 
+        def record(stage: str, snapshot: str, cs: ClusterSet) -> ClusterSet:
+            # a stage's time runs from the end of the one before
+            marks.append(time.perf_counter())
+            trace.timings[stage] = marks[-1] - marks[-2]
+            trace.snapshots[snapshot] = cs
+            return cs
+
+        cs = record("init", "initialized", initialize(doc, linker, trace))
         if "refine" in config.stages:
-            t0 = time.perf_counter()
-            cs = refine(doc, cs, judge, config.judge_context_words, trace, executor=pool)
-            trace.stage_seconds["refine"] = time.perf_counter() - t0
-            trace.snapshots["refined"] = cs
+            cs = record("refine", "refined", refine(doc, cs, judge, config.judge_context_words, trace, executor=pool))
         elif "window" in config.stages:
             # stage tag still advances so the window-expansion gate holds
             cs = cs.advanced()
 
         if "window" in config.stages:
-            t0 = time.perf_counter()
             plan = plan_windows(doc, config.window_len, guard=cs)
-            cs = expand_pass(doc, cs, plan, expander, trace, executor=pool)
-            trace.stage_seconds["window"] = time.perf_counter() - t0
-            trace.snapshots["window_expanded"] = cs
-
+            cs = record("window", "window_expanded", expand_pass(doc, cs, plan, expander, trace, executor=pool))
             if "group" in config.stages:
-                t0 = time.perf_counter()
                 grouped = plan_groups(plan, config.group_size)
-                cs = expand_pass(doc, cs, grouped, expander, trace, executor=pool)
-                trace.stage_seconds["group"] = time.perf_counter() - t0
-                trace.snapshots["final"] = cs
+                cs = record("group", "final", expand_pass(doc, cs, grouped, expander, trace, executor=pool))
 
     return cs, trace

@@ -1,6 +1,7 @@
 """Small helpers the tests share: a plan-coverage check, the text of a JSONL
-corpus, the CoNLL export formatted one string per document, and the
-containment test that the reference restriction scans with."""
+corpus, the CoNLL export formatted one string per document, the
+containment test that the reference restriction scans with, and the filter
+that keeps what must replay bit for bit."""
 
 from bookcoref.formats import _coref_labels, _record_line
 
@@ -37,3 +38,13 @@ def conll_text(corpus):
 def within(m, lo, hi):
     """True if the span ``m`` lies fully inside the token range [lo, hi)."""
     return lo <= m[0] and m[1] < hi
+
+
+def drop_timings(obj):
+    """``obj`` without any ``timings`` key, at any depth: what is left of a
+    JSON output or a trace's ``to_dict()`` is the same on every run."""
+    if isinstance(obj, dict):
+        return {k: drop_timings(v) for k, v in obj.items() if k != "timings"}
+    if isinstance(obj, list):
+        return [drop_timings(v) for v in obj]
+    return obj

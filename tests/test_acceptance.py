@@ -329,7 +329,7 @@ def test_performance(gold_corpus):
     assert run_a.pooled.conll_f1 == pytest.approx(1.0)
     assert 0.0 < run_b.pooled.conll_f1 < 1.0
     assert elapsed < 10.0, f"full-corpus scoring took {elapsed:.2f}s"
-    rss = run_b.peak_rss_mb
+    rss = run_b.timings["process_peak_rss_mb"]
     assert rss is None or rss < 2048, f"peak RSS {rss:.0f} MB"
 
     positions = list(range(0, 50_000 * 7, 7))

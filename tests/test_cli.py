@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -6,6 +7,8 @@ from bookcoref import cli
 from bookcoref.cli import main
 from bookcoref.formats import CorpusFile, DocumentRecord, read_jsonl, write_jsonl
 from bookcoref.model import ClusterSet, Document
+
+from helpers import drop_timings
 
 
 @pytest.fixture()
@@ -162,21 +165,24 @@ class TestStatsCommand:
 
 class TestConvertAndSplit:
     def test_jsonl_conll_roundtrip(self, tiny_jsonl, tmp_path, capsys):
-        conll_path = tmp_path / "tiny.conll"
-        back = tmp_path / "back.jsonl"
-        assert main(["convert", tiny_jsonl, str(conll_path)]) == 0
-        assert main(["convert", str(conll_path), str(back), "--to", "jsonl"]) == 0
-        spans = {
-            frozenset(ms)
-            for ms in read_jsonl(str(back), clusters_as="prediction").records[0]
-            .cluster_sets["prediction"]
-            .clusters.values()
-        }
+        """Every suffix that the readers take for CoNLL is written as CoNLL."""
         original = {
             frozenset(ms)
             for ms in read_jsonl(tiny_jsonl).records[0].cluster_sets["gold"].clusters.values()
         }
-        assert spans == original
+        for suffix in (".conll", ".conll12", ".v4_gold_conll"):
+            conll_path = tmp_path / f"tiny{suffix}"
+            back = tmp_path / "back.jsonl"
+            assert main(["convert", tiny_jsonl, str(conll_path)]) == 0
+            assert conll_path.read_text().startswith("#begin document (tiny)")
+            assert main(["convert", str(conll_path), str(back), "--to", "jsonl"]) == 0
+            spans = {
+                frozenset(ms)
+                for ms in read_jsonl(str(back), clusters_as="prediction").records[0]
+                .cluster_sets["prediction"]
+                .clusters.values()
+            }
+            assert spans == original
 
     def test_jsonl_from_conll_names_its_keys_and_validates(self, tmp_path, capsys):
         """CoNLL carries no character names, so the JSONL written from it lists
@@ -247,6 +253,23 @@ class TestScoreCommands:
         assert "100.0 100.0 100.0 100.0" in out
         run = json.loads((results / "run.json").read_text())
         assert run["pooled"]["conll_f1"] == pytest.approx(1.0)
+
+    def test_rescore_equals_the_first_outside_timings(self, tiny_jsonl, tmp_path, capsys):
+        """The ``--json`` payload and ``run.json`` keep the seconds and the
+        process's peak memory under ``timings``, and nothing else varies."""
+        results = tmp_path / "results"
+        runs = []
+        for _ in range(2):
+            assert main(["score", "--json", tiny_jsonl, tiny_jsonl, "--results", str(results)]) == 0
+            out = capsys.readouterr().out
+            payload = json.loads(out[out.index("\n{") + 1 :])
+            run_json = json.loads((results / "run.json").read_text())
+            assert set(payload["timings"]) == set(run_json["timings"]) == {"seconds", "process_peak_rss_mb"}
+            runs.append(
+                [json.dumps(drop_timings(d), indent=2, sort_keys=True) for d in (payload, run_json)]
+                + [(results / "units.jsonl").read_bytes()]
+            )
+        assert runs[0] == runs[1]
 
     def test_gold_plus_window_setting(self, tiny_jsonl, capsys):
         assert main(["score", "--setting", "gold+window", tiny_jsonl, tiny_jsonl, "--window-len", "10"]) == 0
@@ -435,6 +458,21 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert "bookcoref: response corpus is missing document 'd'" in err and "Traceback" not in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+    @pytest.mark.parametrize("sep", [(",", ":"), (", ", ": ")], ids=["compact", "spaced"])
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tiny_jsonl, tmp_path, capsys, sep):
+        """``json`` refuses an integer of more than 4,300 digits with a plain
+        ``ValueError``. A compact line tries the sliced read first and falls
+        back to the whole-line one; a spaced line takes the whole-line read."""
+        comma, colon = sep
+        path = tmp_path / "big.jsonl"
+        head = comma.join(f'"{k}"{colon}{v}' for k, v in (("doc_id", '"d"'), ("tokens", '["a"]'), ("characters", "[]")))
+        path.write_text(open(tiny_jsonl).read() + f'{{{head}{comma}"clusters"{colon}{{"A"{colon}[[0{comma}{"1" * 5000}]]}}}}\n')
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bookcoref: line 2: malformed JSON (Exceeds the limit (4300 digits)" in err
+        assert "Traceback" not in err
+
     def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"
         path.write_text(open(tiny_jsonl).read() + "[" * 100_000 + "\n")
@@ -500,6 +538,32 @@ class TestSimulateCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("corpus", ["empty", "one document"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sweep", "abc"], "--sweep: 'abc' is not an integer"),
+            (["--policy", "unbounded", "--sweep", "1,2"], "--sweep requires --policy lru or dual"),
+            (["--policy", "lru", "--csv", "sweep.csv"], "--csv requires --sweep"),
+        ],
+        ids=["sweep not an integer", "sweep with unbounded", "csv without sweep"],
+    )
+    def test_flag_misuse_exits_1_before_any_document(
+        self, tiny_jsonl, tmp_path, capsys, monkeypatch, corpus, flags, message
+    ):
+        """The sweep flags are checked once, before the first document, so an
+        empty corpus is refused too, and ``--csv`` alone writes no file."""
+        path = tiny_jsonl
+        if corpus == "empty":
+            path = tmp_path / "empty.jsonl"
+            path.write_text("")
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert f"bookcoref: {message}" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "sweep.csv").exists()
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tiny_jsonl, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -522,6 +586,25 @@ class TestConfigFile:
         assert main(["--config", str(config), "stats", tiny_jsonl]) == 2
         err = capsys.readouterr().err
         assert f"bookcoref: config file {str(config)!r}: JSON nested too deeply" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"window_len": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+            (b'{"out": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["integer past the digit limit", "not UTF-8"],
+    )
+    def test_config_that_json_refuses_with_a_value_error_exits_2(self, tiny_jsonl, tmp_path, capsys, content, message):
+        """``json`` refuses both with a plain ``ValueError``, not a ``JSONDecodeError``."""
+        if message.startswith("Exceeds") and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("no limit on integer digits")
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        assert main(["--config", str(config), "stats", tiny_jsonl]) == 2
+        err = capsys.readouterr().err
+        assert f"bookcoref: config file {str(config)!r}: {message}" in err
         assert "Traceback" not in err
 
     def test_config_key_that_names_no_flag_exits_2(self, tiny_jsonl, tmp_path, capsys):

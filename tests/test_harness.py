@@ -24,7 +24,7 @@ from bookcoref.pipeline import (
     run,
 )
 from bookcoref.windowing import plan_groups, plan_windows, split_corpus
-from helpers import jsonl_text
+from helpers import drop_timings, jsonl_text
 
 
 def doc_with(doc_id, n, gold_clusters, characters=("A", "B")):
@@ -280,8 +280,8 @@ class TestArtifacts:
 
     def test_run_records_time_and_memory(self, small_corpus):
         run = evaluate(Setting("full_book", 1500), small_corpus, as_prediction(small_corpus))
-        assert run.seconds > 0
-        assert run.peak_rss_mb is None or run.peak_rss_mb > 0
+        assert run.timings["seconds"] > 0
+        assert run.timings["process_peak_rss_mb"] is None or run.timings["process_peak_rss_mb"] > 0
 
 
 def split_chains(corpus):
@@ -298,9 +298,8 @@ def split_chains(corpus):
 
 
 def run_digest(run):
-    """sha256 of ``EvalRun.to_dict()`` without its timing fields."""
-    d = {k: v for k, v in run.to_dict().items() if k not in ("seconds", "peak_rss_mb")}
-    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+    """sha256 of ``EvalRun.to_dict()`` without its timings."""
+    return hashlib.sha256(json.dumps(drop_timings(run.to_dict()), sort_keys=True).encode()).hexdigest()
 
 
 #: run_digest for the seed-13 corpus against its split-chain response, per
@@ -432,9 +431,7 @@ class TestSeed13OutputsArePinned:
                 rec.document, PipelineConfig(jobs=jobs), OracleLinker(gold), OracleJudge(gold), OracleExpander(gold)
             )
             out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
-            trace_dict = trace.to_dict()
-            trace_dict.pop("stage_seconds")
-            traces.append(trace_dict)
+            traces.append(drop_timings(trace.to_dict()))
         assert (sha256(jsonl_text(out, "prediction")), sha256(json.dumps(traces, sort_keys=True))) == self.PIPELINE
 
 

@@ -303,11 +303,32 @@ def test_scorer_core_equals_reference_bit_for_bit(key, response):
         want = conll_reference(key, response, drop_singletons)
         assert got == want
         assert repr(got) == repr(want)  # also the int/float type of every count
-    # the public metrics keep empty clusters, which B3 cannot score
+    # the single-metric references keep empty clusters, which B3 cannot score
     key = [c for c in key if c]
     response = [c for c in response if c]
     for scorer, reference in ((muc, muc_reference), (b_cubed, b_cubed_reference), (ceaf_phi4, ceaf_phi4_reference)):
         assert repr(scorer(key, response)) == repr(reference(key, response))
+
+
+def with_empty_clusters(clustering, at):
+    """``clustering`` with an empty cluster inserted at each index of ``at``."""
+    out = list(clustering)
+    for i in at:
+        out.insert(min(i, len(out)), [])
+    return out
+
+
+@settings(max_examples=1000, deadline=None)
+@given(clusterings, clusterings, st.lists(st.integers(0, 6), max_size=3), st.lists(st.integers(0, 6), max_size=3))
+@example([[0, 1], []], [[0, 1]], [], [])
+def test_single_metrics_ignore_empty_clusters_like_conll(key, response, key_at, response_at):
+    """An empty cluster is no entity: empty clusters on either side change no
+    single metric, and each equals its part of ``conll`` keeping singletons."""
+    report = conll(key, response, drop_singletons=False)
+    padded = with_empty_clusters(key, key_at), with_empty_clusters(response, response_at)
+    for scorer, part in ((muc, report.muc), (b_cubed, report.b3), (ceaf_phi4, report.ceaf)):
+        assert repr(scorer(key, response)) == repr(part)
+        assert repr(scorer(*padded)) == repr(part)
 
 
 #: Every phi4 value 2c / (|K| + |R|) of clusters of up to 8 mentions that share c.

@@ -38,6 +38,8 @@ from bookcoref.pipeline import (
 )
 from bookcoref.windowing import plan_groups, plan_windows
 
+from helpers import drop_timings
+
 
 def make_doc(n=40, doc_id="d", characters=("Mr. Darcy", "Jane")):
     tokens = [f"w{i}" for i in range(n)]
@@ -579,9 +581,7 @@ class TestRun:
             final, trace = run(
                 rec.document, config, OracleLinker(gold), OracleJudge(gold), OracleExpander(gold)
             )
-            d = trace.to_dict()
-            d.pop("stage_seconds")
-            return final, d
+            return final, drop_timings(trace.to_dict())
 
         (f1, t1), (f2, t2) = one_run(), one_run()
         assert f1 == f2
@@ -629,12 +629,6 @@ class SleepyExpander:
         return request.seeds
 
 
-def trace_without_timings(trace):
-    d = trace.to_dict()
-    d.pop("stage_seconds")
-    return d
-
-
 class TestConcurrentJudging:
     def test_refine_is_bit_identical_for_any_jobs(self):
         doc = names_doc()
@@ -643,7 +637,7 @@ class TestConcurrentJudging:
         for jobs in (1, 8):
             judge, trace = SleepyJudge(), PipelineTrace(doc.doc_id, "x")
             with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-                outs[jobs] = refine(doc, cs, judge, trace=trace, executor=pool), trace_without_timings(trace)
+                outs[jobs] = refine(doc, cs, judge, trace=trace, executor=pool), drop_timings(trace.to_dict())
             judged = [m for _, m, _ in trace.judge_verdicts]
             if jobs > 1:
                 assert judge.finished != judged  # calls really completed out of order
@@ -656,7 +650,7 @@ class TestConcurrentJudging:
         for jobs in (1, 8):
             config = PipelineConfig(window_len=20, group_size=3, jobs=jobs)
             final, trace = run(doc, config, PatternMatchLinker(), SleepyJudge(), SleepyExpander())
-            outs[jobs] = final, trace_without_timings(trace)
+            outs[jobs] = final, drop_timings(trace.to_dict())
         assert outs[1] == outs[8]
 
     def test_failing_judge_stops_after_calls_in_flight(self):

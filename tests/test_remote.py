@@ -29,6 +29,8 @@ from bookcoref.pipeline import (
 )
 from bookcoref.remote import CACHE_FILE, DECODING, HttpExpander, HttpJudge, HttpLinker, ServiceClient, Transport
 
+from helpers import drop_timings
+
 
 class MockAnnotatorHandler(BaseHTTPRequestHandler):
     """Wire-protocol stand-in: exact-name linking, a judge that rejects
@@ -303,8 +305,8 @@ class TestEndToEndOverHttp:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["service_log"]
-        assert {entry["route"] for entry in payload["service_log"]} == {"/link", "/judge", "/expand"}
+        assert payload["timings"]["service_log"]
+        assert {entry["route"] for entry in payload["timings"]["service_log"]} == {"/link", "/judge", "/expand"}
         assert payload["invocation"]["endpoint"] == url
         assert payload["invocation_hash"]
         assert len(clients) == 1 and connections and dbs
@@ -312,6 +314,37 @@ class TestEndToEndOverHttp:
         for db in dbs:
             with pytest.raises(sqlite3.ProgrammingError, match="closed"):
                 db.execute("SELECT 1")
+
+    def test_cli_cached_rerun_equals_the_first_run_outside_timings(self, service, tmp_path, capsys):
+        """``pipeline run --json`` twice with one cache: the rerun sends no
+        request, and its payload differs from the first only under
+        ``timings``, where the service log says which calls were cached."""
+        from bookcoref.cli import main
+        from bookcoref.formats import CorpusFile, DocumentRecord, write_jsonl
+
+        server, url = service
+        src, pred = tmp_path / "in.jsonl", tmp_path / "pred.jsonl"
+        gold = ClusterSet.build("wire", "gold", {"Ann": [(0, 0), (5, 5)], "Ben": [(2, 2)]})
+        write_jsonl(CorpusFile([DocumentRecord(DOC, {"gold": gold})]), str(src))
+        argv = [
+            "--jobs", "2", "pipeline", "run", str(src), str(pred),
+            "--linker", "http", "--judge", "http", "--expander", "http",
+            "--endpoint", url, "--window-len", "2", "--group-size", "2",
+            "--cache-dir", str(tmp_path / "cache"), "--json",
+        ]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            runs.append((json.loads(out[out.index("\n{") + 1 :]), pred.read_bytes(), len(server.requests)))
+        (first, pred1, sent1), (second, pred2, sent2) = runs
+        assert sent1 > 0 and sent2 == sent1
+        assert not any(entry["cached"] for entry in first["timings"]["service_log"])
+        assert all(entry["cached"] for entry in second["timings"]["service_log"])
+        assert pred1 == pred2
+        assert json.dumps(drop_timings(first), indent=2, sort_keys=True) == json.dumps(
+            drop_timings(second), indent=2, sort_keys=True
+        )
 
 
 class TestOneExecutorPerRun:
@@ -372,11 +405,9 @@ class TestOneExecutorPerRun:
                 "--cache-dir", "", "--out", str(out),
             ]
             assert main(argv) == 0
-            payload = json.loads(out.read_text())
+            payload = drop_timings(json.loads(out.read_text()))
             assert set(payload["traces"]) == {"wire", "wire2"}
-            for trace in payload["traces"].values():
-                assert trace["window_records"]
-                del trace["stage_seconds"]
+            assert all(trace["window_records"] for trace in payload["traces"].values())
             outputs[jobs] = (pred.read_bytes(), payload["traces"], len(connects))
         assert {route for route, _ in server.requests} == {"/link", "/judge", "/expand"}
         assert 0 < outputs[2][2] <= 2 + 1
