@@ -190,6 +190,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     response = _read_corpus(args.response, clusters_as="prediction")
     eval_run = evaluate(setting, key, response, drop_singletons=not args.keep_singletons)
     print(eval_run.summary_table())
+    print(f"scored in {eval_run.timings['seconds']:.2f}s")
     if args.results:
         eval_run.save(args.results)
         print(f"run artifacts written to {args.results}/")

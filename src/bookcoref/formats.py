@@ -17,17 +17,21 @@ byte-identical.
 
 Cost: the CoNLL writer labels only the tokens where a mention starts or ends
 and writes each document in chunks of rows, so an export is linear in tokens
-plus mentions; the CoNLL reader is one pass over the rows. Memory goes on
-token text, not on clusters: both readers keep one string per distinct token
-text in a file, so a read book holds about 22 bytes a token (its tokens tuple
-and its mentions) rather than a fresh string each. A read's transient is its
-current line and one slice of it: the JSONL reader decodes the tokens of a
-written line about 64 KB of text at a time and maps each slice to the shared
-strings before it decodes the next, so it never holds one fresh string per
-token of a book. The writer holds a document's labels and one chunk of rows,
-not its whole text, and builds the labels from one int per bracket. Both
-readers report a file that is not UTF-8 as a :class:`ParseError` naming the
-line of the first bad byte.
+plus mentions. The CoNLL reader is one pass over the rows: a plain row (a
+token labelled ``-``, most rows of a book) costs one ``rfind`` and a slice,
+and each distinct label text is parsed once per read, so a labelled row
+costs a dictionary lookup and the bracket updates its items make.
+
+Memory goes on token text, not on clusters: both readers keep one string per
+distinct token text in a file, so a read book holds about 22 bytes a token
+(its tokens tuple and its mentions) rather than a fresh string each. A read's
+transient is its current line and one slice of it: the JSONL reader decodes
+the tokens of a written line about 64 KB of text at a time and maps each
+slice to the shared strings before it decodes the next, so it never holds one
+fresh string per token of a book. The writer holds a document's labels and
+one chunk of rows, not its whole text, and builds the labels from one int per
+bracket. Both readers report a file that is not UTF-8 as a
+:class:`ParseError` naming the line of the first bad byte.
 """
 
 from __future__ import annotations
@@ -392,6 +396,25 @@ def write_conll(corpus: CorpusFile, path: str) -> None:
             f.write("#end document\n")
 
 
+def _label_items(label: str) -> tuple[list[tuple[bool, int, bool]], str | None]:
+    """The items of a coreference label, ``(opens, cluster id, closes)`` each,
+    up to the first malformed one, and the error that one makes (else
+    ``None``), which :func:`read_conll` raises after applying the items
+    before it, as a per-item loop would."""
+    items = []
+    for item in label.split("|"):
+        im = _COREF_ITEM.match(item)
+        if not im:
+            return items, f"malformed coreference item {item!r}"
+        opened, cid_s, closed = im.groups()
+        try:
+            cid = int(cid_s)
+        except ValueError:  # more digits than the interpreter converts
+            return items, f"cluster id of {len(cid_s)} digits is too long"
+        items.append((bool(opened), cid, bool(closed)))
+    return items, None
+
+
 def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     """Read a CoNLL-2012 export back into a corpus.
 
@@ -399,9 +422,15 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     attached set defaults to stage "prediction". Each row's token is replaced
     by the file's first string of the same text as it is read, so the corpus
     holds one string per distinct token text.
+
+    Cost: a plain row, one inside a document that is not a comment and ends
+    in a tab, ``-`` and a line break (most rows of a book), is read with one
+    ``rfind`` and a slice. Each distinct label text is parsed once per read
+    (see :func:`_label_items`); every other row is split into columns.
     """
     corpus = CorpusFile()
     texts: dict[str, str] = {}
+    labels: dict[str, tuple[list[tuple[bool, int, bool]], str | None]] = {}
     doc_id: str | None = None
     tokens: list[str] = []
     open_stacks: dict[int, list[int]] = {}
@@ -425,6 +454,10 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
         with open(path, encoding="utf-8") as f:
             row = 0
             for row, line in enumerate(f, 1):
+                if line.endswith("\t-\n") and doc_id is not None and line[0] != "#":
+                    token = line[line.rfind("\t", 0, -3) + 1 : -3]
+                    tokens.append(texts.setdefault(token, token))
+                    continue
                 line = line.rstrip("\n")
                 if line.startswith("#"):
                     m = _CONLL_BEGIN.match(line)
@@ -447,20 +480,20 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
                 idx = len(tokens)
                 tokens.append(texts.setdefault(token, token))
                 if label != "-":
-                    for item in label.split("|"):
-                        im = _COREF_ITEM.match(item)
-                        if not im:
-                            raise ParseError(f"malformed coreference item {item!r}", row)
-                        opened, cid_s, closed = im.groups()
-                        cid = int(cid_s)
+                    parsed = labels.get(label)
+                    if parsed is None:
+                        parsed = labels[label] = _label_items(label)
+                    items, error = parsed
+                    for opened, cid, closed in items:
                         if opened:
                             open_stacks.setdefault(cid, []).append(idx)
                         if closed:
-                            stack = open_stacks.get(cid) or []
+                            stack = open_stacks.get(cid)
                             if not stack:
                                 raise ParseError(f"close bracket without open for cluster {cid}", row)
-                            start = stack.pop()
-                            clusters.setdefault(cid, []).append(Mention(start, idx))
+                            clusters.setdefault(cid, []).append(Mention(stack.pop(), idx))
+                    if error is not None:
+                        raise ParseError(error, row)
             flush(row)
     except UnicodeDecodeError as e:
         raise _undecodable(path) from e

@@ -93,6 +93,8 @@ class EvalRun:
         }
 
     def summary_table(self) -> str:
+        """The plain-text score table. It shows nothing from ``timings``, so
+        equal runs print it, and ``save`` writes it, byte for byte alike."""
         lines = [f"setting: {self.setting.kind} (window_len={self.setting.window_len})"]
         width = max([len(u) for u, _ in self.units] + [len("corpus (pooled)"), len("corpus (macro)")])
         lines.append(f"{'unit'.ljust(width)}    MUC    B3  C_p4 CoNLL")
@@ -106,7 +108,6 @@ class EvalRun:
             lines.append(f"missing responses for: {', '.join(self.missing_units)}")
         if self.unmatched_responses:
             lines.append(f"unmatched response docs: {', '.join(self.unmatched_responses)}")
-        lines.append(f"scored in {self.timings.get('seconds', 0.0):.2f}s")
         return "\n".join(lines)
 
     def save(self, out_dir: str) -> None:

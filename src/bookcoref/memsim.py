@@ -21,19 +21,25 @@ described mechanism (the original model chooses swaps with learned scores);
 it is policy-shaped, not a model replica. ``dual(k, 0)`` degenerates to
 ``lru(k)``.
 
-Cost, for a stream of N mentions: :func:`sweep` derives every LRU capacity
-from one pass over the LRU recency stack (stack distances, Mattson et al.,
-1970), cut at the largest capacity K, so all LRU capacities together cost
-O(N * K) and not one replay each. The dual policy is one replay per policy,
-O(N log N) with its G-cache victims taken from a lazy-deletion heap.
-:func:`mention_stream` sorts the arrivals once, O(N log N).
+Cost, for a stream of N mentions: :func:`sweep` and :func:`simulate` replay
+every policy in one pass over the LRU recency stack (stack distances,
+Mattson et al., 1970), cut at the largest capacity K. An LRU cache of k
+clusters holds the top k of that stack. So does a dual policy's L-cache of
+L clusters: every access promotes its cluster into the L-cache, and the
+G-cache never evicts from it. So an access at stack depth d hits every
+policy whose capacity exceeds d, and only an access at depth d >= L, an
+L-miss, reaches a dual policy's G-cache. A policy does work only on its
+misses, and a whole sweep costs O(N * K) plus O(log G) per demotion rather
+than one replay per policy. :func:`mention_stream` sorts the arrivals once,
+O(N log N).
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
-from heapq import heappop, heappush
-from operator import itemgetter
+from collections import Counter
+from heapq import heappop, heappush, heappushpop
+from math import inf
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -112,78 +118,123 @@ def mention_stream(gold: ClusterSet) -> list[Hashable]:
     return [key for _, key in arrivals]
 
 
-def _report(
-    policy: Policy,
-    total: int,
-    forced: int,
-    per_cluster: Counter,
-    events: list[tuple[int, str, str]] | None,
-) -> SimReport:
-    return SimReport(
-        policy=policy.label(),
-        total_mentions=total,
-        evictions=sum(per_cluster.values()),
-        forced_errors=forced,
-        forced_error_rate=forced / total if total else 0.0,
-        cluster_evictions=dict(per_cluster),
-        events=tuple(events) if events is not None else None,
-    )
+class _Slot:
+    """One policy's state in :func:`_replay`.
+
+    ``k`` is the policy's recency capacity: the LRU capacity, the dual
+    L-cache, or infinity for ``unbounded``. ``g`` is the G-cache capacity (0
+    but for a dual policy), and ``gcache`` maps each cluster in it to its
+    last access, the id of its entry in ``heap``, a heap of (frequency, last
+    access, cluster). A cluster's frequency is its accesses since this policy
+    last inserted it: ``count[c] - base[c]`` in :func:`_replay`.
+    """
+
+    __slots__ = ("policy", "k", "g", "dual", "forced", "per_cluster", "events", "gcache", "heap", "base")
+
+    def __init__(self, policy: Policy) -> None:
+        self.policy = policy
+        self.dual = policy.kind == "dual"
+        self.k = policy.l_capacity if self.dual else policy.capacity if policy.kind == "lru" else inf
+        self.g = policy.g_capacity if self.dual else 0
+        self.forced = 0
+        self.per_cluster: Counter = Counter()
+        self.events: list[tuple[int, str, str]] = []
+        self.gcache: dict[Hashable, int] = {}
+        self.heap: list[tuple[int, int, Hashable]] = []
+        self.base: dict[Hashable, int] = {}
+
+    def report(self, total: int, keep_events: bool) -> SimReport:
+        return SimReport(
+            policy=self.policy.label(),
+            total_mentions=total,
+            evictions=sum(self.per_cluster.values()),
+            forced_errors=self.forced,
+            forced_error_rate=self.forced / total if total else 0.0,
+            cluster_evictions=dict(self.per_cluster),
+            events=tuple(self.events) if keep_events else None,
+        )
 
 
-def _lru(keys: Sequence[Hashable], capacities: Iterable[int], keep_events: bool) -> dict[int, SimReport]:
-    """LRU reports for every capacity from one pass over the LRU stack.
+def _replay(keys: Sequence[Hashable], policies: Iterable[Policy], keep_events: bool) -> dict[Policy, SimReport]:
+    """Reports for every policy from one pass over the LRU recency stack.
 
     An LRU cache of k clusters holds exactly the k most recently used ones,
     so a mention whose cluster sits at 0-based depth d of the recency stack
     hits at every capacity above d and misses at every other (Mattson et al.,
-    1970). On a miss at capacity k the cache is full when the stack holds k
-    clusters, and the cluster at depth k - 1 is the one evicted. The stack
-    is cut at the largest capacity, so a pass costs O(N * max k).
+    1970). A dual policy's L-cache always holds the L most recently used
+    clusters too, so an access at depth d < L is an L-hit, and only one at
+    d >= L reaches its G-cache: it is a G-hit or a miss, and when L is full
+    the cluster at depth L - 1, the one LRU(L) would evict, is demoted. An
+    unbounded policy is a capacity that only first mentions reach. So each
+    policy does work only on its misses. The stack is cut at the largest
+    finite capacity K, and a pass costs O(N * K) plus O(log G) per demotion.
     """
-    caps = sorted(set(capacities))
-    top = caps[-1]
+    slots = sorted({p: _Slot(p) for p in policies}.values(), key=attrgetter("k"))
+    top = max([s.k for s in slots if s.k != inf], default=0)
     stack: list[Hashable] = []  # MRU first, at most `top` clusters
-    seen: set[Hashable] = set()
-    forced = [0] * len(caps)
-    per_cluster = [Counter() for _ in caps]
-    events: list[list[tuple[int, str, str]]] = [[] for _ in caps]
+    on_stack: set[Hashable] = set()  # the stack's clusters: one off it costs no failed `index`
+    count: dict[Hashable, int] = {}  # accesses so far
+    last: dict[Hashable, int] = {}  # the latest access
     for seq, c in enumerate(keys):
-        try:
+        if c in on_stack:
             d = stack.index(c)
-            first = False
-        except ValueError:
-            d = top
-            first = c not in seen
-            if first:
-                seen.add(c)
-        size = len(stack)
-        for i, k in enumerate(caps):
-            if k > d:
-                if keep_events:
-                    for ev in events[i:]:
-                        ev.append((seq, "hit", str(c)))
-                break
-            if not first:
-                forced[i] += 1
-            if keep_events:
-                if not first:
-                    events[i].append((seq, "forced-miss", str(c)))
-                events[i].append((seq, "insert", str(c)))
-            if k <= size:
-                victim = stack[k - 1]
-                per_cluster[i][victim] += 1
-                if keep_events:
-                    events[i].append((seq, "evict", str(victim)))
-        if d < size:
-            stack.insert(0, stack.pop(d))
         else:
+            d = top if c in count else inf
+        n = count[c] = count.get(c, 0) + 1
+        last[c] = seq
+        size = len(stack)
+        for s in slots:
+            k = s.k
+            if k > d:
+                break
+            # c misses this policy's recency cache of k clusters
+            gcache = s.gcache
+            if gcache and c in gcache:  # a G-cache hit promotes c back into L
+                del gcache[c]
+                if keep_events:
+                    s.events.append((seq, "hit", str(c)))
+            else:
+                if n > 1:
+                    s.forced += 1
+                    if keep_events:
+                        s.events.append((seq, "forced-miss", str(c)))
+                if keep_events:
+                    s.events.append((seq, "insert", str(c)))
+                if s.g:
+                    s.base[c] = n - 1  # its frequency restarts
+            if k > size:
+                continue
+            victim = stack[k - 1]  # the least recent of the full recency cache
+            if s.dual:
+                if keep_events:
+                    s.events.append((seq, "demote", str(victim)))
+                if s.g:
+                    access = last[victim]
+                    entry = (count[victim] - s.base[victim], access, victim)
+                    gcache[victim] = access
+                    if len(gcache) <= s.g:
+                        heappush(s.heap, entry)
+                        continue
+                    _, access, victim = heappushpop(s.heap, entry)
+                    while gcache.get(victim) != access:  # stale: promoted since it was pushed
+                        _, access, victim = heappop(s.heap)
+                    del gcache[victim]
+            s.per_cluster[victim] += 1
+            if keep_events:
+                s.events.append((seq, "evict", str(victim)))
+        if keep_events:
+            for s in slots:
+                if s.k > d:
+                    s.events.append((seq, "hit", str(c)))
+        if d < size:
+            if d:
+                stack.insert(0, stack.pop(d))
+        elif top:
+            if size == top:
+                on_stack.discard(stack.pop())
             stack.insert(0, c)
-            del stack[top:]
-    total = len(keys)
-    return {
-        k: _report(Policy.lru(k), total, forced[i], per_cluster[i], events[i] if keep_events else None)
-        for i, k in enumerate(caps)
-    }
+            on_stack.add(c)
+    return {s.policy: s.report(len(keys), keep_events) for s in slots}
 
 
 def simulate(
@@ -198,79 +249,14 @@ def simulate(
     previously evicted cluster is a forced error and re-inserts the cluster
     as new (frequency restarts).
 
-    LRU runs on the stack pass that :func:`sweep` uses. The dual policy
-    finds each G-cache eviction on a heap of (frequency, last access)
-    entries, O(log G) per eviction; an entry goes stale when its cluster
-    leaves the G-cache and is skipped when it comes to the top. Last
-    accesses are unique, so the order has no ties.
+    Every policy runs on the stack pass that :func:`sweep` uses (see
+    :func:`_replay`). The dual policy finds each G-cache eviction on a heap
+    of (frequency, last access) entries, O(log G) per eviction; an entry
+    goes stale when its cluster leaves the G-cache and is skipped when it
+    comes to the top. Last accesses are unique, so the order has no ties.
     """
-    keys: Sequence[Hashable] = mention_stream(stream) if isinstance(stream, ClusterSet) else stream
-    if policy.kind == "lru":
-        return _lru(keys, [policy.capacity], keep_events)[policy.capacity]
-
-    seen: set[Hashable] = set()
-    forced = 0
-    per_cluster: Counter = Counter()
-    events: list[tuple[int, str, str]] | None = [] if keep_events else None
-
-    if policy.kind == "unbounded":
-        for seq, c in enumerate(keys):
-            if c in seen:
-                if events is not None:
-                    events.append((seq, "hit", str(c)))
-            else:
-                seen.add(c)
-                if events is not None:
-                    events.append((seq, "insert", str(c)))
-        return _report(policy, len(keys), forced, per_cluster, events)
-
-    # dual: promote-on-access L-cache over an LFU G-cache
-    l_capacity, g_capacity = policy.l_capacity, policy.g_capacity
-    lcache: OrderedDict[Hashable, None] = OrderedDict()  # recency order, MRU last
-    gcache: dict[Hashable, int] = {}  # cluster -> last access seq, the id of its heap entry
-    heap: list[tuple[int, int, Hashable]] = []  # (frequency, last access seq, cluster)
-    freq: dict[Hashable, int] = {}
-    last_access: dict[Hashable, int] = {}
-    for seq, c in enumerate(keys):
-        if c in lcache:
-            freq[c] += 1
-            lcache.move_to_end(c)
-            if events is not None:
-                events.append((seq, "hit", str(c)))
-        elif c in gcache:
-            freq[c] += 1
-            del gcache[c]
-            lcache[c] = None
-            if events is not None:
-                events.append((seq, "hit", str(c)))
-        else:
-            if c in seen:
-                forced += 1
-                if events is not None:
-                    events.append((seq, "forced-miss", str(c)))
-            else:
-                seen.add(c)
-            freq[c] = 1
-            lcache[c] = None
-            if events is not None:
-                events.append((seq, "insert", str(c)))
-        last_access[c] = seq
-        while len(lcache) > l_capacity:
-            demoted, _ = lcache.popitem(last=False)
-            gcache[demoted] = last_access[demoted]
-            heappush(heap, (freq[demoted], last_access[demoted], demoted))
-            if events is not None:
-                events.append((seq, "demote", str(demoted)))
-            while len(gcache) > g_capacity:
-                _, access, victim = heappop(heap)
-                if gcache.get(victim) != access:
-                    continue  # stale: promoted since this entry was pushed
-                del gcache[victim]
-                del freq[victim]
-                per_cluster[victim] += 1
-                if events is not None:
-                    events.append((seq, "evict", str(victim)))
-    return _report(policy, len(keys), forced, per_cluster, events)
+    keys = mention_stream(stream) if isinstance(stream, ClusterSet) else stream
+    return _replay(keys, [policy], keep_events)[policy]
 
 
 def sweep(
@@ -279,14 +265,14 @@ def sweep(
 ) -> list[tuple[Policy, SimReport]]:
     """Simulate the same stream under several policies (e.g. a capacity sweep).
 
-    All LRU capacities come from one stack pass; each other policy is one
-    :func:`simulate` replay.
+    Every policy, LRU, dual and unbounded alike, comes from one stack pass
+    (see :func:`_replay`): a dual policy does work only on the accesses that
+    miss its L-cache, not one replay of the stream each.
     """
     keys = mention_stream(stream) if isinstance(stream, ClusterSet) else list(stream)
     policies = list(policies)
-    capacities = [p.capacity for p in policies if p.kind == "lru"]
-    lru = _lru(keys, capacities, keep_events=False) if capacities else {}
-    return [(p, lru[p.capacity] if p.kind == "lru" else simulate(keys, p)) for p in policies]
+    reports = _replay(keys, policies, keep_events=False)
+    return [(p, reports[p]) for p in policies]
 
 
 def sweep_csv(results: Sequence[tuple[Policy, SimReport]]) -> str:

@@ -300,6 +300,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _at(key_text: str, m: Mention) -> str:
+    """A finding's location: the cluster key's text and the span."""
+    return f"{key_text}:({m[0]},{m[1]})"
+
+
 def validate(doc: Document, cs: ClusterSet) -> ValidationReport:
     """Check a cluster set against its document.
 
@@ -313,6 +318,7 @@ def validate(doc: Document, cs: ClusterSet) -> ValidationReport:
     errors: list[Finding] = []
     warnings: list[Finding] = []
     n = len(doc.tokens)
+    initialized = cs.stage == "initialized"
     seen_spans: dict[Mention, ClusterKey] = {}
 
     for key in cs.sorted_keys():
@@ -326,26 +332,17 @@ def validate(doc: Document, cs: ClusterSet) -> ValidationReport:
             warnings.append(Finding("empty-cluster", loc_key, "cluster has no mentions"))
         prev: Mention | None = None
         for m in ms:
-            loc = f"{loc_key}:({m.start},{m.end})"
-            if m.end >= n:
-                errors.append(Finding("span-out-of-bounds", loc, f"span out of bounds for {n} tokens"))
-            elif (
-                cs.stage == "initialized"
-                and m.start == m.end
-                and doc.tokens[m.start].lower() in PRONOUNS
-            ):
-                warnings.append(Finding("pronoun-span", loc, "explicit-mention stage holds a pronoun span"))
-            if prev is not None and m == prev:
-                errors.append(Finding("duplicate-mention", loc, "exact duplicate mention within cluster"))
-            elif m in seen_spans and seen_spans[m] != key:
-                errors.append(
-                    Finding(
-                        "mention-in-multiple-clusters",
-                        loc,
-                        f"mention in two clusters ({seen_spans[m]!r} and {key!r})",
-                    )
-                )
-            seen_spans.setdefault(m, key)
+            if m[1] >= n:
+                errors.append(Finding("span-out-of-bounds", _at(loc_key, m), f"span out of bounds for {n} tokens"))
+            elif initialized and m[0] == m[1] and doc.tokens[m[0]].lower() in PRONOUNS:
+                warnings.append(Finding("pronoun-span", _at(loc_key, m), "explicit-mention stage holds a pronoun span"))
+            if m == prev:
+                errors.append(Finding("duplicate-mention", _at(loc_key, m), "exact duplicate mention within cluster"))
+            else:
+                owner = seen_spans.setdefault(m, key)
+                if owner != key:
+                    message = f"mention in two clusters ({owner!r} and {key!r})"
+                    errors.append(Finding("mention-in-multiple-clusters", _at(loc_key, m), message))
             prev = m
 
     return ValidationReport(tuple(errors), tuple(warnings))

@@ -7,8 +7,8 @@ they share no code path with the production implementations they check.
 
 ``coref_labels_reference``, ``mention_stream_reference`` and
 ``simulate_reference`` are the straightforward dense labeller and
-one-replay-per-policy simulator that the sparse labeller, the stack-distance
-LRU pass and the heap-based dual policy must reproduce exactly.
+one-replay-per-policy simulator that the sparse labeller and the one
+recency-stack pass over every policy must reproduce exactly.
 
 ``conll_reference`` (with ``muc_reference``, ``b_cubed_reference`` and
 ``ceaf_phi4_reference``) is the earlier scorer, which normalised both sides
@@ -25,6 +25,14 @@ pooled distance exactly. Their bodies are kept as they were.
 line whole with ``json.loads``; the reader that decodes a line's tokens a
 slice at a time must give the same corpus, or the same error, for any line.
 Its body is kept as it was.
+
+``read_conll_reference`` is the earlier CoNLL reader, which split every row
+into columns and parsed every label item in turn; the reader that takes a
+plain row with one ``rfind`` and parses each distinct label once must give
+the same corpus, or the same error, for any text. Its body is kept as it
+was, but for the ``ParseError`` on a cluster id too long for ``int``.
+``validate_reference`` is the earlier ``validate``, which built every
+mention's location string; its body is kept as it was.
 """
 
 import json
@@ -35,10 +43,29 @@ from itertools import islice, permutations, repeat
 from scipy.optimize import linear_sum_assignment
 
 from bookcoref.errors import GeneratorError, ParseError, SchemaError
-from bookcoref.formats import _REQUIRED_KEYS, _SURROGATE, CorpusFile, DocumentRecord, _undecodable
+from bookcoref.formats import (
+    _CONLL_BEGIN,
+    _COREF_ITEM,
+    _REQUIRED_KEYS,
+    _SURROGATE,
+    CorpusFile,
+    DocumentRecord,
+    _undecodable,
+)
 from bookcoref.memsim import SimReport
 from bookcoref.metrics import PRF, ScoreReport, chain_distance
-from bookcoref.model import STAGES, ClusterSet, Document, _key_order, clusters_from_json, prediction_key
+from bookcoref.model import (
+    PRONOUNS,
+    STAGES,
+    ClusterSet,
+    Document,
+    Finding,
+    Mention,
+    ValidationReport,
+    _key_order,
+    clusters_from_json,
+    prediction_key,
+)
 from bookcoref.synthetic import WINDOW, BookSpec, _PlannedMention
 
 
@@ -484,3 +511,121 @@ def read_jsonl_reference(path: str, clusters_as: str = "gold") -> CorpusFile:
     except UnicodeDecodeError as e:
         raise _undecodable(path) from e
     return corpus
+
+
+def read_conll_reference(path: str, clusters_as: str = "prediction") -> CorpusFile:
+    """Read a CoNLL-2012 export, splitting every row into columns and parsing
+    every label item as it comes. A cluster id too long for ``int`` raises
+    the reader's ``ParseError``, not a raw ``ValueError``."""
+    corpus = CorpusFile()
+    texts: dict[str, str] = {}
+    doc_id: str | None = None
+    tokens: list[str] = []
+    open_stacks: dict[int, list[int]] = {}
+    clusters: dict[int, list[Mention]] = {}
+
+    def flush(row: int) -> None:
+        nonlocal doc_id, tokens, open_stacks, clusters
+        if doc_id is None:
+            return
+        dangling = [cid for cid, stack in open_stacks.items() if stack]
+        if dangling:
+            raise ParseError(f"unbalanced coreference brackets for cluster(s) {sorted(dangling)}", row)
+        if not tokens:
+            raise ParseError(f"document {doc_id!r} has no token rows", row)
+        doc = Document(doc_id, tuple(tokens))
+        cs = ClusterSet(doc_id, "prediction", clusters)
+        corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
+        doc_id, tokens, open_stacks, clusters = None, [], {}, {}
+
+    try:
+        with open(path, encoding="utf-8") as f:
+            row = 0
+            for row, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if line.startswith("#"):
+                    m = _CONLL_BEGIN.match(line)
+                    if m:
+                        flush(row)
+                        doc_id = m.group("id")
+                    elif line.startswith("#end document"):
+                        flush(row)
+                    continue
+                if not line or line.isspace():
+                    continue
+                if doc_id is None:
+                    raise ParseError("token row outside a document block", row)
+                cols = line.rsplit("\t", 2)
+                if len(cols) < 2:
+                    cols = line.split()
+                if len(cols) < 2:
+                    raise ParseError("expected at least token and coreference columns", row)
+                token, label = cols[-2], cols[-1]
+                idx = len(tokens)
+                tokens.append(texts.setdefault(token, token))
+                if label != "-":
+                    for item in label.split("|"):
+                        im = _COREF_ITEM.match(item)
+                        if not im:
+                            raise ParseError(f"malformed coreference item {item!r}", row)
+                        opened, cid_s, closed = im.groups()
+                        try:
+                            cid = int(cid_s)
+                        except ValueError:
+                            raise ParseError(f"cluster id of {len(cid_s)} digits is too long", row) from None
+                        if opened:
+                            open_stacks.setdefault(cid, []).append(idx)
+                        if closed:
+                            stack = open_stacks.get(cid) or []
+                            if not stack:
+                                raise ParseError(f"close bracket without open for cluster {cid}", row)
+                            start = stack.pop()
+                            clusters.setdefault(cid, []).append(Mention(start, idx))
+            flush(row)
+    except UnicodeDecodeError as e:
+        raise _undecodable(path) from e
+    return corpus
+
+
+def validate_reference(doc, cs):
+    """Check a cluster set against its document, building each mention's
+    location string before testing it."""
+    errors = []
+    warnings = []
+    n = len(doc.tokens)
+    seen_spans = {}
+
+    for key in cs.sorted_keys():
+        ms = cs.clusters[key]
+        loc_key = str(key)
+        if cs.stage != "prediction" and (not isinstance(key, str) or key not in doc.characters):
+            errors.append(
+                Finding("unknown-character", loc_key, f"cluster key {key!r} not in document character index")
+            )
+        if not ms:
+            warnings.append(Finding("empty-cluster", loc_key, "cluster has no mentions"))
+        prev = None
+        for m in ms:
+            loc = f"{loc_key}:({m.start},{m.end})"
+            if m.end >= n:
+                errors.append(Finding("span-out-of-bounds", loc, f"span out of bounds for {n} tokens"))
+            elif (
+                cs.stage == "initialized"
+                and m.start == m.end
+                and doc.tokens[m.start].lower() in PRONOUNS
+            ):
+                warnings.append(Finding("pronoun-span", loc, "explicit-mention stage holds a pronoun span"))
+            if prev is not None and m == prev:
+                errors.append(Finding("duplicate-mention", loc, "exact duplicate mention within cluster"))
+            elif m in seen_spans and seen_spans[m] != key:
+                errors.append(
+                    Finding(
+                        "mention-in-multiple-clusters",
+                        loc,
+                        f"mention in two clusters ({seen_spans[m]!r} and {key!r})",
+                    )
+                )
+            seen_spans.setdefault(m, key)
+            prev = m
+
+    return ValidationReport(tuple(errors), tuple(warnings))

@@ -473,6 +473,17 @@ class TestHostileInput:
         assert "bookcoref: line 2: malformed JSON (Exceeds the limit (4300 digits)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+    def test_conll_cluster_id_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        """``int`` refuses a cluster id of more than 4,300 digits with a plain
+        ``ValueError``; the CoNLL reader names the row instead."""
+        path = tmp_path / "big.conll"
+        path.write_text(f"#begin document (d); part 000\nd\t0\t0\ta\t-\nd\t0\t1\tb\t({'1' * 5000})\n#end document\n")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bookcoref: line 3: cluster id of 5000 digits is too long" in err
+        assert "Traceback" not in err
+
     def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"
         path.write_text(open(tiny_jsonl).read() + "[" * 100_000 + "\n")

@@ -25,7 +25,7 @@ from bookcoref.formats import (
 from bookcoref.metrics import conll
 from bookcoref.model import ClusterSet, Document, Mention, validate
 from helpers import conll_text, jsonl_text
-from oracles import coref_labels_reference, read_jsonl_reference
+from oracles import coref_labels_reference, read_conll_reference, read_jsonl_reference
 
 #: sha256 of the CoNLL export of the seed-13 reference corpus
 REFERENCE_CONLL_SHA256 = "22f7e20303ff3b71c272d3cf55df27d8a5c99167d1e2c0141a9d6d27fe60ded0"
@@ -562,3 +562,69 @@ def test_sliced_read_equals_whole_line_read(tmp_path_factory, lines, slice_len):
     if isinstance(got, CorpusFile):
         tokens = [tok for rec in got for tok in rec.document.tokens]
         assert len({id(tok) for tok in tokens}) == len(set(tokens))
+
+
+#: coreference labels that open and close what they name, ids of 40 and
+#: 4,300 digits among them
+WHOLE_LABELS = ["-"] * 8 + ["(0)", "(1)", "(12)", "(0)|(1)", "(0)|(0)", "(" + "9" * 40 + ")", "(" + "7" * 4300 + ")"]
+#: labels that leave a bracket open or close one not opened, malformed
+#: items, and an id of more digits than ``int`` converts, alone and after an
+#: item that fails first
+ODD_LABELS = ["(0", "0)", "(1|(0)", "0)|1)", "1)|(1", "x", "(a)", "((1)", "", "1|", "|", "(1)|", "(-1)", "(\u0663)", "- "]
+ODD_LABELS += ["(1) ", "(" + "1" * 5000 + ")", "0)|(" + "1" * 5000 + ")", "(1)|x"]
+CONLL_TOKENS = ["a", "Darcy", "-", "(1)", "é", "x y", "#x", ""]
+CONLL_COMMENTS = ["", "  ", "\t", " \t ", "# note", "#\t-", "#end"]
+
+
+@st.composite
+def conll_rows(draw, labels):
+    """A token row: 0 to 3 columns before the token and the label, joined by
+    tabs (1 to 4 of them) or, now and then, by spaces alone."""
+    cols = draw(st.lists(st.sampled_from(["d", "0", "3", "a b"]), max_size=3))
+    cols += [draw(st.sampled_from(CONLL_TOKENS)), draw(st.sampled_from(labels))]
+    return draw(st.sampled_from(["\t"] * 4 + [" "])).join(cols)
+
+
+@st.composite
+def conll_texts(draw):
+    """CoNLL text of 0 to 3 documents, with blank and whitespace-only rows
+    and comments (one ends in a tab and ``-``) among the token rows. Half
+    the documents are well formed: their labels open and close what they
+    name, and one mention may span rows. The others draw odd labels too, a
+    header inside the document, or one whose part is not a number; now and
+    then a row comes outside a document, or a document is left open. Lines
+    end in LF, CRLF or CR, and the last one with or without its end."""
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 9)) == 9:
+            lines.append(draw(conll_rows(WHOLE_LABELS)))
+        doc_id = draw(st.sampled_from(["d", "a b", "x\ty", "(p)", ""]))
+        lines.append(f"#begin document ({doc_id}); part {draw(st.sampled_from(['000'] * 6 + ['1', 'x']))}")
+        if draw(st.booleans()):
+            row = conll_rows(WHOLE_LABELS)
+            rows = draw(st.lists(st.one_of(row, row, row, st.sampled_from(CONLL_COMMENTS)), min_size=1, max_size=8))
+            if draw(st.booleans()):
+                rows.insert(0, "d\t0\t0\tDarcy\t(5")
+                rows.insert(draw(st.integers(1, len(rows))), "d\t0\t1\tB\t5)|(0)")
+        else:
+            odd = st.sampled_from(CONLL_COMMENTS + ["#begin document (e); part 1"])
+            row = conll_rows(WHOLE_LABELS + ODD_LABELS)
+            rows = draw(st.lists(st.one_of(row, row, row, odd), max_size=8))
+        lines += rows
+        if draw(st.integers(0, 5)) < 5:
+            lines.append("#end document")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(conll_texts())
+def test_conll_read_equals_row_by_row_reference(tmp_path_factory, text):
+    """Any text gives the same corpus as splitting every row into columns
+    and parsing every label item in turn, or the same error and row."""
+    path = tmp_path_factory.getbasetemp() / "read.conll"
+    path.write_bytes(text.encode("utf-8"))
+    want = _read_outcome(read_conll_reference, str(path))
+    got = _read_outcome(read_conll, str(path))
+    assert got == want
+    assert not isinstance(got, tuple) or got[0] is ParseError

@@ -278,6 +278,17 @@ class TestArtifacts:
         assert "MUC" in summary and "CoNLL" in summary
         assert "corpus (pooled)" in summary
 
+    def test_equal_runs_save_the_same_summary_and_units(self, small_corpus, tmp_path):
+        """Only ``run.json`` carries ``timings``: ``summary.txt`` and
+        ``units.jsonl`` of equal runs are byte-identical."""
+        run = evaluate(Setting("full_book", 1500), small_corpus, as_prediction(small_corpus))
+        files = []
+        for i, seconds in enumerate((0.5, 123.25)):
+            run.timings = {"seconds": seconds, "process_peak_rss_mb": 10.0 * (i + 1)}
+            run.save(str(tmp_path / f"r{i}"))
+            files.append([(tmp_path / f"r{i}" / name).read_bytes() for name in ("summary.txt", "units.jsonl")])
+        assert files[0] == files[1]
+
     def test_run_records_time_and_memory(self, small_corpus):
         run = evaluate(Setting("full_book", 1500), small_corpus, as_prediction(small_corpus))
         assert run.timings["seconds"] > 0

@@ -30,6 +30,7 @@ from bookcoref.model import (
 from bookcoref.pipeline import ExpandRequest
 from bookcoref.remote import HttpExpander
 from helpers import within
+from oracles import validate_reference
 
 DOC = Document("d", tuple("abcdefghij"), ("Darcy", "Bingley"))
 
@@ -185,6 +186,40 @@ class TestValidate:
         a = validate(DOC, bad)
         b = validate(DOC, bad)
         assert a == b
+
+
+#: token texts, some of them pronouns in another case
+VALIDATE_TOKENS = ["she", "He", "IT", "thou", "Darcy", "met", "the"]
+VALIDATE_KEYS = ["Darcy", "Bingley", "Wickham", "1", 0, 1, 7]
+
+
+@st.composite
+def validated_sets(draw):
+    """A document and a cluster set built without ``build``'s checks, in any
+    stage: clusters hold duplicates, spans that
+    also sit in another cluster, spans that end past the document, pronoun
+    spans, and no mentions at all; keys are characters, strangers and ints."""
+    tokens = tuple(draw(st.lists(st.sampled_from(VALIDATE_TOKENS), min_size=1, max_size=8)))
+    doc = Document("d", tokens, tuple(draw(st.lists(st.sampled_from(["Darcy", "Bingley"]), unique=True))))
+    span = st.tuples(st.integers(0, len(tokens) + 1), st.integers(0, 2)).map(lambda t: Mention(t[0], t[0] + t[1]))
+    shared = draw(st.lists(span, max_size=3))  # spans that several clusters may draw
+    clusters = {}
+    for key in draw(st.lists(st.sampled_from(VALIDATE_KEYS), unique=True, max_size=5)):
+        ms = draw(st.lists(span | st.sampled_from(shared) if shared else span, max_size=6))
+        if ms and draw(st.booleans()):
+            ms.append(draw(st.sampled_from(ms)))  # a duplicate
+        clusters[key] = tuple(ms)
+    stage = draw(st.sampled_from(["initialized", "refined", "gold", "prediction"]))
+    return doc, ClusterSet("d", stage, clusters)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(validated_sets())
+def test_validate_equals_reference(case):
+    """``validate`` builds a location only for a finding it records; its
+    findings (code, location, message and order) equal the reference's."""
+    doc, x = case
+    assert validate(doc, x) == validate_reference(doc, x)
 
 
 class TestRestrict:
