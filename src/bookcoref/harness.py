@@ -20,12 +20,13 @@ name is scored from that set, and any other record is a
 slices each cluster set at all of a document's windows with one
 :func:`~bookcoref.model.cut`, O(C log M + M) for C clusters and M mentions,
 rather than one :func:`~bookcoref.model.restrict` (O(C log M + k) for k
-kept) per window. ``split`` cuts the key lazily, a book at a time, and
-re-bases each part to its window with :func:`~bookcoref.model.shift` only
-as that window is scored, so it never copies the key corpus into window
-documents. It picks every key record's set before it scores any window, so
-a record without one is reported ahead of an earlier book's response of
-the wrong length.
+kept) per window. A cut part keeps its set's keys, so the loop sorts a
+book's keys once per side and builds each window's clusters in that order,
+and no window sorts them again. ``split`` cuts the key lazily, a book at a
+time, and re-bases each part to its window only as that window is scored,
+so it never copies the key corpus into window documents. It picks every key
+record's set before it scores any window, so a record without one is
+reported ahead of an earlier book's response of the wrong length.
 
 In ``split`` and ``gold_plus_window``, a window where both sides are empty (a
 missing response counts as empty) carries no signal and is skipped. A unit
@@ -48,7 +49,7 @@ from .formats import CorpusFile
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
 # which checks that the tracer wraps it in every windowed module
-from .model import ClusterSet, Document, cut, drop_empty, restrict, shift  # noqa: F401
+from .model import ClusterKey, ClusterSet, Document, cut, restrict  # noqa: F401
 from .windowing import DEFAULT_WINDOW_LEN, plan_windows, window_doc_id
 
 SETTINGS = ("full_book", "split", "gold_plus_window")
@@ -70,8 +71,10 @@ class Setting:
 class EvalRun:
     """Scores for one evaluation: per-unit reports plus pooled/macro corpus
     aggregates. What varies from run to run is kept apart, in ``timings``:
-    the wall-clock ``seconds`` and ``process_peak_rss_mb``, the best-effort
-    peak memory of the whole process so far, not of this call."""
+    the wall-clock ``seconds``, ``scoring_s``, the part of them spent in the
+    scorer core (the rest is unit planning and slicing), and
+    ``process_peak_rss_mb``, the best-effort peak memory of the whole
+    process so far, not of this call."""
 
     setting: Setting
     units: list[tuple[str, ScoreReport]] = field(default_factory=list)
@@ -134,37 +137,56 @@ def _peak_rss_mb() -> float | None:
         return None
 
 
-_Unit = tuple[str, ClusterSet, ClusterSet | None]
+_Parts = list[frozenset]
+_Unit = tuple[str, _Parts, _Parts | None]
 _Lookup = Callable[[str, int], ClusterSet | None]
+
+
+def _partition_of(cs: ClusterSet | None) -> _Parts | None:
+    return None if cs is None else cs.partition()
+
+
+def _partition(part: ClusterSet, order: list[ClusterKey]) -> _Parts:
+    """``part.partition()`` for a part cut from a set whose keys sort to
+    ``order``: a cut part keeps its set's keys, so they need no new sort."""
+    clusters = part.clusters
+    return [frozenset(ms) for ms in map(clusters.__getitem__, order) if ms]
 
 
 def _window_units(
     keys: Iterable[tuple[Document, ClusterSet]], split: bool, window_len: int, response_for: _Lookup, missing: list[str]
 ) -> Iterator[_Unit]:
     """split's and gold_plus_window's units: each key set is sliced at every
-    window by one :func:`~bookcoref.model.cut`, and each part is made ready
-    only as its window is scored.
+    window by one :func:`~bookcoref.model.cut`, its keys are sorted once per
+    book, and each part is made ready only as its window is scored.
 
     In ``split`` each window is a response document of its own, so its key
-    part is re-based to the window's coordinates with
-    :func:`~bookcoref.model.shift`. In ``gold_plus_window`` the response is
-    cut at the same windows; a missing one is flagged here, for the
+    part is re-based to the window's coordinates, as plain ``(start, end)``
+    tuples, which equal and hash like the response's mentions. In
+    ``gold_plus_window`` the response is cut at the same windows and its
+    keys are sorted once too; a missing one is flagged here, for the
     document, and its windows are scored against an empty set.
     """
     for doc, key_cs in keys:
         doc_id = doc.doc_id
         windows = plan_windows(doc, window_len).windows
+        key_order = key_cs.sorted_keys()
         if split:
             for i, ((lo, hi), key_part) in enumerate(zip(windows, cut(key_cs, windows)), 1):
                 unit_id = window_doc_id(doc_id, i)
-                yield unit_id, shift(drop_empty(key_part), -lo), response_for(unit_id, hi - lo)
+                clusters = key_part.clusters
+                key_parts = [
+                    frozenset([(s - lo, e - lo) for s, e in ms]) for ms in map(clusters.__getitem__, key_order) if ms
+                ]
+                yield unit_id, key_parts, _partition_of(response_for(unit_id, hi - lo))
             continue
         resp_cs = response_for(doc_id, len(doc))
         if resp_cs is None:
             missing.append(doc_id)
             resp_cs = ClusterSet(doc_id, "prediction")
+        resp_order = resp_cs.sorted_keys()
         for i, (key_part, resp_part) in enumerate(zip(cut(key_cs, windows), cut(resp_cs, windows)), 1):
-            yield window_doc_id(doc_id, i), drop_empty(key_part), drop_empty(resp_part)
+            yield window_doc_id(doc_id, i), _partition(key_part, key_order), _partition(resp_part, resp_order)
 
 
 def check_token_counts(key_id: str, n_tokens: int, resp_doc: Document) -> None:
@@ -206,7 +228,11 @@ def evaluate(
 
     if setting.kind == "full_book":
         units: Iterator[_Unit] = (
-            (rec.document.doc_id, rec.pick("gold"), response_for(rec.document.doc_id, len(rec.document)))
+            (
+                rec.document.doc_id,
+                rec.pick("gold").partition(),
+                _partition_of(response_for(rec.document.doc_id, len(rec.document))),
+            )
             for rec in key_corpus.records
         )
     else:
@@ -217,17 +243,23 @@ def evaluate(
         units = _window_units(keys, setting.kind == "split", setting.window_len, response_for, run.missing_units)
 
     skip_empty = setting.kind != "full_book"
-    for unit_id, key_cs, resp_cs in units:
-        if skip_empty and key_cs.n_mentions == 0 and (resp_cs is None or resp_cs.n_mentions == 0):
+    scoring_s = 0.0
+    for unit_id, key_parts, resp_parts in units:
+        if skip_empty and not key_parts and not resp_parts:
             continue
-        if resp_cs is None:
+        if resp_parts is None:
             run.missing_units.append(unit_id)
-        resp_partition = resp_cs.partition() if resp_cs is not None else []
-        run.units.append((unit_id, conll(key_cs.partition(), resp_partition, drop_singletons)))
+        scoring_started = time.perf_counter()
+        run.units.append((unit_id, conll(key_parts, resp_parts or [], drop_singletons)))
+        scoring_s += time.perf_counter() - scoring_started
 
     run.unmatched_responses = sorted(set(responses) - looked_up)
     if run.units:
         run.pooled = pool_reports([r for _, r in run.units])
         run.macro = macro_reports([r for _, r in run.units])
-    run.timings = {"seconds": time.perf_counter() - started, "process_peak_rss_mb": _peak_rss_mb()}
+    run.timings = {
+        "seconds": time.perf_counter() - started,
+        "scoring_s": scoring_s,
+        "process_peak_rss_mb": _peak_rss_mb(),
+    }
     return run

@@ -15,11 +15,31 @@ Scoring conventions follow the standard shared-task reference scorer:
 
 All three are functions of one key x response overlap table, the cluster
 sizes plus intersection counts (Pradhan et al., 2014; Luo, 2005), which
-:func:`conll` builds once per unit. Every scorer keeps its
-numerator/denominator pairs so corpus-level results can pool counts across
-documents before dividing (micro); per-document macro means are computed
-separately. All scorers are pure functions and are sized for chains with
-tens of thousands of mentions: counting is O(total mentions), never O(pairs).
+:func:`_side` counts once per unit and side. A side takes one pass: one
+owner dict maps each mention of the other side to its cluster (the last one
+that lists it), and one ``Counter`` counts every mention's integer-coded
+``(row, column)`` pair, with column -1 for a mention the other side lacks.
+The per-row sums for MUC and B3 are read off those pair counts, so no
+per-cluster ``Counter`` is built.
+
+CEAF-phi4 aligns the recall side: key rows against response columns. When
+no response column has a nonzero entry in two of its rows, the alignment is
+forced, and the optimal one gives each row its largest phi4, so the solver
+is skipped. Summed in row order, those maxima are bit-identical to the
+solver's total: a zero pair adds nothing, tied maxima have equal values,
+and phi4 values of small integer counts never differ by a few ulps, so the
+solver cannot pick a near-equal value instead. The check must read the
+recall side. A mention listed in two key clusters counts in both key rows,
+but only toward the last of them in the precision rows, so those rows are
+not the recall rows' transpose: against key ``[[0], [0]]`` and response
+``[[0]]`` the precision side shows no contest, yet both key rows want the
+one response cluster.
+
+Every scorer keeps its numerator/denominator pairs so corpus-level results
+can pool counts across documents before dividing (micro); per-document
+macro means are computed separately. All scorers are pure functions and are
+sized for chains with tens of thousands of mentions: counting is O(total
+mentions), never O(pairs).
 """
 
 from __future__ import annotations
@@ -28,8 +48,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from operator import mul, neg
-from typing import Callable, Hashable, Iterable, Sequence
+from itertools import chain, repeat
+from operator import add, mul, neg
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import ContractError
 from .formats import CorpusFile
@@ -81,46 +102,47 @@ def _norm(clustering: Clustering | ClusterSet) -> list[frozenset]:
     return [frozenset(c) for c in clustering if c]
 
 
-_Rows = list[tuple[int, Counter]]
+class _Side(NamedTuple):
+    """One side of the overlap table: its clusters are the rows, the other
+    side's the columns."""
+
+    sizes: list[int]  # per row, its cluster's size
+    width: int  # a pair's code is row * width + column + 1
+    pairs: Counter  # pair code -> mentions the row and column share
+    muc: tuple[int, int]  # MUC numerator and denominator
+    b3: tuple[float, int]  # B3 numerator and denominator
 
 
-def _rows(clusters: list[frozenset], other: list[frozenset]) -> _Rows:
-    """One side of the overlap table: per cluster, its size and a Counter of
-    other-side cluster index -> mentions the two share. A mention the other
-    side lacks is not counted; one in several of its clusters counts toward
-    the last. Each side is counted from its own clusters rather than
-    transposed from the other, so that rule holds for both."""
-    owner = {m: j for j, cluster in enumerate(other) for m in cluster}
-    rows = []
-    for cluster in clusters:
-        counts = Counter(map(owner.get, cluster))
-        counts.pop(None, None)
-        rows.append((len(cluster), counts))
-    return rows
+def _side(rows: list[frozenset], cols: list[frozenset]) -> _Side:
+    """Count one side of the overlap table in one pass. A mention the other
+    side lacks pairs with column -1; one in several other-side clusters
+    pairs with the last. Each side is counted from its own clusters rather
+    than transposed from the other, so that rule holds for both."""
+    width = len(cols) + 1
+    owner = {m: j for j, cluster in enumerate(cols) for m in cluster}
+    sizes = list(map(len, rows))
+    row_codes = chain.from_iterable(map(repeat, range(1, width * len(rows), width), sizes))
+    pairs = Counter(map(add, row_codes, map(owner.get, chain.from_iterable(rows), repeat(-1))))
+    # a row of n mentions spread over p columns, u of them unknown there,
+    # keeps n - u - p of its n - 1 links; each of the c mentions it shares
+    # with one column sees an intersection of size c, hence the c*c terms
+    links = 0
+    squares = [0] * len(rows)
+    for code, c in pairs.items():
+        i, j = divmod(code, width)
+        if j:
+            links += c - 1
+            squares[i] += c * c
+    overlap = 0.0
+    for sq, n in zip(squares, sizes):
+        overlap += sq / n
+    n_mentions = sum(sizes)
+    return _Side(sizes, width, pairs, (links, n_mentions - len(rows)), (overlap, n_mentions))
 
 
-def _overlaps(key: list[frozenset], response: list[frozenset]) -> tuple[_Rows, _Rows]:
-    """The key x response overlap table: (recall rows, precision rows)."""
-    return _rows(key, response), _rows(response, key)
-
-
-def _prf(side: Callable[[_Rows], tuple], recall: _Rows, precision: _Rows) -> PRF:
-    return PRF.from_counts(*side(precision), *side(recall))
-
-
-def _muc_links(rows: _Rows) -> tuple[int, int]:
-    # a cluster of n mentions spread over p other-side clusters, u of its
-    # mentions unknown there, keeps n - u - p of its n - 1 links
-    return sum(sum(c.values()) - len(c) for _, c in rows), sum(n - 1 for n, _ in rows)
-
-
-def _b3_overlap(rows: _Rows) -> tuple[float, int]:
-    num = 0.0
-    for n, counts in rows:
-        # each of the c mentions shared with one other-side cluster sees
-        # an intersection of size c, hence the c*c terms
-        num += sum(c * c for c in counts.values()) / n
-    return num, sum(n for n, _ in rows)
+def _table(key: list[frozenset], response: list[frozenset]) -> tuple[_Side, _Side]:
+    """The key x response overlap table: (recall side, precision side)."""
+    return _side(key, response), _side(response, key)
 
 
 def linear_sum_assignment(cost: Sequence[Sequence[float]], maximize: bool = False) -> tuple[list[int], list[int]]:
@@ -200,31 +222,51 @@ def linear_sum_assignment(cost: Sequence[Sequence[float]], maximize: bool = Fals
     return list(range(nr)), col4row
 
 
-def _ceaf_phi4(recall: _Rows, precision: _Rows) -> PRF:
-    if not recall or not precision:
-        return PRF.from_counts(0.0, len(precision), 0.0, len(recall))
-    sims = [[0.0] * len(precision) for _ in recall]
-    for row, (n, counts) in zip(sims, recall):
-        for j, c in counts.items():
-            row[j] = 2.0 * c / (n + precision[j][0])
+def _ceaf_phi4(recall: _Side, precision: _Side) -> PRF:
+    key_sizes, width, pairs = recall.sizes, recall.width, recall.pairs
+    resp_sizes = precision.sizes
+    n_key, n_resp = len(key_sizes), len(resp_sizes)
+    if not n_key or not n_resp:
+        return PRF.from_counts(0.0, n_resp, 0.0, n_key)
+    best: dict[int, float] = {}  # row -> its largest phi4, rows in order
+    row_of: dict[int, int] = {}  # column -> the one row with an entry in it
+    for code, c in pairs.items():
+        i, j = divmod(code, width)
+        if not j:
+            continue
+        if row_of.setdefault(j, i) != i:
+            break  # two rows contest column j: the alignment is a search
+        phi4 = 2.0 * c / (key_sizes[i] + resp_sizes[j - 1])
+        if phi4 > best.get(i, 0.0):
+            best[i] = phi4
+    else:
+        total = float(sum(best.values()))
+        return PRF.from_counts(total, n_resp, total, n_key)
+    sims = [[0.0] * n_resp for _ in key_sizes]
+    for code, c in pairs.items():
+        i, j = divmod(code, width)
+        if j:
+            sims[i][j - 1] = 2.0 * c / (key_sizes[i] + resp_sizes[j - 1])
     key_idx, resp_idx = linear_sum_assignment(sims, maximize=True)
     total = float(sum(sims[i][j] for i, j in zip(key_idx, resp_idx)))
-    return PRF.from_counts(total, len(precision), total, len(recall))
+    return PRF.from_counts(total, n_resp, total, n_key)
 
 
 def muc(key: Clustering | ClusterSet, response: Clustering | ClusterSet) -> PRF:
     """Vilain et al. link-based metric."""
-    return _prf(_muc_links, *_overlaps(_norm(key), _norm(response)))
+    recall, precision = _table(_norm(key), _norm(response))
+    return PRF.from_counts(*precision.muc, *recall.muc)
 
 
 def b_cubed(key: Clustering | ClusterSet, response: Clustering | ClusterSet) -> PRF:
     """Bagga & Baldwin mention-based metric."""
-    return _prf(_b3_overlap, *_overlaps(_norm(key), _norm(response)))
+    recall, precision = _table(_norm(key), _norm(response))
+    return PRF.from_counts(*precision.b3, *recall.b3)
 
 
 def ceaf_phi4(key: Clustering | ClusterSet, response: Clustering | ClusterSet) -> PRF:
     """Luo's entity-alignment metric with the phi4 similarity."""
-    return _ceaf_phi4(*_overlaps(_norm(key), _norm(response)))
+    return _ceaf_phi4(*_table(_norm(key), _norm(response)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,9 +313,9 @@ def conll(
     by default (the gold data has none, and the established scorer setup on
     singleton-free keys ignores predicted singletons).
     """
-    recall, precision = _overlaps(_prepare(key, drop_singletons), _prepare(response, drop_singletons))
-    m = _prf(_muc_links, recall, precision)
-    b = _prf(_b3_overlap, recall, precision)
+    recall, precision = _table(_prepare(key, drop_singletons), _prepare(response, drop_singletons))
+    m = PRF.from_counts(*precision.muc, *recall.muc)
+    b = PRF.from_counts(*precision.b3, *recall.b3)
     c = _ceaf_phi4(recall, precision)
     return ScoreReport(m, b, c, (m.f1 + b.f1 + c.f1) / 3.0)
 

@@ -33,9 +33,17 @@ the same corpus, or the same error, for any text. Its body is kept as it
 was, but for the ``ParseError`` on a cluster id too long for ``int``.
 ``validate_reference`` is the earlier ``validate``, which built every
 mention's location string; its body is kept as it was.
+
+``evaluate_reference`` (with ``_window_units_reference``) is the earlier
+``evaluate``, which scored each unit's cluster sets through
+``partition()``, re-sorting a book's keys at every window, and re-based
+split's key parts with ``shift``; its body is kept as it was, but that it
+scores through ``conll_reference``. The harness over the one-table scorer
+core must give the same run, outside ``timings``, for any corpora.
 """
 
 import json
+import time
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import islice, permutations, repeat
@@ -52,8 +60,9 @@ from bookcoref.formats import (
     DocumentRecord,
     _undecodable,
 )
+from bookcoref.harness import EvalRun, _peak_rss_mb, check_token_counts
 from bookcoref.memsim import SimReport
-from bookcoref.metrics import PRF, ScoreReport, chain_distance
+from bookcoref.metrics import PRF, ScoreReport, chain_distance, macro_reports, pool_reports
 from bookcoref.model import (
     PRONOUNS,
     STAGES,
@@ -64,9 +73,13 @@ from bookcoref.model import (
     ValidationReport,
     _key_order,
     clusters_from_json,
+    cut,
+    drop_empty,
     prediction_key,
+    shift,
 )
 from bookcoref.synthetic import WINDOW, BookSpec, _PlannedMention
+from bookcoref.windowing import plan_windows, window_doc_id
 
 
 def muc_brute(key, response):
@@ -629,3 +642,64 @@ def validate_reference(doc, cs):
             prev = m
 
     return ValidationReport(tuple(errors), tuple(warnings))
+
+
+def _window_units_reference(keys, split, window_len, response_for, missing):
+    for doc, key_cs in keys:
+        doc_id = doc.doc_id
+        windows = plan_windows(doc, window_len).windows
+        if split:
+            for i, ((lo, hi), key_part) in enumerate(zip(windows, cut(key_cs, windows)), 1):
+                unit_id = window_doc_id(doc_id, i)
+                yield unit_id, shift(drop_empty(key_part), -lo), response_for(unit_id, hi - lo)
+            continue
+        resp_cs = response_for(doc_id, len(doc))
+        if resp_cs is None:
+            missing.append(doc_id)
+            resp_cs = ClusterSet(doc_id, "prediction")
+        for i, (key_part, resp_part) in enumerate(zip(cut(key_cs, windows), cut(resp_cs, windows)), 1):
+            yield window_doc_id(doc_id, i), drop_empty(key_part), drop_empty(resp_part)
+
+
+def evaluate_reference(setting, key_corpus, response_corpus, drop_singletons=True):
+    started = time.perf_counter()
+    run = EvalRun(setting)
+
+    responses = response_corpus.by_id()
+    looked_up = set()
+
+    def response_for(doc_id, n_tokens):
+        looked_up.add(doc_id)
+        resp = responses.get(doc_id)
+        if resp is None:
+            return None
+        check_token_counts(doc_id, n_tokens, resp.document)
+        return resp.pick("prediction")
+
+    if setting.kind == "full_book":
+        units = (
+            (rec.document.doc_id, rec.pick("gold"), response_for(rec.document.doc_id, len(rec.document)))
+            for rec in key_corpus.records
+        )
+    else:
+        keys = ((rec.document, rec.pick("gold")) for rec in key_corpus.records)
+        if setting.kind == "split":
+            # a record without a set is reported before any window is scored
+            keys = list(keys)
+        units = _window_units_reference(keys, setting.kind == "split", setting.window_len, response_for, run.missing_units)
+
+    skip_empty = setting.kind != "full_book"
+    for unit_id, key_cs, resp_cs in units:
+        if skip_empty and key_cs.n_mentions == 0 and (resp_cs is None or resp_cs.n_mentions == 0):
+            continue
+        if resp_cs is None:
+            run.missing_units.append(unit_id)
+        resp_partition = resp_cs.partition() if resp_cs is not None else []
+        run.units.append((unit_id, conll_reference(key_cs.partition(), resp_partition, drop_singletons)))
+
+    run.unmatched_responses = sorted(set(responses) - looked_up)
+    if run.units:
+        run.pooled = pool_reports([r for _, r in run.units])
+        run.macro = macro_reports([r for _, r in run.units])
+    run.timings = {"seconds": time.perf_counter() - started, "process_peak_rss_mb": _peak_rss_mb()}
+    return run

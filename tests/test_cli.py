@@ -255,8 +255,9 @@ class TestScoreCommands:
         assert run["pooled"]["conll_f1"] == pytest.approx(1.0)
 
     def test_rescore_equals_the_first_outside_timings(self, tiny_jsonl, tmp_path, capsys):
-        """The ``--json`` payload and ``run.json`` keep the seconds and the
-        process's peak memory under ``timings``, and nothing else varies."""
+        """The ``--json`` payload and ``run.json`` keep the seconds, the part
+        of them spent scoring and the process's peak memory under
+        ``timings``, and nothing else varies."""
         results = tmp_path / "results"
         runs = []
         for _ in range(2):
@@ -264,7 +265,7 @@ class TestScoreCommands:
             out = capsys.readouterr().out
             payload = json.loads(out[out.index("\n{") + 1 :])
             run_json = json.loads((results / "run.json").read_text())
-            assert set(payload["timings"]) == set(run_json["timings"]) == {"seconds", "process_peak_rss_mb"}
+            assert set(payload["timings"]) == set(run_json["timings"]) == {"seconds", "scoring_s", "process_peak_rss_mb"}
             runs.append(
                 [json.dumps(drop_timings(d), indent=2, sort_keys=True) for d in (payload, run_json)]
                 + [(results / "units.jsonl").read_bytes()]

@@ -6,6 +6,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookcoref import harness, model, pipeline, windowing
 from bookcoref.errors import SchemaError
@@ -25,6 +27,7 @@ from bookcoref.pipeline import (
 )
 from bookcoref.windowing import plan_groups, plan_windows, split_corpus
 from helpers import drop_timings, jsonl_text
+from oracles import evaluate_reference
 
 
 def doc_with(doc_id, n, gold_clusters, characters=("A", "B")):
@@ -294,6 +297,14 @@ class TestArtifacts:
         assert run.timings["seconds"] > 0
         assert run.timings["process_peak_rss_mb"] is None or run.timings["process_peak_rss_mb"] > 0
 
+    @pytest.mark.parametrize("kind", SETTINGS)
+    def test_run_records_the_seconds_spent_scoring(self, small_corpus, kind):
+        """``scoring_s`` is the part of ``seconds`` spent in the scorer core;
+        the rest is unit planning and slicing."""
+        response = as_prediction(split_corpus(small_corpus, 500).corpus if kind == "split" else small_corpus)
+        run = evaluate(Setting(kind, 500), small_corpus, response)
+        assert 0 <= run.timings["scoring_s"] <= run.timings["seconds"]
+
 
 def split_chains(corpus):
     """The response that cuts each gold chain at its middle mention."""
@@ -332,6 +343,45 @@ def test_reference_corpus_eval_run_is_pinned(gold_corpus, kind, drop_singletons)
         response = split_corpus(response).corpus
     run = evaluate(Setting(kind), gold_corpus, response, drop_singletons=drop_singletons)
     assert run_digest(run) == EVAL_RUN_SHA256[(kind, drop_singletons)]
+
+
+def merged_pairs(corpus):
+    """The response that merges each pair of adjacent gold chains, in sorted
+    key order: two key chains then share one response cluster, so CEAF-phi4
+    cannot take each key chain's best match and must search."""
+    out = CorpusFile()
+    for rec in corpus.records:
+        gold = rec.cluster_sets["gold"]
+        keys = gold.sorted_keys()
+        clusters = {keys[i]: sum((gold.clusters[k] for k in keys[i : i + 2]), ()) for i in range(0, len(keys), 2)}
+        out.records.append(DocumentRecord(rec.document, {"prediction": ClusterSet(gold.doc_id, "prediction", clusters)}))
+    return out
+
+
+#: run_digest for the seed-13 corpus against its merged-pairs response, per
+#: (setting, drop_singletons), as the scorer that ran the solver on every
+#: unit scored it
+MERGED_PAIRS_SHA256 = {
+    ("full_book", True): "96e36a55f6c63ef6f1b89f2ebf16ce4805df408c5296cb190564c56318fe506b",
+    ("full_book", False): "96e36a55f6c63ef6f1b89f2ebf16ce4805df408c5296cb190564c56318fe506b",
+    ("split", True): "69ccd1484adcfbe624379d10f39a56670455b4dd7ea0f614b32df092d205c3b3",
+    ("split", False): "28761a7358f2f140e5370274a85bf84445b5649ba44ea05438e5b5639e59f048",
+    ("gold_plus_window", True): "c7b63ba27dc23e5ce8d5f18b31330053dfe9cbb92135ab81c5d44e5e42d4e8a2",
+    ("gold_plus_window", False): "087917a377e09503dd3e7dce26e81926f210f06dd2757240f24202631caa967c",
+}
+
+
+@pytest.mark.parametrize("kind, drop_singletons", sorted(MERGED_PAIRS_SHA256))
+def test_merged_pairs_eval_run_is_pinned(gold_corpus, solver_calls, kind, drop_singletons):
+    """Book-sized units whose CEAF-phi4 alignment is a search: the digests
+    pin the solver's path as the split-chain and pattern digests pin the
+    forced one."""
+    response = merged_pairs(gold_corpus)
+    if kind == "split":
+        response = split_corpus(response).corpus
+    run = evaluate(Setting(kind), gold_corpus, response, drop_singletons=drop_singletons)
+    assert run_digest(run) == MERGED_PAIRS_SHA256[(kind, drop_singletons)]
+    assert solver_calls["solver"] >= len(run.units) // 2
 
 
 class TestUnitBookkeeping:
@@ -461,3 +511,75 @@ def test_split_scoring_peaks_under_8_bytes_per_token(gold_corpus):
         tracemalloc.stop()
     assert len(run.units) > 90
     assert peak / len(manor.records[0].document) < 8
+
+
+#: Cluster keys of both kinds: character names and anonymous integers.
+cluster_keys = st.one_of(st.sampled_from(["A", "B", "C"]), st.integers(0, 2))
+
+
+@st.composite
+def scored_corpora(draw):
+    """A window length of 3-7 tokens, a key corpus of 1-3 documents of up to
+    14 tokens, a full-book response and its split. Both sides of a document
+    draw clusters, some empty, from one pool of spans of up to three tokens,
+    so a cluster may list a span twice, two clusters may share one,
+    singletons are common, spans cross window edges and many windows are
+    empty on both sides. Half the responses keep part of each key cluster
+    instead, so that CEAF-phi4's alignment is often forced. Some documents
+    and some windows have no response, and a stray response matches no key
+    document."""
+    window_len = draw(st.integers(3, 7))
+    key, response = CorpusFile(), CorpusFile()
+    for d in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 14))
+        doc = Document(f"d{d}", tuple(f"t{i}" for i in range(n)), ("A", "B", "C"))
+        starts = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0, 0, 1, 2])), min_size=1, max_size=12)
+        spans = [(s, min(s + w, n - 1)) for s, w in draw(starts)]
+        clusters = st.dictionaries(cluster_keys, st.lists(st.sampled_from(spans), max_size=8), max_size=4)
+        gold = draw(clusters)
+        key.records.append(DocumentRecord(doc, {"gold": ClusterSet.build(doc.doc_id, "gold", gold)}))
+        if draw(st.integers(0, 4)):
+            if draw(st.booleans()):
+                prediction = draw(clusters)
+            else:  # each response cluster keeps part of a key cluster
+                prediction = {k: [m for m in ms if draw(st.integers(0, 3))] for k, ms in gold.items()}
+            response.records.append(DocumentRecord(doc, {"prediction": ClusterSet.build(doc.doc_id, "prediction", prediction)}))
+    if draw(st.booleans()):
+        stray = Document("stray", ("x", "y"), ())
+        response.records.append(DocumentRecord(stray, {"prediction": ClusterSet.build("stray", "prediction", {0: [(0, 1)]})}))
+    windows = split_corpus(response, window_len).corpus.records
+    kept = draw(st.lists(st.integers(0, 4), min_size=len(windows), max_size=len(windows)))
+    split = CorpusFile([rec for rec, keep in zip(windows, kept) if keep])
+    return window_len, key, response, split
+
+
+def test_evaluate_equals_the_reference_harness(solver_calls, capsys):
+    """The harness over the one-table scorer core gives the run of the
+    earlier harness, which scored each unit's sets through ``partition()``
+    and the earlier scorer, in every setting, with and without singletons:
+    ``to_dict()`` is ``repr``-equal outside ``timings``. It also counts which
+    CEAF-phi4 path each unit took: a side with no cluster, the forced
+    alignment, or the solver."""
+    paths = solver_calls
+
+    @settings(max_examples=1000, deadline=None)
+    @given(scored_corpora())
+    def check(case):
+        window_len, key, response, split = case
+        for kind in SETTINGS:
+            setting = Setting(kind, window_len)
+            resp = split if kind == "split" else response
+            for drop_singletons in (True, False):
+                got = evaluate(setting, key, resp, drop_singletons)
+                want = evaluate_reference(setting, key, resp, drop_singletons)
+                assert repr(drop_timings(got.to_dict())) == repr(drop_timings(want.to_dict()))
+                paths["units"] += len(got.units)
+                paths["empty side"] += sum(1 for _, r in got.units if not (r.ceaf.p_den and r.ceaf.r_den))
+
+    check()
+    forced = paths["units"] - paths["empty side"] - paths["solver"]
+    shares = {path: n / paths["units"] for path, n in (("empty side", paths["empty side"]), ("forced", forced), ("solver", paths["solver"]))}
+    with capsys.disabled():
+        print(f"\nCEAF-phi4 paths over {paths['units']} units: " + ", ".join(f"{p} {s:.1%}" for p, s in shares.items()))
+    # each was about an eighth or more of the units when this was written
+    assert shares["forced"] > 0.05 and shares["solver"] > 0.05

@@ -357,3 +357,65 @@ def test_assignment_returns_scipys_pairs_exactly(table, maximize):
     and tall tables, 1 x n and n x 1, all-zero tables, and both directions."""
     rows, cols = scipy_linear_sum_assignment(table, maximize=maximize)
     assert linear_sum_assignment(table, maximize=maximize) == (rows.tolist(), cols.tolist())
+
+
+@st.composite
+def fragmented(draw):
+    """A key clustering of 0-6 clusters and a response cut from it: each
+    key cluster is cut into fragments of one drawn size (equal-sized ones
+    tie within the row) and only some are kept, so a key cluster may keep
+    none (a row with no overlap) and the response may hold more clusters
+    than the key or fewer. Response clusters of unknown mentions add
+    columns with no overlap. Now and then a mention is listed in two key
+    clusters, the one case where the precision rows are not the recall
+    rows' transpose."""
+    key = []
+    fresh = 0
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(1, 8))
+        key.append(list(range(fresh, fresh + size)))
+        fresh += size
+    if len(key) > 1 and draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.permutations(range(len(key))))[:2]
+        key[b].append(draw(st.sampled_from(key[a])))
+    response = []
+    for cluster in key:
+        order = draw(st.permutations(cluster))
+        step = draw(st.integers(1, len(order)))
+        for i in range(0, len(order), step):
+            if draw(st.integers(0, 3)):
+                response.append(order[i : i + step])
+    for _ in range(draw(st.integers(0, 2))):
+        size = draw(st.integers(1, 3))
+        response.append(list(range(100 + fresh, 100 + fresh + size)))
+        fresh += size
+    return key, draw(st.permutations(response))
+
+
+def test_forced_alignments_equal_the_solvers_bit_for_bit(solver_calls, capsys):
+    """Responses cut from the key's clusters mostly take CEAF-phi4's forced
+    path (each key cluster's largest phi4, summed in row order) and must give
+    the reference scorer's reports bit for bit, ties included; a mention in
+    two key clusters sends a unit to the solver."""
+    paths = solver_calls
+
+    @settings(max_examples=1000, deadline=None)
+    @given(fragmented())
+    # the forced-path check must read the recall side: the precision side
+    # of this pair shows no contest, and reading it scored CEAF 2.0, not 1.0
+    @example(([[0], [0]], [[0]]))
+    def check(case):
+        key, response = case
+        for drop_singletons in (True, False):
+            got = conll(key, response, drop_singletons)
+            assert repr(got) == repr(conll_reference(key, response, drop_singletons))
+            paths["aligned"] += bool(got.ceaf.p_den and got.ceaf.r_den)
+        got = ceaf_phi4(key, response)
+        assert repr(got) == repr(ceaf_phi4_reference(key, response))
+        paths["aligned"] += bool(got.p_den and got.r_den)
+
+    check()
+    forced = (paths["aligned"] - paths["solver"]) / paths["aligned"]
+    with capsys.disabled():
+        print(f"\nforced CEAF-phi4 alignments: {forced:.1%} of {paths['aligned']}")
+    assert 0.5 < forced < 1
