@@ -13,7 +13,6 @@ from .errors import (
     CompositionError,
     ConfigError,
     ContractError,
-    FinalTransportError,
     GeneratorError,
     ParseError,
     PlanningError,
@@ -68,7 +67,6 @@ __all__ = [
     "DocumentRecord",
     "EvalRun",
     "Expander",
-    "FinalTransportError",
     "GeneratorError",
     "GroupedWindowPlan",
     "Judge",

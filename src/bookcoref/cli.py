@@ -90,7 +90,7 @@ def _read_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
     corpus = _load_corpus(path, clusters_as)
     for rec in corpus.records:
         for cs in rec.cluster_sets.values():
-            check_bounds(rec.document, cs)
+            check_bounds(cs, len(rec.document.tokens))
     return corpus
 
 

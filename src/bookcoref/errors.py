@@ -57,9 +57,6 @@ class CacheError(BookcorefError):
 
 
 class TransportError(BookcorefError):
-    """A remote annotator service could not be reached."""
-
-
-class FinalTransportError(TransportError):
-    """A transport failure that is final: the HTTP client has already spent
-    its retries on it, or the service rejected the request."""
+    """A remote annotator service could not be reached, rejected the request
+    or answered with a redirect. It is final: the HTTP client, the one retry
+    layer, has already spent its retries on it."""

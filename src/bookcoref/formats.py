@@ -41,14 +41,15 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from json.decoder import scanstring
-from operator import itemgetter
 from typing import Iterator
 
-from .errors import ParseError, SchemaError
-from .model import STAGES, ClusterSet, Document, Mention, _key_order, clusters_from_json, clusters_to_json, prediction_key
+from .errors import ParseError, SchemaError, SpanRangeError
+from .model import (
+    STAGES, ClusterSet, Document, Mention, _key_order, clusters_from_json, clusters_to_json, check_bounds,
+    prediction_key,
+)
 
 _REQUIRED_KEYS = ("doc_id", "tokens", "characters", "clusters")
-_end = itemgetter(1)
 
 
 @dataclass
@@ -305,16 +306,14 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
     Starts from ``"-"`` everywhere and fills only the tokens where a mention
     starts or ends, so the cost is linear in tokens plus mentions (and a sort
     of the marks). A span that ends past the document is a
-    :class:`SchemaError`.
+    :class:`SchemaError` naming the span that
+    :func:`~bookcoref.model.check_bounds` names.
     """
+    try:
+        check_bounds(cs, n_tokens)
+    except SpanRangeError as e:
+        raise SchemaError(str(e)) from None
     clusters = cs.clusters
-    for key, ms in clusters.items():
-        if ms and max(map(_end, ms)) >= n_tokens:
-            start, end = next(m for m in set(ms) if m[1] >= n_tokens)
-            raise SchemaError(
-                f"document {cs.doc_id!r}: span ({start}, {end}) of cluster {key!r} "
-                f"ends past the last token ({n_tokens} tokens)"
-            )
     # integer ids in first-mention order
     firsts = sorted((ms[0], _key_order(key), key) for key, ms in clusters.items() if ms)
     ids = {key: i for i, (_, _, key) in enumerate(firsts)}
@@ -423,6 +422,11 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     by the file's first string of the same text as it is read, so the corpus
     holds one string per distinct token text.
 
+    A document id that a second ``#begin document`` line repeats is a
+    :class:`SchemaError` naming the row, the id and its part, as in
+    :func:`read_jsonl`: a CoNLL-2012 document split into parts is not
+    supported.
+
     Cost: a plain row, one inside a document that is not a comment and ends
     in a tab, ``-`` and a line break (most rows of a book), is read with one
     ``rfind`` and a slice. Each distinct label text is parsed once per read
@@ -431,6 +435,7 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     corpus = CorpusFile()
     texts: dict[str, str] = {}
     labels: dict[str, tuple[list[tuple[bool, int, bool]], str | None]] = {}
+    seen_ids: set[str] = set()
     doc_id: str | None = None
     tokens: list[str] = []
     open_stacks: dict[int, list[int]] = {}
@@ -464,6 +469,9 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
                     if m:
                         flush(row)
                         doc_id = m.group("id")
+                        if doc_id in seen_ids:
+                            raise SchemaError(f"line {row}: duplicate doc_id {doc_id!r} (part {m.group('part')})")
+                        seen_ids.add(doc_id)
                     elif line.startswith("#end document"):
                         flush(row)
                     continue

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain, repeat
 from operator import add, mul, neg
@@ -418,19 +418,7 @@ class CorpusStats:
     mention_pairs: int
 
     def to_dict(self) -> dict:
-        return {
-            "docs": self.docs,
-            "tokens": self.tokens,
-            "mentions": self.mentions,
-            "chains": self.chains,
-            "tokens_per_doc": self.tokens_per_doc,
-            "mentions_per_doc": self.mentions_per_doc,
-            "chains_per_doc": self.chains_per_doc,
-            "mentions_per_chain": self.mentions_per_chain,
-            "mentions_per_chain_macro": self.mentions_per_chain_macro,
-            "mention_distance": self.mention_distance,
-            "mention_pairs": self.mention_pairs,
-        }
+        return asdict(self)
 
     def to_table(self) -> str:
         head = (

@@ -43,15 +43,9 @@ from .errors import BookcorefError, CompositionError, SpanRangeError, StageError
 ClusterKey = Union[str, int]
 
 #: Stages a cluster set can be in. ``initialized -> refined ->
-#: window_expanded -> final`` is the only legal transition chain; ``gold``
-#: and ``prediction`` are standalone.
+#: window_expanded -> final`` is the pipeline's chain, which the stage gates of
+#: :mod:`bookcoref.pipeline` enforce; ``gold`` and ``prediction`` are standalone.
 STAGES = ("initialized", "refined", "window_expanded", "final", "gold", "prediction")
-
-_NEXT_STAGE = {
-    "initialized": "refined",
-    "refined": "window_expanded",
-    "window_expanded": "final",
-}
 
 #: Closed-class pronouns used to flag spans that a character linker should
 #: not have produced (linkers return explicit mentions only).
@@ -259,13 +253,6 @@ class ClusterSet:
         """The same clusters and stage under another document id (a window's)."""
         return _sorted_set(doc_id, self.stage, self.clusters)
 
-    def advanced(self) -> "ClusterSet":
-        """Move to the next stage of the pipeline chain."""
-        nxt = _NEXT_STAGE.get(self.stage)
-        if nxt is None:
-            raise StageError(f"stage {self.stage!r} has no successor")
-        return self.with_stage(nxt)
-
 
 def _sorted_set(doc_id: str, stage: str, clusters: Mapping[ClusterKey, tuple[Mention, ...]]) -> ClusterSet:
     """A set from this module's own operations, whose clusters are sorted
@@ -351,18 +338,18 @@ def validate(doc: Document, cs: ClusterSet) -> ValidationReport:
 _end = itemgetter(1)
 
 
-def check_bounds(doc: Document, cs: ClusterSet) -> None:
+def check_bounds(cs: ClusterSet, n_tokens: int) -> None:
     """Raise :class:`SpanRangeError` naming the document, the cluster and
-    the span when a span of ``cs`` ends past the last token of ``doc``
+    the span when a span of ``cs`` ends past the last of ``n_tokens``
+    tokens: the first such span in sorted key order, then span order
     (:func:`validate` reports each such span as a finding instead)."""
-    n = len(doc.tokens)
     for key in cs.sorted_keys():
         ms = cs.clusters[key]
-        if ms and max(map(_end, ms)) >= n:
-            start, end = next(m for m in ms if m[1] >= n)
+        if ms and max(map(_end, ms)) >= n_tokens:
+            start, end = next(m for m in ms if m[1] >= n_tokens)
             raise SpanRangeError(
-                f"document {doc.doc_id!r}: span ({start}, {end}) of cluster {key!r} "
-                f"ends past the last token ({n} tokens)"
+                f"document {cs.doc_id!r}: span ({start}, {end}) of cluster {key!r} "
+                f"ends past the last token ({n_tokens} tokens)"
             )
 
 

@@ -10,13 +10,18 @@ gold-oracle components) and :mod:`bookcoref.remote` provides HTTP-backed ones.
 
 Hard contracts, enforced with errors rather than silent repair:
 
-* linkers may only return spans in bounds and keys from the document's
-  character index;
-* expanders take and return book offsets, must preserve every seed mention
-  (clusters only grow), stay inside their window, and may introduce mentions
-  only for keys present in the seed map (empty-seeded keys included, so
-  characters unseen in a window can be recovered at group level). Only the
-  window-local ``/expand`` wire re-bases, in :class:`bookcoref.remote.HttpExpander`.
+* a linker's and an expander's clusters pass one check, :func:`_checked_reply`:
+  every key is known (a character of the document, or a seed key of the
+  window, empty-seeded keys included, so characters unseen in a window can be
+  recovered at group level), every span lies in the document or the window,
+  and no span is in two clusters. Keys are read in sorted key order and each
+  cluster's distinct spans in ``(start, end)`` order, and the first offence in
+  that order is named, whatever order the reply uses. A span listed twice in
+  one cluster is kept once;
+* expanders take and return book offsets and must keep every seed mention
+  (clusters only grow); the first dropped seed in the same order is named.
+  Only the window-local ``/expand`` wire re-bases, in
+  :class:`bookcoref.remote.HttpExpander`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import time
 from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 from .errors import ConfigError, ContractError, PlanningError, StageError, TransportError
 from .model import (
@@ -37,6 +42,7 @@ from .model import (
     ClusterSet,
     Document,
     Mention,
+    _key_order,
     crossing_mentions,
     cut,
     restrict,
@@ -330,35 +336,51 @@ class OracleExpander:
         return {key: window.get(key, ()) for key in request.seeds}
 
 
+def _checked_reply(
+    who: str, reply: Mapping[ClusterKey, Iterable[Mention]], known: Container[ClusterKey],
+    lo: int, hi: int, where: str = "",
+) -> dict[ClusterKey, tuple[Mention, ...]]:
+    """A linker's or an expander's clusters, in the reply's key order, each
+    as its distinct spans in ``(start, end)`` order.
+
+    Keys are read in sorted key order and each cluster's distinct spans in
+    ``(start, end)`` order; the first key not in ``known``, span outside
+    ``[lo, hi)``, or span already placed in another cluster raises a
+    :class:`ContractError` naming ``who``, the span, the key and ``where``.
+    """
+    # dict.fromkeys keeps the reply's order, so a sorted cluster sorts in one pass
+    out = {key: tuple(sorted(dict.fromkeys(ms))) for key, ms in reply.items()}
+    owner: dict[Mention, ClusterKey] = {}
+    for key in sorted(out, key=_key_order):
+        if key not in known:
+            raise ContractError(f"{who} returned unknown cluster key {key!r}{where}")
+        for m in out[key]:
+            if not (lo <= m[0] and m[1] < hi):
+                raise ContractError(f"{who} span ({m[0]},{m[1]}) out of bounds for {key!r}{where}")
+            if owner.setdefault(m, key) != key:
+                raise ContractError(f"{who} placed span ({m[0]},{m[1]}) in clusters {owner[m]!r} and {key!r}{where}")
+    return out
+
+
 def initialize(
     doc: Document,
     linker: Linker,
     trace: PipelineTrace | None = None,
 ) -> ClusterSet:
-    """Run the linker and validate its output into stage "initialized".
+    """Run the linker and check its output (see :func:`_checked_reply`) into
+    stage "initialized".
 
-    Unknown character keys, out-of-bounds spans and a span placed in two
-    clusters are contract errors; single-token pronoun spans are kept but
-    recorded as warnings (linkers are supposed to return explicit mentions
-    only).
+    Single-token pronoun spans are kept but recorded as warnings (linkers
+    are supposed to return explicit mentions only).
     """
-    out = linker.link(doc)
-    n = len(doc.tokens)
-    known = set(doc.characters)
-    for key in out.clusters:
-        if key not in known:
-            raise ContractError(f"linker returned unknown character {key!r}")
-    owner: dict[Mention, ClusterKey] = {}
-    for key, m in out.mentions():
-        if m.end >= n:
-            raise ContractError(f"linker span ({m.start},{m.end}) out of bounds for {key!r}")
-        if owner.setdefault(m, key) != key:
-            raise ContractError(f"linker placed span ({m.start},{m.end}) in clusters {owner[m]!r} and {key!r}")
-        if m.start == m.end and doc.tokens[m.start].lower() in PRONOUNS:
-            msg = f"linker returned pronoun span ({m.start},{m.end}) {doc.tokens[m.start]!r} for {key!r}"
-            if trace is not None:
-                trace.warnings.append(msg)
-    return ClusterSet(doc.doc_id, "initialized", dict(out.clusters))
+    tokens = doc.tokens
+    clusters = _checked_reply("linker", linker.link(doc).clusters, set(doc.characters), 0, len(tokens))
+    if trace is not None:
+        for key in sorted(clusters, key=_key_order):
+            for s, e in clusters[key]:
+                if s == e and tokens[s].lower() in PRONOUNS:
+                    trace.warnings.append(f"linker returned pronoun span ({s},{e}) {tokens[s]!r} for {key!r}")
+    return ClusterSet(doc.doc_id, "initialized", clusters)
 
 
 _T = TypeVar("_T")
@@ -460,29 +482,14 @@ def _expand_window(
     """Expand one range from its seeds (the set cut to the range); returns
     the expanded part and its seed count."""
     raw = expander.expand(ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], seeds.clusters))
-    span_owner: dict[Mention, ClusterKey] = {}
+    where = f" in window [{lo},{hi})"
     out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(seeds.clusters, ())
-    for key, mentions in raw.items():
-        if key not in out:
-            raise ContractError(f"expander emitted unknown cluster key {key!r} in window [{lo},{hi})")
-        ms = set(mentions)
-        for m in ms:
-            if not (lo <= m.start and m.end < hi):
-                raise ContractError(
-                    f"expander span ({m.start},{m.end}) outside window [{lo},{hi}) for {key!r}"
-                )
-            if span_owner.setdefault(m, key) != key:
-                raise ContractError(
-                    f"expander placed span ({m.start},{m.end}) in clusters "
-                    f"{span_owner[m]!r} and {key!r} in window [{lo},{hi})"
-                )
-        out[key] = tuple(sorted(ms))
-    for key, seed_ms in seeds.clusters.items():
-        for m in seed_ms:
-            if span_owner.get(m) != key:
-                raise ContractError(
-                    f"expander dropped seed mention ({m.start},{m.end}) of {key!r} in window [{lo},{hi})"
-                )
+    out.update(_checked_reply("expander", raw, seeds.clusters, lo, hi, where))
+    lost = {key: set(ms).difference(out[key]) for key, ms in seeds.clusters.items() if ms}
+    dropped = [(_key_order(key), min(ms), key) for key, ms in lost.items() if ms]
+    if dropped:
+        _, (s, e), key = min(dropped)
+        raise ContractError(f"expander dropped seed mention ({s},{e}) of {key!r}{where}")
     return ClusterSet(seeds.doc_id, target_stage, out), seeds.n_mentions
 
 
@@ -578,7 +585,7 @@ def run(
             cs = record("refine", "refined", refine(doc, cs, judge, config.judge_context_words, trace, executor=pool))
         elif "window" in config.stages:
             # stage tag still advances so the window-expansion gate holds
-            cs = cs.advanced()
+            cs = cs.with_stage("refined")
 
         if "window" in config.stages:
             plan = plan_windows(doc, config.window_len, guard=cs)

@@ -37,7 +37,7 @@ import urllib.request
 import weakref
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import CacheError, ConfigError, ContractError, FinalTransportError, TransportError
+from .errors import CacheError, ConfigError, ContractError, TransportError
 from .model import ClusterKey, ClusterSet, Document, Mention, clusters_from_json, clusters_to_json, shift
 from .pipeline import ExpandRequest, JudgeRequest
 
@@ -49,6 +49,9 @@ CA_BUNDLE_ENV = ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE")
 
 #: Fixed decoding settings sent with every judge request.
 DECODING = {"temperature": 0.0, "seed": 0}
+
+#: Seconds :class:`ServiceClient` waits before its retry after attempt ``n``: ``BACKOFF_S * n``.
+BACKOFF_S = 0.25
 
 #: What one HTTP attempt raises when it fails; the client retries these.
 _ATTEMPT_ERRORS = (OSError, http.client.HTTPException)
@@ -303,9 +306,10 @@ class ServiceClient:
     """Tiny JSON POST client with bounded retries and a response cache.
 
     The client is the one retry layer of the pipeline (no stage retries a
-    component call): a request gets ``retries + 1`` attempts, and one that
-    still fails, or that the service rejects with a 4xx status, raises
-    :class:`FinalTransportError`. Redirects are not followed.
+    component call): a request gets ``retries + 1`` attempts, waiting
+    ``BACKOFF_S * n`` seconds after failed attempt ``n``, and one that still
+    fails, or that the service rejects with a 4xx status, raises
+    :class:`TransportError`, which is then final. Redirects are not followed.
 
     ``post`` may be called from several threads at once; each thread sends
     over its own keep-alive connection (see :class:`Transport`, built once
@@ -327,7 +331,6 @@ class ServiceClient:
         base_url: str,
         timeout: float = 30.0,
         retries: int = 2,
-        backoff: float = 0.25,
         cache_dir: str | None = None,
     ):
         if retries < 0:
@@ -335,7 +338,6 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
         self.cache_dir = cache_dir if cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
         self.log: list[dict] = []
         self.transport = Transport(self.base_url, timeout)
@@ -363,9 +365,9 @@ class ServiceClient:
                 if status >= 500:
                     last = TransportError(f"{url} returned {status}")
                 elif status >= 400:
-                    raise FinalTransportError(f"{url} rejected request: {status}")
+                    raise TransportError(f"{url} rejected request: {status}")
                 elif status >= 300:
-                    raise FinalTransportError(f"{url} answered {status}: redirects are not followed")
+                    raise TransportError(f"{url} answered {status}: redirects are not followed")
                 else:
                     data = self._decode(reply, route)
                     if self.cache is not None:
@@ -381,9 +383,9 @@ class ServiceClient:
                         }
                     )
                     return data
-            if attempt <= self.retries and self.backoff:
-                time.sleep(self.backoff * attempt)
-        raise FinalTransportError(f"{url} unreachable after {self.retries + 1} attempts: {last}")
+            if attempt <= self.retries:
+                time.sleep(BACKOFF_S * attempt)
+        raise TransportError(f"{url} unreachable after {self.retries + 1} attempts: {last}")
 
     @staticmethod
     def _decode(reply: bytes, route: str) -> dict:

@@ -30,9 +30,15 @@ Its body is kept as it was.
 into columns and parsed every label item in turn; the reader that takes a
 plain row with one ``rfind`` and parses each distinct label once must give
 the same corpus, or the same error, for any text. Its body is kept as it
-was, but for the ``ParseError`` on a cluster id too long for ``int``.
+was, but for the ``ParseError`` on a cluster id too long for ``int`` and
+the ``SchemaError`` on a repeated document id.
 ``validate_reference`` is the earlier ``validate``, which built every
 mention's location string; its body is kept as it was.
+
+``reply_offence_reference`` finds the first contract offence of a linker's
+or an expander's reply by brute force, straight from the stated order: keys
+by type name and text, then each cluster's distinct spans, with every
+"in two clusters" question answered by scanning the earlier keys.
 
 ``evaluate_reference`` (with ``_window_units_reference``) is the earlier
 ``evaluate``, which scored each unit's cluster sets through
@@ -561,6 +567,8 @@ def read_conll_reference(path: str, clusters_as: str = "prediction") -> CorpusFi
                     if m:
                         flush(row)
                         doc_id = m.group("id")
+                        if any(rec.document.doc_id == doc_id for rec in corpus.records):
+                            raise SchemaError(f"line {row}: duplicate doc_id {doc_id!r} (part {m.group('part')})")
                     elif line.startswith("#end document"):
                         flush(row)
                     continue
@@ -598,6 +606,37 @@ def read_conll_reference(path: str, clusters_as: str = "prediction") -> CorpusFi
     except UnicodeDecodeError as e:
         raise _undecodable(path) from e
     return corpus
+
+
+def reply_offence_reference(who, reply, known, lo, hi, where="", seeds=None):
+    """The text of the ``ContractError`` that a linker's or an expander's
+    ``reply`` (``{key: [span, ...]}``) earns, else ``None``.
+
+    Keys are taken by type name, then text, and each key's distinct spans in
+    ``(start, end)`` order; the first key not in ``known``, span outside
+    ``[lo, hi)``, or span that an earlier key also lists is the offence. A
+    reply without one is then checked against the expander's ``seeds``: the
+    first seed, in the same order, that its key's cluster lacks.
+    """
+
+    def order(key):
+        return (type(key).__name__, str(key))
+
+    keys = sorted(reply, key=order)
+    for i, key in enumerate(keys):
+        if key not in known:
+            return f"{who} returned unknown cluster key {key!r}{where}"
+        for s, e in sorted(set(reply[key])):
+            if not (lo <= s and e < hi):
+                return f"{who} span ({s},{e}) out of bounds for {key!r}{where}"
+            earlier = [k for k in keys[:i] if (s, e) in set(reply[k])]
+            if earlier:
+                return f"{who} placed span ({s},{e}) in clusters {earlier[0]!r} and {key!r}{where}"
+    for key in sorted(seeds or {}, key=order):
+        for s, e in sorted(seeds[key]):
+            if (s, e) not in set(reply.get(key, ())):
+                return f"expander dropped seed mention ({s},{e}) of {key!r}{where}"
+    return None
 
 
 def validate_reference(doc, cs):

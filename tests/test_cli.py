@@ -6,6 +6,7 @@ import pytest
 from bookcoref import cli
 from bookcoref.cli import main
 from bookcoref.formats import CorpusFile, DocumentRecord, read_jsonl, write_jsonl
+from bookcoref.memsim import Policy, simulate, sweep, sweep_csv
 from bookcoref.model import ClusterSet, Document
 
 from helpers import drop_timings
@@ -234,6 +235,20 @@ class TestConvertAndSplit:
         assert "not valid UTF-8" in err
         assert f"line {good.count(chr(10)) + 1}" in err
 
+    def test_split_json_lists_the_boundary_crossing_mentions(self, tmp_path, capsys):
+        doc = Document("d", tuple(f"t{i}" for i in range(20)), ("Ann", "Ben"))
+        gold = ClusterSet.build("d", "gold", {"Ann": [(0, 0), (9, 11)], "Ben": [(8, 8), (19, 19)]})
+        src, out = tmp_path / "cross.jsonl", tmp_path / "windows.jsonl"
+        write_jsonl(CorpusFile([DocumentRecord(doc, {"gold": gold})]), str(src))
+        assert main(["split", str(src), str(out), "--window-len", "10", "--json"]) == 0
+        printed = capsys.readouterr().out
+        assert "1 boundary-crossing mention(s) dropped" in printed
+        payload = json.loads(printed[printed.index("\n{") + 1 :])
+        assert payload["windows"] == 2
+        assert payload["crossings"] == [{"doc_id": "d", "cluster_set": "gold", "key": "Ann", "span": [9, 11]}]
+        windows = read_jsonl(str(out)).by_id()
+        assert windows["d#w1"].cluster_sets["gold"].clusters == {"Ann": ((0, 0),), "Ben": ((8, 8),)}
+
     def test_split_writes_window_corpus(self, tiny_jsonl, tmp_path, capsys):
         out = tmp_path / "windows.jsonl"
         assert main(["split", tiny_jsonl, str(out), "--window-len", "10"]) == 0
@@ -344,6 +359,17 @@ class TestScoreCommands:
 
 
 class TestHostileInput:
+    @pytest.mark.parametrize("sub", ["stats", "score"])
+    def test_repeated_conll_document_id_exits_2(self, tmp_path, capsys, sub):
+        block = "#begin document (d); part 000\nd\t0\t0\ta\t(0)\nd\t0\t1\tb\t-\n#end document\n"
+        path = tmp_path / "twice.conll"
+        path.write_text(block * 2, encoding="utf-8")
+        argv = [sub, str(path)] + ([str(path)] if sub == "score" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bookcoref: line 5: duplicate doc_id 'd' (part 000)" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("doc_id", [["x"], 7, None, True])
     @pytest.mark.parametrize("sub", ["stats", "validate", "score"])
     def test_doc_id_that_is_not_a_string_exits_2(self, tmp_path, capsys, doc_id, sub):
@@ -541,6 +567,26 @@ class TestSimulateCommand:
         assert lines[0] == "# tiny"
         assert lines[1].startswith("policy,capacity")
         assert len(lines) == 5
+
+    def test_dual_sweep_prints_writes_csv_and_json(self, tmp_path, capsys):
+        """Each capacity ``c`` of a dual sweep runs ``Policy.dual(c, c)``."""
+        doc = Document("abc", tuple("ABCABCA"), ("A", "B", "C"))
+        gold = ClusterSet.build("abc", "gold", {"A": [(0, 0), (3, 3), (6, 6)], "B": [(1, 1), (4, 4)], "C": [(2, 2), (5, 5)]})
+        src, csv_path, out = tmp_path / "abc.jsonl", tmp_path / "sweep.csv", tmp_path / "out.json"
+        write_jsonl(CorpusFile([DocumentRecord(doc, {"gold": gold})]), str(src))
+        argv = ["simulate", str(src), "--policy", "dual", "--sweep", "1,2", "--csv", str(csv_path), "--out", str(out)]
+        assert main(argv) == 0
+        swept = sweep(gold, [Policy.dual(1, 1), Policy.dual(2, 2)])
+        assert [r.to_dict() for _, r in swept] == [simulate(gold, Policy.dual(c, c)).to_dict() for c in (1, 2)]
+        assert swept[0][1].evictions > 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:2] == [
+            f"abc dual({c},{c}): evictions={r.evictions} forced={r.forced_errors} rate={r.forced_error_rate:.4f}"
+            for c, (_, r) in zip((1, 2), swept)
+        ]
+        assert printed[2] == f"sweep table written to {csv_path}"
+        assert csv_path.read_text() == "# abc\n" + sweep_csv(swept)
+        assert json.loads(out.read_text())["results"] == {"abc": [r.to_dict() for _, r in swept]}
 
     @pytest.mark.parametrize("sweep, item", [("1,x", "x"), ("1,,2", ""), ("2.5", "2.5")])
     def test_sweep_item_that_is_not_an_integer_exits_1(self, tiny_jsonl, capsys, sweep, item):

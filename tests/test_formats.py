@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookcoref import formats
-from bookcoref.errors import ParseError, SchemaError
+from bookcoref.errors import ParseError, SchemaError, SpanRangeError
 from bookcoref.formats import (
     _CONLL_CHUNK_ROWS,
     CorpusFile,
@@ -23,7 +23,7 @@ from bookcoref.formats import (
     write_jsonl,
 )
 from bookcoref.metrics import conll
-from bookcoref.model import ClusterSet, Document, Mention, validate
+from bookcoref.model import ClusterSet, Document, Mention, check_bounds, validate
 from helpers import conll_text, jsonl_text
 from oracles import coref_labels_reference, read_conll_reference, read_jsonl_reference
 
@@ -165,6 +165,25 @@ class TestJsonlRoundTrip:
 
 
 class TestConll:
+    def test_repeated_document_id_is_schema_error_naming_row_and_part(self, tmp_path):
+        block = "#begin document (d); part {}\nd\t0\t0\ta\t(0)\nd\t0\t1\tb\t-\n#end document\n"
+        path = tmp_path / "twice.conll"
+        path.write_text(block.format("000") + block.format("001"), encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"^line 5: duplicate doc_id 'd' \(part 001\)$"):
+            read_conll(str(path))
+
+    def test_export_names_the_span_the_bounds_check_names(self, tmp_path):
+        """Both searches take the first span past the end in sorted key
+        order, then span order, and word it alike."""
+        doc = Document("d", tuple("abcdef"), ("A",))
+        cs = ClusterSet.build("d", "gold", {"A": [(1, 6), (2, 7), (3, 8), (4, 9)]})
+        with pytest.raises(SpanRangeError) as checked:
+            check_bounds(cs, len(doc.tokens))
+        with pytest.raises(SchemaError) as written:
+            write_conll(CorpusFile([DocumentRecord(doc, {"gold": cs})]), str(tmp_path / "x.conll"))
+        message = "document 'd': span (1, 6) of cluster 'A' ends past the last token (6 tokens)"
+        assert str(checked.value) == str(written.value) == message
+
     def test_bracket_notation_for_multi_token_mention(self, tmp_path):
         doc = Document("doc", ("Mr.", "Darcy"), ("Mr. Darcy",))
         cs = ClusterSet.build("doc", "gold", {"Mr. Darcy": [(0, 1)]})
@@ -593,12 +612,15 @@ def conll_texts(draw):
     name, and one mention may span rows. The others draw odd labels too, a
     header inside the document, or one whose part is not a number; now and
     then a row comes outside a document, or a document is left open. Lines
-    end in LF, CRLF or CR, and the last one with or without its end."""
+    end in LF, CRLF or CR, and the last one with or without its end. No two
+    headers in one text name the same document, so every text is read to
+    its end or to its first malformed row."""
     lines = []
-    for _ in range(draw(st.integers(0, 3))):
+    doc_ids = draw(st.permutations(["d", "a b", "x\ty", "(p)", ""]))
+    inner_headers = 0
+    for doc_id in doc_ids[: draw(st.integers(0, 3))]:
         if draw(st.integers(0, 9)) == 9:
             lines.append(draw(conll_rows(WHOLE_LABELS)))
-        doc_id = draw(st.sampled_from(["d", "a b", "x\ty", "(p)", ""]))
         lines.append(f"#begin document ({doc_id}); part {draw(st.sampled_from(['000'] * 6 + ['1', 'x']))}")
         if draw(st.booleans()):
             row = conll_rows(WHOLE_LABELS)
@@ -610,6 +632,10 @@ def conll_texts(draw):
             odd = st.sampled_from(CONLL_COMMENTS + ["#begin document (e); part 1"])
             row = conll_rows(WHOLE_LABELS + ODD_LABELS)
             rows = draw(st.lists(st.one_of(row, row, row, odd), max_size=8))
+            for i, r in enumerate(rows):
+                if r.startswith("#begin document (e)"):
+                    inner_headers += 1
+                    rows[i] = f"#begin document (e{inner_headers}); part 1"
         lines += rows
         if draw(st.integers(0, 5)) < 5:
             lines.append("#end document")

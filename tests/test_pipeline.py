@@ -4,18 +4,19 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookcoref import pipeline
 from bookcoref.errors import (
     ConfigError,
     ContractError,
-    FinalTransportError,
     PlanningError,
     StageError,
     TransportError,
 )
 from bookcoref.metrics import conll, linking_prf
-from bookcoref.model import ClusterSet, Document, Mention, restrict
+from bookcoref.model import ClusterSet, Document, Mention, restrict, validate
 from bookcoref.pipeline import (
     DEFAULT_CONTEXT_WORDS,
     AcceptAllJudge,
@@ -36,9 +37,10 @@ from bookcoref.pipeline import (
     refine,
     run,
 )
-from bookcoref.windowing import plan_groups, plan_windows
+from bookcoref.windowing import WindowPlan, plan_groups, plan_windows
 
 from helpers import drop_timings
+from oracles import reply_offence_reference
 
 
 def make_doc(n=40, doc_id="d", characters=("Mr. Darcy", "Jane")):
@@ -133,7 +135,7 @@ class TestInitialize:
             def link(self, doc):
                 return ClusterSet.build(doc.doc_id, "initialized", {"Wickham": [(0, 0)]})
 
-        with pytest.raises(ContractError, match="unknown character"):
+        with pytest.raises(ContractError, match="unknown cluster key"):
             initialize(make_doc(), BadLinker())
 
     def test_out_of_bounds_span_is_contract_error(self):
@@ -160,6 +162,29 @@ class TestInitialize:
         # refused before any expander runs, so the expander is not blamed
         with pytest.raises(ContractError, match=message):
             run(doc, PipelineConfig(window_len=3), DoubleLinker(), AcceptAllJudge(), IdentityExpander())
+
+    @pytest.mark.parametrize("stages", [("init",), ("init", "refine")])
+    def test_span_listed_twice_is_judged_once_and_written_once(self, stages):
+        doc = Document("d", ("Ann", "met", "Ann"), ("Ann",))
+        judged = []
+
+        class TwiceLinker:
+            name = "twice"
+
+            def link(self, doc):
+                return ClusterSet.build(doc.doc_id, "initialized", {"Ann": [(0, 0), (0, 0), (2, 2)]})
+
+        class RecordingJudge:
+            name = "recording"
+
+            def judge(self, request):
+                judged.append(request.mention)
+                return True
+
+        final, _ = run(doc, PipelineConfig(stages=stages), TwiceLinker(), RecordingJudge(), IdentityExpander())
+        assert final.clusters == {"Ann": (Mention(0, 0), Mention(2, 2))}
+        assert judged == ([Mention(0, 0), Mention(2, 2)] if "refine" in stages else [])
+        assert validate(doc, final.with_stage("prediction")).ok
 
     def test_pronoun_span_kept_with_warning(self):
         doc = Document("d", ("she", "smiled"), ("Jane",))
@@ -418,7 +443,7 @@ class TestExpandPass:
                 return out
 
         plan = plan_windows(doc, 10)
-        with pytest.raises(ContractError, match="outside window"):
+        with pytest.raises(ContractError, match="out of bounds"):
             expand_pass(doc, cs, plan, Overflows())
 
     def test_unknown_key_rejected(self):
@@ -674,7 +699,7 @@ class TestConcurrentJudging:
 
     def test_failing_expander_stops_after_calls_in_flight(self):
         doc = names_doc()
-        cs = pattern_match(doc).advanced()
+        cs = pattern_match(doc).with_stage("refined")
         plan = plan_windows(doc, 10, guard=cs)
         calls = []
 
@@ -716,7 +741,7 @@ class TestConcurrentJudging:
             time.sleep(0.05)
             assert len(started) == len(finished) <= 4
             # the pool is left usable for the next batch
-            assert refine(doc, cs, AcceptAllJudge(), executor=pool) == cs.advanced()
+            assert refine(doc, cs, AcceptAllJudge(), executor=pool) == cs.with_stage("refined")
 
     def test_final_transport_error_is_not_retried_again(self):
         calls = []
@@ -726,7 +751,7 @@ class TestConcurrentJudging:
 
             def judge(self, request):
                 calls.append(request.mention)
-                raise FinalTransportError("unreachable after 3 attempts")
+                raise TransportError("unreachable after 3 attempts")
 
         with pytest.raises(StageError, match=r"mention \(3,3\) of 'Bingley': unreachable after 3 attempts"):
             refine(TestRefine.DOC, TestRefine.INIT, GaveUpJudge())
@@ -747,3 +772,105 @@ class TestConcurrentJudging:
         with pytest.raises(TransportError, match="down"):
             run(doc, config, PatternMatchLinker(), SleepyJudge(), DeadExpander())
         assert threading.active_count() == before
+
+
+#: A 12-token document whose linker may name "A", "B" and "1", and whose
+#: expander completes the window [2, 10) seeded under "A", "B" and 1.
+REPLY_DOC = Document("r", tuple(f"w{i}" for i in range(12)), ("A", "B", "1"))
+REPLY_PLAN = WindowPlan(((0, 2), (2, 10), (10, 12)))
+SEED_KEYS = ("A", "B", 1)
+
+
+
+def short_spans(lo, hi):
+    """Spans of one to three tokens that start in [lo, hi) and end before hi + 2."""
+    return st.builds(lambda s, n: Mention(s, s + n), st.integers(lo, hi - 1), st.integers(0, 2))
+
+
+SEED_SPANS = st.lists(short_spans(2, 8).filter(lambda m: m.end < 10), unique=True, max_size=6)
+#: spans inside the window [2, 10), and spans that start before it or end after it
+EXTRA_SPANS = st.lists(st.one_of(short_spans(2, 8), short_spans(0, 2), short_spans(9, 12)), max_size=2)
+
+
+@st.composite
+def seeded_replies(draw):
+    """Seeds in the window [2, 10), one key per span, and a reply built
+    around them: seeded and unknown keys, str and int, a seed dropped now and
+    then, spans in and out of range, a span listed twice, and a span put in
+    two clusters."""
+
+    def pick(items):
+        return items[draw(st.integers(0, len(items) - 1))]
+
+    seeds = {key: [] for key in SEED_KEYS}
+    for m in draw(SEED_SPANS):
+        seeds[pick(SEED_KEYS)].append(m)
+    # "1" is a character but not a seed key, 1 the other way round
+    keys = [key for key in ("A", "B") if draw(st.integers(0, 5))] + pick([[], [], [1], ["1"]])
+    if draw(st.integers(0, 9)) == 9:
+        keys.append(pick([2, "Z"]))
+    reply = {}
+    for key in keys:
+        ms = list(seeds.get(key, ()))
+        if ms and draw(st.integers(0, 5)) == 0:
+            ms.remove(pick(ms))
+        ms += draw(EXTRA_SPANS)
+        if ms and draw(st.integers(0, 3)) == 0:
+            ms.append(pick(ms))
+        reply[key] = ms
+    if len(reply) > 1 and draw(st.integers(0, 2)) == 0:
+        src = pick(keys)
+        dst = pick([key for key in keys if key != src])
+        if reply[src]:
+            reply[dst].append(pick(reply[src]))
+    return seeds, reply
+
+
+def checked_outcome(component, reply, seeds):
+    """What ``initialize`` (a linker returning ``reply``) or ``expand_pass``
+    (an expander returning ``reply`` for the window [2, 10)) makes of the
+    reply: its clusters, or the contract error's text."""
+    try:
+        if component == "linker":
+
+            class ReplyLinker:
+                name = "reply"
+
+                def link(self, doc):
+                    return ClusterSet.build(doc.doc_id, "initialized", reply)
+
+            return initialize(REPLY_DOC, ReplyLinker()).clusters
+
+        class ReplyExpander:
+            name = "reply"
+
+            def expand(self, request):
+                # a one-shot iterable per cluster, as the protocol allows
+                return {k: iter(ms) for k, ms in reply.items()} if request.lo == 2 else request.seeds
+
+        cs = ClusterSet.build("r", "refined", seeds)
+        return expand_pass(REPLY_DOC, cs, REPLY_PLAN, ReplyExpander()).clusters
+    except ContractError as e:
+        return str(e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(seeded_replies(), st.randoms(use_true_random=False))
+def test_linker_and_expander_replies_pass_one_check(seeded, rnd):
+    """An accepted reply gives each key its distinct spans, sorted; a refused
+    one names the offence the brute-force oracle finds first, in key order,
+    then span order, however the reply orders its keys and spans."""
+    seeds, reply = seeded
+    keys = list(reply)
+    rnd.shuffle(keys)
+    shuffled = {key: rnd.sample(reply[key], len(reply[key])) for key in keys}
+    for component in ("linker", "expander"):
+        if component == "linker":
+            offence = reply_offence_reference("linker", reply, REPLY_DOC.characters, 0, 12)
+            accepted = {key: tuple(sorted(set(ms))) for key, ms in reply.items()}
+        else:
+            offence = reply_offence_reference("expander", reply, SEED_KEYS, 2, 10, " in window [2,10)", seeds)
+            accepted = {key: tuple(sorted(set(reply.get(key, ())))) for key in SEED_KEYS}
+        want = accepted if offence is None else offence
+        assert checked_outcome(component, reply, seeds) == want
+        assert checked_outcome(component, shuffled, seeds) == want

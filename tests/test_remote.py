@@ -15,7 +15,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
-from bookcoref.errors import CacheError, ConfigError, ContractError, FinalTransportError, StageError, TransportError
+from bookcoref import remote
+from bookcoref.errors import CacheError, ConfigError, ContractError, StageError, TransportError
 from bookcoref.model import ClusterSet, Document, Mention
 from bookcoref.pipeline import (
     AcceptAllJudge,
@@ -69,6 +70,13 @@ class MockAnnotatorHandler(BaseHTTPRequestHandler):
             out = {"clusters": body["seeds"]}
         elif self.path == "/garbage":
             out = {"answer": "maybe"}
+        elif self.path.startswith("/status/"):
+            # answers the status its path names, a redirect to /judge among them
+            self.send_response(int(self.path.rsplit("/", 1)[1]))
+            self.send_header("Location", "/judge")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         else:
             self.send_response(404)
             self.end_headers()
@@ -100,8 +108,13 @@ def service():
 DOC = Document("wire", ("Ann", "met", "Ben", "and", "bad", "Ann", "left"), ("Ann", "Ben"))
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries do not wait in these tests (``TestRetrySchedule`` times the wait)."""
+    monkeypatch.setattr(remote, "BACKOFF_S", 0.0)
+
+
 def client_for(url, **kwargs):
-    kwargs.setdefault("backoff", 0.0)
     kwargs.setdefault("cache_dir", "")
     return ServiceClient(url, **kwargs)
 
@@ -215,7 +228,7 @@ class TestWireComponents:
             judge.judge(JudgeRequest(DOC, Mention(0, 0), "Ann"))
 
     def test_unreachable_host_is_transport_error(self):
-        client = ServiceClient("http://127.0.0.1:1", retries=0, backoff=0.0, cache_dir="")
+        client = ServiceClient("http://127.0.0.1:1", retries=0, cache_dir="")
         with pytest.raises(TransportError):
             client.post("/link", {})
 
@@ -232,7 +245,7 @@ class TestWireComponents:
     def test_cache_dir_from_environment(self, service, tmp_path, monkeypatch):
         server, url = service
         monkeypatch.setenv("BOOKCOREF_CACHE_DIR", str(tmp_path))
-        client = ServiceClient(url, backoff=0.0)
+        client = ServiceClient(url)
         client.post("/judge", JUDGE_PAYLOAD)
         client.close()
         ((digest, body),) = stored_rows(tmp_path)
@@ -433,8 +446,35 @@ class TestOneRetryLayer:
 
     def test_rejected_request_is_final_after_one_attempt(self, service):
         server, url = service
-        with pytest.raises(FinalTransportError, match="rejected request: 404"):
+        with pytest.raises(TransportError, match="rejected request: 404"):
             client_for(url, retries=2).post("/missing", {})
+        assert len(server.requests) == 1
+
+
+class TestRetrySchedule:
+    @pytest.fixture(autouse=True)
+    def no_backoff(self):
+        """Overrides the module's fixture: these tests keep the shipped backoff."""
+
+    @pytest.fixture()
+    def waits(self, monkeypatch):
+        """The client's waits, recorded instead of slept."""
+        waits = []
+        monkeypatch.setattr(remote.time, "sleep", waits.append)
+        return waits
+
+    def test_unavailable_service_is_retried_after_growing_waits(self, service, waits):
+        server, url = service
+        with pytest.raises(TransportError, match=r"/status/503 unreachable after 3 attempts: .*returned 503$"):
+            client_for(url, retries=2).post("/status/503", {})
+        assert waits == [0.25, 0.5]
+        assert len(server.requests) == 3
+
+    def test_redirect_is_refused_after_one_attempt(self, service, waits):
+        server, url = service
+        with pytest.raises(TransportError, match=r"/status/302 answered 302: redirects are not followed$"):
+            client_for(url, retries=2).post("/status/302", {})
+        assert waits == []
         assert len(server.requests) == 1
 
 
@@ -472,8 +512,10 @@ class TestCacheUnderConcurrency:
         _, url = service
         script = (
             "import sys\n"
+            "from bookcoref import remote\n"
             "from bookcoref.remote import DECODING, ServiceClient\n"
-            "client = ServiceClient(sys.argv[1], backoff=0.0, cache_dir=sys.argv[2])\n"
+            "remote.BACKOFF_S = 0.0\n"
+            "client = ServiceClient(sys.argv[1], cache_dir=sys.argv[2])\n"
             "for i in range(40):\n"
             "    client.post('/judge', {'prompt': f'Does the mention [Ann{i % 20}] match?', 'decoding': DECODING})\n"
             "client.close()\n"
@@ -733,7 +775,7 @@ class TestSessions:
             monkeypatch.delenv(name, raising=False)
             monkeypatch.delenv(name.upper(), raising=False)
         monkeypatch.setenv("HTTP_PROXY", proxy_url)
-        with pytest.raises(FinalTransportError, match="rejected request: 404"):
+        with pytest.raises(TransportError, match="rejected request: 404"):
             client_for("http://annotator.invalid:8080/api").post("/judge", JUDGE_PAYLOAD)
         assert server.requests[-1][0] == "http://annotator.invalid:8080/api/judge"
         assert server.headers[-1]["Host"] == "annotator.invalid:8080"
@@ -824,7 +866,7 @@ class TestTls:
 
     def test_ca_bundle_from_environment_verifies_the_service(self, tls_service, monkeypatch):
         _, url, cert = tls_service
-        with pytest.raises(FinalTransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
             client_for(url, retries=0).post("/judge", JUDGE_PAYLOAD)
         monkeypatch.setenv("REQUESTS_CA_BUNDLE", cert)
         assert client_for(url, retries=0).post("/judge", JUDGE_PAYLOAD) == {"answer": "Yes"}
