@@ -15,12 +15,19 @@ separators, spans sorted per cluster, known keys first and unknown keys in
 their original order. Re-writing a file produced by these writers is
 byte-identical.
 
-Cost: the CoNLL writer labels only the tokens where a mention starts or ends
-and writes each document in chunks of rows, so an export is linear in tokens
-plus mentions. The CoNLL reader is one pass over the rows: a plain row (a
-token labelled ``-``, most rows of a book) costs one ``rfind`` and a slice,
-and each distinct label text is parsed once per read, so a labelled row
-costs a dictionary lookup and the bracket updates its items make.
+Cost: the JSONL writer joins a document's tokens as text when none needs an
+escape (their joined text is printable and holds no ``"`` or ``\\``), which
+is byte for byte what ``json.dumps`` writes, and passes only the rest of the
+record through ``json.dumps``; any other document is encoded whole. Only text
+that is neither ASCII nor printable is searched for a lone surrogate, which
+UTF-8 cannot encode, so both writers refuse one (a :class:`SchemaError`)
+before they open the file, at no cost on plain text. The CoNLL writer labels
+only the tokens where a mention starts or ends and writes each document in
+chunks of rows, so an export is linear in tokens plus mentions. The CoNLL
+reader is one pass over the rows: a plain row (a token labelled ``-``, most
+rows of a book) costs one ``rfind`` and a slice, and each distinct label
+text is parsed once per read, so a labelled row costs a dictionary lookup
+and the bracket updates its items make.
 
 Memory goes on token text, not on clusters: both readers keep one string per
 distinct token text in a file, so a read book holds about 22 bytes a token
@@ -257,7 +264,28 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     return corpus
 
 
+def _check_encodable(doc_id: str, text: str) -> None:
+    """Refuse ``text``, written for document ``doc_id``, when it holds a lone
+    surrogate, which UTF-8 cannot encode, with a :class:`SchemaError`. Only
+    text that is neither ASCII nor printable is searched."""
+    if not text.isascii() and not text.isprintable():
+        lone = _SURROGATE.search(text)
+        if lone:
+            raise SchemaError(
+                f"document {doc_id!r}: the lone surrogate {lone.group()!r} cannot be written as UTF-8"
+            )
+
+
 def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
+    """The canonical JSONL line of a record: ``json.dumps`` of its object,
+    compact, with ``ensure_ascii=False``.
+
+    When a document's tokens are printable and hold no ``"`` or ``\\``, no
+    token needs an escape, so the tokens array is joined as text, byte for
+    byte what ``json.dumps`` writes, and only the rest of the object goes
+    through ``json.dumps``. A line that holds a lone surrogate is a
+    :class:`SchemaError` (see :func:`_check_encodable`).
+    """
     doc = rec.document
     if clusters_from is None:
         cs = rec.pick("gold")
@@ -265,15 +293,29 @@ def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
         cs = rec.cluster_sets.get(clusters_from)
         if cs is None:
             raise SchemaError(f"document {doc.doc_id!r} has no cluster set {clusters_from!r}")
-    obj: dict = {
-        "doc_id": doc.doc_id,
-        "tokens": list(doc.tokens),
+    rest: dict = {
         "characters": list(doc.characters),
         "clusters": clusters_to_json(cs.clusters, SchemaError, f"document {cs.doc_id!r}"),
     }
+    # unknown keys follow in their order; the document's own values win
     for k, v in (doc.source or {}).items():
-        obj.setdefault(k, v)
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+        if k not in _REQUIRED_KEYS:
+            rest[k] = v
+    tokens = doc.tokens
+    try:
+        text: str | None = "".join(tokens)
+    except TypeError:  # a token that is not a string, which json.dumps writes as it is
+        text = None
+    if text is not None and text.isprintable() and '"' not in text and "\\" not in text:
+        head = json.dumps(doc.doc_id, ensure_ascii=False)
+        tail = json.dumps(rest, ensure_ascii=False, separators=(",", ":"))
+        _check_encodable(doc.doc_id, head)
+        _check_encodable(doc.doc_id, tail)
+        return '{"doc_id":' + head + ',"tokens":["' + '","'.join(tokens) + '"],' + tail[1:]
+    obj = {"doc_id": doc.doc_id, "tokens": list(tokens), **rest}
+    line = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    _check_encodable(doc.doc_id, line)
+    return line
 
 
 def write_jsonl(corpus: CorpusFile, path: str, clusters_from: str | None = None) -> None:
@@ -351,8 +393,9 @@ def _check_row_text(doc: Document) -> None:
     """A CoNLL row is one line of tab-separated columns, so a token that
     holds a tab or a line break, or a doc id that holds a line break, would
     not read back as written, and a doc id that starts with ``#`` would make
-    every row of its document read as a comment: refuse them with a
-    :class:`SchemaError`."""
+    every row of its document read as a comment: refuse them, and a doc id
+    or token that holds a lone surrogate (see :func:`_check_encodable`),
+    with a :class:`SchemaError`."""
     if "\n" in doc.doc_id or "\r" in doc.doc_id:
         raise SchemaError(f"document {doc.doc_id!r}: a doc id with a line break cannot be written as CoNLL")
     if doc.doc_id.startswith("#"):
@@ -364,6 +407,8 @@ def _check_row_text(doc: Document) -> None:
             f"document {doc.doc_id!r}: token {i} ({doc.tokens[i]!r}) holds a tab or line break, "
             "which a CoNLL row cannot carry"
         )
+    _check_encodable(doc.doc_id, doc.doc_id)
+    _check_encodable(doc.doc_id, text)
 
 
 def write_conll(corpus: CorpusFile, path: str) -> None:

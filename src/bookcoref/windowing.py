@@ -62,7 +62,7 @@ def plan_windows(doc: Document, max_len: int = DEFAULT_WINDOW_LEN, guard: Cluste
     if guard is not None:
         for _, m in guard.mentions():
             # a boundary at p splits (s, e) iff s < p <= e
-            for p in range(m.start + 1, m.end + 1):
+            for p in range(m[0] + 1, m[1] + 1):
                 forbidden.setdefault(p, m)
 
     windows: list[tuple[int, int]] = []

@@ -46,6 +46,17 @@ by type name and text, then each cluster's distinct spans, with every
 split's key parts with ``shift``; its body is kept as it was, but that it
 scores through ``conll_reference``. The harness over the one-table scorer
 core must give the same run, outside ``timings``, for any corpora.
+
+``expand_pass_reference`` is the earlier expansion pass, which merged its
+ranges' parts with ``model.union``, a set and a sort per character; the pass
+that concatenates the parts' clusters must give the same set, key order
+included, or the same error. Its body is kept as it was.
+
+``record_line_reference`` is the earlier JSONL line writer, which passed a
+record's whole object, every token included, through ``json.dumps``; the
+writer that joins plain tokens as text must give the same line. Its body is
+kept as it was, but for the ``SchemaError`` on a line that holds a lone
+surrogate, which UTF-8 cannot encode.
 """
 
 import json
@@ -56,7 +67,7 @@ from itertools import islice, permutations, repeat
 
 from scipy.optimize import linear_sum_assignment
 
-from bookcoref.errors import GeneratorError, ParseError, SchemaError
+from bookcoref.errors import GeneratorError, ParseError, PlanningError, SchemaError, StageError
 from bookcoref.formats import (
     _CONLL_BEGIN,
     _COREF_ITEM,
@@ -79,13 +90,17 @@ from bookcoref.model import (
     ValidationReport,
     _key_order,
     clusters_from_json,
+    clusters_to_json,
+    crossing_mentions,
     cut,
     drop_empty,
     prediction_key,
     shift,
+    union,
 )
+from bookcoref.pipeline import _expand_window, _map_in_order
 from bookcoref.synthetic import WINDOW, BookSpec, _PlannedMention
-from bookcoref.windowing import plan_windows, window_doc_id
+from bookcoref.windowing import GroupedWindowPlan, plan_windows, window_doc_id
 
 
 def muc_brute(key, response):
@@ -742,3 +757,58 @@ def evaluate_reference(setting, key_corpus, response_corpus, drop_singletons=Tru
         run.macro = macro_reports([r for _, r in run.units])
     run.timings = {"seconds": time.perf_counter() - started, "process_peak_rss_mb": _peak_rss_mb()}
     return run
+
+
+def expand_pass_reference(doc, cs, plan, expander, trace=None, *, executor=None):
+    if isinstance(plan, GroupedWindowPlan):
+        ranges = plan.groups
+        expected, target = "window_expanded", "final"
+        label = "group"
+    else:
+        ranges = plan.windows
+        expected, target = "refined", "window_expanded"
+        label = "window"
+    if cs.stage != expected:
+        raise StageError(f"{label} expansion expects stage {expected!r}, got {cs.stage!r}")
+    parts = cut(cs, ranges)
+    # refuse plans that would silently lose boundary-crossing mentions
+    crossing = crossing_mentions(cs, parts)
+    if crossing:
+        key, m = crossing[0]
+        raise PlanningError(
+            f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
+            f"plan the windows with this cluster set as guard"
+        )
+    results = _map_in_order(
+        lambda item: _expand_window(doc, item[1], *item[0], expander, target), list(zip(ranges, parts)), executor
+    )
+
+    if trace is not None:
+        for rng, (part, seeds) in zip(ranges, results):
+            trace.window_records.append(
+                {"kind": label, "range": list(rng), "seeds": seeds, "expanded": part.n_mentions}
+            )
+    return union([part for part, _ in results])
+
+
+def record_line_reference(rec, clusters_from):
+    doc = rec.document
+    if clusters_from is None:
+        cs = rec.pick("gold")
+    else:
+        cs = rec.cluster_sets.get(clusters_from)
+        if cs is None:
+            raise SchemaError(f"document {doc.doc_id!r} has no cluster set {clusters_from!r}")
+    obj: dict = {
+        "doc_id": doc.doc_id,
+        "tokens": list(doc.tokens),
+        "characters": list(doc.characters),
+        "clusters": clusters_to_json(cs.clusters, SchemaError, f"document {cs.doc_id!r}"),
+    }
+    for k, v in (doc.source or {}).items():
+        obj.setdefault(k, v)
+    line = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    lone = _SURROGATE.search(line)
+    if lone:
+        raise SchemaError(f"document {doc.doc_id!r}: the lone surrogate {lone.group()!r} cannot be written as UTF-8")
+    return line

@@ -343,6 +343,15 @@ class TestScoreCommands:
         assert main(["score", "--setting", "full", tiny_jsonl, str(pred)]) == 0
         assert "100.0 100.0 100.0 100.0" in capsys.readouterr().out
 
+    def test_reject_judge_keeps_every_key_empty_and_the_output_validates(self, tiny_jsonl, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        argv = ["pipeline", "run", tiny_jsonl, str(pred), "--linker", "pattern", "--judge", "reject"]
+        assert main(argv + ["--window-len", "5", "--group-size", "2"]) == 0
+        assert "refined=0, window_expanded=0, final=0" in capsys.readouterr().out
+        record = read_jsonl(str(pred), clusters_as="prediction").records[0]
+        assert record.cluster_sets["prediction"].clusters == {"Ann": (), "Ben": ()}
+        assert main(["validate", str(pred)]) == 0
+
     def test_oracle_pipeline_scores_100(self, tiny_jsonl, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
         code = main(

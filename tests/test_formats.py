@@ -16,6 +16,7 @@ from bookcoref.formats import (
     CorpusFile,
     DocumentRecord,
     _coref_labels,
+    _record_line,
     _sliced_object,
     read_conll,
     read_jsonl,
@@ -25,7 +26,7 @@ from bookcoref.formats import (
 from bookcoref.metrics import conll
 from bookcoref.model import ClusterSet, Document, Mention, check_bounds, validate
 from helpers import conll_text, jsonl_text
-from oracles import coref_labels_reference, read_conll_reference, read_jsonl_reference
+from oracles import coref_labels_reference, read_conll_reference, read_jsonl_reference, record_line_reference
 
 #: sha256 of the CoNLL export of the seed-13 reference corpus
 REFERENCE_CONLL_SHA256 = "22f7e20303ff3b71c272d3cf55df27d8a5c99167d1e2c0141a9d6d27fe60ded0"
@@ -161,6 +162,21 @@ class TestJsonlRoundTrip:
         path = tmp_path / "bad.jsonl"
         with pytest.raises(SchemaError, match=r"document 'd': cluster keys 1 and '1' both print as '1'"):
             write_jsonl(CorpusFile([good, bad]), str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write, suffix", [(write_jsonl, "jsonl"), (write_conll, "conll")])
+    @pytest.mark.parametrize(
+        "doc_id, tokens", [("d", ("a", "\ud800", "b")), ("\udc00d", ("a",))], ids=["token", "doc-id"]
+    )
+    def test_lone_surrogate_is_schema_error_and_writes_nothing(self, tmp_path, write, suffix, doc_id, tokens):
+        """UTF-8 cannot encode a lone surrogate: both writers name the
+        document before they open the file, rather than leave a part of it."""
+        good = DocumentRecord(Document("ok", ("a",)), {"gold": ClusterSet("ok", "gold", {})})
+        bad = DocumentRecord(Document(doc_id, tokens), {"gold": ClusterSet(doc_id, "gold", {})})
+        path = tmp_path / f"bad.{suffix}"
+        lone = re.escape(repr(doc_id)) + r": the lone surrogate '\\ud[8c]00' cannot be written as UTF-8"
+        with pytest.raises(SchemaError, match=f"^document {lone}$"):
+            write(CorpusFile([good, bad]), str(path))
         assert not path.exists()
 
 
@@ -654,3 +670,50 @@ def test_conll_read_equals_row_by_row_reference(tmp_path_factory, text):
     got = _read_outcome(read_conll, str(path))
     assert got == want
     assert not isinstance(got, tuple) or got[0] is ParseError
+
+
+#: token texts for the line writer: JSON escapes (a quote, a backslash, a tab,
+#: a line break, other control characters), text that is not printable but
+#: is not escaped (DEL, NBSP, U+2028), lone surrogates, and plain text
+#: (letters, a space, JSON punctuation, non-ASCII letters)
+ESCAPED_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\t", "\n", "\x00", "\x1f", "\x7f", "\u00a0", "\u2028", "\ud800", "\udfff"]),
+    min_size=1, max_size=3,
+)
+PLAIN_TEXT = st.text(st.sampled_from(["a", "B", " ", ",", "[", "]", "{", ":", "\u00e9", "\u4e2d", "\U0001f600"]), max_size=4)
+TOKEN_TEXT = st.one_of(PLAIN_TEXT, st.sampled_from(["", ",", '","', '"]', "\\"]), ESCAPED_TEXT)
+
+
+@st.composite
+def written_records(draw):
+    """A record whose tokens are plain text in about half the cases, so
+    that both writer paths are drawn, and whose doc id, characters, cluster
+    keys and extra keys may hold any of the texts."""
+    tokens = draw(st.lists(PLAIN_TEXT if draw(st.booleans()) else TOKEN_TEXT, min_size=1, max_size=8))
+    characters = draw(st.lists(TOKEN_TEXT, unique=True, max_size=3))
+    keys = characters + draw(st.lists(st.sampled_from([0, 1, "1"]), unique=True, max_size=2))
+    clusters = {key: [(i, i) for i in range(len(tokens)) if i % len(keys) == keys.index(key)] for key in keys}
+    # the schema's own keys among the extras: a writer keeps the document's values
+    names = draw(st.lists(st.sampled_from(["note", "doc_id", "tokens", "characters", "clusters"]), unique=True, max_size=3))
+    extra = {name: draw(TOKEN_TEXT) for name in names}
+    doc_id = draw(TOKEN_TEXT)
+    return DocumentRecord(
+        Document(doc_id, tuple(tokens), tuple(characters), extra or None),
+        {"gold": ClusterSet.build(doc_id, "gold", clusters)},
+    )
+
+
+def _line_or_error(write, rec):
+    try:
+        return write(rec, None)
+    except SchemaError as e:
+        return f"SchemaError: {e}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(written_records())
+def test_record_line_equals_json_dumps_of_the_record(rec):
+    """A line whose tokens are joined as text equals ``json.dumps`` of the
+    record's object, byte for byte; a line that holds a lone surrogate is
+    refused with the same error."""
+    assert _line_or_error(_record_line, rec) == _line_or_error(record_line_reference, rec)

@@ -425,6 +425,16 @@ class TestUnitBookkeeping:
         assert run.missing_units == missing
         assert run.unmatched_responses == unmatched
 
+    @pytest.mark.parametrize(
+        "kind, missing, unmatched", [("full_book", "b", "z"), ("split", "b#w1, b#w2", "z#w1")]
+    )
+    def test_summary_table_ends_naming_missing_and_unmatched_units(self, kind, missing, unmatched):
+        key, response = self.corpora()
+        if kind == "split":
+            response = split_corpus(response, 10).corpus
+        table = evaluate(Setting(kind, 10), key, response).summary_table()
+        assert table.splitlines()[-2:] == [f"missing responses for: {missing}", f"unmatched response docs: {unmatched}"]
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()

@@ -131,6 +131,14 @@ class TestToDict:
         report = simulate([1, "a", 2, 1], Policy.lru(1))
         assert report.to_dict()["cluster_evictions"] == {"1": 1, "2": 1, "a": 1}
 
+    def test_kept_events_are_written_as_lists_in_replay_order(self):
+        report = simulate(["a", "b", "a"], Policy.lru(1), keep_events=True)
+        assert report.to_dict()["events"] == [
+            [0, "insert", "a"], [1, "insert", "b"], [1, "evict", "a"],
+            [2, "forced-miss", "a"], [2, "insert", "a"], [2, "evict", "b"],
+        ]
+        assert "events" not in simulate(["a", "b", "a"], Policy.lru(1)).to_dict()
+
 
 class TestMonotonicity:
     def test_rates_non_increasing_in_capacity_on_random_streams(self):

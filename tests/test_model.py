@@ -150,6 +150,17 @@ class TestValidate:
         assert [f.code for f in report.errors] == ["mention-in-multiple-clusters"]
         assert "two clusters" in report.errors[0].message
 
+    def test_summary_counts_then_lists_errors_before_warnings(self):
+        doc = Document("d", ("Ann", "she", "x"), ("Ann",))
+        report = validate(doc, cs({"Ann": [(0, 0), (1, 1), (5, 5)], "Bob": []}, stage="initialized"))
+        assert report.summary().splitlines() == [
+            "2 error(s), 2 warning(s)",
+            "E span-out-of-bounds at Ann:(5,5): span out of bounds for 3 tokens",
+            "E unknown-character at Bob: cluster key 'Bob' not in document character index",
+            "W pronoun-span at Ann:(1,1): explicit-mention stage holds a pronoun span",
+            "W empty-cluster at Bob: cluster has no mentions",
+        ]
+
     def test_duplicate_mention_within_cluster(self):
         raw = ClusterSet("d", "gold", {"Darcy": (Mention(1, 2), Mention(1, 2))})
         report = validate(DOC, raw)

@@ -40,7 +40,7 @@ from bookcoref.pipeline import (
 from bookcoref.windowing import WindowPlan, plan_groups, plan_windows
 
 from helpers import drop_timings
-from oracles import reply_offence_reference
+from oracles import expand_pass_reference, reply_offence_reference
 
 
 def make_doc(n=40, doc_id="d", characters=("Mr. Darcy", "Jane")):
@@ -874,3 +874,88 @@ def test_linker_and_expander_replies_pass_one_check(seeded, rnd):
         want = accepted if offence is None else offence
         assert checked_outcome(component, reply, seeds) == want
         assert checked_outcome(component, shuffled, seeds) == want
+
+
+#: cluster keys of the generated books: str and int, with "1" and 1 apart
+BOOK_KEYS = ("A", "B", "1", 1, 2)
+#: the spans of a generated book, a 12-bit code each: bits 0-5 its start,
+#: 6-7 its extra tokens, 8-10 its key and 11 whether it seeds
+SPAN_CODES = st.lists(st.integers(0, (1 << 12) - 1), max_size=30)
+
+
+@st.composite
+def expansion_cases(draw):
+    """A book of up to 60 tokens; gold clusters of one- to four-token spans
+    under str and int keys, in any key order, no span in two clusters; seeds
+    drawn from gold, with some keys seeded empty, so that the oracle recovers
+    their spans in a window, or only at group level when a window edge cuts
+    them; a window plan whose edges cut no seed; and a group size. Every
+    strategy drawn from is built once, so a case costs a few draws."""
+    n = draw(st.integers(1, 60))
+    keys = draw(st.permutations(BOOK_KEYS))[: draw(st.integers(1, len(BOOK_KEYS)))]
+    empty = draw(st.integers(0, (1 << len(BOOK_KEYS)) - 1))
+    owner = {}  # the first key to draw a span takes it
+    for code in draw(SPAN_CODES):
+        s = (code & 63) % n
+        key = keys[(code >> 8 & 7) % len(keys)]
+        owner.setdefault((s, min(s + (code >> 6 & 3), n - 1)), (key, code >> 11))
+    gold = {key: [] for key in keys}
+    seeds = {key: [] for key in keys}
+    for m, (key, seeded) in owner.items():
+        gold[key].append(m)
+        if seeded and not empty >> keys.index(key) & 1:
+            seeds[key].append(m)
+    seeded = [m for ms in seeds.values() for m in ms]
+    cuts = draw(st.integers(0, (1 << 60) - 1))
+    edges = [p for p in range(1, n) if cuts >> p & 1 and not any(s < p <= e for s, e in seeded)]
+    bounds = [0, *edges, n]
+    return (
+        Document("b", tuple(f"w{i}" for i in range(n))),
+        ClusterSet.build("b", "gold", gold),
+        ClusterSet.build("b", "refined", seeds),
+        WindowPlan(tuple(zip(bounds, bounds[1:]))),
+        draw(st.integers(1, 4)),
+    )
+
+
+class DoublingExpander:
+    """Another expander's reply, each cluster's spans in reverse order and
+    its first span listed twice."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = f"doubling-{inner.name}"
+
+    def expand(self, request):
+        return {key: [*ms][::-1] + [*ms][:1] for key, ms in self.inner.expand(request).items()}
+
+
+def as_compared(cs):
+    """A set's id, stage and clusters, key order included."""
+    return cs.doc_id, cs.stage, list(cs.clusters.items())
+
+
+@pytest.fixture(scope="module")
+def two_threads():
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=expansion_cases())
+def test_expand_pass_joins_its_parts_as_union_does(two_threads, case):
+    """The window and group passes, which join their ranges' parts by
+    concatenation, give the set ``model.union`` of the parts gives: the same
+    keys in the same order, clusters and stage, with the identity and oracle
+    expanders on one thread and on a pool of two (jobs 1 and 2), and with
+    replies that list a span twice."""
+    doc, gold, seeds, plan, group_size = case
+    grouped = plan_groups(plan, group_size)
+    for inner in (IdentityExpander(), OracleExpander(gold)):
+        for expander, executor in ((inner, None), (inner, two_threads), (DoublingExpander(inner), None)):
+            want = expand_pass_reference(doc, seeds, plan, expander, executor=executor)
+            got = expand_pass(doc, seeds, plan, expander, executor=executor)
+            assert as_compared(got) == as_compared(want)
+            want = expand_pass_reference(doc, want, grouped, expander, executor=executor)
+            got = expand_pass(doc, got, grouped, expander, executor=executor)
+            assert as_compared(got) == as_compared(want)
