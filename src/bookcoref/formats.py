@@ -15,13 +15,18 @@ separators, spans sorted per cluster, known keys first and unknown keys in
 their original order. Re-writing a file produced by these writers is
 byte-identical.
 
-Cost: the JSONL writer joins a document's tokens as text when none needs an
-escape (their joined text is printable and holds no ``"`` or ``\\``), which
-is byte for byte what ``json.dumps`` writes, and passes only the rest of the
-record through ``json.dumps``; any other document is encoded whole. Only text
-that is neither ASCII nor printable is searched for a lone surrogate, which
-UTF-8 cannot encode, so both writers refuse one (a :class:`SchemaError`)
-before they open the file, at no cost on plain text. The CoNLL writer labels
+Cost: the JSONL writer joins each cluster's spans as text, and a document's
+tokens when none needs an escape (their joined text is printable and holds no
+``"`` or ``\\``), which is byte for byte what ``json.dumps`` writes; only the
+doc id, the characters, the cluster names, the unknown keys and a tokens
+array that needs an escape go through ``json.dumps``. Both writers refuse a
+span that is not two ``int``s, tested a cluster at a time, and, searching
+only text that is neither ASCII nor printable, a lone surrogate, which UTF-8
+cannot encode (each a :class:`SchemaError`), before they open the file, at
+no cost on plain text. The JSONL reader reads a line in the writers' layout
+in pieces (see :func:`_sliced_object`): each cluster's spans, when they are
+canonical non-negative integers, as one flat list of integers, so it builds
+one mention per span and no list per span. The CoNLL writer labels
 only the tokens where a mention starts or ends and writes each document in
 chunks of rows, so an export is linear in tokens plus mentions. The CoNLL
 reader is one pass over the rows: a plain row (a token labelled ``-``, most
@@ -35,7 +40,9 @@ distinct token text in a file, so a read book holds about 22 bytes a token
 transient is its current line and one slice of it: the JSONL reader decodes
 the tokens of a written line about 64 KB of text at a time and maps each
 slice to the shared strings before it decodes the next, so it never holds one
-fresh string per token of a book. The writer holds a document's labels and
+fresh string per token of a book, and reads the clusters one at a time, so
+it holds one cluster's flat list of integers, not a list per span. The
+CoNLL writer holds a document's labels and
 one chunk of rows, not its whole text, and builds the labels from one int per
 bracket. Both readers report a file that is not UTF-8 as a
 :class:`ParseError` naming the line of the first bad byte.
@@ -46,14 +53,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from json.decoder import scanstring
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ParseError, SchemaError, SpanRangeError
 from .model import (
-    STAGES, ClusterSet, Document, Mention, _key_order, clusters_from_json, clusters_to_json, check_bounds,
-    prediction_key,
+    STAGES, ClusterSet, Document, Mention, _key_order, _sorted_set, check_bounds, clusters_from_json,
+    clusters_to_json, mentions_from_text, prediction_key,
 )
 
 _REQUIRED_KEYS = ("doc_id", "tokens", "characters", "clusters")
@@ -116,6 +123,9 @@ def _undecodable(path: str) -> ParseError:
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_COMPACT = (",", ":")
+_PAIR = {2}
+_INT = {int}
 
 #: ``read_jsonl`` decodes a line's ``tokens`` array about this many characters
 #: of line text at a time.
@@ -123,6 +133,8 @@ _TOKEN_SLICE = 1 << 16
 _HEAD = '{"doc_id":"'
 _TOKENS = ',"tokens":['
 _TOKENS_END = '"],"characters":'
+_CLUSTERS = ',"clusters":{'
+_scan_value = json.JSONDecoder().scan_once
 # In an array of strings, a '","' that is not between two elements (the
 # comma token's own text, or a string that holds '",') ends with a closing
 # quote, so ',' or ']' follows it; a boundary is followed by the next
@@ -139,24 +151,63 @@ def _new_texts_are_strings(texts: dict[str, str], known: int) -> bool:
     return all(map(isinstance, islice(reversed(texts), len(texts) - known), repeat(str)))
 
 
+def _sliced_clusters(line: str, pos: int) -> tuple[dict[str, tuple[Mention, ...]], int] | None:
+    """The clusters object of a line in the writers' layout that opens just
+    before ``pos``, each name's spans read as text by
+    :func:`~bookcoref.model.mentions_from_text`, and the position after its
+    closing brace; ``None`` when a cluster is not ``"name":[]`` or
+    ``"name":[[s,e],...]`` in canonical form. A name given twice keeps its
+    first place and its last spans, as in ``json.loads``."""
+    clusters: dict[str, tuple[Mention, ...]] = {}
+    if line.startswith("}", pos):
+        return clusters, pos + 1
+    while line.startswith('"', pos):
+        name, pos = scanstring(line, pos + 1)
+        if line.startswith(":[]", pos):
+            ms: tuple[Mention, ...] | None = ()
+            pos += 3
+        elif line.startswith(":[[", pos):
+            # spans hold no "]]", so the first one after a canonical span array ends it
+            close = line.find("]]", pos)
+            ms = mentions_from_text(line[pos + 3 : close]) if close >= 0 else None
+            if ms is None:
+                return None
+            pos = close + 2
+        else:
+            return None
+        clusters[name] = ms
+        if line.startswith("}", pos):
+            return clusters, pos + 1
+        if not line.startswith(',"', pos):
+            return None
+        pos += 1
+    return None
+
+
 def _sliced_object(line: str, texts: dict[str, str]) -> dict | None:
     """The object of a line in the writers' layout, its tokens decoded
     ``_TOKEN_SLICE`` characters of text at a time and each slice mapped to
     the file's shared strings (``texts``) before the next is decoded, so a
-    read never holds one fresh string per token of a book.
+    read never holds one fresh string per token of a book, and its clusters
+    read as text a cluster at a time (see :func:`_sliced_clusters`), so it
+    never builds a list per span.
 
-    The line is cut into its head, token slices at element boundaries, and
-    its other members; each piece is decoded on its own, so when every piece
-    decodes, the line is valid JSON and this is exactly its ``json.loads``
-    object, with ``"tokens"`` a tuple of strings (which JSON never decodes
-    to). Anything else returns ``None``, for the whole-line path to read and
-    word every error: another layout, a token that is not a string, a slice
-    that does not decode, and a ``\\u`` escape that may be a lone
-    surrogate. ``texts`` is then as it was.
+    The line is cut into its head, token slices at element boundaries, its
+    characters, each cluster, and its other members; each piece is decoded
+    on its own, so when every piece decodes, the line is valid JSON and this
+    is its ``json.loads`` object with ``"tokens"`` a tuple of strings and
+    ``"clusters"`` each name's sorted mentions (which JSON never decodes
+    to), what :func:`~bookcoref.model.clusters_from_json` makes of them.
+    Anything else returns ``None``, for the whole-line path to read and word
+    every error: another layout, a token that is not a string, a slice that
+    does not decode, a ``\\u`` escape that may be a lone surrogate, a span
+    not in canonical form or with ``end < start``, and a second
+    ``"characters"`` or ``"clusters"`` member. ``texts`` is then as it was.
     """
     if not line.startswith(_HEAD) or "\\ud" in line or "\\uD" in line:
         return None
     known = len(texts)
+    obj = None
     try:
         doc_id, lo = scanstring(line, len(_HEAD))
         if not line.startswith(_TOKENS + '"', lo):
@@ -175,15 +226,22 @@ def _sliced_object(line: str, texts: dict[str, str]) -> dict | None:
             if cut is None:
                 break
             lo = hi + 1
-        rest = json.loads("{" + line[end + 3 :])
-    except (ValueError, RecursionError, TypeError):  # TypeError: an unhashable token
-        rest = None
-    if rest is None or not _new_texts_are_strings(texts, known):
+        characters, pos = _scan_value(line, end + len(_TOKENS_END))
+        sliced = line.startswith(_CLUSTERS, pos) and _sliced_clusters(line, pos + len(_CLUSTERS))
+        if sliced:
+            clusters, pos = sliced
+            # the members after the clusters, if any, with the closing brace
+            rest = json.loads("{" + line[pos + 1 if line.startswith(',"', pos) else pos :])
+            if "characters" not in rest and "clusters" not in rest:
+                # a later "doc_id" or "tokens" member wins, keeping the first one's place, as in json.loads
+                obj = {"doc_id": doc_id, "tokens": tuple(tokens), "characters": characters, "clusters": clusters, **rest}
+    except (ValueError, RecursionError, TypeError, StopIteration):  # TypeError: an unhashable token
+        obj = None
+    if obj is None or not _new_texts_are_strings(texts, known):
         while len(texts) > known:
             texts.popitem()
         return None
-    # a later "doc_id" or "tokens" member wins, keeping the first one's place, as in json.loads
-    return {"doc_id": doc_id, "tokens": tuple(tokens), **rest}
+    return obj
 
 
 def _jsonl_record(
@@ -191,6 +249,7 @@ def _jsonl_record(
 ) -> DocumentRecord:
     """The record of one non-blank line of a JSONL corpus (see :func:`read_jsonl`)."""
     obj = _sliced_object(line, texts)
+    sliced = obj is not None
     if obj is None:
         try:
             obj = json.loads(line)
@@ -229,8 +288,14 @@ def _jsonl_record(
     extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
     doc = Document(doc_id, tokens, tuple(characters), extra or None)
     key = prediction_key if stage == "prediction" else None
-    clusters = clusters_from_json(obj["clusters"], SchemaError, f"line {lineno}", key)
-    return DocumentRecord(doc, {clusters_as: ClusterSet(doc_id, stage, clusters)})
+    if not sliced:
+        clusters = clusters_from_json(obj["clusters"], SchemaError, f"line {lineno}", key)
+    elif key is None:
+        clusters = obj["clusters"]
+    else:
+        clusters = {key(name): ms for name, ms in obj["clusters"].items()}
+    # both paths give each cluster as a sorted tuple of mentions
+    return DocumentRecord(doc, {clusters_as: _sorted_set(doc_id, stage, clusters)})
 
 
 def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
@@ -242,13 +307,14 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     corpus holds one string per distinct token text.
 
     A line in the writers' layout has its ``tokens`` decoded a slice of
-    about ``_TOKEN_SLICE`` characters at a time (see :func:`_sliced_object`),
-    so beyond the records it returns, a read holds the current line, one
-    slice's fresh strings and the record being built; each record's decoded
+    about ``_TOKEN_SLICE`` characters at a time and its clusters' spans read
+    as text (see :func:`_sliced_object`), so beyond the records it returns,
+    a read holds the current line, one slice's fresh strings or one
+    cluster's integers, and the record being built; each record's decoded
     object is dropped before the next line is read. Any other line (spaces
-    between elements, another key order, a token that is not a string) is
-    decoded whole by ``json.loads``. Both paths give the same records and
-    the same errors, which name the line.
+    between elements, another key order, a token that is not a string, a
+    span not in canonical form) is decoded whole by ``json.loads``. Both
+    paths give the same records and the same errors, which name the line.
     """
     stage = clusters_as if clusters_as in STAGES else "gold"
     corpus = CorpusFile()
@@ -276,15 +342,45 @@ def _check_encodable(doc_id: str, text: str) -> None:
             )
 
 
+def _int_pairs(ms: Sequence[Sequence[int]]) -> bool:
+    """Whether every span of a cluster is two ``int``s, tested whole, by the
+    set of the spans' lengths and of their elements' types."""
+    try:
+        return set(map(len, ms)) <= _PAIR and set(map(type, chain.from_iterable(ms))) <= _INT
+    except TypeError:  # a span that is not a sequence
+        return False
+
+
+def _check_spans(cs: ClusterSet) -> None:
+    """Refuse a span of ``cs`` that is not two ``int``s (a float, which
+    ``%d`` would truncate, a bool, which JSON writes as ``true``, or a string),
+    which neither writer can write so that it reads back, with a
+    :class:`SchemaError` naming the document, the cluster and the first such
+    span in sorted key order, then span order."""
+    for key in cs.sorted_keys():
+        ms = cs.clusters[key]
+        if not _int_pairs(ms):
+            span = next(m for m in ms if not _int_pairs((m,)))
+            raise SchemaError(f"document {cs.doc_id!r}: span {span!r} of cluster {key!r} is not two integers")
+
+
+def _spans_text(ms: Sequence[Sequence[int]]) -> str:
+    """A cluster's span array as JSON text, byte for byte what ``json.dumps``
+    writes for spans of two ``int``s each (see :func:`_check_spans`)."""
+    return "[" + ("[%d,%d]," * len(ms))[:-1] % tuple(chain.from_iterable(ms)) + "]"
+
+
 def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
     """The canonical JSONL line of a record: ``json.dumps`` of its object,
-    compact, with ``ensure_ascii=False``.
+    compact, with ``ensure_ascii=False``, byte for byte.
 
-    When a document's tokens are printable and hold no ``"`` or ``\\``, no
-    token needs an escape, so the tokens array is joined as text, byte for
-    byte what ``json.dumps`` writes, and only the rest of the object goes
-    through ``json.dumps``. A line that holds a lone surrogate is a
-    :class:`SchemaError` (see :func:`_check_encodable`).
+    Each cluster's spans are joined as text (see :func:`_spans_text`), and so
+    are the tokens when a document's tokens are printable and hold no ``"``
+    or ``\\``, so that none needs an escape; the doc id, the characters, each
+    cluster name, the unknown keys and any other tokens array go through
+    ``json.dumps``. A span that is not two ``int``s (see
+    :func:`_check_spans`) and a line that holds a lone surrogate (see
+    :func:`_check_encodable`) are each a :class:`SchemaError`.
     """
     doc = rec.document
     if clusters_from is None:
@@ -293,29 +389,28 @@ def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
         cs = rec.cluster_sets.get(clusters_from)
         if cs is None:
             raise SchemaError(f"document {doc.doc_id!r} has no cluster set {clusters_from!r}")
-    rest: dict = {
-        "characters": list(doc.characters),
-        "clusters": clusters_to_json(cs.clusters, SchemaError, f"document {cs.doc_id!r}"),
-    }
-    # unknown keys follow in their order; the document's own values win
-    for k, v in (doc.source or {}).items():
-        if k not in _REQUIRED_KEYS:
-            rest[k] = v
+    clusters = clusters_to_json(cs.clusters, SchemaError, f"document {cs.doc_id!r}")
+    _check_spans(cs)
+    head = json.dumps(doc.doc_id, ensure_ascii=False)
     tokens = doc.tokens
     try:
         text: str | None = "".join(tokens)
     except TypeError:  # a token that is not a string, which json.dumps writes as it is
         text = None
     if text is not None and text.isprintable() and '"' not in text and "\\" not in text:
-        head = json.dumps(doc.doc_id, ensure_ascii=False)
-        tail = json.dumps(rest, ensure_ascii=False, separators=(",", ":"))
-        _check_encodable(doc.doc_id, head)
-        _check_encodable(doc.doc_id, tail)
-        return '{"doc_id":' + head + ',"tokens":["' + '","'.join(tokens) + '"],' + tail[1:]
-    obj = {"doc_id": doc.doc_id, "tokens": list(tokens), **rest}
-    line = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-    _check_encodable(doc.doc_id, line)
-    return line
+        # printable text holds no lone surrogate, so only the other parts are searched
+        tokens_text, checked = '["' + '","'.join(tokens) + '"]', ""
+    else:
+        tokens_text = checked = json.dumps(list(tokens), ensure_ascii=False, separators=_COMPACT)
+    characters = json.dumps(list(doc.characters), ensure_ascii=False, separators=_COMPACT)
+    names = [json.dumps(name, ensure_ascii=False) for name in clusters]
+    # unknown keys follow in their order; the document's own values win
+    extra = {k: v for k, v in (doc.source or {}).items() if k not in _REQUIRED_KEYS}
+    extra_text = json.dumps(extra, ensure_ascii=False, separators=_COMPACT)
+    _check_encodable(doc.doc_id, "".join([head, checked, characters, *names, extra_text]))
+    spans = ",".join([f"{name}:{_spans_text(ms)}" for name, ms in zip(names, clusters.values())])
+    end = "}," + extra_text[1:] if extra else "}}"
+    return "".join(['{"doc_id":', head, ',"tokens":', tokens_text, ',"characters":', characters, ',"clusters":{', spans, end])
 
 
 def write_jsonl(corpus: CorpusFile, path: str, clusters_from: str | None = None) -> None:
@@ -347,10 +442,11 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
 
     Starts from ``"-"`` everywhere and fills only the tokens where a mention
     starts or ends, so the cost is linear in tokens plus mentions (and a sort
-    of the marks). A span that ends past the document is a
-    :class:`SchemaError` naming the span that
-    :func:`~bookcoref.model.check_bounds` names.
+    of the marks). A span that is not two ``int``s (see :func:`_check_spans`)
+    or that ends past the document is a :class:`SchemaError`, the latter
+    naming the span that :func:`~bookcoref.model.check_bounds` names.
     """
+    _check_spans(cs)
     try:
         check_bounds(cs, n_tokens)
     except SpanRangeError as e:

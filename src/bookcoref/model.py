@@ -15,7 +15,9 @@ functions, so values can be shared freely across threads.
 
 The JSON form of a cluster map, ``{name: [[start, end], ...]}``, is built
 and read only here, by :func:`clusters_to_json` and
-:func:`clusters_from_json`, for JSONL and the annotator wire alike.
+:func:`clusters_from_json`, for JSONL and the annotator wire alike;
+:func:`mentions_from_text` reads one cluster's spans straight from the text
+the JSONL writer lays out, without a list per span.
 
 :class:`ClusterSet` holds each cluster as a tuple sorted by ``(start, end)``:
 its constructor sorts any cluster that is not, so sets built from the same
@@ -33,14 +35,19 @@ corpus split reports them, and an expansion pass refuses them.
 
 from __future__ import annotations
 
+import json
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BookcorefError, CompositionError, SpanRangeError, StageError
 
 ClusterKey = Union[str, int]
+
+_new_tuple = tuple.__new__
 
 #: Stages a cluster set can be in. ``initialized -> refined ->
 #: window_expanded -> final`` is the pipeline's chain, which the stage gates of
@@ -124,10 +131,44 @@ def clusters_from_json(
     return out
 
 
+#: A cluster's spans as the JSONL writer lays them out, without the array's
+#: outer brackets: ``s,e],[s,e`` and so on, each a non-negative integer in
+#: canonical form (no sign, no leading zero, no fraction or exponent).
+_SPAN_TEXT = re.compile(r"(?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*)(?:\],\[(?:0|[1-9][0-9]*),(?:0|[1-9][0-9]*))*")
+
+
+def mentions_from_text(text: str) -> tuple[Mention, ...] | None:
+    """One cluster's sorted mentions, read from the text between the ``[[``
+    and ``]]`` of its span array in the writers' layout (``"0,2],[5,5"`` for
+    ``[[0,2],[5,5]]``), or ``None`` when the text is not in that form: a
+    space, a sign, a leading zero, a fraction or an exponent, a span of other
+    than two elements or nested deeper, an integer of more digits than
+    ``int`` converts, or a span with ``end < start``. The caller then decodes
+    the line with ``json.loads`` and :func:`clusters_from_json`, which stays
+    the one codec and words every error; where both accept, they give the
+    same mentions.
+
+    Cost: one regular-expression match of the text and one ``json.loads`` of
+    its integers as a single flat list, so a cluster of k spans allocates k
+    mentions and a few containers, not a list per span as well.
+    """
+    if _SPAN_TEXT.fullmatch(text) is None:
+        return None
+    try:
+        flat = json.loads("[" + text.replace("],[", ",") + "]")
+    except ValueError:  # an integer literal too long to convert
+        return None
+    if not all(map(le, islice(flat, 0, None, 2), islice(flat, 1, None, 2))):
+        return None
+    pairs = iter(flat)
+    return tuple(sorted(map(_new_tuple, repeat(Mention), zip(pairs, pairs))))
+
+
 class Mention(tuple):
     """A token span, 0-based, end-inclusive: the validated tuple ``(start, end)``.
 
-    Construction raises :class:`SpanRangeError` unless ``0 <= start <= end``.
+    Construction raises :class:`SpanRangeError` unless ``start`` and ``end``
+    are ``int``s (not ``bool``s) with ``0 <= start <= end``.
     Hashing, equality and ordering are the tuple's own: a mention equals the
     tuple ``(start, end)`` and hashes like it, sorts by ``(start, end)``,
     unpacks as ``start, end = m``, and ``json.dumps`` writes it as
@@ -140,8 +181,8 @@ class Mention(tuple):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int) -> "Mention":
-        if start < 0 or end < start:
-            raise SpanRangeError(f"invalid mention span ({start}, {end})")
+        if type(start) is not int or type(end) is not int or start < 0 or end < start:
+            raise SpanRangeError(f"invalid mention span ({start!r}, {end!r})")
         return tuple.__new__(cls, (start, end))
 
     start = property(itemgetter(0), doc="First token of the span.")
@@ -434,9 +475,6 @@ def drop_empty(cs: ClusterSet) -> ClusterSet:
     """The same set without its empty clusters (e.g. after :func:`cut`,
     when a window is scored or written out on its own)."""
     return _sorted_set(cs.doc_id, cs.stage, {key: ms for key, ms in cs.clusters.items() if ms})
-
-
-_new_tuple = tuple.__new__
 
 
 def shift(cs: ClusterSet, delta: int) -> ClusterSet:

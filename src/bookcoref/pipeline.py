@@ -33,7 +33,8 @@ import time
 from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from operator import lt
 from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 from .errors import ConfigError, ContractError, PlanningError, StageError, TransportError
@@ -352,14 +353,21 @@ def _checked_reply(
     ``[lo, hi)``, or span already placed in another cluster raises a
     :class:`ContractError` naming ``who``, the span, the key and ``where``.
 
-    Cost: a cluster is tested whole, its bounds from its first start and
-    its largest end and its spans against those of the clusters before it
-    by one ``isdisjoint``, so a clean reply costs a few C-level passes per
-    cluster. Only a cluster that fails is walked span by span, to name its
-    first offence.
+    Cost: a cluster that is a tuple whose spans strictly increase (as an
+    oracle's cut of gold, or a window's part of a checked set) is already
+    sorted and distinct, and is kept as it is, after one C-level pass of
+    comparisons; any other is rebuilt as its sorted distinct spans. A cluster
+    is then tested whole, its bounds from its first start and its largest
+    end and its spans against those of the clusters before it by one
+    ``isdisjoint``, so a clean reply costs a few C-level passes per cluster.
+    Only a cluster that fails is walked span by span, to name its first
+    offence.
     """
     # dict.fromkeys keeps the reply's order, so a sorted cluster sorts in one pass
-    out = {key: tuple(sorted(dict.fromkeys(ms))) for key, ms in reply.items()}
+    out = {
+        key: ms if type(ms) is tuple and all(map(lt, ms, islice(ms, 1, None))) else tuple(sorted(dict.fromkeys(ms)))
+        for key, ms in reply.items()
+    }
     seen: set[Mention] = set()
     keys = sorted(out, key=_key_order)
     for key in keys:

@@ -24,7 +24,7 @@ from bookcoref.formats import (
     write_jsonl,
 )
 from bookcoref.metrics import conll
-from bookcoref.model import ClusterSet, Document, Mention, check_bounds, validate
+from bookcoref.model import ClusterSet, Document, Mention, check_bounds, clusters_from_json, validate
 from helpers import conll_text, jsonl_text
 from oracles import coref_labels_reference, read_conll_reference, read_jsonl_reference, record_line_reference
 
@@ -176,6 +176,23 @@ class TestJsonlRoundTrip:
         path = tmp_path / f"bad.{suffix}"
         lone = re.escape(repr(doc_id)) + r": the lone surrogate '\\ud[8c]00' cannot be written as UTF-8"
         with pytest.raises(SchemaError, match=f"^document {lone}$"):
+            write(CorpusFile([good, bad]), str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write, suffix", [(write_jsonl, "jsonl"), (write_conll, "conll")])
+    @pytest.mark.parametrize("span", [(1.5, 2), (True, 1), ("a", "b"), (0, 1, 2)], ids=["float", "bool", "str", "three"])
+    def test_a_span_that_is_not_two_ints_is_schema_error_and_writes_nothing(self, tmp_path, write, suffix, span):
+        """``ClusterSet`` keeps plain tuples as given; both writers name the
+        document, the cluster and the span before they open the file, rather
+        than write ``[[1.5,2]]``, which the reader refuses, or fail with a
+        raw ``TypeError``."""
+        good = DocumentRecord(Document("ok", ("a",)), {"gold": ClusterSet.build("ok", "gold", {"A": [(0, 0)]})})
+        bad = DocumentRecord(
+            Document("d", ("a", "b", "c")), {"gold": ClusterSet("d", "gold", {"A": ((0, 0), (1, 1)), "B": (span,), "C": ((2, 2),)})}
+        )
+        path = tmp_path / f"bad.{suffix}"
+        message = f"document 'd': span {span!r} of cluster 'B' is not two integers"
+        with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
             write(CorpusFile([good, bad]), str(path))
         assert not path.exists()
 
@@ -494,14 +511,16 @@ class TestSlicedTokens:
         ids=["written", "tokens-twice", "doc-id-twice"],
     )
     def test_a_written_line_is_sliced_into_its_json_object(self, line):
-        """The tokens come as a tuple of shared strings; a later duplicate key
-        wins in the first one's place, as in ``json.loads``."""
+        """The tokens come as a tuple of shared strings and the clusters as
+        what ``clusters_from_json`` makes of them; a later duplicate key wins
+        in the first one's place, as in ``json.loads``."""
         texts = {}
         with mock.patch.object(formats, "_TOKEN_SLICE", 1):
             obj = _sliced_object(line, texts)
         want = json.loads(line)
+        want["clusters"] = clusters_from_json(want["clusters"], SchemaError, "line 1")
         assert list(obj) == list(want)
-        assert {k: list(v) if type(v) is tuple else v for k, v in obj.items()} == want
+        assert {**obj, "tokens": list(obj["tokens"])} == want
         assert list(texts) == ["a", ",", "b"]
 
     @pytest.mark.parametrize(
@@ -537,41 +556,115 @@ STRINGS += ['"\\u00e9"', '"\\u002c"', '"\\"\\\\"']
 #: (and paired) escapes, and values that are not strings
 ODD_TOKENS = ['"\\ud800"', '"x\\udc80"', '"\\ud83d\\ude00"', '"\\uD800"', "1", "1.5", "null", "true", "[]", '["a"]', '[","]', '{"a":1}']
 FAULTS = ["spaced", "reordered", "odd-token", "no-tokens", "tokens-twice", "doc-id-twice", "bad-characters", "bad-span",
-          "truncated", "trailing-garbage"]
+          "characters-twice", "clusters-twice", "truncated", "trailing-garbage"]
+#: JSON texts of cluster names: the texts that end a span array or a span
+#: (``]]``, ``],[``), a quote, a backslash, non-ASCII text, and escapes
+CLUSTER_NAMES = [json.dumps(t, ensure_ascii=False) for t in ["A", "B", "]]", "],[", 'x"]]', '"', "\\", "é", "日本", ""]]
+CLUSTER_NAMES += ['"\\"]],["', '"\\u00e9"']
+#: span texts in the writers' canonical form, up to 31 digits
+SPAN_NUMBERS = ["0", "1", "2", "7", "10", str(10**30)]
+#: span texts that the span-text decoder leaves to the whole-line path: a
+#: sign, a leading zero, a fraction, an exponent, spaces, one or three
+#: elements, ``end < start``, more digits than ``int`` converts, deeper
+#: nesting, and elements that are not numbers
+ODD_SPANS = ["[-0,1]", "[-1,0]", "[01,2]", "[0,01]", "[1.0,2]", "[1e2,200]", "[0,1E1]", "[0, 1]", "[ 0,1]", "[0,1 ]",
+             "[1]", "[1,2,3]", "[2,1]", "[" + "9" * 4301 + ",9]", "[[0,1]]", "[0,[1]]", '["0",1]', "[null,1]", "[true,1]",
+             "[]", "0", "[0,1],"]
+#: cluster values that are not span arrays
+ODD_CLUSTERS = ["{}", '"x"', "null", "[[0,1]", "[[0,1]]]"]
+
+FAULT = st.sampled_from([None] * len(FAULTS) + FAULTS)
+TOKEN_JSON = st.one_of(st.sampled_from(STRINGS), st.text(max_size=3).map(lambda t: json.dumps(t, ensure_ascii=False)))
+TOKEN_JSONS = st.lists(TOKEN_JSON, min_size=1, max_size=12)
+ODD_TOKEN = st.sampled_from(ODD_TOKENS)
+DOC_ID = st.sampled_from([json.dumps(t, ensure_ascii=False) for t in ["d", "e", 'q"', "é", "w,", "x\\", "1", "d2"]])
+CHARACTERS = st.sampled_from(['["A"]', "[]", '["]]","é"]'])
+EXTRAS = st.sampled_from([[], [("note", '"x"')], [("n", "[1,[2,{}]]")]])
+TRAILING = st.sampled_from(["x", "}", "]", " ", "\t", ',"a":1}', "{}"])
+CLUSTER_NAME = st.sampled_from(CLUSTER_NAMES)
+SPAN_NUMBER = st.sampled_from(SPAN_NUMBERS)
+ODD_SPAN = st.sampled_from(ODD_SPANS)
+ODD_CLUSTER = st.sampled_from(ODD_CLUSTERS)
+CLUSTER_SEPARATOR = st.sampled_from([","] * 7 + [", "])
+SMALL = st.integers(0, 3)
+DIE = st.integers(0, 9)
+ORDER = st.lists(st.integers(0, 99), min_size=8, max_size=8)
+CUT = st.integers(0, 1 << 16)
+
+
+@st.composite
+def clusters_texts(draw):
+    """The JSON text of a clusters object: up to three clusters (none, an
+    empty object, now and then) named with texts that hold ``]]``, ``],[``,
+    quotes and non-ASCII text, a name given twice now and then, and each
+    cluster empty or up to three spans in the writers' canonical form, with
+    integers up to 31 digits, one in ten of them drawn with ``end < start``
+    allowed. About three clusters in ten hold a span or a value that only
+    the whole-line path reads, and the clusters are now and then joined by
+    ``", "``."""
+    parts = []
+    for _ in range(draw(SMALL)):
+        name = parts[0][0] if parts and draw(DIE) == 0 else draw(CLUSTER_NAME)
+        spans = []
+        for _ in range(draw(SMALL)):
+            s, e = draw(SPAN_NUMBER), draw(SPAN_NUMBER)
+            if draw(DIE):  # else end < start now and then, in canonical form
+                s, e = sorted((s, e), key=int)
+            spans.append(f"[{s},{e}]")
+        odd = draw(DIE)
+        if odd == 0:
+            value = draw(ODD_CLUSTER)
+        else:
+            if odd in (1, 2):
+                spans.insert(draw(SMALL) % (len(spans) + 1), draw(ODD_SPAN))
+            value = "[" + ",".join(spans) + "]"
+        parts.append((name, value))
+    return "{" + draw(CLUSTER_SEPARATOR).join(f"{name}:{value}" for name, value in parts) + "}"
+
+
+CLUSTERS_TEXT = clusters_texts()
 
 
 @st.composite
 def jsonl_lines(draw):
-    """One line of a corpus: half of them in the writers' layout, the others
-    with one fault: spaces after separators, keys in another order, a token
-    that is not a plain string, no tokens, a duplicate ``tokens`` or
-    ``doc_id`` key, a bad member, a truncation or trailing garbage."""
-    fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
-    texts = st.text(max_size=3).map(lambda t: json.dumps(t, ensure_ascii=False))
-    tokens = draw(st.lists(st.one_of(st.sampled_from(STRINGS), texts), min_size=1, max_size=12))
+    """One line of a corpus: about half of them in the writers' layout, the
+    others with one fault: spaces after separators, keys in another order, a
+    token that is not a plain string, no tokens, a duplicate ``tokens``,
+    ``doc_id``, ``characters`` or ``clusters`` member, a bad member, a
+    truncation or trailing garbage. The clusters come from
+    :func:`clusters_texts`, so that a line in the writers' layout reaches
+    every way out of the span-text decoder as well as its end. Every
+    strategy drawn from is built once."""
+    fault = draw(FAULT)
+    tokens = draw(TOKEN_JSONS)
     if fault == "odd-token":
-        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ODD_TOKENS)))
+        tokens.insert(draw(CUT) % (len(tokens) + 1), draw(ODD_TOKEN))
     elif fault == "no-tokens":
         tokens = []
     sep, colon = (", ", ": ") if fault == "spaced" else (",", ":")
     members = [
-        ("doc_id", json.dumps(draw(st.sampled_from(["d", "e", 'q"', "é", "w,", "x\\", "1", "d2"])), ensure_ascii=False)),
+        ("doc_id", draw(DOC_ID)),
         ("tokens", "[" + sep.join(tokens) + "]"),
-        ("characters", '["A",1]' if fault == "bad-characters" else draw(st.sampled_from(['["A"]', "[]"]))),
-        ("clusters", '{"A":[[0]]}' if fault == "bad-span" else draw(st.sampled_from(['{"A":[[0,0]]}', "{}"]))),
+        ("characters", '["A",1]' if fault == "bad-characters" else draw(CHARACTERS)),
+        ("clusters", '{"A":[[0]]}' if fault == "bad-span" else draw(CLUSTERS_TEXT)),
     ]
-    members += draw(st.sampled_from([[], [("note", '"x"')], [("n", "[1,[2,{}]]")]]))
+    members += draw(EXTRAS)
     if fault == "tokens-twice":
         members.append(("tokens", '["z"]'))
     elif fault == "doc-id-twice":
         members.append(("doc_id", '"f"'))
+    elif fault == "characters-twice":
+        members.append(("characters", draw(CHARACTERS)))
+    elif fault == "clusters-twice":
+        members.append(("clusters", draw(CLUSTERS_TEXT)))
     elif fault == "reordered":
-        members = draw(st.permutations(members))
+        order = draw(ORDER)
+        members = [m for _, m in sorted(zip(order, members), key=lambda pair: pair[0])]
     line = "{" + sep.join(json.dumps(k) + colon + v for k, v in members) + "}"
     if fault == "truncated":
-        line = line[: draw(st.integers(0, len(line) - 1))]
+        line = line[: draw(CUT) % len(line)]
     elif fault == "trailing-garbage":
-        line += draw(st.sampled_from(["x", "}", "]", " ", "\t", ',"a":1}', "{}"]))
+        line += draw(TRAILING)
     return line
 
 
@@ -583,20 +676,38 @@ def _read_outcome(read, path):
         return type(e), str(e)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(st.lists(jsonl_lines(), min_size=1, max_size=3), st.integers(0, 24))
-def test_sliced_read_equals_whole_line_read(tmp_path_factory, lines, slice_len):
+def test_sliced_read_equals_whole_line_read(tmp_path_factory, capsys):
     """Every line, written and read with slices of 0 to 24 characters, gives
-    the same corpus as decoding each line whole, or the same error."""
+    the same corpus as decoding each line whole, or the same error. The
+    share of the lines read whose spans the span-text decoder reads is
+    printed: it must be neither none nor most of them."""
     path = tmp_path_factory.getbasetemp() / "sliced.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    want = _read_outcome(read_jsonl_reference, str(path))
-    with mock.patch.object(formats, "_TOKEN_SLICE", slice_len):
-        got = _read_outcome(read_jsonl, str(path))
-    assert got == want
-    if isinstance(got, CorpusFile):
-        tokens = [tok for rec in got for tok in rec.document.tokens]
-        assert len({id(tok) for tok in tokens}) == len(set(tokens))
+    sliced_object = formats._sliced_object
+    seen = {"lines": 0, "as text": 0}
+
+    def counted(line, texts):
+        obj = sliced_object(line, texts)
+        seen["lines"] += 1
+        seen["as text"] += obj is not None and any(obj["clusters"].values())
+        return obj
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(jsonl_lines(), min_size=1, max_size=3), st.integers(0, 24))
+    def check(lines, slice_len):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = _read_outcome(read_jsonl_reference, str(path))
+        with mock.patch.object(formats, "_TOKEN_SLICE", slice_len), mock.patch.object(formats, "_sliced_object", counted):
+            got = _read_outcome(read_jsonl, str(path))
+        assert got == want
+        if isinstance(got, CorpusFile):
+            tokens = [tok for rec in got for tok in rec.document.tokens]
+            assert len({id(tok) for tok in tokens}) == len(set(tokens))
+
+    check()
+    share = seen["as text"] / seen["lines"]
+    with capsys.disabled():
+        print(f"\nJSONL lines whose spans are read as text: {share:.1%} of {seen['lines']}")
+    assert 0.05 < share < 0.8
 
 
 #: coreference labels that open and close what they name, ids of 40 and
@@ -684,23 +795,38 @@ PLAIN_TEXT = st.text(st.sampled_from(["a", "B", " ", ",", "[", "]", "{", ":", "\
 TOKEN_TEXT = st.one_of(PLAIN_TEXT, st.sampled_from(["", ",", '","', '"]', "\\"]), ESCAPED_TEXT)
 
 
+#: cluster names that need an escape: a quote, a backslash, U+2028 (which
+#: ``json.dumps`` writes as it is), and all three with plain text
+ESCAPED_NAMES = st.sampled_from(['"', "\\", "\u2028", 'a"b\\c\u2028'])
+CHARACTER_LISTS = st.lists(st.one_of(TOKEN_TEXT, ESCAPED_NAMES), unique=True, max_size=3)
+EXTRA_KEYS = st.lists(st.integers(0, 2), unique=True, max_size=2)
+#: spans at the integer edges: 0, and 10**30, far past what any book holds
+EDGE_SPANS = st.lists(st.sampled_from([(0, 0), (0, 10**30), (10**30, 10**30)]), max_size=2)
+EXTRA_NAMES = st.lists(st.sampled_from(["note", "doc_id", "tokens", "characters", "clusters"]), unique=True, max_size=3)
+WRITTEN_TOKENS = st.lists(TOKEN_TEXT, min_size=1, max_size=8)
+PLAIN_TOKENS = st.lists(PLAIN_TEXT, min_size=1, max_size=8)
+
+
 @st.composite
 def written_records(draw):
     """A record whose tokens are plain text in about half the cases, so
-    that both writer paths are drawn, and whose doc id, characters, cluster
-    keys and extra keys may hold any of the texts."""
-    tokens = draw(st.lists(PLAIN_TEXT if draw(st.booleans()) else TOKEN_TEXT, min_size=1, max_size=8))
-    characters = draw(st.lists(TOKEN_TEXT, unique=True, max_size=3))
-    keys = characters + draw(st.lists(st.sampled_from([0, 1, "1"]), unique=True, max_size=2))
-    clusters = {key: [(i, i) for i in range(len(tokens)) if i % len(keys) == keys.index(key)] for key in keys}
+    that both token paths are drawn; whose doc id, characters, cluster keys
+    and extra keys may hold any of the texts, the names that need an escape
+    among them; and whose clusters hold one-token spans and spans at the
+    integer edges (0 and 10**30), in mentions and plain tuples. Every
+    strategy drawn from is built once."""
+    tokens = draw(PLAIN_TOKENS if draw(st.booleans()) else WRITTEN_TOKENS)
+    characters = draw(CHARACTER_LISTS)
+    keys = characters + [(0, 1, "1")[i] for i in draw(EXTRA_KEYS)]
+    clusters = {
+        key: [(i, i) for i in range(len(tokens)) if i % len(keys) == keys.index(key)] + draw(EDGE_SPANS)
+        for key in keys
+    }
     # the schema's own keys among the extras: a writer keeps the document's values
-    names = draw(st.lists(st.sampled_from(["note", "doc_id", "tokens", "characters", "clusters"]), unique=True, max_size=3))
-    extra = {name: draw(TOKEN_TEXT) for name in names}
+    extra = {name: draw(TOKEN_TEXT) for name in draw(EXTRA_NAMES)}
     doc_id = draw(TOKEN_TEXT)
-    return DocumentRecord(
-        Document(doc_id, tuple(tokens), tuple(characters), extra or None),
-        {"gold": ClusterSet.build(doc_id, "gold", clusters)},
-    )
+    cs = ClusterSet.build(doc_id, "gold", clusters) if draw(st.booleans()) else ClusterSet(doc_id, "gold", clusters)
+    return DocumentRecord(Document(doc_id, tuple(tokens), tuple(characters), extra or None), {"gold": cs})
 
 
 def _line_or_error(write, rec):

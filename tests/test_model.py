@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from bookcoref.model import (
     crossing_mentions,
     cut,
     drop_empty,
+    mentions_from_text,
     prediction_key,
     restrict,
     shift,
@@ -52,6 +54,13 @@ class TestMention:
         for span in ((3, 2), (3, 1), (-1, 2), (-1, 0)):
             with pytest.raises(SpanRangeError, match=r"invalid mention span"):
                 Mention(*span)
+
+    @pytest.mark.parametrize("span", [(1.5, 2), (0, 2.0), ("a", "b"), (True, 1), (0, False), (None, 1)])
+    def test_rejects_a_start_or_end_that_is_not_an_int(self, span):
+        """A float, a string, a bool or None is refused as a range error,
+        not a raw ``TypeError`` or a span that no writer can write."""
+        with pytest.raises(SpanRangeError, match="^" + re.escape(f"invalid mention span ({span[0]!r}, {span[1]!r})") + "$"):
+            Mention(*span)
 
     def test_is_the_tuple_start_end(self):
         m = Mention(3, 5)
@@ -566,3 +575,23 @@ def test_cluster_decoder_names_the_bad_part(raw, error):
 def test_cluster_decoder_checks_span_range():
     with pytest.raises(SpanRangeError, match=r"invalid mention span \(2, 1\)"):
         clusters_from_json({"A": [[2, 1]]}, SchemaError, "line 1")
+
+
+@pytest.mark.parametrize(
+    "text", ["0,0", "0,2],[5,5", "5,5],[0,2],[0,2", "0,1],[" + str(10**30) + "," + str(10**30), "7,10],[0,0"]
+)
+def test_span_text_decoder_equals_the_json_codec(text):
+    """Spans in the writers' canonical form read as ``clusters_from_json``
+    reads the same array, sorted, duplicates kept, each a ``Mention``."""
+    want = clusters_from_json({"A": json.loads("[[" + text + "]]")}, SchemaError, "line 1")["A"]
+    got = mentions_from_text(text)
+    assert got == want and all(type(m) is Mention for m in got)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-0,1", "-1,0", "01,2", "0,01", "1.0,2", "1e2,200", "0, 1", " 0,1", "1", "1,2,3", "2,1", "9" * 4301 + ",9",
+     "[0,1", "0,[1]", '"0",1', "null,1", "0,1],[", "0,1]],[2,3", "\\u0030,1", "\\u0663,1", "٣,٣"],
+)
+def test_span_text_decoder_leaves_any_other_text_to_the_json_path(text):
+    assert mentions_from_text(text) is None

@@ -792,12 +792,22 @@ SEED_SPANS = st.lists(short_spans(2, 8).filter(lambda m: m.end < 10), unique=Tru
 EXTRA_SPANS = st.lists(st.one_of(short_spans(2, 8), short_spans(0, 2), short_spans(9, 12)), max_size=2)
 
 
+#: the forms an expander returns a cluster in: a one-shot iterator and a
+#: list (rebuilt by the reply check), the tuple as drawn, and its sorted
+#: tuple (kept as they are when their spans strictly increase)
+REPLY_FORMS = (iter, list, tuple, lambda ms: tuple(sorted(ms)))
+
+
+REPLY_FORM = st.integers(0, len(REPLY_FORMS) - 1)
+
+
 @st.composite
 def seeded_replies(draw):
     """Seeds in the window [2, 10), one key per span, and a reply built
     around them: seeded and unknown keys, str and int, a seed dropped now and
     then, spans in and out of range, a span listed twice, and a span put in
-    two clusters."""
+    two clusters. Each key also draws the form an expander returns its
+    cluster in (an index into ``REPLY_FORMS``)."""
 
     def pick(items):
         return items[draw(st.integers(0, len(items) - 1))]
@@ -823,13 +833,15 @@ def seeded_replies(draw):
         dst = pick([key for key in keys if key != src])
         if reply[src]:
             reply[dst].append(pick(reply[src]))
-    return seeds, reply
+    forms = {key: draw(REPLY_FORM) for key in reply}
+    return seeds, reply, forms
 
 
-def checked_outcome(component, reply, seeds):
+def checked_outcome(component, reply, seeds, forms):
     """What ``initialize`` (a linker returning ``reply``) or ``expand_pass``
-    (an expander returning ``reply`` for the window [2, 10)) makes of the
-    reply: its clusters, or the contract error's text."""
+    (an expander returning ``reply`` for the window [2, 10), each cluster in
+    the form ``forms`` gives its key) makes of the reply: its clusters, or
+    the contract error's text."""
     try:
         if component == "linker":
 
@@ -845,8 +857,8 @@ def checked_outcome(component, reply, seeds):
             name = "reply"
 
             def expand(self, request):
-                # a one-shot iterable per cluster, as the protocol allows
-                return {k: iter(ms) for k, ms in reply.items()} if request.lo == 2 else request.seeds
+                # any iterable per cluster, a one-shot one too, as the protocol allows
+                return {k: REPLY_FORMS[forms[k]](ms) for k, ms in reply.items()} if request.lo == 2 else request.seeds
 
         cs = ClusterSet.build("r", "refined", seeds)
         return expand_pass(REPLY_DOC, cs, REPLY_PLAN, ReplyExpander()).clusters
@@ -860,7 +872,7 @@ def test_linker_and_expander_replies_pass_one_check(seeded, rnd):
     """An accepted reply gives each key its distinct spans, sorted; a refused
     one names the offence the brute-force oracle finds first, in key order,
     then span order, however the reply orders its keys and spans."""
-    seeds, reply = seeded
+    seeds, reply, forms = seeded
     keys = list(reply)
     rnd.shuffle(keys)
     shuffled = {key: rnd.sample(reply[key], len(reply[key])) for key in keys}
@@ -872,8 +884,8 @@ def test_linker_and_expander_replies_pass_one_check(seeded, rnd):
             offence = reply_offence_reference("expander", reply, SEED_KEYS, 2, 10, " in window [2,10)", seeds)
             accepted = {key: tuple(sorted(set(reply.get(key, ())))) for key in SEED_KEYS}
         want = accepted if offence is None else offence
-        assert checked_outcome(component, reply, seeds) == want
-        assert checked_outcome(component, shuffled, seeds) == want
+        assert checked_outcome(component, reply, seeds, forms) == want
+        assert checked_outcome(component, shuffled, seeds, forms) == want
 
 
 #: cluster keys of the generated books: str and int, with "1" and 1 apart
