@@ -26,13 +26,16 @@ cannot encode (each a :class:`SchemaError`), before they open the file, at
 no cost on plain text. The JSONL reader reads a line in the writers' layout
 in pieces (see :func:`_sliced_object`): each cluster's spans, when they are
 canonical non-negative integers, as one flat list of integers, so it builds
-one mention per span and no list per span. The CoNLL writer labels
-only the tokens where a mention starts or ends and writes each document in
-chunks of rows, so an export is linear in tokens plus mentions. The CoNLL
-reader is one pass over the rows: a plain row (a token labelled ``-``, most
-rows of a book) costs one ``rfind`` and a slice, and each distinct label
-text is parsed once per read, so a labelled row costs a dictionary lookup
-and the bracket updates its items make.
+one mention per span and no list per span. The CoNLL writer writes each
+bracket straight into its token's label in one pass over the clusters,
+sorting only the brackets of a token that carries several, and writes each
+document in chunks of rows, so an export is linear in tokens plus mentions.
+The CoNLL reader is one pass over the rows: a plain row (a token labelled
+``-``, most rows of a book) costs one ``rfind`` and a slice, and each
+distinct label text is parsed once per read, so a labelled row costs a
+dictionary lookup and the bracket updates its items make; a closing bracket
+builds its mention directly, with no range check, from the index its
+opening pushed.
 
 Memory goes on token text, not on clusters: both readers keep one string per
 distinct token text in a file, so a read book holds about 22 bytes a token
@@ -43,8 +46,8 @@ slice to the shared strings before it decodes the next, so it never holds one
 fresh string per token of a book, and reads the clusters one at a time, so
 it holds one cluster's flat list of integers, not a list per span. The
 CoNLL writer holds a document's labels and
-one chunk of rows, not its whole text, and builds the labels from one int per
-bracket. Both readers report a file that is not UTF-8 as a
+one chunk of rows, not its whole text, and shares each cluster's three
+bracket texts among its labels. Both readers report a file that is not UTF-8 as a
 :class:`ParseError` naming the line of the first bad byte.
 """
 
@@ -59,7 +62,7 @@ from typing import Iterator, Sequence
 
 from .errors import ParseError, SchemaError, SpanRangeError
 from .model import (
-    STAGES, ClusterSet, Document, Mention, _key_order, _sorted_set, check_bounds, clusters_from_json,
+    STAGES, ClusterSet, Document, Mention, _key_order, _new_tuple, _sorted_set, check_bounds, clusters_from_json,
     clusters_to_json, mentions_from_text, prediction_key,
 )
 
@@ -440,11 +443,14 @@ _CONLL_CHUNK_ROWS = 4096
 def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
     """Per-token coreference column using (k / k) / (k) bracket notation.
 
-    Starts from ``"-"`` everywhere and fills only the tokens where a mention
-    starts or ends, so the cost is linear in tokens plus mentions (and a sort
-    of the marks). A span that is not two ``int``s (see :func:`_check_spans`)
-    or that ends past the document is a :class:`SchemaError`, the latter
-    naming the span that :func:`~bookcoref.model.check_bounds` names.
+    Starts from ``"-"`` everywhere and writes each bracket straight into its
+    token's label in one pass over the clusters, so the cost is linear in
+    tokens plus mentions, with no sort of the brackets. A token that gets a
+    second bracket is crowded: a second pass over the mentions collects
+    each crowded token's brackets, and only those are sorted. A span that is
+    not two ``int``s (see :func:`_check_spans`) or that ends past the
+    document is a :class:`SchemaError`, the latter naming the span that
+    :func:`~bookcoref.model.check_bounds` names.
     """
     _check_spans(cs)
     try:
@@ -453,36 +459,44 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
         raise SchemaError(str(e)) from None
     clusters = cs.clusters
     # integer ids in first-mention order
-    firsts = sorted((ms[0], _key_order(key), key) for key, ms in clusters.items() if ms)
-    ids = {key: i for i, (_, _, key) in enumerate(firsts)}
-    n, width = n_tokens, len(ids)
+    keys = [key for _, _, key in sorted((ms[0], _key_order(key), key) for key, ms in clusters.items() if ms)]
+    labels = ["-"] * n_tokens
+    crowded = set()
+    for k, key in enumerate(keys):
+        opening, closing, single = f"({k}", f"{k})", f"({k})"
+        for s, e in clusters[key]:
+            if s == e:
+                if labels[s] == "-":
+                    labels[s] = single
+                else:
+                    crowded.add(s)
+                continue
+            if labels[s] == "-":
+                labels[s] = opening
+            else:
+                crowded.add(s)
+            if labels[e] == "-":
+                labels[e] = closing
+            else:
+                crowded.add(e)
+    if not crowded:
+        return labels
 
-    # Each mark is one int that sorts by its token, then by bracket order, then
-    # by cluster id: a mention opens at its start, outermost (last-ending) first,
-    # with a single-token mention last, and closes at its end, innermost
-    # (last-starting) first, after the token's openings. Equal marks (a
+    # A crowded token's brackets sort by kind, then span, then cluster id: a
+    # mention opens at its start, outermost (last-ending) first, with a
+    # single-token mention last, and closes at its end, innermost
+    # (last-starting) first, after the token's openings. Equal brackets (a
     # mention given twice in a cluster) are written once.
-    labels = ["-"] * n
-    opening = sorted([(s * n + n - 1 - e) * width + ids[key] for key, ms in clusters.items() for s, e in ms])
-    _write_marks(labels, opening, n, width, closing=False)
-    del opening
-    closing = sorted([(e * n + n - 1 - s) * width + ids[key] for key, ms in clusters.items() for s, e in ms if s < e])
-    _write_marks(labels, closing, n, width, closing=True)
+    marks: dict[int, set[tuple[int, int, int, str]]] = {i: set() for i in crowded}
+    for k, key in enumerate(keys):
+        for s, e in clusters[key]:
+            if s in marks:
+                marks[s].add((0, -e, k, f"({k})" if s == e else f"({k}"))
+            if e in marks and s < e:
+                marks[e].add((1, -s, k, f"{k})"))
+    for i, brackets in marks.items():
+        labels[i] = "|".join([text for *_, text in sorted(brackets)])
     return labels
-
-
-def _write_marks(labels: list[str], marks: list[int], n: int, width: int, closing: bool) -> None:
-    """Append each of ``_coref_labels``' sorted ``marks`` to its token's label."""
-    prev = -1
-    for mark in marks:
-        if mark == prev:
-            continue
-        prev = mark
-        rest, k = divmod(mark, width)
-        i, other = divmod(rest, n)
-        text = f"{k})" if closing else f"({k})" if other == n - 1 - i else f"({k}"
-        label = labels[i]
-        labels[i] = text if label == "-" else f"{label}|{text}"
 
 
 def _check_row_text(doc: Document) -> None:
@@ -517,7 +531,8 @@ def write_conll(corpus: CorpusFile, path: str) -> None:
     output behind. Each document is then written as its header, its rows
     joined ``_CONLL_CHUNK_ROWS`` at a time, and its end line, so beyond the
     labels the writer holds one chunk of rows, not a copy of the document's
-    text. The cost is linear in tokens plus mentions.
+    text. The cost is linear in tokens plus mentions (see
+    :func:`_coref_labels`).
     """
     docs = []
     for rec in corpus.records:
@@ -571,7 +586,10 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     Cost: a plain row, one inside a document that is not a comment and ends
     in a tab, ``-`` and a line break (most rows of a book), is read with one
     ``rfind`` and a slice. Each distinct label text is parsed once per read
-    (see :func:`_label_items`); every other row is split into columns.
+    (see :func:`_label_items`); every other row is split into columns. A
+    closing bracket builds its mention as a tuple, without the constructor's
+    check: its start is a row index that its cluster's stack of openings
+    held, so ``0 <= start <= end`` holds by construction.
     """
     corpus = CorpusFile()
     texts: dict[str, str] = {}
@@ -634,13 +652,21 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
                         parsed = labels[label] = _label_items(label)
                     items, error = parsed
                     for opened, cid, closed in items:
+                        stack = open_stacks.get(cid)
                         if opened:
-                            open_stacks.setdefault(cid, []).append(idx)
+                            if stack is None:
+                                stack = open_stacks[cid] = []
+                            stack.append(idx)
                         if closed:
-                            stack = open_stacks.get(cid)
                             if not stack:
                                 raise ParseError(f"close bracket without open for cluster {cid}", row)
-                            clusters.setdefault(cid, []).append(Mention(stack.pop(), idx))
+                            # the start was an earlier row's index, so 0 <= start <= idx
+                            mention = _new_tuple(Mention, (stack.pop(), idx))
+                            ms = clusters.get(cid)
+                            if ms is None:
+                                clusters[cid] = [mention]
+                            else:
+                                ms.append(mention)
                     if error is not None:
                         raise ParseError(error, row)
             flush(row)

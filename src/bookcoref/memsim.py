@@ -29,15 +29,18 @@ L clusters: every access promotes its cluster into the L-cache, and the
 G-cache never evicts from it. So an access at stack depth d hits every
 policy whose capacity exceeds d, and only an access at depth d >= L, an
 L-miss, reaches a dual policy's G-cache. A policy does work only on its
-misses, and a whole sweep costs O(N * K) plus O(log G) per demotion rather
-than one replay per policy. :func:`mention_stream` sorts the arrivals once,
-O(N log N).
+misses: an LRU policy counts its victim, and its forced errors are read from
+one histogram of repeat-access depths at the end. A dual policy's G-cache
+heap is compacted to its live entries once it holds more than 2G, so a
+demotion costs O(log G), and a whole sweep costs O(N * K) plus O(log G) per
+demotion rather than one replay per policy. :func:`mention_stream` sorts
+the arrivals once, O(N log N).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heappop, heappush, heappushpop
+from heapq import heapify, heappop, heappush, heappushpop
 from math import inf
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass
@@ -168,9 +171,20 @@ def _replay(keys: Sequence[Hashable], policies: Iterable[Policy], keep_events: b
     unbounded policy is a capacity that only first mentions reach. So each
     policy does work only on its misses. The stack is cut at the largest
     finite capacity K, and a pass costs O(N * K) plus O(log G) per demotion.
+
+    An LRU policy's forced errors are the repeat accesses at depth k or
+    deeper, read at the end from one histogram of repeat-access depths, so on
+    a miss an LRU policy only counts its victim. A dual policy's G-cache heap
+    is compacted to its live entries whenever it holds more than 2G, so it
+    never holds more than 2G entries and a push or pop costs O(log G).
     """
     slots = sorted({p: _Slot(p) for p in policies}.values(), key=attrgetter("k"))
     top = max([s.k for s in slots if s.k != inf], default=0)
+    lrus = [(s.k - 1, s.per_cluster) for s in slots if s.policy.kind == "lru"]
+    duals = [(s.k, s.g, s.gcache, s.heap, s.base, s.per_cluster, s) for s in slots if s.dual]
+    shallowest = duals[0][0] if duals else inf  # the smallest L-cache
+    plain = [s for s in slots if not s.dual]  # the policies whose events are noted apart
+    depths = [0] * (top + 1)  # repeat accesses by stack depth, `top` for any deeper
     stack: list[Hashable] = []  # MRU first, at most `top` clusters
     on_stack: set[Hashable] = set()  # the stack's clusters: one off it costs no failed `index`
     count: dict[Hashable, int] = {}  # accesses so far
@@ -181,50 +195,60 @@ def _replay(keys: Sequence[Hashable], policies: Iterable[Policy], keep_events: b
         else:
             d = top if c in count else inf
         n = count[c] = count.get(c, 0) + 1
+        if n > 1:
+            depths[d] += 1
         last[c] = seq
         size = len(stack)
-        for s in slots:
-            k = s.k
-            if k > d:
+        if keep_events:
+            _note_plain(plain, seq, c, d, n, stack)
+        # every LRU(k) with k <= d misses; one with k <= size also evicts
+        reach = d if d < size else size
+        for i, per_cluster in lrus:
+            if i >= reach:
                 break
-            # c misses this policy's recency cache of k clusters
-            gcache = s.gcache
-            if gcache and c in gcache:  # a G-cache hit promotes c back into L
-                del gcache[c]
-                if keep_events:
-                    s.events.append((seq, "hit", str(c)))
-            else:
-                if n > 1:
-                    s.forced += 1
+            per_cluster[stack[i]] += 1
+        if d >= shallowest:
+            for k, g, gcache, heap, base, per_cluster, s in duals:
+                if k > d:
+                    break
+                # c misses this policy's L-cache of k clusters
+                if c in gcache:  # a G-cache hit promotes c back into L
+                    del gcache[c]
                     if keep_events:
-                        s.events.append((seq, "forced-miss", str(c)))
-                if keep_events:
-                    s.events.append((seq, "insert", str(c)))
-                if s.g:
-                    s.base[c] = n - 1  # its frequency restarts
-            if k > size:
-                continue
-            victim = stack[k - 1]  # the least recent of the full recency cache
-            if s.dual:
+                        s.events.append((seq, "hit", str(c)))
+                else:
+                    if n > 1:
+                        s.forced += 1
+                        if keep_events:
+                            s.events.append((seq, "forced-miss", str(c)))
+                    if keep_events:
+                        s.events.append((seq, "insert", str(c)))
+                    base[c] = n - 1  # its frequency restarts
+                if k > size:
+                    continue
+                victim = stack[k - 1]  # the least recent of the full L-cache
                 if keep_events:
                     s.events.append((seq, "demote", str(victim)))
-                if s.g:
+                if g:
                     access = last[victim]
-                    entry = (count[victim] - s.base[victim], access, victim)
+                    entry = (count[victim] - base[victim], access, victim)
                     gcache[victim] = access
-                    if len(gcache) <= s.g:
-                        heappush(s.heap, entry)
+                    if len(gcache) <= g:
+                        heappush(heap, entry)
+                        if len(heap) > 2 * g:  # drop the entries of clusters promoted since their push
+                            heap[:] = [e for e in heap if gcache.get(e[2]) == e[1]]
+                            heapify(heap)
                         continue
-                    _, access, victim = heappushpop(s.heap, entry)
+                    _, access, victim = heappushpop(heap, entry)
                     while gcache.get(victim) != access:  # stale: promoted since it was pushed
-                        _, access, victim = heappop(s.heap)
+                        _, access, victim = heappop(heap)
                     del gcache[victim]
-            s.per_cluster[victim] += 1
-            if keep_events:
-                s.events.append((seq, "evict", str(victim)))
+                per_cluster[victim] += 1
+                if keep_events:
+                    s.events.append((seq, "evict", str(victim)))
         if keep_events:
-            for s in slots:
-                if s.k > d:
+            for k, *_, s in duals:
+                if k > d:
                     s.events.append((seq, "hit", str(c)))
         if d < size:
             if d:
@@ -234,7 +258,27 @@ def _replay(keys: Sequence[Hashable], policies: Iterable[Policy], keep_events: b
                 on_stack.discard(stack.pop())
             stack.insert(0, c)
             on_stack.add(c)
+    for s in plain:
+        s.forced = sum(depths[s.k :]) if s.k != inf else 0
     return {s.policy: s.report(len(keys), keep_events) for s in slots}
+
+
+def _note_plain(slots: Sequence[_Slot], seq: int, c: Hashable, d: float, n: int, stack: Sequence[Hashable]) -> None:
+    """The events of access ``seq`` (cluster ``c`` at depth ``d``, its ``n``th
+    access) for the LRU and unbounded ``slots`` of :func:`_replay`, noted
+    before the recency stack moves: an LRU(k) with ``k <= d`` misses and,
+    when its cache is full, evicts ``stack[k - 1]``; any other policy hits."""
+    text = str(c)
+    for s in slots:
+        k = s.k
+        if k > d:
+            s.events.append((seq, "hit", text))
+            continue
+        if n > 1:
+            s.events.append((seq, "forced-miss", text))
+        s.events.append((seq, "insert", text))
+        if k <= len(stack):
+            s.events.append((seq, "evict", str(stack[k - 1])))
 
 
 def simulate(
@@ -251,9 +295,12 @@ def simulate(
 
     Every policy runs on the stack pass that :func:`sweep` uses (see
     :func:`_replay`). The dual policy finds each G-cache eviction on a heap
-    of (frequency, last access) entries, O(log G) per eviction; an entry
-    goes stale when its cluster leaves the G-cache and is skipped when it
-    comes to the top. Last accesses are unique, so the order has no ties.
+    of (frequency, last access) entries; an entry goes stale when its
+    cluster leaves the G-cache and is skipped when it comes to the top. Once
+    the heap holds more than 2G entries it is rebuilt from its live ones, at
+    most G, so it never holds more than 2G and an eviction costs O(log G);
+    each rebuild costs O(G) and follows at least G stale entries. Last
+    accesses are unique, so the order has no ties.
     """
     keys = mention_stream(stream) if isinstance(stream, ClusterSet) else stream
     return _replay(keys, [policy], keep_events)[policy]

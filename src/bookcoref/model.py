@@ -258,9 +258,11 @@ class ClusterSet:
         stage: str,
         clusters: Mapping[ClusterKey, Iterable[Mention | Sequence[int]]],
     ) -> "ClusterSet":
-        """Normalize arbitrary span input to Mentions; the constructor sorts them."""
+        """Normalize arbitrary span input to Mentions; the constructor sorts them.
+        A span is passed to :class:`Mention` as it is, so one that is not two
+        ``int``s (a float, a bool, a string) raises :class:`SpanRangeError`."""
         norm = {
-            key: [s if isinstance(s, Mention) else Mention(int(s[0]), int(s[1])) for s in spans]
+            key: [s if isinstance(s, Mention) else Mention(s[0], s[1]) for s in spans]
             for key, spans in clusters.items()
         }
         return cls(doc_id, stage, norm)
@@ -483,8 +485,12 @@ def shift(cs: ClusterSet, delta: int) -> ClusterSet:
     A shift keeps each span's length and the clusters' order, so a cluster's
     shifted mentions are valid exactly when its first one is: that one goes
     through the checking constructor (raising :class:`SpanRangeError` if the
-    shift leaves the book), and the rest are built as tuples directly.
+    shift leaves the book), and the rest are built as tuples directly. A
+    ``delta`` that is not an ``int`` (a bool included) raises
+    :class:`SpanRangeError` before anything is built.
     """
+    if type(delta) is not int:
+        raise SpanRangeError(f"shift delta {delta!r} is not an int")
     out: dict[ClusterKey, tuple[Mention, ...]] = {}
     for key, ms in cs.clusters.items():
         if delta < 0 and ms:

@@ -1,10 +1,13 @@
 import hashlib
 import random
+from heapq import heapify
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookcoref import memsim
 from bookcoref.errors import ConfigError, ContractError
 from bookcoref.memsim import Policy, mention_stream, simulate, sweep, sweep_csv
 from bookcoref.model import ClusterSet, Mention
@@ -232,6 +235,23 @@ def test_sweep_of_a_book_equals_reference_replays(gold_corpus):
     policies = [Policy.lru(k) for k in (1, 2, 4, 8, 16, 32)] + [Policy.dual(k, k) for k in (1, 2, 4, 8, 16, 32)]
     for policy, report in sweep(gold, policies):
         assert _same(report, simulate_reference(stream, policy)), policy
+
+
+@pytest.mark.parametrize("policy", [Policy.dual(1, 1), Policy.dual(2, 1), Policy.dual(2, 2)], ids=str)
+def test_g_cache_heap_compaction_keeps_reference_replays(policy):
+    """Each G-cache hit leaves a stale heap entry behind; on a few thousand
+    accesses over four clusters the heap passes 2G entries and is compacted
+    many times, and the replay, its events and its first-eviction order
+    still equal the reference's."""
+    rng = random.Random(27)
+    stream = [rng.choice("ABCD") for _ in range(3000)]
+    with mock.patch.object(memsim, "heapify", wraps=heapify) as compactions:
+        for keep_events in (False, True):
+            got = simulate(stream, policy, keep_events=keep_events)
+            assert _same(got, simulate_reference(stream, policy, keep_events=keep_events))
+            (swept,) = sweep(stream, [policy])
+            assert _same(swept[1], simulate_reference(stream, policy))
+    assert compactions.call_count > 100
 
 
 #: sha256 of the sweep tables of the seed-13 gold books under lru(k) and

@@ -102,6 +102,15 @@ class TestMention:
         with pytest.raises(SpanRangeError):
             shift(cs({"Darcy": [(2, 3)]}), -3)
 
+    @pytest.mark.parametrize("delta", [0.5, -1.0, 2.0, True, False, "1", None])
+    def test_shift_refuses_a_delta_that_is_not_an_int(self, delta):
+        """A float would build mentions the constructor refuses, and a bool
+        is no token count: both raise before anything is built, also for a
+        set with no mentions."""
+        for x in (cs({"Darcy": [(2, 3), (5, 5)]}), cs({})):
+            with pytest.raises(SpanRangeError, match="^" + re.escape(f"shift delta {delta!r} is not an int") + "$"):
+                shift(x, delta)
+
     def test_shift_checks_the_smallest_mention_of_unsorted_clusters(self):
         """``shift`` checks one mention per cluster; on 1,000 random sets,
         sorted or not, it agrees with shifting each mention on its own."""
@@ -124,6 +133,21 @@ class TestMention:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("span", [(1.5, 2), (0, 2.0), (True, 3), (0, False), ("1", "2"), ("a", 2)])
+    def test_build_refuses_a_span_that_is_not_two_ints(self, span):
+        """``build`` hands each span to ``Mention`` unconverted, so a float, a
+        bool or a string raises the constructor's error instead of being
+        truncated or parsed."""
+        message = "^" + re.escape(f"invalid mention span ({span[0]!r}, {span[1]!r})") + "$"
+        for spans in ([span], [(0, 0), span], [Mention(0, 0), list(span)]):
+            with pytest.raises(SpanRangeError, match=message):
+                ClusterSet.build("d", "gold", {"A": spans})
+
+    def test_build_keeps_mentions_and_int_pairs(self):
+        built = ClusterSet.build("d", "gold", {"A": [Mention(4, 4), [0, 2], (1, 1)]})
+        assert built.clusters == {"A": (Mention(0, 2), Mention(1, 1), Mention(4, 4))}
+        assert all(type(m) is Mention for m in built.clusters["A"])
+
     @pytest.mark.parametrize(
         "given",
         [
