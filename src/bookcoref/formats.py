@@ -19,17 +19,20 @@ Cost: the JSONL writer joins each cluster's spans as text, and a document's
 tokens when none needs an escape (their joined text is printable and holds no
 ``"`` or ``\\``), which is byte for byte what ``json.dumps`` writes; only the
 doc id, the characters, the cluster names, the unknown keys and a tokens
-array that needs an escape go through ``json.dumps``. Both writers refuse a
-span that is not two ``int``s, tested a cluster at a time, and, searching
-only text that is neither ASCII nor printable, a lone surrogate, which UTF-8
-cannot encode (each a :class:`SchemaError`), before they open the file, at
-no cost on plain text. The JSONL reader reads a line in the writers' layout
-in pieces (see :func:`_sliced_object`): each cluster's spans, when they are
-canonical non-negative integers, as one flat list of integers, so it builds
-one mention per span and no list per span. The CoNLL writer writes each
-bracket straight into its token's label in one pass over the clusters,
-sorting only the brackets of a token that carries several, and writes each
-document in chunks of rows, so an export is linear in tokens plus mentions.
+array that needs an escape go through ``json.dumps``. The writers test no
+span: a :class:`~bookcoref.model.ClusterSet` holds only valid mentions (see
+:func:`~bookcoref.model.sorted_mentions`), and the CoNLL writer finds a span
+past the end of its document on the error path of its labelling pass. Both
+refuse, searching only text that is neither ASCII nor printable, a lone
+surrogate, which UTF-8 cannot encode (a :class:`SchemaError`), before they
+open the file, at no cost on plain text. The JSONL reader reads a line in
+the writers' layout in pieces (see :func:`_sliced_object`): each cluster's
+spans, when they are canonical non-negative integers, as one flat list of
+integers, so it builds one mention per span and no list per span. The CoNLL
+writer writes each bracket straight into its token's label in one pass over
+the clusters, sorting only the brackets of a token that carries several, and
+writes each document in chunks of rows, so an export is linear in tokens
+plus mentions.
 The CoNLL reader is one pass over the rows: a plain row (a token labelled
 ``-``, most rows of a book) costs one ``rfind`` and a slice, and each
 distinct label text is parsed once per read, so a labelled row costs a
@@ -127,8 +130,6 @@ def _undecodable(path: str) -> ParseError:
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _COMPACT = (",", ":")
-_PAIR = {2}
-_INT = {int}
 
 #: ``read_jsonl`` decodes a line's ``tokens`` array about this many characters
 #: of line text at a time.
@@ -345,31 +346,10 @@ def _check_encodable(doc_id: str, text: str) -> None:
             )
 
 
-def _int_pairs(ms: Sequence[Sequence[int]]) -> bool:
-    """Whether every span of a cluster is two ``int``s, tested whole, by the
-    set of the spans' lengths and of their elements' types."""
-    try:
-        return set(map(len, ms)) <= _PAIR and set(map(type, chain.from_iterable(ms))) <= _INT
-    except TypeError:  # a span that is not a sequence
-        return False
-
-
-def _check_spans(cs: ClusterSet) -> None:
-    """Refuse a span of ``cs`` that is not two ``int``s (a float, which
-    ``%d`` would truncate, a bool, which JSON writes as ``true``, or a string),
-    which neither writer can write so that it reads back, with a
-    :class:`SchemaError` naming the document, the cluster and the first such
-    span in sorted key order, then span order."""
-    for key in cs.sorted_keys():
-        ms = cs.clusters[key]
-        if not _int_pairs(ms):
-            span = next(m for m in ms if not _int_pairs((m,)))
-            raise SchemaError(f"document {cs.doc_id!r}: span {span!r} of cluster {key!r} is not two integers")
-
-
-def _spans_text(ms: Sequence[Sequence[int]]) -> str:
+def _spans_text(ms: Sequence[Mention]) -> str:
     """A cluster's span array as JSON text, byte for byte what ``json.dumps``
-    writes for spans of two ``int``s each (see :func:`_check_spans`)."""
+    writes for its mentions, each two ``int``s (a :class:`ClusterSet` holds
+    no other span)."""
     return "[" + ("[%d,%d]," * len(ms))[:-1] % tuple(chain.from_iterable(ms)) + "]"
 
 
@@ -381,9 +361,8 @@ def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
     are the tokens when a document's tokens are printable and hold no ``"``
     or ``\\``, so that none needs an escape; the doc id, the characters, each
     cluster name, the unknown keys and any other tokens array go through
-    ``json.dumps``. A span that is not two ``int``s (see
-    :func:`_check_spans`) and a line that holds a lone surrogate (see
-    :func:`_check_encodable`) are each a :class:`SchemaError`.
+    ``json.dumps``. A line that holds a lone surrogate (see
+    :func:`_check_encodable`) is a :class:`SchemaError`.
     """
     doc = rec.document
     if clusters_from is None:
@@ -393,7 +372,6 @@ def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
         if cs is None:
             raise SchemaError(f"document {doc.doc_id!r} has no cluster set {clusters_from!r}")
     clusters = clusters_to_json(cs.clusters, SchemaError, f"document {cs.doc_id!r}")
-    _check_spans(cs)
     head = json.dumps(doc.doc_id, ensure_ascii=False)
     tokens = doc.tokens
     try:
@@ -447,38 +425,44 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
     token's label in one pass over the clusters, so the cost is linear in
     tokens plus mentions, with no sort of the brackets. A token that gets a
     second bracket is crowded: a second pass over the mentions collects
-    each crowded token's brackets, and only those are sorted. A span that is
-    not two ``int``s (see :func:`_check_spans`) or that ends past the
-    document is a :class:`SchemaError`, the latter naming the span that
-    :func:`~bookcoref.model.check_bounds` names.
+    each crowded token's brackets, and only those are sorted.
+
+    No span is tested first: a set holds only mentions, non-negative
+    ``int``s (see :func:`~bookcoref.model.sorted_mentions`), so a span that
+    ends past the document is met as an ``IndexError`` in the pass. Only
+    then does :func:`~bookcoref.model.check_bounds` search the set, so that
+    the :class:`SchemaError` names the span it names: the first past the end
+    in sorted key order, not the first the pass met.
     """
-    _check_spans(cs)
-    try:
-        check_bounds(cs, n_tokens)
-    except SpanRangeError as e:
-        raise SchemaError(str(e)) from None
     clusters = cs.clusters
     # integer ids in first-mention order
     keys = [key for _, _, key in sorted((ms[0], _key_order(key), key) for key, ms in clusters.items() if ms)]
     labels = ["-"] * n_tokens
     crowded = set()
-    for k, key in enumerate(keys):
-        opening, closing, single = f"({k}", f"{k})", f"({k})"
-        for s, e in clusters[key]:
-            if s == e:
+    try:
+        for k, key in enumerate(keys):
+            opening, closing, single = f"({k}", f"{k})", f"({k})"
+            for s, e in clusters[key]:
+                if s == e:
+                    if labels[s] == "-":
+                        labels[s] = single
+                    else:
+                        crowded.add(s)
+                    continue
                 if labels[s] == "-":
-                    labels[s] = single
+                    labels[s] = opening
                 else:
                     crowded.add(s)
-                continue
-            if labels[s] == "-":
-                labels[s] = opening
-            else:
-                crowded.add(s)
-            if labels[e] == "-":
-                labels[e] = closing
-            else:
-                crowded.add(e)
+                if labels[e] == "-":
+                    labels[e] = closing
+                else:
+                    crowded.add(e)
+    except IndexError:
+        try:
+            check_bounds(cs, n_tokens)
+        except SpanRangeError as e:
+            raise SchemaError(str(e)) from None
+        raise
     if not crowded:
         return labels
 

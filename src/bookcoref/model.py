@@ -19,18 +19,26 @@ and read only here, by :func:`clusters_to_json` and
 :func:`mentions_from_text` reads one cluster's spans straight from the text
 the JSONL writer lays out, without a list per span.
 
-:class:`ClusterSet` holds each cluster as a tuple sorted by ``(start, end)``:
-its constructor sorts any cluster that is not, so sets built from the same
-mentions in any order are equal, and this module's operations keep the
-order by construction. :func:`cut` is the one window-slicing operation: it
-slices a set at every range of a window plan in one pass, bisecting each
-sorted cluster for the mentions that start inside the plan and walking those
-once, so a plan of W windows costs O(C log M + M) for C clusters and M
-mentions (plus the O(W C) entries of its W result sets) rather than W
-passes over every cluster. :func:`restrict` is its one-range case, O(C log M
-+ k) for the k mentions that start in the range. :func:`crossing_mentions`
-names the mentions a plan's cut drops because they cross a range edge: the
-corpus split reports them, and an expansion pass refuses them.
+A :class:`ClusterSet` holds only valid mentions, each cluster as a tuple
+sorted by ``(start, end)``. One function keeps that invariant,
+:func:`sorted_mentions`: the constructor passes every cluster through it,
+and so does the pipeline's check of a linker's or an expander's reply. It
+refuses a span that is not two ``int``s with ``0 <= start <= end`` with a
+:class:`SpanRangeError`, turns ``(start, end)`` pairs into mentions and sorts
+a cluster that is out of order, so sets built from the same mentions in any
+order are equal. Code that reads a set (the writers, the scorers, the
+simulator) does not test a span's form again, and this module's operations
+keep the invariant by construction.
+
+:func:`cut` is the one window-slicing operation: it slices a set at every
+range of a window plan in one pass, bisecting each sorted cluster for the
+mentions that start inside the plan and walking those once, so a plan of W
+windows costs O(C log M + M) for C clusters and M mentions (plus the O(W C)
+entries of its W result sets) rather than W passes over every cluster.
+:func:`restrict` is its one-range case, O(C log M + k) for the k mentions
+that start in the range. :func:`crossing_mentions` names the mentions a
+plan's cut drops because they cross a range edge: the corpus split reports
+them, and an expansion pass refuses them.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import itemgetter, le
+from operator import is_, itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BookcorefError, CompositionError, SpanRangeError, StageError
@@ -195,6 +203,38 @@ class Mention(tuple):
         return f"Mention(start={self[0]!r}, end={self[1]!r})"
 
 
+def _mention(span: Mention | Sequence[int]) -> Mention:
+    """``span`` as a mention: a mention as it is, a ``(start, end)`` tuple or
+    list through the checking constructor, which names a pair it refuses.
+    Anything else raises :class:`SpanRangeError` naming ``span``."""
+    if type(span) is Mention:
+        return span
+    if isinstance(span, (tuple, list)) and len(span) == 2:
+        return Mention(*span)
+    raise SpanRangeError(f"invalid mention span {span!r}")
+
+
+def sorted_mentions(spans: Iterable[Mention | Sequence[int]]) -> tuple[Mention, ...]:
+    """A cluster's spans as a tuple of mentions sorted by ``(start, end)``,
+    duplicates kept: the one gate through which spans enter a
+    :class:`ClusterSet`. A tuple of mentions that is already sorted is
+    returned itself; any other input is rebuilt, each span passed through
+    the checking constructor unless it already is a :class:`Mention`, so a
+    span that is not two ``int``s with ``0 <= start <= end`` raises
+    :class:`SpanRangeError` naming the first such span in the input's order.
+
+    Cost: input that is all mentions (the readers', the wire's, this
+    module's operations') is tested whole, by one C-level pass over its
+    spans' types and one sort, which takes a single pass over input that is
+    already sorted; only other input is converted a span at a time.
+    """
+    ms = spans if type(spans) is tuple else tuple(spans)
+    if not {Mention}.issuperset(map(type, ms)):
+        return tuple(sorted(map(_mention, ms)))
+    ordered = sorted(ms)
+    return ms if ordered == list(ms) else tuple(ordered)
+
+
 @dataclass(frozen=True, slots=True)
 class Document:
     """A tokenized book plus its character index.
@@ -230,12 +270,17 @@ def _check_stage(stage: str) -> None:
 class ClusterSet:
     """Stage-tagged mapping character -> mentions for one document.
 
-    ``clusters`` is a dict of tuples, each sorted by ``(start, end)``. The
-    constructor checks that and, for input that breaks it (a cluster out of
-    order, a list, a mapping that is not a dict), stores a sorted copy, so
-    sets built from the same mentions in any order are equal. Duplicates are
-    kept as given, next to each other, so that :func:`validate` can report
-    them; :func:`union` applies set semantics. Character keys are strings;
+    ``clusters`` is a dict of tuples of :class:`Mention`, each sorted by
+    ``(start, end)``. The constructor passes every cluster through
+    :func:`sorted_mentions`, so a set holds only valid mentions: a span that
+    is not two ``int``s with ``0 <= start <= end`` raises
+    :class:`SpanRangeError`, and ``(start, end)`` pairs, tuples or lists,
+    are stored as mentions. Input that breaks the order (a cluster out of
+    order, a list, a mapping that is not a dict) is stored as a sorted copy,
+    so sets built from the same mentions in any order are equal; clusters
+    that already hold the invariant are stored as given. Duplicates are kept
+    as given, next to each other, so that :func:`validate` can report them;
+    :func:`union` applies set semantics. Character keys are strings;
     ``stage="prediction"`` may use anonymous integer keys instead.
     """
 
@@ -245,27 +290,15 @@ class ClusterSet:
 
     def __post_init__(self) -> None:
         _check_stage(self.stage)
-        clusters = self.clusters
-        if type(clusters) is not dict or not all(
-            type(ms) is tuple and list(ms) == sorted(ms) for ms in clusters.values()
-        ):
-            object.__setattr__(self, "clusters", {key: tuple(sorted(ms)) for key, ms in clusters.items()})
+        given = self.clusters
+        clusters = {key: sorted_mentions(ms) for key, ms in given.items()}
+        if type(given) is not dict or not all(map(is_, clusters.values(), given.values())):
+            object.__setattr__(self, "clusters", clusters)
 
     @classmethod
-    def build(
-        cls,
-        doc_id: str,
-        stage: str,
-        clusters: Mapping[ClusterKey, Iterable[Mention | Sequence[int]]],
-    ) -> "ClusterSet":
-        """Normalize arbitrary span input to Mentions; the constructor sorts them.
-        A span is passed to :class:`Mention` as it is, so one that is not two
-        ``int``s (a float, a bool, a string) raises :class:`SpanRangeError`."""
-        norm = {
-            key: [s if isinstance(s, Mention) else Mention(s[0], s[1]) for s in spans]
-            for key, spans in clusters.items()
-        }
-        return cls(doc_id, stage, norm)
+    def build(cls, doc_id: str, stage: str, clusters: Mapping[ClusterKey, Iterable]) -> ClusterSet:
+        """The constructor under another name, kept for callers that use it."""
+        return cls(doc_id, stage, clusters)
 
     def sorted_keys(self) -> list[ClusterKey]:
         return sorted(self.clusters, key=_key_order)
@@ -298,9 +331,10 @@ class ClusterSet:
 
 
 def _sorted_set(doc_id: str, stage: str, clusters: Mapping[ClusterKey, tuple[Mention, ...]]) -> ClusterSet:
-    """A set from this module's own operations, whose clusters are sorted
-    tuples by construction and whose stage is known: the constructor's
-    checks are skipped."""
+    """A set whose clusters are sorted tuples of mentions by construction
+    (from this module's operations, the readers, or clusters the pipeline
+    has checked) and whose stage is known: the constructor's checks are
+    skipped."""
     cs = object.__new__(ClusterSet)
     object.__setattr__(cs, "doc_id", doc_id)
     object.__setattr__(cs, "stage", stage)

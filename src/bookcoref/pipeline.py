@@ -13,11 +13,15 @@ Hard contracts, enforced with errors rather than silent repair:
 * a linker's and an expander's clusters pass one check, :func:`_checked_reply`:
   every key is known (a character of the document, or a seed key of the
   window, empty-seeded keys included, so characters unseen in a window can be
-  recovered at group level), every span lies in the document or the window,
-  and no span is in two clusters. Keys are read in sorted key order and each
-  cluster's distinct spans in ``(start, end)`` order, and the first offence in
-  that order is named, whatever order the reply uses. A span listed twice in
-  one cluster is kept once;
+  recovered at group level), every span is a valid mention (two ``int``s with
+  ``0 <= start <= end``, tested by :func:`~bookcoref.model.sorted_mentions`,
+  the gate of every :class:`ClusterSet`), every span lies in the document or
+  the window, and no span is in two clusters. Keys are read in sorted key
+  order and each cluster's distinct spans in ``(start, end)`` order, and the
+  first offence in that order is named, whatever order the reply uses; a span
+  that is not a mention has no such order, so within its cluster it is named
+  first, the first in the reply's own order. A span listed twice in one
+  cluster is kept once;
 * expanders take and return book offsets and must keep every seed mention
   (clusters only grow); the first dropped seed in the same order is named.
   Only the window-local ``/expand`` wire re-bases, in
@@ -37,7 +41,7 @@ from itertools import chain, islice
 from operator import lt
 from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence, TypeVar
 
-from .errors import ConfigError, ContractError, PlanningError, StageError, TransportError
+from .errors import ConfigError, ContractError, PlanningError, SpanRangeError, StageError, TransportError
 from .model import (
     PRONOUNS,
     ClusterKey,
@@ -50,6 +54,7 @@ from .model import (
     crossing_mentions,
     cut,
     restrict,
+    sorted_mentions,
 )
 from .windowing import DEFAULT_GROUP_SIZE, DEFAULT_WINDOW_LEN, GroupedWindowPlan, WindowPlan, plan_groups, plan_windows
 
@@ -346,34 +351,41 @@ def _checked_reply(
     lo: int, hi: int, where: str = "",
 ) -> dict[ClusterKey, tuple[Mention, ...]]:
     """A linker's or an expander's clusters, in the reply's key order, each
-    as its distinct spans in ``(start, end)`` order.
+    as its distinct mentions in ``(start, end)`` order.
 
-    Keys are read in sorted key order and each cluster's distinct spans in
-    ``(start, end)`` order; the first key not in ``known``, span outside
-    ``[lo, hi)``, or span already placed in another cluster raises a
+    Keys are read in sorted key order. A cluster's first offence is a key
+    not in ``known``, then a span that is not a valid mention, the first in
+    the reply's own order (such spans have no sort order), then, among its
+    distinct spans in ``(start, end)`` order, a span outside ``[lo, hi)`` or
+    one already placed in another cluster. The first offence raises a
     :class:`ContractError` naming ``who``, the span, the key and ``where``.
+    Spans given as ``(start, end)`` pairs, tuples or lists, are accepted as
+    mentions.
 
-    Cost: a cluster that is a tuple whose spans strictly increase (as an
-    oracle's cut of gold, or a window's part of a checked set) is already
-    sorted and distinct, and is kept as it is, after one C-level pass of
-    comparisons; any other is rebuilt as its sorted distinct spans. A cluster
-    is then tested whole, its bounds from its first start and its largest
-    end and its spans against those of the clusters before it by one
-    ``isdisjoint``, so a clean reply costs a few C-level passes per cluster.
-    Only a cluster that fails is walked span by span, to name its first
-    offence.
+    Cost: a cluster that is a tuple of mentions that strictly increase (as
+    an oracle's cut of gold, or a window's part of a checked set) is already
+    valid, sorted and distinct, and is kept as it is, after a C-level pass
+    over the spans' types and one of comparisons; any other is rebuilt by
+    :func:`~bookcoref.model.sorted_mentions`, the gate of every
+    :class:`ClusterSet`, and its repeats dropped. A cluster is then tested
+    whole, its bounds from its first start and its largest end and its spans
+    against those of the clusters before it by one ``isdisjoint``, so a
+    clean reply costs a few C-level passes per cluster. Only a cluster that
+    fails is walked span by span, to name its first offence.
     """
-    # dict.fromkeys keeps the reply's order, so a sorted cluster sorts in one pass
-    out = {
-        key: ms if type(ms) is tuple and all(map(lt, ms, islice(ms, 1, None))) else tuple(sorted(dict.fromkeys(ms)))
-        for key, ms in reply.items()
-    }
+    # filled in sorted key order, kept in the reply's
+    out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(reply, ())
     seen: set[Mention] = set()
     keys = sorted(out, key=_key_order)
     for key in keys:
         if key not in known:
             raise ContractError(f"{who} returned unknown cluster key {key!r}{where}")
-        ms = out[key]
+        ms = reply[key]
+        if not (type(ms) is tuple and {Mention}.issuperset(map(type, ms)) and all(map(lt, ms, islice(ms, 1, None)))):
+            try:
+                ms = tuple(dict.fromkeys(sorted_mentions(ms)))
+            except SpanRangeError as e:
+                raise ContractError(f"{who} returned an {e} for {key!r}{where}") from None
         if ms and not (lo <= ms[0][0] and max(map(_end, ms)) < hi and seen.isdisjoint(ms)):
             for m in ms:
                 if not (lo <= m[0] and m[1] < hi):
@@ -382,6 +394,7 @@ def _checked_reply(
                     owner = next(k for k in keys if m in out[k])
                     raise ContractError(f"{who} placed span ({m[0]},{m[1]}) in clusters {owner!r} and {key!r}{where}")
         seen.update(ms)
+        out[key] = ms
     return out
 
 
@@ -403,7 +416,7 @@ def initialize(
             for s, e in clusters[key]:
                 if s == e and tokens[s].lower() in PRONOUNS:
                     trace.warnings.append(f"linker returned pronoun span ({s},{e}) {tokens[s]!r} for {key!r}")
-    return ClusterSet(doc.doc_id, "initialized", clusters)
+    return _sorted_set(doc.doc_id, "initialized", clusters)
 
 
 _T = TypeVar("_T")
@@ -490,8 +503,8 @@ def refine(
             trace.judge_verdicts.append((key, m, accepted))
         if accepted:
             kept[key].append(m)
-    # judge in sorted order, store in the input's key order
-    return ClusterSet(cs.doc_id, "refined", {k: tuple(v) for k, v in kept.items()})
+    # judge in sorted order, store in the input's key order; a cluster keeps its mentions' order
+    return _sorted_set(cs.doc_id, "refined", {k: tuple(v) for k, v in kept.items()})
 
 
 def _expand_window(

@@ -140,9 +140,17 @@ class Transport:
     ``proxy_bypass()`` exempts the host (HTTPS goes through a ``CONNECT``
     tunnel), the CA bundle from REQUESTS_CA_BUNDLE or CURL_CA_BUNDLE, and
     basic-auth credentials from netrc (``$NETRC``) or the URL.
+
+    ``timeout`` is the seconds a socket waits on each connect, send and
+    read: a number greater than 0 and at most ``threading.TIMEOUT_MAX``, the
+    largest wait the platform supports. Anything else (0, which would make
+    every socket non-blocking, a negative number, NaN, infinity, a bool) is
+    a :class:`ConfigError` here, before any request.
     """
 
     def __init__(self, base_url: str, timeout: float):
+        if type(timeout) not in (int, float) or not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:.0f} seconds, got {timeout!r}")
         try:
             url = urllib.parse.urlsplit(base_url)
             port = url.port

@@ -37,7 +37,8 @@ mention's location string; its body is kept as it was.
 
 ``reply_offence_reference`` finds the first contract offence of a linker's
 or an expander's reply by brute force, straight from the stated order: keys
-by type name and text, then each cluster's distinct spans, with every
+by type name and text, then each cluster's first span that is not a
+mention, tested span by span, then its distinct spans, with every
 "in two clusters" question answered by scanning the earlier keys.
 
 ``evaluate_reference`` (with ``_window_units_reference``) is the earlier
@@ -623,33 +624,60 @@ def read_conll_reference(path: str, clusters_as: str = "prediction") -> CorpusFi
     return corpus
 
 
+def is_mention_reference(span):
+    """Whether ``span`` is a valid mention: a tuple or list of two ``int``s
+    (no ``bool``) with ``0 <= start <= end``."""
+    return (
+        isinstance(span, (tuple, list))
+        and len(span) == 2
+        and all(type(x) is int for x in span)
+        and 0 <= span[0] <= span[1]
+    )
+
+
+def invalid_span_text(span):
+    """How a :class:`SpanRangeError` names a span that is not a mention: a
+    pair as ``(start, end)``, anything else by its ``repr``."""
+    if isinstance(span, (tuple, list)) and len(span) == 2:
+        return f"({span[0]!r}, {span[1]!r})"
+    return repr(span)
+
+
 def reply_offence_reference(who, reply, known, lo, hi, where="", seeds=None):
     """The text of the ``ContractError`` that a linker's or an expander's
     ``reply`` (``{key: [span, ...]}``) earns, else ``None``.
 
-    Keys are taken by type name, then text, and each key's distinct spans in
-    ``(start, end)`` order; the first key not in ``known``, span outside
-    ``[lo, hi)``, or span that an earlier key also lists is the offence. A
-    reply without one is then checked against the expander's ``seeds``: the
-    first seed, in the same order, that its key's cluster lacks.
+    Keys are taken by type name, then text. A key's offence is, first, not
+    being in ``known``; then its first span, in the reply's own order, that
+    is not a mention (see :func:`is_mention_reference`); then, among its
+    distinct spans in ``(start, end)`` order, a span outside ``[lo, hi)`` or
+    one that an earlier key also lists. A reply without one is then checked
+    against the expander's ``seeds``: the first seed, in the same order,
+    that its key's cluster lacks.
     """
 
     def order(key):
         return (type(key).__name__, str(key))
 
+    def spans(key):
+        return {tuple(span) for span in reply.get(key, ())}
+
     keys = sorted(reply, key=order)
     for i, key in enumerate(keys):
         if key not in known:
             return f"{who} returned unknown cluster key {key!r}{where}"
-        for s, e in sorted(set(reply[key])):
+        bad = [span for span in reply[key] if not is_mention_reference(span)]
+        if bad:
+            return f"{who} returned an invalid mention span {invalid_span_text(bad[0])} for {key!r}{where}"
+        for s, e in sorted(spans(key)):
             if not (lo <= s and e < hi):
                 return f"{who} span ({s},{e}) out of bounds for {key!r}{where}"
-            earlier = [k for k in keys[:i] if (s, e) in set(reply[k])]
+            earlier = [k for k in keys[:i] if (s, e) in spans(k)]
             if earlier:
                 return f"{who} placed span ({s},{e}) in clusters {earlier[0]!r} and {key!r}{where}"
     for key in sorted(seeds or {}, key=order):
         for s, e in sorted(seeds[key]):
-            if (s, e) not in set(reply.get(key, ())):
+            if (s, e) not in spans(key):
                 return f"expander dropped seed mention ({s},{e}) of {key!r}{where}"
     return None
 

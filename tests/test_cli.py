@@ -1,4 +1,5 @@
 import json
+import socket
 import sys
 
 import pytest
@@ -89,6 +90,18 @@ class TestParser:
         err = capsys.readouterr().err
         assert "--retries: must be >= 0, got -1" in err and "Traceback" not in err
         assert not pred.exists()
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf", "1e10"])
+    def test_unusable_timeout_exits_1_before_any_socket(self, tiny_jsonl, tmp_path, capsys, monkeypatch, timeout):
+        opened = []
+        monkeypatch.setattr(socket.socket, "connect", lambda sock, address: opened.append(address))
+        pred = tmp_path / "pred.jsonl"
+        argv = ["pipeline", "run", tiny_jsonl, str(pred), "--linker", "http", "--endpoint", "http://127.0.0.1:1"]
+        assert main([*argv, "--timeout", timeout]) == 1
+        err = capsys.readouterr().err
+        assert "timeout must be > 0 and <= " in err and f"got {float(timeout)!r}" in err
+        assert "Traceback" not in err
+        assert not pred.exists() and opened == []
 
     @pytest.mark.parametrize(
         "sub, config, key",

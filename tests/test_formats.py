@@ -24,7 +24,7 @@ from bookcoref.formats import (
     write_jsonl,
 )
 from bookcoref.metrics import conll
-from bookcoref.model import ClusterSet, Document, Mention, check_bounds, clusters_from_json, validate
+from bookcoref.model import ClusterSet, Document, Mention, check_bounds, clusters_from_json, shift, validate
 from helpers import conll_text, jsonl_text
 from oracles import coref_labels_reference, read_conll_reference, read_jsonl_reference, record_line_reference
 
@@ -179,22 +179,20 @@ class TestJsonlRoundTrip:
             write(CorpusFile([good, bad]), str(path))
         assert not path.exists()
 
-    @pytest.mark.parametrize("write, suffix", [(write_jsonl, "jsonl"), (write_conll, "conll")])
-    @pytest.mark.parametrize("span", [(1.5, 2), (True, 1), ("a", "b"), (0, 1, 2)], ids=["float", "bool", "str", "three"])
-    def test_a_span_that_is_not_two_ints_is_schema_error_and_writes_nothing(self, tmp_path, write, suffix, span):
-        """``ClusterSet`` keeps plain tuples as given; both writers name the
-        document, the cluster and the span before they open the file, rather
-        than write ``[[1.5,2]]``, which the reader refuses, or fail with a
-        raw ``TypeError``."""
-        good = DocumentRecord(Document("ok", ("a",)), {"gold": ClusterSet.build("ok", "gold", {"A": [(0, 0)]})})
-        bad = DocumentRecord(
-            Document("d", ("a", "b", "c")), {"gold": ClusterSet("d", "gold", {"A": ((0, 0), (1, 1)), "B": (span,), "C": ((2, 2),)})}
-        )
-        path = tmp_path / f"bad.{suffix}"
-        message = f"document 'd': span {span!r} of cluster 'B' is not two integers"
-        with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
-            write(CorpusFile([good, bad]), str(path))
-        assert not path.exists()
+    @pytest.mark.parametrize(
+        "span",
+        [(1.5, 2), (True, 1), ("a", "b"), (0, 1, 2), (2, 1), (-3, -1)],
+        ids=["float", "bool", "str", "three", "reversed", "negative"],
+    )
+    def test_a_span_that_is_not_a_mention_cannot_enter_a_set(self, span):
+        """A set holds only valid mentions, so neither writer is handed a
+        span it cannot write so that it reads back (``[[1.5,2]]`` or
+        ``[[-3,-1]]``, which the reader refuses, or a negative span that
+        the CoNLL labels would count from the end): the constructor refuses
+        it, naming it."""
+        message = f"invalid mention span {span!r}"
+        with pytest.raises(SpanRangeError, match="^" + re.escape(message) + "$"):
+            ClusterSet("d", "gold", {"A": ((0, 0), (1, 1)), "B": (span,), "C": ((2, 2),)})
 
 
 class TestConll:
@@ -216,6 +214,33 @@ class TestConll:
             write_conll(CorpusFile([DocumentRecord(doc, {"gold": cs})]), str(tmp_path / "x.conll"))
         message = "document 'd': span (1, 6) of cluster 'A' ends past the last token (6 tokens)"
         assert str(checked.value) == str(written.value) == message
+
+    def test_export_names_the_bounds_checks_span_not_the_first_the_labels_meet(self, tmp_path):
+        """The labels are written in first-mention order, so the pass meets
+        B's (8, 8) first; the error still names A's (2, 9), the first span
+        past the end in sorted key order, and nothing is written."""
+        doc = Document("d", tuple("abcdef"), ("A", "B"))
+        cs = ClusterSet("d", "gold", {"B": [(0, 0), (8, 8)], "A": [(2, 9)]})
+        path = tmp_path / "x.conll"
+        with pytest.raises(SchemaError) as written:
+            write_conll(CorpusFile([DocumentRecord(doc, {"gold": cs})]), str(path))
+        assert str(written.value) == "document 'd': span (2, 9) of cluster 'A' ends past the last token (6 tokens)"
+        assert not path.exists()
+
+    def test_a_negative_span_is_refused_before_it_can_be_exported(self, tmp_path):
+        """A set once took the span (-3, -1), which ``validate`` passed and
+        the CoNLL labels counted from the end, exporting the mention (3, 5)
+        of a 6-token book. No route into a set takes it now, so no export
+        is written."""
+        doc = Document("d", tuple("abcdef"), ("A",))
+        for make in (ClusterSet, ClusterSet.build):
+            with pytest.raises(SpanRangeError, match=r"^invalid mention span \(-3, -1\)$"):
+                make("d", "gold", {"A": [(-3, -1)]})
+        with pytest.raises(SpanRangeError, match=r"^invalid mention span \(-3, -1\)$"):
+            shift(ClusterSet("d", "gold", {"A": [(1, 3)]}), -4)
+        path = tmp_path / "x.conll"
+        write_conll(CorpusFile([DocumentRecord(doc, {"gold": ClusterSet("d", "gold", {"A": [(3, 5)]})})]), str(path))
+        assert [row.split("\t")[-1] for row in path.read_text().splitlines()[1:-1]] == ["-", "-", "-", "(0", "-", "0)"]
 
     def test_bracket_notation_for_multi_token_mention(self, tmp_path):
         doc = Document("doc", ("Mr.", "Darcy"), ("Mr. Darcy",))

@@ -526,6 +526,22 @@ def test_split_scoring_peaks_under_8_bytes_per_token(gold_corpus):
 #: Cluster keys of both kinds: character names and anonymous integers.
 cluster_keys = st.one_of(st.sampled_from(["A", "B", "C"]), st.integers(0, 2))
 
+#: The most tokens of a generated document, and of spans in its pool.
+MAX_TOKENS = 14
+MAX_SPANS = 12
+DOC_COUNTS = st.integers(1, 3)
+WINDOW_LENS = st.integers(3, 7)
+TOKEN_COUNTS = st.integers(1, MAX_TOKENS)
+#: a pool's spans: a start, scaled to the document's length when drawn, and
+#: its extra tokens
+POOL_SPANS = st.lists(
+    st.tuples(st.integers(0, MAX_TOKENS - 1), st.sampled_from([0, 0, 1, 2])), min_size=1, max_size=MAX_SPANS
+)
+#: clusters as indices into the pool, scaled to its size when drawn
+POOL_CLUSTERS = st.dictionaries(cluster_keys, st.lists(st.integers(0, MAX_SPANS - 1), max_size=8), max_size=4)
+ONE_IN_FOUR = st.integers(0, 3)
+ONE_IN_FIVE = st.integers(0, 4)
+
 
 @st.composite
 def scored_corpora(draw):
@@ -537,29 +553,32 @@ def scored_corpora(draw):
     empty on both sides. Half the responses keep part of each key cluster
     instead, so that CEAF-phi4's alignment is often forced. Some documents
     and some windows have no response, and a stray response matches no key
-    document."""
-    window_len = draw(st.integers(3, 7))
+    document. Every strategy drawn from is built once: a document's spans
+    and clusters are drawn as numbers and scaled to its length and its
+    pool."""
+    window_len = draw(WINDOW_LENS)
     key, response = CorpusFile(), CorpusFile()
-    for d in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(1, 14))
+    for d in range(draw(DOC_COUNTS)):
+        n = draw(TOKEN_COUNTS)
         doc = Document(f"d{d}", tuple(f"t{i}" for i in range(n)), ("A", "B", "C"))
-        starts = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0, 0, 1, 2])), min_size=1, max_size=12)
-        spans = [(s, min(s + w, n - 1)) for s, w in draw(starts)]
-        clusters = st.dictionaries(cluster_keys, st.lists(st.sampled_from(spans), max_size=8), max_size=4)
-        gold = draw(clusters)
+        spans = [(s * n // MAX_TOKENS, min(s * n // MAX_TOKENS + w, n - 1)) for s, w in draw(POOL_SPANS)]
+
+        def clusters():
+            return {k: [spans[i * len(spans) // MAX_SPANS] for i in ix] for k, ix in draw(POOL_CLUSTERS).items()}
+
+        gold = clusters()
         key.records.append(DocumentRecord(doc, {"gold": ClusterSet.build(doc.doc_id, "gold", gold)}))
-        if draw(st.integers(0, 4)):
+        if draw(ONE_IN_FIVE):
             if draw(st.booleans()):
-                prediction = draw(clusters)
+                prediction = clusters()
             else:  # each response cluster keeps part of a key cluster
-                prediction = {k: [m for m in ms if draw(st.integers(0, 3))] for k, ms in gold.items()}
+                prediction = {k: [m for m in ms if draw(ONE_IN_FOUR)] for k, ms in gold.items()}
             response.records.append(DocumentRecord(doc, {"prediction": ClusterSet.build(doc.doc_id, "prediction", prediction)}))
     if draw(st.booleans()):
         stray = Document("stray", ("x", "y"), ())
         response.records.append(DocumentRecord(stray, {"prediction": ClusterSet.build("stray", "prediction", {0: [(0, 1)]})}))
     windows = split_corpus(response, window_len).corpus.records
-    kept = draw(st.lists(st.integers(0, 4), min_size=len(windows), max_size=len(windows)))
-    split = CorpusFile([rec for rec, keep in zip(windows, kept) if keep])
+    split = CorpusFile([rec for rec in windows if draw(ONE_IN_FIVE)])
     return window_len, key, response, split
 
 

@@ -26,6 +26,7 @@ from bookcoref.model import (
     prediction_key,
     restrict,
     shift,
+    sorted_mentions,
     union,
     validate,
 )
@@ -147,6 +148,25 @@ class TestConstruction:
         built = ClusterSet.build("d", "gold", {"A": [Mention(4, 4), [0, 2], (1, 1)]})
         assert built.clusters == {"A": (Mention(0, 2), Mention(1, 1), Mention(4, 4))}
         assert all(type(m) is Mention for m in built.clusters["A"])
+
+    def test_a_cluster_that_mixes_span_types_is_sorted_as_mentions(self):
+        """Pairs of any form become mentions before the cluster is sorted,
+        so a tuple, a list and a mention sort together, and a span of any
+        other form raises a ``SpanRangeError`` naming it, not a ``TypeError``
+        from the sort."""
+        mixed = ClusterSet("d", "gold", {"A": [(4, 4), [0, 2], Mention(1, 1)], "B": ([3, 3],)})
+        assert mixed.clusters == {"A": (Mention(0, 2), Mention(1, 1), Mention(4, 4)), "B": (Mention(3, 3),)}
+        assert all(type(m) is Mention for ms in mixed.clusters.values() for m in ms)
+        for bad in ("ab", 5, None, (1,), [1, 2, 3]):
+            with pytest.raises(SpanRangeError, match="^" + re.escape(f"invalid mention span {bad!r}") + "$"):
+                ClusterSet("d", "gold", {"A": [(0, 0), bad, [1, 1]]})
+
+    def test_sorted_mentions_returns_a_valid_cluster_itself(self):
+        ms = (Mention(0, 0), Mention(0, 0), Mention(2, 5))
+        assert sorted_mentions(ms) is ms
+        assert sorted_mentions(()) == ()
+        assert sorted_mentions(iter([(2, 5), [0, 0]])) == (Mention(0, 0), Mention(2, 5))
+        assert sorted_mentions(ms[::-1]) == ms
 
     @pytest.mark.parametrize(
         "given",

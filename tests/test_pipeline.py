@@ -2,6 +2,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,13 @@ from bookcoref.errors import (
     ConfigError,
     ContractError,
     PlanningError,
+    SpanRangeError,
     StageError,
     TransportError,
 )
-from bookcoref.metrics import conll, linking_prf
+from bookcoref.formats import CorpusFile, DocumentRecord
+from bookcoref.memsim import mention_stream
+from bookcoref.metrics import conll, corpus_stats, linking_prf
 from bookcoref.model import ClusterSet, Document, Mention, restrict, validate
 from bookcoref.pipeline import (
     DEFAULT_CONTEXT_WORDS,
@@ -40,7 +44,7 @@ from bookcoref.pipeline import (
 from bookcoref.windowing import WindowPlan, plan_groups, plan_windows
 
 from helpers import drop_timings
-from oracles import expand_pass_reference, reply_offence_reference
+from oracles import expand_pass_reference, invalid_span_text, is_mention_reference, reply_offence_reference
 
 
 def make_doc(n=40, doc_id="d", characters=("Mr. Darcy", "Jane")):
@@ -368,6 +372,22 @@ def gold_small():
 
 
 class TestExpandPass:
+    def test_a_reply_of_list_form_spans_is_read_as_mentions(self):
+        """A reply in the wire's list form is read as mentions (it once
+        raised ``TypeError: unhashable type: 'list'``)."""
+        doc = make_doc(10, characters=("A",))
+
+        class ListExpander:
+            name = "lists"
+
+            def expand(self, request):
+                return {"A": [[3, 4], [1, 1], [3, 4]]}
+
+        seeds = ClusterSet("d", "refined", {"A": [(1, 1)]})
+        out = expand_pass(doc, seeds, WindowPlan(((0, 10),)), ListExpander())
+        assert out.clusters == {"A": (Mention(1, 1), Mention(3, 4))}
+        assert all(type(m) is Mention for m in out.clusters["A"])
+
     def test_identity_expander_preserves_clusters(self):
         doc, gold = gold_small()
         cs = explicit_mentions(doc, gold).with_stage("refined")
@@ -545,6 +565,31 @@ class TestExpandPass:
 
 
 class TestRun:
+    def test_a_linker_set_of_plain_tuples_gives_a_readable_trace_and_corpus(self):
+        """A set built from plain ``(start, end)`` tuples holds mentions, so
+        the trace, the corpus statistics and the memory simulator read its
+        spans by name (each once raised ``AttributeError`` on a tuple)."""
+        doc = make_doc(20, characters=("A", "B"))
+        plain = {"B": [(9, 9), (4, 5)], "A": [(0, 0), (12, 13)]}
+
+        class TupleLinker:
+            name = "tuples"
+
+            def link(self, doc):
+                return ClusterSet(doc.doc_id, "initialized", plain)
+
+        config = PipelineConfig(window_len=8, group_size=2)
+        final, trace = run(doc, config, TupleLinker(), AcceptAllJudge(), IdentityExpander())
+        expected = {"A": (Mention(0, 0), Mention(12, 13)), "B": (Mention(4, 5), Mention(9, 9))}
+        assert final.clusters == expected
+        assert all(type(m) is Mention for ms in final.clusters.values() for m in ms)
+        verdicts = trace.to_dict()["judge_verdicts"]
+        assert verdicts == [["A", [0, 0], True], ["A", [12, 13], True], ["B", [4, 5], True], ["B", [9, 9], True]]
+        gold = ClusterSet(doc.doc_id, "gold", plain)
+        stats = corpus_stats(CorpusFile([DocumentRecord(doc, {"gold": gold})]))
+        assert (stats.mentions, stats.chains) == (4, 2)
+        assert mention_stream(gold) == ["A", "B", "B", "A"]
+
     def test_all_reference_components_reduce_to_pattern_links(self):
         doc, _ = gold_small()
         config = PipelineConfig(window_len=10, group_size=2)
@@ -794,20 +839,38 @@ EXTRA_SPANS = st.lists(st.one_of(short_spans(2, 8), short_spans(0, 2), short_spa
 
 #: the forms an expander returns a cluster in: a one-shot iterator and a
 #: list (rebuilt by the reply check), the tuple as drawn, and its sorted
-#: tuple (kept as they are when their spans strictly increase)
-REPLY_FORMS = (iter, list, tuple, lambda ms: tuple(sorted(ms)))
+#: tuple (kept as they are when their spans are mentions that strictly
+#: increase); list-form spans sort as their tuples
+REPLY_FORMS = (iter, list, tuple, lambda ms: tuple(sorted(ms, key=tuple)))
 
 
 REPLY_FORM = st.integers(0, len(REPLY_FORMS) - 1)
+
+#: ways to turn a span ``(s, e)`` into one that is not a mention: reversed,
+#: negative, float, bool and of three elements
+MANGLES = (
+    lambda s, e: (e + 1, s),
+    lambda s, e: (-1 - s, e),
+    lambda s, e: (float(s), float(e)),
+    lambda s, e: (s, e + 0.0),
+    lambda s, e: (bool(s), e),
+    lambda s, e: (s, e, e),
+)
+BAD_SPANS = st.builds(lambda m, k: MANGLES[k](*m), short_spans(0, 12), st.integers(0, len(MANGLES) - 1))
+#: a key draws one bad span when this draws 0, and spans in list form when
+#: its low three bits do
+RARE = st.integers(0, 15)
+LIST_FORMS = st.integers(0, (1 << 12) - 1)
 
 
 @st.composite
 def seeded_replies(draw):
     """Seeds in the window [2, 10), one key per span, and a reply built
     around them: seeded and unknown keys, str and int, a seed dropped now and
-    then, spans in and out of range, a span listed twice, and a span put in
-    two clusters. Each key also draws the form an expander returns its
-    cluster in (an index into ``REPLY_FORMS``)."""
+    then, spans in and out of range, a span listed twice, a span put in two
+    clusters, now and then a span that is not a mention (see ``MANGLES``),
+    and spans in list form. Each key also draws the form an expander returns
+    its cluster in (an index into ``REPLY_FORMS``)."""
 
     def pick(items):
         return items[draw(st.integers(0, len(items) - 1))]
@@ -827,6 +890,11 @@ def seeded_replies(draw):
         ms += draw(EXTRA_SPANS)
         if ms and draw(st.integers(0, 3)) == 0:
             ms.append(pick(ms))
+        if not draw(RARE):
+            ms.insert(draw(st.integers(0, len(ms))), draw(BAD_SPANS))
+        if not draw(RARE) & 7:
+            as_lists = draw(LIST_FORMS)
+            ms = [list(m) if as_lists >> i & 1 else m for i, m in enumerate(ms)]
         reply[key] = ms
     if len(reply) > 1 and draw(st.integers(0, 2)) == 0:
         src = pick(keys)
@@ -838,10 +906,10 @@ def seeded_replies(draw):
 
 
 def checked_outcome(component, reply, seeds, forms):
-    """What ``initialize`` (a linker returning ``reply``) or ``expand_pass``
-    (an expander returning ``reply`` for the window [2, 10), each cluster in
-    the form ``forms`` gives its key) makes of the reply: its clusters, or
-    the contract error's text."""
+    """What ``initialize`` (a linker returning ``reply`` as a set) or
+    ``expand_pass`` (an expander returning ``reply`` for the window [2, 10),
+    each cluster in the form ``forms`` gives its key) makes of the reply: its
+    clusters, or the error's type and text."""
     try:
         if component == "linker":
 
@@ -862,30 +930,51 @@ def checked_outcome(component, reply, seeds, forms):
 
         cs = ClusterSet.build("r", "refined", seeds)
         return expand_pass(REPLY_DOC, cs, REPLY_PLAN, ReplyExpander()).clusters
-    except ContractError as e:
-        return str(e)
+    except (ContractError, SpanRangeError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def reply_outcome_reference(component, reply, seeds, forms):
+    """What the brute-force oracle makes of ``reply`` (see
+    :func:`checked_outcome`). A linker's spans must first make a set, which
+    refuses the first span that is not a mention in the reply's own order,
+    keys as given; an expander's reply is read as the forms give it."""
+    distinct = {key: tuple(sorted({tuple(m) for m in ms})) for key, ms in reply.items()}
+    if component == "linker":
+        bad = [span for ms in reply.values() for span in ms if not is_mention_reference(span)]
+        if bad:
+            return f"SpanRangeError: invalid mention span {invalid_span_text(bad[0])}"
+        offence = reply_offence_reference("linker", reply, REPLY_DOC.characters, 0, 12)
+        accepted = distinct
+    else:
+        returned = {key: list(REPLY_FORMS[forms[key]](ms)) for key, ms in reply.items()}
+        offence = reply_offence_reference("expander", returned, SEED_KEYS, 2, 10, " in window [2,10)", seeds)
+        accepted = {key: distinct.get(key, ()) for key in SEED_KEYS}
+    return accepted if offence is None else f"ContractError: {offence}"
 
 
 @settings(max_examples=1000, deadline=None)
 @given(seeded_replies(), st.randoms(use_true_random=False))
 def test_linker_and_expander_replies_pass_one_check(seeded, rnd):
-    """An accepted reply gives each key its distinct spans, sorted; a refused
-    one names the offence the brute-force oracle finds first, in key order,
-    then span order, however the reply orders its keys and spans."""
+    """An accepted reply gives each key its distinct spans, sorted, as
+    mentions; a refused one names the offence the brute-force oracle finds
+    first, in key order, then span order, however the reply orders its keys
+    and spans. A span that is not a mention has no span order: within its
+    cluster it is the first offence, the first in the reply's own order."""
     seeds, reply, forms = seeded
     keys = list(reply)
     rnd.shuffle(keys)
     shuffled = {key: rnd.sample(reply[key], len(reply[key])) for key in keys}
+    all_mentions = all(map(is_mention_reference, chain.from_iterable(reply.values())))
     for component in ("linker", "expander"):
-        if component == "linker":
-            offence = reply_offence_reference("linker", reply, REPLY_DOC.characters, 0, 12)
-            accepted = {key: tuple(sorted(set(ms))) for key, ms in reply.items()}
-        else:
-            offence = reply_offence_reference("expander", reply, SEED_KEYS, 2, 10, " in window [2,10)", seeds)
-            accepted = {key: tuple(sorted(set(reply.get(key, ())))) for key in SEED_KEYS}
-        want = accepted if offence is None else offence
+        want = reply_outcome_reference(component, reply, seeds, forms)
         assert checked_outcome(component, reply, seeds, forms) == want
-        assert checked_outcome(component, shuffled, seeds, forms) == want
+        if all_mentions:
+            assert checked_outcome(component, shuffled, seeds, forms) == want
+        else:
+            assert checked_outcome(component, shuffled, seeds, forms) == reply_outcome_reference(
+                component, shuffled, seeds, forms
+            )
 
 
 #: cluster keys of the generated books: str and int, with "1" and 1 apart

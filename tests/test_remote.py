@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 import select
 import shutil
 import socket
@@ -438,6 +439,22 @@ class TestOneRetryLayer:
         with pytest.raises(StageError, match=r"mention \(0,0\) of 'Ann': .*unreachable after 3 attempts"):
             refine(DOC, init, judge)
         assert len([r for r in server.requests if r[0] == "/judge"]) == 3
+
+    @pytest.mark.parametrize("timeout", [-1, 0, 0.0, float("nan"), float("inf"), 1e10, True, "30", None])
+    def test_unusable_timeout_is_config_error_before_any_socket(self, timeout, monkeypatch):
+        """A timeout the socket layer cannot use (0 makes every socket
+        non-blocking; a negative number, NaN, infinity and 1e10 each fail in
+        the socket layer) is refused when the client is made."""
+        opened = []
+        monkeypatch.setattr(socket.socket, "connect", lambda sock, address: opened.append(address))
+        with pytest.raises(ConfigError, match=re.escape(f", got {timeout!r}") + "$"):
+            ServiceClient("http://127.0.0.1:1", timeout=timeout)
+        assert opened == []
+
+    @pytest.mark.parametrize("timeout", [1e-3, 1, 30.0, threading.TIMEOUT_MAX])
+    def test_usable_timeouts_are_kept(self, timeout):
+        client = ServiceClient("http://127.0.0.1:1", timeout=timeout)
+        assert client.timeout == client.transport.timeout == timeout
 
     def test_negative_retries_rejected_before_any_request(self):
         with pytest.raises(ConfigError, match="retries must be >= 0"):
