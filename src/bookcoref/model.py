@@ -51,7 +51,7 @@ from itertools import islice, repeat
 from operator import is_, itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .errors import BookcorefError, CompositionError, SpanRangeError, StageError
+from .errors import BookcorefError, CompositionError, SchemaError, SpanRangeError, StageError
 
 ClusterKey = Union[str, int]
 
@@ -221,14 +221,22 @@ def sorted_mentions(spans: Iterable[Mention | Sequence[int]]) -> tuple[Mention, 
     returned itself; any other input is rebuilt, each span passed through
     the checking constructor unless it already is a :class:`Mention`, so a
     span that is not two ``int``s with ``0 <= start <= end`` raises
-    :class:`SpanRangeError` naming the first such span in the input's order.
+    :class:`SpanRangeError` naming the first such span in the input's order;
+    so does input that is not iterable, naming its type.
 
     Cost: input that is all mentions (the readers', the wire's, this
     module's operations') is tested whole, by one C-level pass over its
     spans' types and one sort, which takes a single pass over input that is
     already sorted; only other input is converted a span at a time.
     """
-    ms = spans if type(spans) is tuple else tuple(spans)
+    if type(spans) is tuple:
+        ms = spans
+    else:
+        try:
+            spans = iter(spans)
+        except TypeError:
+            raise SpanRangeError(f"invalid cluster of type {type(spans).__name__}, not an iterable of spans") from None
+        ms = tuple(spans)
     if not {Mention}.issuperset(map(type, ms)):
         return tuple(sorted(map(_mention, ms)))
     ordered = sorted(ms)
@@ -261,6 +269,10 @@ class Document:
         return " ".join(self.tokens[mention.start : mention.end + 1])
 
 
+#: The types a cluster key may have, tested by exact type (so no ``bool``).
+_KEY_TYPES = frozenset((str, int))
+
+
 def _check_stage(stage: str) -> None:
     if stage not in STAGES:
         raise StageError(f"unknown stage {stage!r}")
@@ -281,7 +293,10 @@ class ClusterSet:
     that already hold the invariant are stored as given. Duplicates are kept
     as given, next to each other, so that :func:`validate` can report them;
     :func:`union` applies set semantics. Character keys are strings;
-    ``stage="prediction"`` may use anonymous integer keys instead.
+    ``stage="prediction"`` may use anonymous integer keys instead. A key of
+    any other type (a ``bool`` included, and so a key that would be written
+    as a text it cannot be read back as) raises :class:`SchemaError` naming
+    it and its type.
     """
 
     doc_id: str
@@ -291,6 +306,9 @@ class ClusterSet:
     def __post_init__(self) -> None:
         _check_stage(self.stage)
         given = self.clusters
+        if not _KEY_TYPES.issuperset(map(type, given)):
+            key = next(key for key in given if type(key) not in _KEY_TYPES)
+            raise SchemaError(f"cluster key {key!r} is a {type(key).__name__}, not a str or an int")
         clusters = {key: sorted_mentions(ms) for key, ms in given.items()}
         if type(given) is not dict or not all(map(is_, clusters.values(), given.values())):
             object.__setattr__(self, "clusters", clusters)
@@ -311,7 +329,7 @@ class ClusterSet:
 
     @property
     def n_mentions(self) -> int:
-        return sum(len(ms) for ms in self.clusters.values())
+        return sum(map(len, self.clusters.values()))
 
     def pairs(self) -> set[tuple[Mention, ClusterKey]]:
         """(span, key) pairs, the unit of character-linking evaluation."""
@@ -441,12 +459,17 @@ def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
     range ends, raises :class:`SpanRangeError` naming it.
 
     Cost: each cluster is sorted by ``(start, end)``, so two ``bisect``
-    lookups find the mentions that start inside the plan's span, and one walk
-    over those, a range at a time, drops each into its range (those that end
-    past it are dropped): O(C log M + M) for a plan over C clusters and M
-    mentions, plus a bisect per cluster and range it holds mentions in. The
-    W result sets share one key order and hold O(W C) entries, as W calls
-    of :func:`restrict` would.
+    lookups find the mentions that start inside the plan's span, and a
+    bisect per range that holds some of them (none for the plan's last
+    range, which ends where they do) finds each range's run. A run whose
+    largest end lies inside its range is kept as its slice of the cluster,
+    after one C-level pass over its ends; only a run with a mention that
+    ends past its range is walked, to drop that mention. So a plan over C
+    clusters and M mentions costs O(C log M + M), plus a bisect per cluster
+    and range it holds mentions in, and :func:`restrict` costs two bisects
+    per cluster and one pass over the mentions it keeps. The W result sets
+    share one key order and hold O(W C) entries, as W calls of
+    :func:`restrict` would.
     """
     prev = 0
     for lo, hi in ranges:
@@ -462,6 +485,7 @@ def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
     los = [lo for lo, _ in ranges]
     his = [hi for _, hi in ranges]
     first, last = (los[0],), (his[-1],)
+    final = len(ranges) - 1
     out: list[dict[ClusterKey, tuple[Mention, ...]]] = [dict.fromkeys(cs.clusters, ()) for _ in ranges]
     for key, ms in cs.clusters.items():
         i = bisect_left(ms, first)
@@ -473,8 +497,10 @@ def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
             if ms[i][0] >= hi:  # in the gap after range j: skip to range j + 1
                 i = bisect_left(ms, (los[j + 1],), i, end)
                 continue
-            k = bisect_left(ms, (hi,), i, end)
-            out[j][key] = tuple([m for m in ms[i:k] if m[1] < hi])
+            # the mentions that start in range j; in the last range, all up to end
+            k = end if j == final else bisect_left(ms, (hi,), i, end)
+            run = ms[i:k]
+            out[j][key] = run if max(map(_end, run)) < hi else tuple([m for m in run if m[1] < hi])
             i = k
     return [_sorted_set(cs.doc_id, cs.stage, clusters) for clusters in out]
 

@@ -10,18 +10,20 @@ gold-oracle components) and :mod:`bookcoref.remote` provides HTTP-backed ones.
 
 Hard contracts, enforced with errors rather than silent repair:
 
-* a linker's and an expander's clusters pass one check, :func:`_checked_reply`:
-  every key is known (a character of the document, or a seed key of the
-  window, empty-seeded keys included, so characters unseen in a window can be
-  recovered at group level), every span is a valid mention (two ``int``s with
-  ``0 <= start <= end``, tested by :func:`~bookcoref.model.sorted_mentions`,
-  the gate of every :class:`ClusterSet`), every span lies in the document or
-  the window, and no span is in two clusters. Keys are read in sorted key
-  order and each cluster's distinct spans in ``(start, end)`` order, and the
-  first offence in that order is named, whatever order the reply uses; a span
-  that is not a mention has no such order, so within its cluster it is named
-  first, the first in the reply's own order. A span listed twice in one
-  cluster is kept once;
+* a linker returns a :class:`ClusterSet` and an expander a mapping, and
+  their clusters pass one check, :func:`_checked_reply`: every key is known
+  (a character of the document, or a seed key of the window, empty-seeded
+  keys included, so characters unseen in a window can be recovered at group
+  level), every cluster is an iterable of spans and every span a valid
+  mention (two ``int``s with ``0 <= start <= end``, tested by
+  :func:`~bookcoref.model.sorted_mentions`, the gate of every
+  :class:`ClusterSet`), every span lies in the document or the window, and
+  no span is in two clusters. Keys are read in sorted key order and each
+  cluster's distinct spans in ``(start, end)`` order, and the first offence
+  in that order is named, whatever order the reply uses; a cluster that is
+  not iterable or a span that is not a mention has no such order, so within
+  its cluster it is named first, the first in the reply's own order. A span
+  listed twice in one cluster is kept once;
 * expanders take and return book offsets and must keep every seed mention
   (clusters only grow); the first dropped seed in the same order is named.
   Only the window-local ``/expand`` wire re-bases, in
@@ -34,12 +36,13 @@ import hashlib
 import json
 import threading
 import time
+from collections.abc import Callable, Container, Iterable, Mapping, Sequence
 from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import lt
-from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence, TypeVar
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, lt
+from typing import Protocol, TypeVar
 
 from .errors import ConfigError, ContractError, PlanningError, SpanRangeError, StageError, TransportError
 from .model import (
@@ -50,6 +53,7 @@ from .model import (
     Mention,
     _end,
     _key_order,
+    _new_tuple,
     _sorted_set,
     crossing_mentions,
     cut,
@@ -72,8 +76,7 @@ PROMPT_TEMPLATE = (
 DEFAULT_CONTEXT_WORDS = 400
 
 
-@dataclass(frozen=True, slots=True)
-class JudgeRequest:
+class JudgeRequest(tuple):
     """One mention-validation question for the judge: the document, the
     mention, the character it is assigned to and the excerpt size.
 
@@ -81,20 +84,51 @@ class JudgeRequest:
     that never reads it (the oracle, accept/reject) builds no prompt, and a
     judge that reads it twice builds it twice. Neither the repr nor the
     hash reads the document (its ``source`` may hold unhashable metadata).
+
+    A request is the tuple ``(doc, mention, character, context_words)``
+    behind read-only properties, so it is immutable; two requests are equal
+    when their fields are, and a request equals nothing else. Its hash is
+    that of the tuple without the document.
+
+    Cost: :func:`refine` builds one request per mention with a single
+    ``tuple.__new__``, a C-level call, where a frozen dataclass would set
+    each of its fields through ``object.__setattr__``.
     """
 
-    doc: Document = field(repr=False, hash=False)
-    mention: Mention
-    character: str
-    context_words: int = DEFAULT_CONTEXT_WORDS
+    __slots__ = ()
+
+    def __new__(
+        cls, doc: Document, mention: Mention, character: str, context_words: int = DEFAULT_CONTEXT_WORDS
+    ) -> "JudgeRequest":
+        return tuple.__new__(cls, (doc, mention, character, context_words))
+
+    doc = property(itemgetter(0), doc="The document the mention is in.")
+    mention = property(itemgetter(1), doc="The mention to validate.")
+    character = property(itemgetter(2), doc="The name of the character the mention is assigned to.")
+    context_words = property(itemgetter(3), doc="The excerpt's size in tokens around the mention.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __eq__(self, other: object) -> bool:
+        return tuple.__eq__(self, other) if type(other) is JudgeRequest else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return tuple.__ne__(self, other) if type(other) is JudgeRequest else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[1:])
+
+    def __repr__(self) -> str:
+        return f"JudgeRequest(mention={self[1]!r}, character={self[2]!r}, context_words={self[3]!r})"
 
     @property
     def doc_id(self) -> str:
-        return self.doc.doc_id
+        return self[0].doc_id
 
     @property
     def prompt(self) -> str:
-        return build_prompt(self.doc, self.mention, self.character, self.context_words)
+        return build_prompt(*self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,15 +328,13 @@ class IdentityExpander:
 
 def explicit_mentions(doc: Document, cs: ClusterSet) -> ClusterSet:
     """Drop single-token pronoun spans, keeping explicit mentions only."""
+    tokens = doc.tokens
     kept = {
-        key: tuple(
-            m
-            for m in ms
-            if not (m[0] == m[1] and doc.tokens[m[0]].lower() in PRONOUNS)
-        )
+        key: tuple([m for m in ms if not (m[0] == m[1] and tokens[m[0]].lower() in PRONOUNS)])
         for key, ms in cs.clusters.items()
     }
-    return ClusterSet(cs.doc_id, cs.stage, kept)
+    # a subsequence of each of a set's clusters is sorted and valid
+    return _sorted_set(cs.doc_id, cs.stage, kept)
 
 
 class OracleLinker:
@@ -348,52 +380,71 @@ class OracleExpander:
 
 def _checked_reply(
     who: str, reply: Mapping[ClusterKey, Iterable[Mention]], known: Container[ClusterKey],
-    lo: int, hi: int, where: str = "",
+    lo: int, hi: int, where: str = "", order: Sequence[ClusterKey] | None = None,
 ) -> dict[ClusterKey, tuple[Mention, ...]]:
     """A linker's or an expander's clusters, in the reply's key order, each
     as its distinct mentions in ``(start, end)`` order.
 
-    Keys are read in sorted key order. A cluster's first offence is a key
-    not in ``known``, then a span that is not a valid mention, the first in
-    the reply's own order (such spans have no sort order), then, among its
-    distinct spans in ``(start, end)`` order, a span outside ``[lo, hi)`` or
-    one already placed in another cluster. The first offence raises a
-    :class:`ContractError` naming ``who``, the span, the key and ``where``.
-    Spans given as ``(start, end)`` pairs, tuples or lists, are accepted as
-    mentions.
+    Keys are read in sorted key order. A reply that is not a mapping is
+    refused first. A cluster's first offence is a key not in ``known``, then
+    a cluster that is not iterable or a span that is not a valid mention,
+    the first in the reply's own order (such spans have no sort order), then,
+    among its distinct spans in ``(start, end)`` order, a span outside
+    ``[lo, hi)`` or one already placed in another cluster. The first offence
+    raises a :class:`ContractError` naming ``who``, the span, the key and
+    ``where``. Spans given as ``(start, end)`` pairs, tuples or lists, are
+    accepted as mentions.
 
-    Cost: a cluster that is a tuple of mentions that strictly increase (as
-    an oracle's cut of gold, or a window's part of a checked set) is already
-    valid, sorted and distinct, and is kept as it is, after a C-level pass
-    over the spans' types and one of comparisons; any other is rebuilt by
+    ``order``, if given, is ``known`` in sorted key order: an expansion pass
+    sorts its set's keys once for all its windows. A reply whose keys are
+    all known is read in that order; any other is sorted here, so that an
+    unknown key is named where the sort puts it.
+
+    Cost: an empty tuple is one test. A cluster that is a tuple of mentions
+    that strictly increase (as an oracle's cut of gold, or a window's part
+    of a checked set) is already valid, sorted and distinct, and is kept as
+    it is, after a C-level pass over the spans' types and one of
+    comparisons; any other is rebuilt by
     :func:`~bookcoref.model.sorted_mentions`, the gate of every
     :class:`ClusterSet`, and its repeats dropped. A cluster is then tested
-    whole, its bounds from its first start and its largest end and its spans
-    against those of the clusters before it by one ``isdisjoint``, so a
-    clean reply costs a few C-level passes per cluster. Only a cluster that
-    fails is walked span by span, to name its first offence.
+    whole: its bounds from its first start and its largest end, and its
+    spans against those of the clusters before it by one ``set.update`` of
+    the spans placed so far and a length check, so a clean reply costs a
+    few C-level passes per cluster. Only a cluster that fails is walked span
+    by span, to name its first offence.
     """
+    if not isinstance(reply, Mapping):
+        raise ContractError(f"{who} returned {type(reply).__name__}, not a mapping of clusters{where}")
     # filled in sorted key order, kept in the reply's
     out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(reply, ())
+    if order is not None and all(map(known.__contains__, out)):
+        keys = order if len(out) == len(order) else [key for key in order if key in out]
+    else:
+        keys = sorted(out, key=_key_order)
     seen: set[Mention] = set()
-    keys = sorted(out, key=_key_order)
     for key in keys:
         if key not in known:
             raise ContractError(f"{who} returned unknown cluster key {key!r}{where}")
         ms = reply[key]
+        if ms == ():
+            continue
         if not (type(ms) is tuple and {Mention}.issuperset(map(type, ms)) and all(map(lt, ms, islice(ms, 1, None)))):
             try:
                 ms = tuple(dict.fromkeys(sorted_mentions(ms)))
             except SpanRangeError as e:
                 raise ContractError(f"{who} returned an {e} for {key!r}{where}") from None
-        if ms and not (lo <= ms[0][0] and max(map(_end, ms)) < hi and seen.isdisjoint(ms)):
+            if not ms:
+                continue
+        placed = len(seen)
+        seen.update(ms)
+        if not (lo <= ms[0][0] and max(map(_end, ms)) < hi and len(seen) == placed + len(ms)):
             for m in ms:
                 if not (lo <= m[0] and m[1] < hi):
                     raise ContractError(f"{who} span ({m[0]},{m[1]}) out of bounds for {key!r}{where}")
-                if m in seen:  # the one earlier key that holds it comes first
-                    owner = next(k for k in keys if m in out[k])
+                # the clusters of the keys before this one (this key's and later ones' are still empty)
+                owner = next((k for k in keys if m in out[k]), None)
+                if owner is not None:
                     raise ContractError(f"{who} placed span ({m[0]},{m[1]}) in clusters {owner!r} and {key!r}{where}")
-        seen.update(ms)
         out[key] = ms
     return out
 
@@ -410,7 +461,10 @@ def initialize(
     are supposed to return explicit mentions only).
     """
     tokens = doc.tokens
-    clusters = _checked_reply("linker", linker.link(doc).clusters, set(doc.characters), 0, len(tokens))
+    linked = linker.link(doc)
+    if not isinstance(linked, ClusterSet):
+        raise ContractError(f"linker returned {type(linked).__name__}, not a ClusterSet")
+    clusters = _checked_reply("linker", linked.clusters, set(doc.characters), 0, len(tokens))
     if trace is not None:
         for key in sorted(clusters, key=_key_order):
             for s, e in clusters[key]:
@@ -485,26 +539,33 @@ def refine(
     if cs.stage != "initialized":
         raise StageError(f"refine expects stage 'initialized', got {cs.stage!r}")
     n_tokens = len(doc.tokens)
+    clusters = cs.clusters
+    keys = cs.sorted_keys()
+    sizes = [len(clusters[key]) for key in keys]
+    # the items to judge, in sorted key order, then span order: each
+    # mention, its key, and its request, built by tuple.__new__ (a C-level
+    # call; see JudgeRequest) and naming its character by text
+    mentions = list(chain.from_iterable(map(clusters.__getitem__, keys)))
+    owners = list(chain.from_iterable(map(repeat, keys, sizes)))
+    names = chain.from_iterable(map(repeat, map(str, keys), sizes))
+    requests = list(map(_new_tuple, repeat(JudgeRequest), zip(repeat(doc), mentions, names, repeat(context_words))))
 
-    def verdict(item: tuple[ClusterKey, Mention]) -> bool:
-        key, m = item
+    def verdict(i: int) -> bool:
+        m = mentions[i]
         if m[1] >= n_tokens:
             raise ContractError(f"mention ({m[0]},{m[1]}) out of bounds")
         try:
-            return judge.judge(JudgeRequest(doc, m, str(key), context_words))
+            return judge.judge(requests[i])
         except TransportError as e:
-            raise StageError(f"judge failed for mention ({m.start},{m.end}) of {key!r}: {e}") from e
+            raise StageError(f"judge failed for mention ({m.start},{m.end}) of {owners[i]!r}: {e}") from e
 
-    items = [(key, m) for key in cs.sorted_keys() for m in cs.clusters[key]]
-    verdicts = _map_in_order(verdict, items, executor)
-    kept: dict[ClusterKey, list[Mention]] = {key: [] for key in cs.clusters}
-    for (key, m), accepted in zip(items, verdicts):
-        if trace is not None:
-            trace.judge_verdicts.append((key, m, accepted))
-        if accepted:
-            kept[key].append(m)
-    # judge in sorted order, store in the input's key order; a cluster keeps its mentions' order
-    return _sorted_set(cs.doc_id, "refined", {k: tuple(v) for k, v in kept.items()})
+    verdicts = _map_in_order(verdict, range(len(requests)), executor)
+    if trace is not None:
+        trace.judge_verdicts += zip(owners, mentions, verdicts)
+    # each cluster keeps its mentions' order, and the set the input's key order
+    flags = iter(verdicts)
+    kept = {key: tuple(compress(clusters[key], islice(flags, n))) for key, n in zip(keys, sizes)}
+    return _sorted_set(cs.doc_id, "refined", {key: kept[key] for key in clusters})
 
 
 def _expand_window(
@@ -514,18 +575,20 @@ def _expand_window(
     hi: int,
     expander: Expander,
     target_stage: str,
+    order: Sequence[ClusterKey],
 ) -> tuple[ClusterSet, int]:
-    """Expand one range from its seeds (the set cut to the range); returns
-    the expanded part and its seed count. The part holds the seeds' keys in
-    their order, each cluster sorted, distinct and inside the range."""
+    """Expand one range from its seeds (the set cut to the range, whose keys
+    in sorted key order are ``order``); returns the expanded part and its
+    seed count. The part holds the seeds' keys in their order, each cluster
+    sorted, distinct and inside the range."""
     raw = expander.expand(ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], seeds.clusters))
     where = f" in window [{lo},{hi})"
     out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(seeds.clusters, ())
-    out.update(_checked_reply("expander", raw, seeds.clusters, lo, hi, where))
-    lost = {key: set(ms).difference(out[key]) for key, ms in seeds.clusters.items() if ms}
-    dropped = [(_key_order(key), min(ms), key) for key, ms in lost.items() if ms]
-    if dropped:
-        _, (s, e), key = min(dropped)
+    out.update(_checked_reply("expander", raw, seeds.clusters, lo, hi, where, order))
+    # out holds the seeds' keys in their order: one C-level pass over the keys
+    if not all(map(set.issuperset, map(set, out.values()), seeds.clusters.values())):
+        lost = {key: set(ms).difference(out[key]) for key, ms in seeds.clusters.items()}
+        _, (s, e), key = min((_key_order(key), min(ms), key) for key, ms in lost.items() if ms)
         raise ContractError(f"expander dropped seed mention ({s},{e}) of {key!r}{where}")
     return _sorted_set(seeds.doc_id, target_stage, out), seeds.n_mentions
 
@@ -575,8 +638,10 @@ def expand_pass(
             f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
             f"plan the windows with this cluster set as guard"
         )
+    # the parts share the set's keys, so one sort orders every window's reply
+    order = cs.sorted_keys()
     results = _map_in_order(
-        lambda item: _expand_window(doc, item[1], *item[0], expander, target), list(zip(ranges, parts)), executor
+        lambda item: _expand_window(doc, item[1], *item[0], expander, target, order), list(zip(ranges, parts)), executor
     )
 
     if trace is not None:
@@ -585,7 +650,7 @@ def expand_pass(
                 {"kind": label, "range": list(rng), "seeds": seeds, "expanded": part.n_mentions}
             )
     clusters = [part.clusters for part, _ in results]
-    merged = {key: tuple(chain.from_iterable([c[key] for c in clusters])) for key in cs.clusters}
+    merged = {key: tuple(chain.from_iterable(map(itemgetter(key), clusters))) for key in cs.clusters}
     return _sorted_set(cs.doc_id, target, merged)
 
 

@@ -13,6 +13,7 @@ settings cut exact chunks. Groups join ``G`` consecutive windows (default
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ConfigError, PlanningError
 from .formats import CorpusFile, DocumentRecord
@@ -52,27 +53,34 @@ def plan_windows(doc: Document, max_len: int = DEFAULT_WINDOW_LEN, guard: Cluste
     one, each proposed boundary moves left to the largest position that is
     not interior to any guard mention (never below the previous boundary +
     1), so no guard mention is ever split; a plan that cuts no guard mention
-    as exact chunks is left as it is.
+    as exact chunks is left as it is. When no boundary is left, the error
+    names the first guard mention, in :meth:`ClusterSet.mentions` order,
+    that the boundary after the window's first token would split.
+
+    Cost: the positions that no boundary may follow are gathered into one
+    set, a cluster at a time: one list of ranges for its mentions of more
+    than one token, added by one C-level ``set.update``. The mention to
+    name is looked up only when planning fails.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
 
     n = len(doc.tokens)
-    forbidden: dict[int, Mention] = {}
+    # a boundary at p, after token p - 1, splits (s, e) iff s <= p - 1 < e:
+    # the tokens that a boundary may not follow are range(s, e)
+    no_cut_after: set[int] = set()
     if guard is not None:
-        for _, m in guard.mentions():
-            # a boundary at p splits (s, e) iff s < p <= e
-            for p in range(m[0] + 1, m[1] + 1):
-                forbidden.setdefault(p, m)
+        for ms in guard.clusters.values():
+            no_cut_after.update(chain.from_iterable([range(s, e) for s, e in ms if s < e]))
 
     windows: list[tuple[int, int]] = []
     lo = 0
     while lo < n:
         hi = min(lo + max_len, n)
-        while lo < hi < n and hi in forbidden:
+        while lo < hi < n and hi - 1 in no_cut_after:
             hi -= 1
         if hi == lo:
-            m = forbidden[lo + 1]
+            m = next(m for _, m in guard.mentions() if m[0] <= lo < m[1])
             if m[1] - m[0] + 1 > max_len:
                 raise PlanningError(f"guard mention ({m.start},{m.end}) is longer than max_len={max_len}")
             raise PlanningError(

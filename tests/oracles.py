@@ -63,12 +63,13 @@ surrogate, which UTF-8 cannot encode.
 import json
 import time
 from collections import Counter, OrderedDict
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice, permutations, repeat
 
 from scipy.optimize import linear_sum_assignment
 
-from bookcoref.errors import GeneratorError, ParseError, PlanningError, SchemaError, StageError
+from bookcoref.errors import ContractError, GeneratorError, ParseError, PlanningError, SchemaError, StageError
 from bookcoref.formats import (
     _CONLL_BEGIN,
     _COREF_ITEM,
@@ -92,14 +93,13 @@ from bookcoref.model import (
     _key_order,
     clusters_from_json,
     clusters_to_json,
-    crossing_mentions,
     cut,
     drop_empty,
     prediction_key,
     shift,
     union,
 )
-from bookcoref.pipeline import _expand_window, _map_in_order
+from bookcoref.pipeline import ExpandRequest
 from bookcoref.synthetic import WINDOW, BookSpec, _PlannedMention
 from bookcoref.windowing import GroupedWindowPlan, plan_windows, window_doc_id
 
@@ -643,18 +643,35 @@ def invalid_span_text(span):
     return repr(span)
 
 
+def is_cluster_reference(cluster):
+    """Whether ``cluster`` can be iterated, as a cluster of spans must."""
+    try:
+        iter(cluster)
+    except TypeError:
+        return False
+    return True
+
+
+def invalid_cluster_text(cluster):
+    """How a :class:`SpanRangeError` names a cluster that cannot be iterated."""
+    return f"invalid cluster of type {type(cluster).__name__}, not an iterable of spans"
+
+
 def reply_offence_reference(who, reply, known, lo, hi, where="", seeds=None):
     """The text of the ``ContractError`` that a linker's or an expander's
     ``reply`` (``{key: [span, ...]}``) earns, else ``None``.
 
-    Keys are taken by type name, then text. A key's offence is, first, not
-    being in ``known``; then its first span, in the reply's own order, that
-    is not a mention (see :func:`is_mention_reference`); then, among its
-    distinct spans in ``(start, end)`` order, a span outside ``[lo, hi)`` or
-    one that an earlier key also lists. A reply without one is then checked
-    against the expander's ``seeds``: the first seed, in the same order,
-    that its key's cluster lacks.
+    A reply that is not a mapping is refused first. Keys are taken by type
+    name, then text. A key's offence is, first, not being in ``known``; then
+    a cluster that cannot be iterated, or its first span, in the reply's own
+    order, that is not a mention (see :func:`is_mention_reference`); then,
+    among its distinct spans in ``(start, end)`` order, a span outside
+    ``[lo, hi)`` or one that an earlier key also lists. A reply without one
+    is then checked against the expander's ``seeds``: the first seed, in the
+    same order, that its key's cluster lacks.
     """
+    if not isinstance(reply, Mapping):
+        return f"{who} returned {type(reply).__name__}, not a mapping of clusters{where}"
 
     def order(key):
         return (type(key).__name__, str(key))
@@ -666,6 +683,8 @@ def reply_offence_reference(who, reply, known, lo, hi, where="", seeds=None):
     for i, key in enumerate(keys):
         if key not in known:
             return f"{who} returned unknown cluster key {key!r}{where}"
+        if not is_cluster_reference(reply[key]):
+            return f"{who} returned an {invalid_cluster_text(reply[key])} for {key!r}{where}"
         bad = [span for span in reply[key] if not is_mention_reference(span)]
         if bad:
             return f"{who} returned an invalid mention span {invalid_span_text(bad[0])} for {key!r}{where}"
@@ -787,7 +806,12 @@ def evaluate_reference(setting, key_corpus, response_corpus, drop_singletons=Tru
     return run
 
 
-def expand_pass_reference(doc, cs, plan, expander, trace=None, *, executor=None):
+def expand_pass_reference(doc, cs, plan, expander, trace=None):
+    """An expansion pass that expands each range itself, serially: it cuts
+    each range's seeds by a scan, materialises the expander's reply once,
+    words any offence with :func:`reply_offence_reference`, builds each
+    range's part from the reply's distinct sorted spans per seed key, and
+    joins the parts with ``union``."""
     if isinstance(plan, GroupedWindowPlan):
         ranges = plan.groups
         expected, target = "window_expanded", "final"
@@ -798,25 +822,30 @@ def expand_pass_reference(doc, cs, plan, expander, trace=None, *, executor=None)
         label = "window"
     if cs.stage != expected:
         raise StageError(f"{label} expansion expects stage {expected!r}, got {cs.stage!r}")
-    parts = cut(cs, ranges)
+    seeds = [{key: tuple(m for m in ms if lo <= m[0] and m[1] < hi) for key, ms in cs.clusters.items()} for lo, hi in ranges]
     # refuse plans that would silently lose boundary-crossing mentions
-    crossing = crossing_mentions(cs, parts)
+    contained = {m for part in seeds for ms in part.values() for m in ms}
+    crossing = [(key, m) for key, m in cs.mentions() if m not in contained]
     if crossing:
         key, m = crossing[0]
         raise PlanningError(
             f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
             f"plan the windows with this cluster set as guard"
         )
-    results = _map_in_order(
-        lambda item: _expand_window(doc, item[1], *item[0], expander, target), list(zip(ranges, parts)), executor
-    )
-
-    if trace is not None:
-        for rng, (part, seeds) in zip(ranges, results):
+    parts = []
+    for (lo, hi), part in zip(ranges, seeds):
+        request = ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], part)
+        reply = {key: list(spans) for key, spans in expander.expand(request).items()}
+        offence = reply_offence_reference("expander", reply, part, lo, hi, f" in window [{lo},{hi})", part)
+        if offence is not None:
+            raise ContractError(offence)
+        expanded = {key: tuple(sorted({Mention(*span) for span in reply.get(key, ())})) for key in part}
+        parts.append(ClusterSet(cs.doc_id, target, expanded))
+        if trace is not None:
             trace.window_records.append(
-                {"kind": label, "range": list(rng), "seeds": seeds, "expanded": part.n_mentions}
+                {"kind": label, "range": [lo, hi], "seeds": sum(map(len, part.values())), "expanded": parts[-1].n_mentions}
             )
-    return union([part for part, _ in results])
+    return union(parts)
 
 
 def record_line_reference(rec, clusters_from):

@@ -541,6 +541,8 @@ POOL_SPANS = st.lists(
 POOL_CLUSTERS = st.dictionaries(cluster_keys, st.lists(st.integers(0, MAX_SPANS - 1), max_size=8), max_size=4)
 ONE_IN_FOUR = st.integers(0, 3)
 ONE_IN_FIVE = st.integers(0, 4)
+#: how many stray responses, which match no key document, a case has
+STRAY_COUNTS = st.integers(0, 3)
 
 
 @st.composite
@@ -552,10 +554,10 @@ def scored_corpora(draw):
     singletons are common, spans cross window edges and many windows are
     empty on both sides. Half the responses keep part of each key cluster
     instead, so that CEAF-phi4's alignment is often forced. Some documents
-    and some windows have no response, and a stray response matches no key
-    document. Every strategy drawn from is built once: a document's spans
-    and clusters are drawn as numbers and scaled to its length and its
-    pool."""
+    and some windows have no response, and up to three stray responses
+    match no key document. Every strategy drawn from is built once: a
+    document's spans and clusters are drawn as numbers and scaled to its
+    length and its pool."""
     window_len = draw(WINDOW_LENS)
     key, response = CorpusFile(), CorpusFile()
     for d in range(draw(DOC_COUNTS)):
@@ -574,9 +576,9 @@ def scored_corpora(draw):
             else:  # each response cluster keeps part of a key cluster
                 prediction = {k: [m for m in ms if draw(ONE_IN_FOUR)] for k, ms in gold.items()}
             response.records.append(DocumentRecord(doc, {"prediction": ClusterSet.build(doc.doc_id, "prediction", prediction)}))
-    if draw(st.booleans()):
-        stray = Document("stray", ("x", "y"), ())
-        response.records.append(DocumentRecord(stray, {"prediction": ClusterSet.build("stray", "prediction", {0: [(0, 1)]})}))
+    for i in range(draw(STRAY_COUNTS)):
+        stray = Document(f"stray{i}", ("x", "y"), ())
+        response.records.append(DocumentRecord(stray, {"prediction": ClusterSet.build(stray.doc_id, "prediction", {0: [(0, 1)]})}))
     windows = split_corpus(response, window_len).corpus.records
     split = CorpusFile([rec for rec in windows if draw(ONE_IN_FIVE)])
     return window_len, key, response, split

@@ -161,6 +161,25 @@ class TestConstruction:
             with pytest.raises(SpanRangeError, match="^" + re.escape(f"invalid mention span {bad!r}") + "$"):
                 ClusterSet("d", "gold", {"A": [(0, 0), bad, [1, 1]]})
 
+    @pytest.mark.parametrize("cluster", [None, 3, 1.5])
+    def test_a_cluster_that_is_not_iterable_is_named(self, cluster):
+        """It once escaped as a raw ``TypeError``."""
+        message = f"invalid cluster of type {type(cluster).__name__}, not an iterable of spans"
+        with pytest.raises(SpanRangeError, match="^" + re.escape(message) + "$"):
+            ClusterSet("d", "gold", {"A": [(0, 0)], "B": cluster})
+
+    @pytest.mark.parametrize("key", [None, 1.5, ("A",), True, False, b"A", frozenset()])
+    @pytest.mark.parametrize("stage", ["gold", "prediction"])
+    def test_a_key_that_is_not_a_str_or_an_int_is_refused(self, key, stage):
+        """Such a key once made a set that ``validate`` passed and that read
+        back under another key, its ``str``: ``'None'``, ``'1.5'``,
+        ``"('A',)"`` and ``'True'``."""
+        message = f"cluster key {key!r} is a {type(key).__name__}, not a str or an int"
+        for clusters in ({key: [(0, 0)]}, {"A": [], 2: [(1, 1)], key: ()}):
+            with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+                ClusterSet("d", stage, clusters)
+        assert ClusterSet("d", stage, {"A": [(0, 0)], 1: [(1, 1)], -2: ()}).clusters.keys() == {"A", 1, -2}
+
     def test_sorted_mentions_returns_a_valid_cluster_itself(self):
         ms = (Mention(0, 0), Mention(0, 0), Mention(2, 5))
         assert sorted_mentions(ms) is ms

@@ -1,8 +1,9 @@
+import hashlib
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +44,15 @@ from bookcoref.pipeline import (
 )
 from bookcoref.windowing import WindowPlan, plan_groups, plan_windows
 
-from helpers import drop_timings
-from oracles import expand_pass_reference, invalid_span_text, is_mention_reference, reply_offence_reference
+from helpers import drop_timings, jsonl_text
+from oracles import (
+    expand_pass_reference,
+    invalid_cluster_text,
+    invalid_span_text,
+    is_cluster_reference,
+    is_mention_reference,
+    reply_offence_reference,
+)
 
 
 def make_doc(n=40, doc_id="d", characters=("Mr. Darcy", "Jane")):
@@ -151,6 +159,19 @@ class TestInitialize:
 
         with pytest.raises(ContractError, match="out of bounds"):
             initialize(make_doc(), BadLinker())
+
+    def test_a_plain_dict_is_the_linkers_contract_error(self):
+        """A linker returns a set; a plain dict once escaped as a raw
+        ``AttributeError``."""
+
+        class DictLinker:
+            name = "dict"
+
+            def link(self, doc):
+                return {"Jane": [(0, 0)]}
+
+        with pytest.raises(ContractError, match=r"^linker returned dict, not a ClusterSet$"):
+            initialize(make_doc(), DictLinker())
 
     def test_span_in_two_clusters_is_the_linkers_contract_error(self):
         class DoubleLinker:
@@ -481,6 +502,34 @@ class TestExpandPass:
         plan = plan_windows(doc, 10)
         with pytest.raises(ContractError, match="unknown cluster key"):
             expand_pass(doc, cs, plan, Invents())
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (None, "expander returned NoneType, not a mapping of clusters in window [0,10)"),
+            (["Ann"], "expander returned list, not a mapping of clusters in window [0,10)"),
+            ({"Ann": None}, "expander returned an invalid cluster of type NoneType, not an iterable of spans for 'Ann' in window [0,10)"),
+            ({"Ann": 3}, "expander returned an invalid cluster of type int, not an iterable of spans for 'Ann' in window [0,10)"),
+            # the clusters' first offence in sorted key order: "Ann" before "Ben"
+            ({"Ben": 3, "Ann": [(0, 99)]}, "expander span (0,99) out of bounds for 'Ann' in window [0,10)"),
+            ({"Ben": [(8, 99)], "Ann": None}, "expander returned an invalid cluster of type NoneType, not an iterable of spans for 'Ann' in window [0,10)"),
+        ],
+    )
+    def test_a_malformed_reply_is_a_named_contract_error(self, reply, message):
+        """A reply that is not a mapping, or a cluster that cannot be
+        iterated, once escaped as a raw ``TypeError``."""
+        doc, gold = gold_small()
+        cs = explicit_mentions(doc, gold).with_stage("refined")
+
+        class Malformed:
+            name = "malformed"
+
+            def expand(self, request):
+                return reply
+
+        with pytest.raises(ContractError) as e:
+            expand_pass(doc, cs, plan_windows(doc, 10), Malformed())
+        assert str(e.value) == message
 
     def test_same_span_in_two_clusters_rejected(self):
         doc, gold = gold_small()
@@ -819,6 +868,61 @@ class TestConcurrentJudging:
         assert threading.active_count() == before
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class DigestJudge:
+    """Rejects a mention when the sha256 of its prompt is 0 modulo 10, as
+    the benchmark's stub judge does: about one mention in ten, by its text."""
+
+    name = "digest"
+
+    def judge(self, request):
+        return int(hashlib.sha256(request.prompt.encode()).hexdigest(), 16) % 10 != 0
+
+
+class TestSeed13PipelineIsPinned:
+    """sha256 digests of the pipeline's output on the seed-13 corpus, so
+    that a change to the pipeline's code must keep its predictions, traces
+    and config hash byte for byte."""
+
+    #: the default config's hash, which every trace carries
+    CONFIG_HASH = "5d2d08845697f72c"
+    #: the traces of the oracle components' runs, without timings
+    ORACLE_TRACES = "e40a1dc86d4057884a708f9c9d17d2b85de7cc95fffe9f5a89208e98f0ffcd4e"
+    #: the prediction JSONL, then the traces without timings, of a noisy run:
+    #: the pattern linker, a judge that rejects by prompt digest and the
+    #: identity expander
+    NOISY = (
+        "eb72a60ebbdb07410746fce1e14ad87cb1ce4be5180418237f0cd86c237e45a0",
+        "6a096ad4f86f75790395b1c045ec59a86342d4405f3b3c71009fa6b9b3170758",
+    )
+
+    def test_default_config_hash(self):
+        assert PipelineConfig().config_hash() == self.CONFIG_HASH
+
+    @staticmethod
+    def run_corpus(corpus, jobs, components):
+        out = CorpusFile()
+        traces = []
+        for rec in corpus.records:
+            final, trace = run(rec.document, PipelineConfig(jobs=jobs), *components(rec.cluster_sets["gold"]))
+            out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
+            traces.append(drop_timings(trace.to_dict()))
+        return sha256(jsonl_text(out, "prediction")), sha256(json.dumps(traces, sort_keys=True))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_oracle_traces(self, gold_corpus, jobs):
+        components = lambda gold: (OracleLinker(gold), OracleJudge(gold), OracleExpander(gold))
+        assert self.run_corpus(gold_corpus, jobs, components)[1] == self.ORACLE_TRACES
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_noisy_run(self, gold_corpus, jobs):
+        components = lambda gold: (PatternMatchLinker(), DigestJudge(), IdentityExpander())
+        assert self.run_corpus(gold_corpus, jobs, components) == self.NOISY
+
+
 #: A 12-token document whose linker may name "A", "B" and "1", and whose
 #: expander completes the window [2, 10) seeded under "A", "B" and 1.
 REPLY_DOC = Document("r", tuple(f"w{i}" for i in range(12)), ("A", "B", "1"))
@@ -857,10 +961,18 @@ MANGLES = (
     lambda s, e: (s, e, e),
 )
 BAD_SPANS = st.builds(lambda m, k: MANGLES[k](*m), short_spans(0, 12), st.integers(0, len(MANGLES) - 1))
-#: a key draws one bad span when this draws 0, and spans in list form when
-#: its low three bits do
+#: a key draws one bad span when this draws 0 and spans in list form when
+#: its low three bits do; a reply draws a cluster that is not iterable when
+#: it draws 7 (not an end of the range, which hypothesis draws more often)
 RARE = st.integers(0, 15)
 LIST_FORMS = st.integers(0, (1 << 12) - 1)
+#: clusters that cannot be iterated
+NOT_CLUSTERS = (None, 3)
+#: what a reply is in place of its clusters, now and then: 0 and up for the
+#: clusters, else a linker's plain dict (not a set) and an expander's None
+#: or list of keys (not a mapping)
+BARE_FORMS = (None, list)
+BARE = st.integers(-len(BARE_FORMS), 29)
 
 
 @st.composite
@@ -868,9 +980,11 @@ def seeded_replies(draw):
     """Seeds in the window [2, 10), one key per span, and a reply built
     around them: seeded and unknown keys, str and int, a seed dropped now and
     then, spans in and out of range, a span listed twice, a span put in two
-    clusters, now and then a span that is not a mention (see ``MANGLES``),
-    and spans in list form. Each key also draws the form an expander returns
-    its cluster in (an index into ``REPLY_FORMS``)."""
+    clusters, now and then a span that is not a mention (see ``MANGLES``) or
+    a cluster that is not iterable (see ``NOT_CLUSTERS``), and spans in list
+    form. Each key also draws the form an expander returns its cluster in
+    (an index into ``REPLY_FORMS``), and the reply draws whether it is
+    returned bare (see ``BARE``)."""
 
     def pick(items):
         return items[draw(st.integers(0, len(items) - 1))]
@@ -901,14 +1015,23 @@ def seeded_replies(draw):
         dst = pick([key for key in keys if key != src])
         if reply[src]:
             reply[dst].append(pick(reply[src]))
+    if keys and draw(RARE) == 7:
+        reply[pick(keys)] = pick(NOT_CLUSTERS)
     forms = {key: draw(REPLY_FORM) for key in reply}
-    return seeds, reply, forms
+    return seeds, reply, forms, draw(BARE)
 
 
-def checked_outcome(component, reply, seeds, forms):
-    """What ``initialize`` (a linker returning ``reply`` as a set) or
-    ``expand_pass`` (an expander returning ``reply`` for the window [2, 10),
-    each cluster in the form ``forms`` gives its key) makes of the reply: its
+def returned_clusters(reply, forms):
+    """The clusters of ``reply`` as an expander returns them: each list in
+    the form ``forms`` gives its key, any other value as it is."""
+    return {k: REPLY_FORMS[forms[k]](ms) if isinstance(ms, list) else ms for k, ms in reply.items()}
+
+
+def checked_outcome(component, reply, seeds, forms, bare):
+    """What ``initialize`` (a linker returning ``reply`` as a set, or as it
+    is when ``bare`` is negative) or ``expand_pass`` (an expander returning
+    ``reply`` for the window [2, 10), each cluster in the form ``forms``
+    gives its key, or the bare form ``bare`` picks) makes of the reply: its
     clusters, or the error's type and text."""
     try:
         if component == "linker":
@@ -917,7 +1040,7 @@ def checked_outcome(component, reply, seeds, forms):
                 name = "reply"
 
                 def link(self, doc):
-                    return ClusterSet.build(doc.doc_id, "initialized", reply)
+                    return reply if bare < 0 else ClusterSet.build(doc.doc_id, "initialized", reply)
 
             return initialize(REPLY_DOC, ReplyLinker()).clusters
 
@@ -925,8 +1048,13 @@ def checked_outcome(component, reply, seeds, forms):
             name = "reply"
 
             def expand(self, request):
+                if request.lo != 2:
+                    return request.seeds
+                if bare < 0:
+                    form = BARE_FORMS[bare]
+                    return form if form is None else form(reply)
                 # any iterable per cluster, a one-shot one too, as the protocol allows
-                return {k: REPLY_FORMS[forms[k]](ms) for k, ms in reply.items()} if request.lo == 2 else request.seeds
+                return returned_clusters(reply, forms)
 
         cs = ClusterSet.build("r", "refined", seeds)
         return expand_pass(REPLY_DOC, cs, REPLY_PLAN, ReplyExpander()).clusters
@@ -934,23 +1062,34 @@ def checked_outcome(component, reply, seeds, forms):
         return f"{type(e).__name__}: {e}"
 
 
-def reply_outcome_reference(component, reply, seeds, forms):
+def reply_outcome_reference(component, reply, seeds, forms, bare):
     """What the brute-force oracle makes of ``reply`` (see
-    :func:`checked_outcome`). A linker's spans must first make a set, which
-    refuses the first span that is not a mention in the reply's own order,
-    keys as given; an expander's reply is read as the forms give it."""
-    distinct = {key: tuple(sorted({tuple(m) for m in ms})) for key, ms in reply.items()}
+    :func:`checked_outcome`). A linker must return a set, and its spans must
+    first make one, which refuses the first cluster that is not iterable or
+    span that is not a mention in the reply's own order, keys as given; an
+    expander's reply is read as the forms give it."""
     if component == "linker":
-        bad = [span for ms in reply.values() for span in ms if not is_mention_reference(span)]
-        if bad:
-            return f"SpanRangeError: invalid mention span {invalid_span_text(bad[0])}"
+        if bare < 0:
+            return "ContractError: linker returned dict, not a ClusterSet"
+        for ms in reply.values():
+            if not is_cluster_reference(ms):
+                return f"SpanRangeError: {invalid_cluster_text(ms)}"
+            bad = [span for span in ms if not is_mention_reference(span)]
+            if bad:
+                return f"SpanRangeError: invalid mention span {invalid_span_text(bad[0])}"
         offence = reply_offence_reference("linker", reply, REPLY_DOC.characters, 0, 12)
-        accepted = distinct
+        keys = reply
     else:
-        returned = {key: list(REPLY_FORMS[forms[key]](ms)) for key, ms in reply.items()}
+        if bare < 0:
+            form = BARE_FORMS[bare]
+            returned = form if form is None else form(reply)
+        else:
+            returned = {k: list(ms) if is_cluster_reference(ms) else ms for k, ms in returned_clusters(reply, forms).items()}
         offence = reply_offence_reference("expander", returned, SEED_KEYS, 2, 10, " in window [2,10)", seeds)
-        accepted = {key: distinct.get(key, ()) for key in SEED_KEYS}
-    return accepted if offence is None else f"ContractError: {offence}"
+        keys = SEED_KEYS
+    if offence is not None:
+        return f"ContractError: {offence}"
+    return {key: tuple(sorted({tuple(m) for m in reply.get(key, ())})) for key in keys}
 
 
 @settings(max_examples=1000, deadline=None)
@@ -961,19 +1100,19 @@ def test_linker_and_expander_replies_pass_one_check(seeded, rnd):
     first, in key order, then span order, however the reply orders its keys
     and spans. A span that is not a mention has no span order: within its
     cluster it is the first offence, the first in the reply's own order."""
-    seeds, reply, forms = seeded
+    seeds, reply, forms, bare = seeded
     keys = list(reply)
     rnd.shuffle(keys)
-    shuffled = {key: rnd.sample(reply[key], len(reply[key])) for key in keys}
-    all_mentions = all(map(is_mention_reference, chain.from_iterable(reply.values())))
+    shuffled = {key: rnd.sample(ms, len(ms)) if isinstance(ms, list) else ms for key in keys for ms in [reply[key]]}
+    all_mentions = all(isinstance(ms, list) and all(map(is_mention_reference, ms)) for ms in reply.values())
     for component in ("linker", "expander"):
-        want = reply_outcome_reference(component, reply, seeds, forms)
-        assert checked_outcome(component, reply, seeds, forms) == want
+        want = reply_outcome_reference(component, reply, seeds, forms, bare)
+        assert checked_outcome(component, reply, seeds, forms, bare) == want
         if all_mentions:
-            assert checked_outcome(component, shuffled, seeds, forms) == want
+            assert checked_outcome(component, shuffled, seeds, forms, bare) == want
         else:
-            assert checked_outcome(component, shuffled, seeds, forms) == reply_outcome_reference(
-                component, shuffled, seeds, forms
+            assert checked_outcome(component, shuffled, seeds, forms, bare) == reply_outcome_reference(
+                component, shuffled, seeds, forms, bare
             )
 
 
@@ -1046,17 +1185,18 @@ def two_threads():
 @given(case=expansion_cases())
 def test_expand_pass_joins_its_parts_as_union_does(two_threads, case):
     """The window and group passes, which join their ranges' parts by
-    concatenation, give the set ``model.union`` of the parts gives: the same
-    keys in the same order, clusters and stage, with the identity and oracle
+    concatenation, give the set of a serial reference that expands each
+    range itself and joins the parts with ``model.union``: the same keys in
+    the same order, clusters and stage, with the identity and oracle
     expanders on one thread and on a pool of two (jobs 1 and 2), and with
     replies that list a span twice."""
     doc, gold, seeds, plan, group_size = case
     grouped = plan_groups(plan, group_size)
     for inner in (IdentityExpander(), OracleExpander(gold)):
         for expander, executor in ((inner, None), (inner, two_threads), (DoublingExpander(inner), None)):
-            want = expand_pass_reference(doc, seeds, plan, expander, executor=executor)
+            want = expand_pass_reference(doc, seeds, plan, expander)
             got = expand_pass(doc, seeds, plan, expander, executor=executor)
             assert as_compared(got) == as_compared(want)
-            want = expand_pass_reference(doc, want, grouped, expander, executor=executor)
+            want = expand_pass_reference(doc, want, grouped, expander)
             got = expand_pass(doc, got, grouped, expander, executor=executor)
             assert as_compared(got) == as_compared(want)
