@@ -58,6 +58,10 @@ class Policy:
     g_capacity: int = 25
 
     def __post_init__(self) -> None:
+        for name in ("capacity", "l_capacity", "g_capacity"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int too, but no capacity
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.kind not in ("unbounded", "lru", "dual"):
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.kind == "lru" and self.capacity < 1:

@@ -194,6 +194,10 @@ class PipelineConfig:
     endpoints: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("window_len", "group_size", "judge_context_words", "jobs"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int too, but no count
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.window_len < 1 or self.group_size < 1 or self.judge_context_words < 1:
             raise ConfigError("window_len, group_size and judge_context_words must be positive")
         if self.jobs < 1:

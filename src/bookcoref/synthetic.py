@@ -23,25 +23,36 @@ A seed whose corpus cannot be calibrated raises :class:`GeneratorError`.
 
 Calibration places every book once per candidate interleaving factor
 ``alpha`` (23 passes at the default seed). What a pass reads but ``alpha``
-does not change is hoisted out of it: per mention, in plan order, its chain
-id, that chain's centre, its anchor and its token length. One pass then
-costs one sort of each book's mention indices by target and one placement
-loop over them. Passes deal in plain index and start lists; only the
-placement calibration returns is materialised as mentions and tokens.
+does not change is built once per book, before the first pass: per mention,
+in plan order, its chain id, that chain's centre, its anchor and its token
+length; the plan indices chain by chain, each chain's by (anchor, index);
+and the gaps between placed mentions, because the spare-token budget
+depends only on the mentions' total length. Rounding is monotone, so no
+chain's targets descend along its run at any ``alpha``: one pass sorts the
+presorted chain runs by target (a merge of one run per chain), puts runs of
+tied targets back in plan order, gathers lengths and chains in that order
+with one ``itemgetter`` call each, and runs one placement loop. Passes deal
+in plain index and start lists; only the placement calibration returns is
+materialised as mentions and tokens.
 
-A pass makes no builtin call per mention: targets are clamped only in a
-pass where one of them lies outside the book, the placement loop reads
-precomputed gaps and tests a window's end with one remainder, and each
-chain's distance is summed by :func:`~bookcoref.metrics.chain_distance` at
-C speed. The float operations and their order are fixed, because the
-corpus of every seed is pinned byte for byte.
+A pass makes no builtin call per mention: targets are sorted unclamped
+(clamping is monotone, and the clamped groups are found by bisection), the
+placement loop reads the hoisted gaps, tests a window's end with one
+remainder and tests overflow once, after the loop, and each chain's
+distance is summed by :func:`~bookcoref.metrics.chain_distance` at C speed.
+The float operations and their order are fixed, because the corpus of every
+seed is pinned byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from itertools import compress, islice, pairwise
+from operator import eq, itemgetter
+from typing import Callable, Sequence
 
 from .errors import GeneratorError
 from .formats import CorpusFile, DocumentRecord
@@ -207,43 +218,121 @@ def _plan_book(rng: random.Random, spec: BookSpec, names: list[str]) -> list[_Pl
     return planned
 
 
-def _order_mentions(centres: list[float], anchors: list[float], alpha: float, n: int) -> list[int]:
+@dataclass(frozen=True, slots=True)
+class _ChainRuns:
+    """What ordering one book's mentions reads but ``alpha`` does not change.
+
+    ``centres[i]`` is the centre of plan mention ``i``'s chain and
+    ``anchors[i]`` its offset from it. ``runs`` holds the plan indices chain
+    by chain, each chain's by (anchor, index). Rounding is monotone, so no
+    chain's targets descend along its run at any ``alpha``, and sorting
+    ``runs`` by target merges one presorted run per chain.
+
+    ``min_gap`` is the smallest gap between two unequal anchors of one
+    chain: ``inf`` when there is none, and 0.0 when the plan does not list
+    its mentions chain by chain in ascending chain order, which rules no tie
+    out. ``max_anchor`` and ``max_centre`` bound the magnitudes the targets
+    are rounded at.
+    """
+
+    centres: list[float]
+    anchors: list[float]
+    runs: list[int]
+    min_gap: float
+    max_anchor: float
+    max_centre: float
+
+    @classmethod
+    def build(cls, chains: list[int], centres: list[float], anchors: list[float]) -> "_ChainRuns":
+        """``chains[i]`` is plan mention ``i``'s chain, ``centres[c]`` the
+        centre of chain ``c`` and ``anchors[i]`` the mention's anchor."""
+        runs = sorted(range(len(chains)), key=lambda i: (chains[i], anchors[i]))
+        if chains == sorted(chains):
+            min_gap = min(
+                (anchors[j] - anchors[i] for i, j in pairwise(runs) if chains[i] == chains[j] and anchors[j] > anchors[i]),
+                default=math.inf,
+            )
+        else:
+            min_gap = 0.0
+        return cls(
+            [centres[c] for c in chains],
+            anchors,
+            runs,
+            min_gap,
+            max(map(abs, anchors)),
+            max(map(abs, centres)),
+        )
+
+
+def _order_mentions(book: _ChainRuns, alpha: float, n: int) -> list[int]:
     """Plan indices in book order, by each mention's chain-anchored target.
 
-    ``centres[i]`` is the centre of mention ``i``'s chain and ``anchors[i]``
-    its offset from it. ``alpha`` scales how far a mention may stray from its
-    chain centre: small values give per-chain blocks, large values full
-    interleaving. Targets clamp to ``[0, n]``; the sort is stable, so tied
-    targets keep plan order.
+    ``alpha`` scales how far a mention may stray from its chain centre:
+    small values give per-chain blocks, large values full interleaving.
+    Targets clamp to ``[0, n]``; tied targets keep plan order, as in a
+    stable sort of the plan indices by clamped target.
 
-    The bare targets are built first, and clamped, with conditional
-    expressions rather than calls, only when one of them lies outside
-    ``[0, n]``.
+    Clamping is monotone, so sorting ``book.runs`` by the bare targets
+    orders the clamped ones too, and only ties need work. The sort keeps
+    tied targets in run order; each run of ties is put back in plan order:
+
+    * the targets that clamp to 0 and to ``n`` tie. They are the first and
+      the last, and two bisections find them;
+    * unequal anchors of one chain give unequal targets once ``alpha * n``
+      times their smallest gap outweighs the rounding of the two products
+      and sums: at most ``2**-51 * (alpha * n * max_anchor + max_centre)``,
+      and the pass asks for twice that, plus one. In a plan listed chain by
+      chain, equal targets of two chains are already in plan order. Where
+      the bound does not hold, or the plan is not listed chain by chain,
+      every run of ties found between the two clamped groups is sorted by
+      plan index.
     """
     an = alpha * n  # exact: alpha * n * a is (alpha * n) * a; hoisting n * a instead rounds differently
-    fn = float(n)
-    ts = [c + an * a for c, a in zip(centres, anchors)]
-    if min(ts) < 0.0 or max(ts) > fn:
-        ts = [0.0 if t < 0.0 else fn if t > fn else t for t in ts]
-    return sorted(range(len(ts)), key=ts.__getitem__)
+    ts = [c + an * a for c, a in zip(book.centres, book.anchors)]
+    target = ts.__getitem__
+    order = sorted(book.runs, key=target)
+    low = bisect_right(order, 0.0, key=target)
+    high = bisect_left(order, float(n), lo=low, key=target)
+    if low > 1:
+        order[:low] = sorted(order[:low])
+    if len(order) - high > 1:
+        order[high:] = sorted(order[high:])
+    if not an * book.min_gap > 2**-50 * (an * book.max_anchor + book.max_centre + 1.0):
+        _sort_ties(order, ts, low, high)
+    return order
 
 
-def _place_book(spec: BookSpec, lengths: list[int], extras: list[float]) -> list[int]:
-    """Lay mentions of ``lengths`` tokens out left to right with randomized
-    gaps; returns their starts, in the same order.
+def _sort_ties(order: list[int], ts: list[float], lo: int, hi: int) -> None:
+    """Sort each run of equal targets ``ts`` in ``order[lo:hi]`` by plan index."""
+    placed = [ts[i] for i in order[lo:hi]]
+    start = end = lo
+    # each j whose target equals that of order[j - 1]
+    for j in compress(range(lo + 1, hi), map(eq, placed, islice(placed, 1, None))):
+        if j != end:  # a run of ties starts at j - 1
+            order[start:end] = sorted(order[start:end])
+            start = j - 1
+        end = j + 1
+    order[start:end] = sorted(order[start:end])
 
-    Collision-free by construction: each mention starts after the previous
-    one plus a mandatory one-token gap plus its share of the spare-token
-    budget. Starts that would straddle a window boundary jump to the
-    boundary (the budget keeps headroom for those jumps). So the starts
-    ascend strictly.
 
-    The loop makes no builtin call per mention. The gaps (``extra * scale``)
-    are computed up front. A mention of ``length >= 1`` tokens at offset
-    ``r = s % WINDOW`` into its window crosses the window's end exactly when
-    ``r + length > WINDOW``. The cursor only moves forward: without a jump
-    ``s = int(cursor) <= cursor``, because the cursor is positive, and a jump
-    puts ``s`` past it, so the cursor moves to ``s`` only then.
+def _gather(order: list[int]) -> Callable[[Sequence], Sequence]:
+    """A function that takes the items of a per-mention list in ``order``.
+
+    One ``itemgetter`` call gathers a whole list. Given one index it returns
+    the item, not a 1-tuple; the order of one mention is ``[0]``, and
+    ``tuple`` gives that mention's 1-tuple.
+    """
+    return itemgetter(*order) if len(order) > 1 else tuple
+
+
+def _gaps(spec: BookSpec, lengths: list[int], extras: list[float]) -> list[float]:
+    """The gap before each placed mention, and one after the last: each
+    ``extra`` is scaled to the spare-token budget. The budget depends only
+    on the sum of ``lengths``, so the gaps are the same at every ``alpha``.
+
+    The budget is what ``n`` tokens leave after the mentions, a mandatory
+    one-token gap after each and headroom for the jumps to window
+    boundaries.
     """
     n = spec.n_tokens
     headroom = 8 * (n // WINDOW + 1)
@@ -251,24 +340,44 @@ def _place_book(spec: BookSpec, lengths: list[int], extras: list[float]) -> list
     if budget <= 0:
         raise GeneratorError(f"{spec.doc_id}: token budget too small for its mentions")
     scale = budget / sum(extras)
-    gaps = [extra * scale for extra in extras]
+    return [extra * scale for extra in extras]
+
+
+def _place_book(spec: BookSpec, lengths: Sequence[int], gaps: list[float]) -> list[int]:
+    """Lay mentions of ``lengths`` tokens out left to right, ``gaps`` (see
+    :func:`_gaps`) apart; returns their starts, in the same order.
+
+    Collision-free by construction: each mention starts after the previous
+    one plus a mandatory one-token gap plus its gap. Starts that would
+    straddle a window boundary jump to the boundary (the budget keeps
+    headroom for those jumps). So the starts ascend strictly, and so do the
+    ends: only the last mention can end past the book, and overflow is
+    tested once, after the loop.
+
+    The loop makes no builtin call per mention. A mention of ``length >= 1``
+    tokens at offset ``r = s % WINDOW`` into its window crosses the window's
+    end exactly when ``r + length > WINDOW``. The cursor only moves forward:
+    without a jump ``s = int(cursor) <= cursor``, because the cursor is
+    positive, and a jump puts ``s`` past it, so the cursor moves to ``s``
+    only then.
+    """
     starts: list[int] = []
     append = starts.append
     cursor = gaps[0]
-    for length, gap in zip(lengths, gaps[1:]):
+    for length, gap in zip(lengths, islice(gaps, 1, None)):
         s = int(cursor)
         r = s % WINDOW
         if r + length > WINDOW:
             s += WINDOW - r
             cursor = float(s)
-        if s + length > n:
-            raise GeneratorError(f"placement overflow in {spec.doc_id}")
         append(s)
         cursor = cursor + length + 1 + gap  # not +=: the floats add left to right
+    if s + length > spec.n_tokens:
+        raise GeneratorError(f"placement overflow in {spec.doc_id}")
     return starts
 
 
-def _pooled_distance(per_book_chains: list[list[int]], per_book_positions: list[list[int]], n_chains: list[int]) -> float:
+def _pooled_distance(per_book_chains: list[Sequence[int]], per_book_positions: list[list[int]], n_chains: list[int]) -> float:
     """Micro-average pairwise start distance over every chain of every book.
 
     ``per_book_chains[b][j]`` is the chain of the mention placed at
@@ -300,9 +409,10 @@ def _calibrate(place: Callable[[float], tuple[float, _Placement]]) -> _Placement
     micro-average pairwise distance hits the target; return that placement.
 
     ``place(alpha)`` returns the pooled distance and the placement. One
-    pass costs one sort of each book's mention indices by target and one
-    placement loop over them: the per-mention chain centres, anchors,
-    lengths and chain ids are hoisted out of the pass, and only the
+    pass costs, per book, one sort of its presorted chain runs by target,
+    the repair of tied runs, one ``itemgetter`` gather and one placement
+    loop. The per-mention chain centres, anchors, lengths and chain ids, the
+    chain runs and the gaps are hoisted out of the pass, and only the
     placement returned here is materialised as mentions.
 
     First up to 24 multiplicative steps. Where the distance grows only
@@ -355,39 +465,47 @@ def _calibrate(place: Callable[[float], tuple[float, _Placement]]) -> _Placement
     return best[1]
 
 
-def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
-    """Build the calibrated three-book stand-in corpus."""
-    rng = random.Random(seed)
+def _plan_and_place(rng: random.Random) -> list[tuple[list[str], list[_PlannedMention], tuple[list[int], list[int]]]]:
+    """Per book of :data:`BOOK_SPECS`: its character names, its plan, and
+    the calibrated placement, as the plan indices in book order and their
+    starts. What the passes read is dropped on return, before the tokens of
+    the corpus are made."""
     book_names = []
     book_plans = []
-    book_extras = []
-    # what a placement pass reads, hoisted out of it: per mention, in plan
-    # order, its chain, that chain's centre, its anchor and its token length
+    # what a placement pass reads, hoisted out of it: the chain runs that
+    # order a book; per mention, in plan order, its token length and its
+    # chain; and the gaps
     hoisted = []
     for spec in BOOK_SPECS:
         names = _make_names(rng, spec.n_chains)
         planned = _plan_book(rng, spec, names)
         centres = [rng.uniform(0.10, 0.90) * spec.n_tokens for _ in range(spec.n_chains)]
-        extras = [rng.expovariate(1.0) + 1e-6 for _ in range(len(planned) + 1)]
+        lengths = [len(pm.tokens) for pm in planned]
+        gaps = _gaps(spec, lengths, [rng.expovariate(1.0) + 1e-6 for _ in range(len(planned) + 1)])
         book_names.append(names)
         book_plans.append(planned)
-        book_extras.append(extras)
         chains = [pm.chain for pm in planned]
-        anchors = [pm.anchor for pm in planned]
-        hoisted.append((chains, [centres[c] for c in chains], anchors, [len(pm.tokens) for pm in planned]))
+        book = _ChainRuns.build(chains, centres, [pm.anchor for pm in planned])
+        hoisted.append((spec, book, lengths, chains, gaps))
     n_chains = [spec.n_chains for spec in BOOK_SPECS]
 
     def place(alpha: float) -> tuple[float, _Placement]:
         placement: _Placement = []
         placed_chains = []
-        for spec, extras, (chains, centres, anchors, lengths) in zip(BOOK_SPECS, book_extras, hoisted):
-            order = _order_mentions(centres, anchors, alpha, spec.n_tokens)
-            placement.append((order, _place_book(spec, [lengths[i] for i in order], extras)))
-            placed_chains.append([chains[i] for i in order])
+        for spec, book, lengths, chains, gaps in hoisted:
+            order = _order_mentions(book, alpha, spec.n_tokens)
+            take = _gather(order)
+            placement.append((order, _place_book(spec, take(lengths), gaps)))
+            placed_chains.append(take(chains))
         return _pooled_distance(placed_chains, [starts for _, starts in placement], n_chains), placement
 
+    return list(zip(book_names, book_plans, _calibrate(place)))
+
+
+def make_reference_corpus(seed: int = DEFAULT_SEED) -> CorpusFile:
+    """Build the calibrated three-book stand-in corpus."""
     corpus = CorpusFile()
-    for spec, names, plan, (order, starts) in zip(BOOK_SPECS, book_names, book_plans, _calibrate(place)):
+    for spec, (names, plan, (order, starts)) in zip(BOOK_SPECS, _plan_and_place(random.Random(seed))):
         fill_rng = random.Random((seed, spec.doc_id).__repr__())
         tokens = fill_rng.choices(_FILLER, k=spec.n_tokens)
         clusters: dict[str, list[Mention]] = {name: [] for name in names}

@@ -524,7 +524,7 @@ def test_split_scoring_peaks_under_8_bytes_per_token(gold_corpus):
 
 
 #: Cluster keys of both kinds: character names and anonymous integers.
-cluster_keys = st.one_of(st.sampled_from(["A", "B", "C"]), st.integers(0, 2))
+CLUSTER_KEYS = ["A", "B", "C", 0, 1, 2]
 
 #: The most tokens of a generated document, and of spans in its pool.
 MAX_TOKENS = 14
@@ -537,8 +537,11 @@ TOKEN_COUNTS = st.integers(1, MAX_TOKENS)
 POOL_SPANS = st.lists(
     st.tuples(st.integers(0, MAX_TOKENS - 1), st.sampled_from([0, 0, 1, 2])), min_size=1, max_size=MAX_SPANS
 )
-#: clusters as indices into the pool, scaled to its size when drawn
-POOL_CLUSTERS = st.dictionaries(cluster_keys, st.lists(st.integers(0, MAX_SPANS - 1), max_size=8), max_size=4)
+#: clusters as indices into the pool, scaled to its size when drawn: up to
+#: four distinct keys, drawn as a unique list (no key is drawn and rejected),
+#: each with up to eight indices
+POOL_KEYS = st.lists(st.sampled_from(CLUSTER_KEYS), unique=True, max_size=4)
+POOL_INDICES = st.lists(st.integers(0, MAX_SPANS - 1), max_size=8)
 ONE_IN_FOUR = st.integers(0, 3)
 ONE_IN_FIVE = st.integers(0, 4)
 #: how many stray responses, which match no key document, a case has
@@ -566,7 +569,7 @@ def scored_corpora(draw):
         spans = [(s * n // MAX_TOKENS, min(s * n // MAX_TOKENS + w, n - 1)) for s, w in draw(POOL_SPANS)]
 
         def clusters():
-            return {k: [spans[i * len(spans) // MAX_SPANS] for i in ix] for k, ix in draw(POOL_CLUSTERS).items()}
+            return {k: [spans[i * len(spans) // MAX_SPANS] for i in draw(POOL_INDICES)] for k in draw(POOL_KEYS)}
 
         gold = clusters()
         key.records.append(DocumentRecord(doc, {"gold": ClusterSet.build(doc.doc_id, "gold", gold)}))

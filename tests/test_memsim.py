@@ -29,6 +29,24 @@ class TestPolicy:
         with pytest.raises(ConfigError):
             Policy("weird")
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: Policy.lru(1.5), "capacity"),
+            (lambda: Policy.lru("3"), "capacity"),
+            (lambda: Policy.lru(True), "capacity"),
+            (lambda: Policy.dual(2.5, 3), "l_capacity"),
+            (lambda: Policy.dual(3, None), "g_capacity"),
+            (lambda: Policy.dual(3, False), "g_capacity"),
+            (lambda: Policy("unbounded", capacity=1.5), "capacity"),
+        ],
+    )
+    def test_a_capacity_that_is_no_int_is_refused(self, make, field):
+        """A float, a bool, a string or None is refused where the policy is
+        made, naming the field, not later by ``simulate``."""
+        with pytest.raises(ConfigError, match=f"^{field} must be an int, got "):
+            make()
+
 
 class TestUnbounded:
     def test_never_evicts_never_forces(self):

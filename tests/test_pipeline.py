@@ -676,6 +676,24 @@ class TestRun:
         with pytest.raises(ConfigError):
             PipelineConfig(stages=("init", "group"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_len", 2.5),
+            ("window_len", True),
+            ("group_size", 1.5),
+            ("group_size", "10"),
+            ("judge_context_words", 7.5),
+            ("jobs", "2"),
+            ("jobs", None),
+        ],
+    )
+    def test_a_count_that_is_no_int_is_refused(self, field, value):
+        """A float, a bool, a string or None is refused where the config is
+        made, naming the field, not later by a slice or a comparison."""
+        with pytest.raises(ConfigError, match=f"^{field} must be an int, got {value!r}$"):
+            PipelineConfig(**{field: value})
+
     def test_refine_disabled_advances_stage_without_judging(self):
         doc, gold = gold_small()
         calls = []
