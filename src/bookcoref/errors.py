@@ -33,6 +33,15 @@ class ConfigError(BookcorefError):
     """Invalid configuration value or combination."""
 
 
+def require_int(name: str, value: object) -> None:
+    """Refuse a count or capacity ``value`` that is not an ``int`` (a
+    ``bool`` is an ``int`` too, but no count) with a :class:`ConfigError`
+    naming the field ``name``, where it is set rather than later, by a slice
+    or a comparison."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 class GeneratorError(BookcorefError):
     """The synthetic generator could not build a corpus that meets its
     calibration targets for the requested seed."""

@@ -319,6 +319,8 @@ def read_jsonl(path: str, clusters_as: str = "gold") -> CorpusFile:
     between elements, another key order, a token that is not a string, a
     span not in canonical form) is decoded whole by ``json.loads``. Both
     paths give the same records and the same errors, which name the line.
+    The sliced path pays for itself in time and memory (ROADMAP.md's
+    fast-path ledger, row ``formats._sliced_object``).
     """
     stage = clusters_as if clusters_as in STAGES else "gold"
     corpus = CorpusFile()
@@ -362,7 +364,8 @@ def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
     or ``\\``, so that none needs an escape; the doc id, the characters, each
     cluster name, the unknown keys and any other tokens array go through
     ``json.dumps``. A line that holds a lone surrogate (see
-    :func:`_check_encodable`) is a :class:`SchemaError`.
+    :func:`_check_encodable`) is a :class:`SchemaError`. The joins pay for
+    themselves (ROADMAP.md's fast-path ledger, row ``formats._record_line``).
     """
     doc = rec.document
     if clusters_from is None:
@@ -433,6 +436,11 @@ def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
     then does :func:`~bookcoref.model.check_bounds` search the set, so that
     the :class:`SchemaError` names the span it names: the first past the end
     in sorted key order, not the first the pass met.
+
+    The one pass keeps the writer's memory bound: one sort of every bracket
+    peaks at about 47 bytes a token on the seed-13 manor book, past the 30
+    that ``write_conll`` is held to (ROADMAP.md's fast-path ledger, row
+    ``formats._coref_labels``).
     """
     clusters = cs.clusters
     # integer ids in first-mention order
@@ -573,7 +581,9 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     (see :func:`_label_items`); every other row is split into columns. A
     closing bracket builds its mention as a tuple, without the constructor's
     check: its start is a row index that its cluster's stack of openings
-    held, so ``0 <= start <= end`` holds by construction.
+    held, so ``0 <= start <= end`` holds by construction. The plain-row path
+    and the label cache pay for themselves (ROADMAP.md's fast-path ledger,
+    row ``formats.read_conll``).
     """
     corpus = CorpusFile()
     texts: dict[str, str] = {}

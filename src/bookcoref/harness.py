@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, require_int
 from .formats import CorpusFile
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
@@ -63,6 +63,7 @@ class Setting:
     def __post_init__(self) -> None:
         if self.kind not in SETTINGS:
             raise ConfigError(f"unknown setting {self.kind!r}; expected one of {SETTINGS}")
+        require_int("window_len", self.window_len)
         if self.window_len < 1:
             raise ConfigError("window_len must be positive")
 
@@ -148,7 +149,8 @@ def _partition_of(cs: ClusterSet | None) -> _Parts | None:
 
 def _partition(part: ClusterSet, order: list[ClusterKey]) -> _Parts:
     """``part.partition()`` for a part cut from a set whose keys sort to
-    ``order``: a cut part keeps its set's keys, so they need no new sort."""
+    ``order``: a cut part keeps its set's keys, so they need no new sort
+    (ROADMAP.md's fast-path ledger, row ``harness._partition``)."""
     clusters = part.clusters
     return [frozenset(ms) for ms in map(clusters.__getitem__, order) if ms]
 

@@ -46,7 +46,7 @@ from operator import attrgetter, itemgetter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, require_int
 from .model import ClusterSet, str_keyed
 
 
@@ -59,9 +59,7 @@ class Policy:
 
     def __post_init__(self) -> None:
         for name in ("capacity", "l_capacity", "g_capacity"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is an int too, but no capacity
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.kind not in ("unbounded", "lru", "dual"):
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.kind == "lru" and self.capacity < 1:
@@ -180,7 +178,9 @@ def _replay(keys: Sequence[Hashable], policies: Iterable[Policy], keep_events: b
     deeper, read at the end from one histogram of repeat-access depths, so on
     a miss an LRU policy only counts its victim. A dual policy's G-cache heap
     is compacted to its live entries whenever it holds more than 2G, so it
-    never holds more than 2G entries and a push or pop costs O(log G).
+    never holds more than 2G entries and a push or pop costs O(log G). The
+    histogram and the set of the stack's clusters pay for themselves
+    (ROADMAP.md's fast-path ledger, row ``memsim._replay``).
     """
     slots = sorted({p: _Slot(p) for p in policies}.values(), key=attrgetter("k"))
     top = max([s.k for s in slots if s.k != inf], default=0)

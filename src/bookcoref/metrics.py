@@ -33,7 +33,8 @@ recall side. A mention listed in two key clusters counts in both key rows,
 but only toward the last of them in the precision rows, so those rows are
 not the recall rows' transpose: against key ``[[0], [0]]`` and response
 ``[[0]]`` the precision side shows no contest, yet both key rows want the
-one response cluster.
+one response cluster. The skip pays for itself (ROADMAP.md's fast-path
+ledger, row ``metrics._ceaf_phi4``).
 
 Every scorer keeps its numerator/denominator pairs so corpus-level results
 can pool counts across documents before dividing (micro); per-document

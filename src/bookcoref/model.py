@@ -24,11 +24,11 @@ sorted by ``(start, end)``. One function keeps that invariant,
 :func:`sorted_mentions`: the constructor passes every cluster through it,
 and so does the pipeline's check of a linker's or an expander's reply. It
 refuses a span that is not two ``int``s with ``0 <= start <= end`` with a
-:class:`SpanRangeError`, turns ``(start, end)`` pairs into mentions and sorts
-a cluster that is out of order, so sets built from the same mentions in any
-order are equal. Code that reads a set (the writers, the scorers, the
-simulator) does not test a span's form again, and this module's operations
-keep the invariant by construction.
+:class:`SpanRangeError`, turns ``(start, end)`` pairs into mentions and
+sorts each cluster, so sets built from the same mentions in any order are
+equal. Code that reads a set (the writers, the scorers, the simulator) does
+not test a span's form again, and this module's operations keep the
+invariant by construction.
 
 :func:`cut` is the one window-slicing operation: it slices a set at every
 range of a window plan in one pass, bisecting each sorted cluster for the
@@ -48,13 +48,16 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import is_, itemgetter, le
+from operator import itemgetter, le
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import BookcorefError, CompositionError, SchemaError, SpanRangeError, StageError
 
 ClusterKey = Union[str, int]
 
+# builds a Mention (or a pipeline JudgeRequest) without its constructor's
+# checks, where the caller has made the fields valid: ROADMAP.md's fast-path
+# ledger, row ``model._new_tuple``, waits for mentions as plain tuples
 _new_tuple = tuple.__new__
 
 #: Stages a cluster set can be in. ``initialized -> refined ->
@@ -215,18 +218,17 @@ def _mention(span: Mention | Sequence[int]) -> Mention:
 
 
 def sorted_mentions(spans: Iterable[Mention | Sequence[int]]) -> tuple[Mention, ...]:
-    """A cluster's spans as a tuple of mentions sorted by ``(start, end)``,
-    duplicates kept: the one gate through which spans enter a
-    :class:`ClusterSet`. A tuple of mentions that is already sorted is
-    returned itself; any other input is rebuilt, each span passed through
-    the checking constructor unless it already is a :class:`Mention`, so a
-    span that is not two ``int``s with ``0 <= start <= end`` raises
+    """A cluster's spans as a new tuple of mentions sorted by ``(start,
+    end)``, duplicates kept: the one gate through which spans enter a
+    :class:`ClusterSet`. Each span is passed through the checking
+    constructor unless it already is a :class:`Mention`, so a span that is
+    not two ``int``s with ``0 <= start <= end`` raises
     :class:`SpanRangeError` naming the first such span in the input's order;
     so does input that is not iterable, naming its type.
 
     Cost: input that is all mentions (the readers', the wire's, this
     module's operations') is tested whole, by one C-level pass over its
-    spans' types and one sort, which takes a single pass over input that is
+    spans' types, and sorted, which takes a single pass over input that is
     already sorted; only other input is converted a span at a time.
     """
     if type(spans) is tuple:
@@ -239,8 +241,7 @@ def sorted_mentions(spans: Iterable[Mention | Sequence[int]]) -> tuple[Mention, 
         ms = tuple(spans)
     if not {Mention}.issuperset(map(type, ms)):
         return tuple(sorted(map(_mention, ms)))
-    ordered = sorted(ms)
-    return ms if ordered == list(ms) else tuple(ordered)
+    return tuple(sorted(ms))
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,14 +285,13 @@ class ClusterSet:
 
     ``clusters`` is a dict of tuples of :class:`Mention`, each sorted by
     ``(start, end)``. The constructor passes every cluster through
-    :func:`sorted_mentions`, so a set holds only valid mentions: a span that
-    is not two ``int``s with ``0 <= start <= end`` raises
-    :class:`SpanRangeError`, and ``(start, end)`` pairs, tuples or lists,
-    are stored as mentions. Input that breaks the order (a cluster out of
-    order, a list, a mapping that is not a dict) is stored as a sorted copy,
-    so sets built from the same mentions in any order are equal; clusters
-    that already hold the invariant are stored as given. Duplicates are kept
-    as given, next to each other, so that :func:`validate` can report them;
+    :func:`sorted_mentions` into a new dict, so a set holds only valid
+    mentions: a span that is not two ``int``s with ``0 <= start <= end``
+    raises :class:`SpanRangeError`, and ``(start, end)`` pairs, tuples or
+    lists, are stored as mentions. Every cluster is stored as a sorted
+    tuple, so sets built from the same mentions in any order are equal.
+    Duplicates are kept as given, next to each other, so that
+    :func:`validate` can report them;
     :func:`union` applies set semantics. Character keys are strings;
     ``stage="prediction"`` may use anonymous integer keys instead. A key of
     any other type (a ``bool`` included, and so a key that would be written
@@ -309,9 +309,7 @@ class ClusterSet:
         if not _KEY_TYPES.issuperset(map(type, given)):
             key = next(key for key in given if type(key) not in _KEY_TYPES)
             raise SchemaError(f"cluster key {key!r} is a {type(key).__name__}, not a str or an int")
-        clusters = {key: sorted_mentions(ms) for key, ms in given.items()}
-        if type(given) is not dict or not all(map(is_, clusters.values(), given.values())):
-            object.__setattr__(self, "clusters", clusters)
+        object.__setattr__(self, "clusters", {key: sorted_mentions(ms) for key, ms in given.items()})
 
     @classmethod
     def build(cls, doc_id: str, stage: str, clusters: Mapping[ClusterKey, Iterable]) -> ClusterSet:
@@ -460,16 +458,13 @@ def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
 
     Cost: each cluster is sorted by ``(start, end)``, so two ``bisect``
     lookups find the mentions that start inside the plan's span, and a
-    bisect per range that holds some of them (none for the plan's last
-    range, which ends where they do) finds each range's run. A run whose
-    largest end lies inside its range is kept as its slice of the cluster,
-    after one C-level pass over its ends; only a run with a mention that
-    ends past its range is walked, to drop that mention. So a plan over C
-    clusters and M mentions costs O(C log M + M), plus a bisect per cluster
-    and range it holds mentions in, and :func:`restrict` costs two bisects
-    per cluster and one pass over the mentions it keeps. The W result sets
-    share one key order and hold O(W C) entries, as W calls of
-    :func:`restrict` would.
+    bisect per range that holds some of them finds each range's run, which
+    is walked once to drop a mention that ends past its range. So a plan
+    over C clusters and M mentions costs O(C log M + M), plus a bisect per
+    cluster and range it holds mentions in, and :func:`restrict` costs three
+    bisects per cluster and one pass over the mentions that start in its
+    range. The W result sets share one key order and hold O(W C) entries,
+    as W calls of :func:`restrict` would.
     """
     prev = 0
     for lo, hi in ranges:
@@ -485,7 +480,6 @@ def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
     los = [lo for lo, _ in ranges]
     his = [hi for _, hi in ranges]
     first, last = (los[0],), (his[-1],)
-    final = len(ranges) - 1
     out: list[dict[ClusterKey, tuple[Mention, ...]]] = [dict.fromkeys(cs.clusters, ()) for _ in ranges]
     for key, ms in cs.clusters.items():
         i = bisect_left(ms, first)
@@ -497,10 +491,9 @@ def cut(cs: ClusterSet, ranges: Sequence[tuple[int, int]]) -> list[ClusterSet]:
             if ms[i][0] >= hi:  # in the gap after range j: skip to range j + 1
                 i = bisect_left(ms, (los[j + 1],), i, end)
                 continue
-            # the mentions that start in range j; in the last range, all up to end
-            k = end if j == final else bisect_left(ms, (hi,), i, end)
-            run = ms[i:k]
-            out[j][key] = run if max(map(_end, run)) < hi else tuple([m for m in run if m[1] < hi])
+            # the mentions that start in range j
+            k = bisect_left(ms, (hi,), i, end)
+            out[j][key] = tuple([m for m in ms[i:k] if m[1] < hi])
             i = k
     return [_sorted_set(cs.doc_id, cs.stage, clusters) for clusters in out]
 
@@ -510,7 +503,8 @@ def crossing_mentions(cs: ClusterSet, parts: Sequence[ClusterSet]) -> list[tuple
     whole, in :meth:`ClusterSet.mentions` order, where ``parts`` is
     ``cut(cs, ranges)``. The parts keep every mention that does not cross a
     range edge, so when their sizes add up to ``cs.n_mentions`` there is
-    none and nothing is looked up."""
+    none and nothing is looked up (ROADMAP.md's fast-path ledger, row
+    ``model.crossing_mentions``)."""
     if sum(part.n_mentions for part in parts) == cs.n_mentions:
         return []
     contained = {m for part in parts for ms in part.clusters.values() for m in ms}
@@ -528,7 +522,9 @@ def restrict(cs: ClusterSet, lo: int, hi: int) -> ClusterSet:
     lookups per sorted cluster find the mentions that start inside the
     range, and only those are examined, so it costs O(C log M + k) for C
     clusters and k mentions starting in the range. To slice a whole plan,
-    call :func:`cut` once rather than this once per window.
+    call :func:`cut` once rather than this once per window. Its one caller
+    in the library is the oracle expander (ROADMAP.md's fast-path ledger,
+    row ``model.restrict``).
     """
     return cut(cs, [(lo, hi)])[0]
 

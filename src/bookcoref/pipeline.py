@@ -44,7 +44,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter, lt
 from typing import Protocol, TypeVar
 
-from .errors import ConfigError, ContractError, PlanningError, SpanRangeError, StageError, TransportError
+from .errors import ConfigError, ContractError, PlanningError, SpanRangeError, StageError, TransportError, require_int
 from .model import (
     PRONOUNS,
     ClusterKey,
@@ -195,9 +195,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("window_len", "group_size", "judge_context_words", "jobs"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is an int too, but no count
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.window_len < 1 or self.group_size < 1 or self.judge_context_words < 1:
             raise ConfigError("window_len, group_size and judge_context_words must be positive")
         if self.jobs < 1:
@@ -384,7 +382,7 @@ class OracleExpander:
 
 def _checked_reply(
     who: str, reply: Mapping[ClusterKey, Iterable[Mention]], known: Container[ClusterKey],
-    lo: int, hi: int, where: str = "", order: Sequence[ClusterKey] | None = None,
+    lo: int, hi: int, where: str = "",
 ) -> dict[ClusterKey, tuple[Mention, ...]]:
     """A linker's or an expander's clusters, in the reply's key order, each
     as its distinct mentions in ``(start, end)`` order.
@@ -399,16 +397,12 @@ def _checked_reply(
     ``where``. Spans given as ``(start, end)`` pairs, tuples or lists, are
     accepted as mentions.
 
-    ``order``, if given, is ``known`` in sorted key order: an expansion pass
-    sorts its set's keys once for all its windows. A reply whose keys are
-    all known is read in that order; any other is sorted here, so that an
-    unknown key is named where the sort puts it.
-
     Cost: an empty tuple is one test. A cluster that is a tuple of mentions
     that strictly increase (as an oracle's cut of gold, or a window's part
     of a checked set) is already valid, sorted and distinct, and is kept as
     it is, after a C-level pass over the spans' types and one of
-    comparisons; any other is rebuilt by
+    comparisons (ROADMAP.md's fast-path ledger, row
+    ``_checked_reply`` clean tuple); any other is rebuilt by
     :func:`~bookcoref.model.sorted_mentions`, the gate of every
     :class:`ClusterSet`, and its repeats dropped. A cluster is then tested
     whole: its bounds from its first start and its largest end, and its
@@ -421,10 +415,7 @@ def _checked_reply(
         raise ContractError(f"{who} returned {type(reply).__name__}, not a mapping of clusters{where}")
     # filled in sorted key order, kept in the reply's
     out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(reply, ())
-    if order is not None and all(map(known.__contains__, out)):
-        keys = order if len(out) == len(order) else [key for key in order if key in out]
-    else:
-        keys = sorted(out, key=_key_order)
+    keys = sorted(out, key=_key_order)
     seen: set[Mention] = set()
     for key in keys:
         if key not in known:
@@ -579,17 +570,16 @@ def _expand_window(
     hi: int,
     expander: Expander,
     target_stage: str,
-    order: Sequence[ClusterKey],
 ) -> tuple[ClusterSet, int]:
-    """Expand one range from its seeds (the set cut to the range, whose keys
-    in sorted key order are ``order``); returns the expanded part and its
-    seed count. The part holds the seeds' keys in their order, each cluster
-    sorted, distinct and inside the range."""
+    """Expand one range from its seeds (the set cut to the range); returns
+    the expanded part and its seed count. The part holds the seeds' keys in
+    their order, each cluster sorted, distinct and inside the range."""
     raw = expander.expand(ExpandRequest(doc.doc_id, lo, hi, doc.tokens[lo:hi], seeds.clusters))
     where = f" in window [{lo},{hi})"
     out: dict[ClusterKey, tuple[Mention, ...]] = dict.fromkeys(seeds.clusters, ())
-    out.update(_checked_reply("expander", raw, seeds.clusters, lo, hi, where, order))
+    out.update(_checked_reply("expander", raw, seeds.clusters, lo, hi, where))
     # out holds the seeds' keys in their order: one C-level pass over the keys
+    # (ROADMAP.md's fast-path ledger, row ``_expand_window`` seed check)
     if not all(map(set.issuperset, map(set, out.values()), seeds.clusters.values())):
         lost = {key: set(ms).difference(out[key]) for key, ms in seeds.clusters.items()}
         _, (s, e), key = min((_key_order(key), min(ms), key) for key, ms in lost.items() if ms)
@@ -642,10 +632,8 @@ def expand_pass(
             f"mention ({m.start},{m.end}) of {key!r} crosses a {label} boundary; "
             f"plan the windows with this cluster set as guard"
         )
-    # the parts share the set's keys, so one sort orders every window's reply
-    order = cs.sorted_keys()
     results = _map_in_order(
-        lambda item: _expand_window(doc, item[1], *item[0], expander, target, order), list(zip(ranges, parts)), executor
+        lambda item: _expand_window(doc, item[1], *item[0], expander, target), list(zip(ranges, parts)), executor
     )
 
     if trace is not None:

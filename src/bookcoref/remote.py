@@ -37,7 +37,7 @@ import urllib.request
 import weakref
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import CacheError, ConfigError, ContractError, TransportError
+from .errors import CacheError, ConfigError, ContractError, TransportError, require_int
 from .model import ClusterKey, ClusterSet, Document, Mention, clusters_from_json, clusters_to_json, shift
 from .pipeline import ExpandRequest, JudgeRequest
 
@@ -341,6 +341,7 @@ class ServiceClient:
         retries: int = 2,
         cache_dir: str | None = None,
     ):
+        require_int("retries", retries)
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")

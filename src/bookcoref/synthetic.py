@@ -286,6 +286,9 @@ def _order_mentions(book: _ChainRuns, alpha: float, n: int) -> list[int]:
       the bound does not hold, or the plan is not listed chain by chain,
       every run of ties found between the two clamped groups is sorted by
       plan index.
+
+    The bound pays for itself (ROADMAP.md's fast-path ledger, row
+    ``synthetic._order_mentions``).
     """
     an = alpha * n  # exact: alpha * n * a is (alpha * n) * a; hoisting n * a instead rounds differently
     ts = [c + an * a for c, a in zip(book.centres, book.anchors)]
@@ -303,7 +306,9 @@ def _order_mentions(book: _ChainRuns, alpha: float, n: int) -> list[int]:
 
 
 def _sort_ties(order: list[int], ts: list[float], lo: int, hi: int) -> None:
-    """Sort each run of equal targets ``ts`` in ``order[lo:hi]`` by plan index."""
+    """Sort each run of equal targets ``ts`` in ``order[lo:hi]`` by plan
+    index. It keeps the order exactly a stable sort, so it stays whatever
+    its cost (ROADMAP.md's fast-path ledger, row ``synthetic._sort_ties``)."""
     placed = [ts[i] for i in order[lo:hi]]
     start = end = lo
     # each j whose target equals that of order[j - 1]

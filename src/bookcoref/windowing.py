@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import ConfigError, PlanningError
+from .errors import ConfigError, PlanningError, require_int
 from .formats import CorpusFile, DocumentRecord
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
 # which checks that the tracer wraps it in every windowed module
@@ -62,6 +62,7 @@ def plan_windows(doc: Document, max_len: int = DEFAULT_WINDOW_LEN, guard: Cluste
     than one token, added by one C-level ``set.update``. The mention to
     name is looked up only when planning fails.
     """
+    require_int("max_len", max_len)
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
 
@@ -94,6 +95,7 @@ def plan_windows(doc: Document, max_len: int = DEFAULT_WINDOW_LEN, guard: Cluste
 
 def plan_groups(plan: WindowPlan, group_size: int = DEFAULT_GROUP_SIZE) -> GroupedWindowPlan:
     """Join consecutive windows into ceil(N / G) covering groups."""
+    require_int("group_size", group_size)
     if group_size < 1:
         raise ConfigError(f"group_size must be >= 1, got {group_size}")
     ws = plan.windows
@@ -132,6 +134,7 @@ def split_corpus(corpus: CorpusFile, max_len: int = DEFAULT_WINDOW_LEN) -> Split
     dropped from both sides and reported. The character list is inherited
     whole.
     """
+    require_int("max_len", max_len)
     out = CorpusFile()
     crossings: list[tuple[str, str, object, Mention]] = []
     for rec in corpus.records:

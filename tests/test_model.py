@@ -26,7 +26,6 @@ from bookcoref.model import (
     prediction_key,
     restrict,
     shift,
-    sorted_mentions,
     union,
     validate,
 )
@@ -180,13 +179,6 @@ class TestConstruction:
                 ClusterSet("d", stage, clusters)
         assert ClusterSet("d", stage, {"A": [(0, 0)], 1: [(1, 1)], -2: ()}).clusters.keys() == {"A", 1, -2}
 
-    def test_sorted_mentions_returns_a_valid_cluster_itself(self):
-        ms = (Mention(0, 0), Mention(0, 0), Mention(2, 5))
-        assert sorted_mentions(ms) is ms
-        assert sorted_mentions(()) == ()
-        assert sorted_mentions(iter([(2, 5), [0, 0]])) == (Mention(0, 0), Mention(2, 5))
-        assert sorted_mentions(ms[::-1]) == ms
-
     @pytest.mark.parametrize(
         "given",
         [
@@ -202,8 +194,6 @@ class TestConstruction:
         assert x.clusters["a"] == (Mention(0, 0), Mention(2, 2), Mention(2, 3), Mention(5, 5))
         assert all(type(ms) is tuple for ms in x.clusters.values())
         assert x == ClusterSet.build("d", "gold", given)
-        # clusters that already hold the invariant are stored as given
-        assert ClusterSet("d", "gold", x.clusters).clusters is x.clusters
 
 
 class TestValidate:

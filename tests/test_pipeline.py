@@ -979,10 +979,15 @@ MANGLES = (
     lambda s, e: (s, e, e),
 )
 BAD_SPANS = st.builds(lambda m, k: MANGLES[k](*m), short_spans(0, 12), st.integers(0, len(MANGLES) - 1))
-#: a key draws one bad span when this draws 0 and spans in list form when
-#: its low three bits do; a reply draws a cluster that is not iterable when
-#: it draws 7 (not an end of the range, which hypothesis draws more often)
-RARE = st.integers(0, 15)
+#: a key draws one bad span at ``ONE_IN_16`` and its spans in list form at
+#: ``TWO_IN_16``, and a reply a cluster that is not iterable at
+#: ``ONE_IN_16``: each list holds the case at that weight, away from its
+#: ends, which hypothesis draws more often. Hypothesis does not draw a
+#: list's indices uniformly, though: over 1,000 drawn cases (five runs) a
+#: bad span came in 3.5-5.6% of keys, spans in list form in 3.9-5.6% of
+#: keys, and a cluster that is not iterable in 0.9-4.4% of replies
+ONE_IN_16 = st.sampled_from((False,) * 7 + (True,) + (False,) * 8)
+TWO_IN_16 = st.sampled_from((False,) * 7 + (True,) * 2 + (False,) * 7)
 LIST_FORMS = st.integers(0, (1 << 12) - 1)
 #: clusters that cannot be iterated
 NOT_CLUSTERS = (None, 3)
@@ -1022,9 +1027,9 @@ def seeded_replies(draw):
         ms += draw(EXTRA_SPANS)
         if ms and draw(st.integers(0, 3)) == 0:
             ms.append(pick(ms))
-        if not draw(RARE):
+        if draw(ONE_IN_16):
             ms.insert(draw(st.integers(0, len(ms))), draw(BAD_SPANS))
-        if not draw(RARE) & 7:
+        if draw(TWO_IN_16):
             as_lists = draw(LIST_FORMS)
             ms = [list(m) if as_lists >> i & 1 else m for i, m in enumerate(ms)]
         reply[key] = ms
@@ -1033,7 +1038,7 @@ def seeded_replies(draw):
         dst = pick([key for key in keys if key != src])
         if reply[src]:
             reply[dst].append(pick(reply[src]))
-    if keys and draw(RARE) == 7:
+    if keys and draw(ONE_IN_16):
         reply[pick(keys)] = pick(NOT_CLUSTERS)
     forms = {key: draw(REPLY_FORM) for key in reply}
     return seeds, reply, forms, draw(BARE)

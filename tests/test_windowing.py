@@ -3,9 +3,11 @@ from math import ceil
 
 import pytest
 
-from bookcoref.errors import PlanningError
+from bookcoref.errors import ConfigError, PlanningError
 from bookcoref.formats import CorpusFile, DocumentRecord
+from bookcoref.harness import Setting
 from bookcoref.model import ClusterSet, Document, Mention, crossing_mentions, cut, shift
+from bookcoref.remote import ServiceClient
 from bookcoref.windowing import plan_groups, plan_windows, split_corpus, window_doc_id
 from helpers import covers, within
 
@@ -187,3 +189,26 @@ class TestSplitCorpus:
         assert result.n_crossings == 0
         total = sum(r.cluster_sets["gold"].n_mentions for r in result.corpus.records)
         assert total == sum(rec.cluster_sets["gold"].n_mentions for rec in gold_corpus.records)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: split_corpus(TestSplitCorpus().corpus(), 1.5), "max_len"),
+        (lambda: split_corpus(CorpusFile(), 1.5), "max_len"),
+        (lambda: plan_windows(doc_of(10), 2.5), "max_len"),
+        (lambda: plan_groups(plan_windows(doc_of(10), 2), 2.5), "group_size"),
+        (lambda: plan_groups(plan_windows(doc_of(10), 2), True), "group_size"),
+        (lambda: ServiceClient("http://127.0.0.1:1", retries=1.5), "retries"),
+        (lambda: ServiceClient("http://127.0.0.1:1", retries=True), "retries"),
+        (lambda: Setting("split", 1.5), "window_len"),
+        (lambda: Setting("split", True), "window_len"),
+    ],
+)
+def test_a_count_that_is_no_int_is_refused_naming_its_field(make, field):
+    """A window length, a group size or a retry count that is a float or a
+    bool is a ConfigError naming the field, by the one rule that
+    ``PipelineConfig`` and ``memsim.Policy`` use too, not a raw TypeError
+    from a slice or a range, nor a setting that scores float windows."""
+    with pytest.raises(ConfigError, match=f"^{field} must be an int, got "):
+        make()
