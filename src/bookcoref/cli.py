@@ -6,16 +6,40 @@ human-readable summary and can also write its full result as JSON via
 ``--out``. A JSON config file (``--config``) supplies defaults; explicit
 flags win. Exit codes: 0 success, 1 contract/validation errors, 2 I/O or
 parse errors.
+
+(``--help`` shows the two paragraphs above; the rest is for readers of the
+code.) Each ``_cmd_*`` function prints its summary and returns ``(exit code,
+payload)``; it never writes the JSON itself. :func:`main` is the one output
+path: it claims the ``--out`` target before the command runs (see
+:func:`_out_target`), so a ``--out`` that cannot be written fails before the
+command writes anything, and a command that stops on an error leaves no
+``--out`` file. Then :func:`_write_json` adds the invocation and its hash
+and writes the payload; ``validate`` returns exit code 1 with its findings
+as a payload, which is written like any other.
+
+Each flag with a fixed set of choices reads them from one table:
+``_LINKERS``, ``_JUDGES`` and ``_EXPANDERS`` map a component name to a
+factory of ``(gold clusters, service client)``, ``_POLICIES`` maps a policy
+name to its policy and its sweep, and ``_SETTINGS`` and ``_WRITERS`` name
+the evaluation settings and the export formats. The parser's ``choices=``
+are those tables, so each name is written once, and :func:`_apply_config`
+checks a config file's value against them too. :func:`command` declares a
+subcommand with its positionals, and :func:`build_parser` adds ``--out`` and
+``--json`` to every subcommand after its own flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from . import __version__
 from .errors import BookcorefError, CacheError, ConfigError, ParseError, SchemaError
@@ -57,20 +81,48 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _write_json(args: argparse.Namespace, payload: dict) -> None:
-    invocation = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k != "func" and isinstance(v, (str, int, float, bool, type(None)))
-    }
+def _write_json(args: argparse.Namespace, payload: dict, out: str | None) -> None:
+    """Write a command's result, with the invocation that made it, to
+    ``out`` (see :func:`_out_target`) and, for ``--json``, to stdout."""
+    plain = (str, int, float, bool, type(None))
+    invocation = {k: v for k, v in sorted(vars(args).items()) if k != "func" and isinstance(v, plain)}
     digest = hashlib.sha256(json.dumps(invocation, sort_keys=True).encode()).hexdigest()[:16]
-    payload = {**payload, "invocation": invocation, "invocation_hash": digest}
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    text = json.dumps({**payload, "invocation": invocation, "invocation_hash": digest}, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+    if args.json:
+        print(text)
+
+
+@contextmanager
+def _out_target(path: str | None) -> Iterator[str | None]:
+    """The file to write ``--out`` to. For a new or regular file that is a
+    temporary file beside it, made before the command runs, so that a
+    ``--out`` that cannot be written fails before the command writes
+    anything. It replaces ``path`` once the result is written, and is
+    removed if the command fails, so a failed command leaves ``path`` as it
+    was. A device or a pipe is written in place; a directory is refused."""
+    if path and os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or (os.path.exists(path) and not os.path.isfile(path)):
+        yield path
+        return
+    target = os.path.realpath(path)  # a symlink is written through, as open() would
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".bookcoref-")
+    except OSError as e:  # name --out, not the temporary file
+        raise OSError(e.errno, e.strerror, path) from None
+    os.close(fd)
+    try:
+        yield tmp
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)  # the mode open() gives a new file, not mkstemp's 0o600
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _is_conll(path: str) -> bool:
@@ -78,9 +130,7 @@ def _is_conll(path: str) -> bool:
 
 
 def _load_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
-    if _is_conll(path):
-        return read_conll(path, clusters_as=clusters_as)
-    return read_jsonl(path, clusters_as=clusters_as)
+    return (read_conll if _is_conll(path) else read_jsonl)(path, clusters_as=clusters_as)
 
 
 def _read_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
@@ -94,13 +144,12 @@ def _read_corpus(path: str, clusters_as: str = "gold") -> CorpusFile:
     return corpus
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> tuple[int, dict]:
     corpus = make_reference_corpus(args.seed)
     write_jsonl(corpus, args.output)
     s = corpus_stats(corpus)
     print(f"wrote {args.output}: {s.docs} docs, {s.tokens} tokens, {s.mentions} mentions (seed={args.seed})")
-    _write_json(args, {"command": "synth", "seed": args.seed, "output": args.output, "stats": s.to_dict()})
-    return 0
+    return 0, {"command": "synth", "seed": args.seed, "output": args.output, "stats": s.to_dict()}
 
 
 def _with_key_names(corpus: CorpusFile) -> CorpusFile:
@@ -115,30 +164,26 @@ def _with_key_names(corpus: CorpusFile) -> CorpusFile:
     return CorpusFile(records)
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    to = args.to
-    if to is None:
-        to = "conll" if _is_conll(args.output) else "jsonl"
+# each --to choice, as the writer of that format
+_WRITERS = {"jsonl": write_jsonl, "conll": write_conll}
+
+
+def _cmd_convert(args: argparse.Namespace) -> tuple[int, dict]:
+    to = args.to or ("conll" if _is_conll(args.output) else "jsonl")
     corpus = _read_corpus(args.input)
-    if to == "conll":
-        write_conll(corpus, args.output)
-    else:
-        if _is_conll(args.input):
-            corpus = _with_key_names(corpus)
-        write_jsonl(corpus, args.output)
+    if to == "jsonl" and _is_conll(args.input):
+        corpus = _with_key_names(corpus)
+    _WRITERS[to](corpus, args.output)
     print(f"converted {args.input} -> {args.output} ({len(corpus)} documents, format {to})")
-    _write_json(args, {"command": "convert", "input": args.input, "output": args.output, "format": to})
-    return 0
+    return 0, {"command": "convert", "input": args.input, "output": args.output, "format": to}
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
     corpus = _load_corpus(args.input)
-    total_errors = 0
     reports = {}
     for rec in corpus.records:
         for name, cs in rec.cluster_sets.items():
             report = validate(rec.document, cs)
-            total_errors += len(report.errors)
             reports[f"{rec.document.doc_id}/{name}"] = {
                 "errors": [list(f) for f in report.errors],
                 "warnings": [list(f) for f in report.warnings],
@@ -147,19 +192,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"{rec.document.doc_id}/{name}: {status}, {len(report.warnings)} warning(s)")
             for f in report.errors:
                 print(f"  E {f.code} at {f.location}: {f.message}")
-    _write_json(args, {"command": "validate", "input": args.input, "reports": reports})
-    return 1 if total_errors else 0
+    failed = any(r["errors"] for r in reports.values())
+    return 1 if failed else 0, {"command": "validate", "input": args.input, "reports": reports}
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.input)
-    s = corpus_stats(corpus)
+def _cmd_stats(args: argparse.Namespace) -> tuple[int, dict]:
+    s = corpus_stats(_read_corpus(args.input))
     print(s.to_table())
-    _write_json(args, {"command": "stats", "input": args.input, "stats": s.to_dict()})
-    return 0
+    return 0, {"command": "stats", "input": args.input, "stats": s.to_dict()}
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> tuple[int, dict]:
     corpus = _read_corpus(args.input)
     result = split_corpus(corpus, args.window_len)
     write_jsonl(result.corpus, args.output)
@@ -167,24 +210,12 @@ def _cmd_split(args: argparse.Namespace) -> int:
         f"split {len(corpus)} documents into {len(result.corpus)} windows of <= {args.window_len} tokens; "
         f"{result.n_crossings} boundary-crossing mention(s) dropped"
     )
-    _write_json(
-        args,
-        {
-            "command": "split",
-            "input": args.input,
-            "output": args.output,
-            "window_len": args.window_len,
-            "windows": len(result.corpus),
-            "crossings": [
-                {"doc_id": d, "cluster_set": n, "key": str(k), "span": [m.start, m.end]}
-                for d, n, k, m in result.crossings
-            ],
-        },
-    )
-    return 0
+    crossings = [{"doc_id": d, "cluster_set": n, "key": str(k), "span": list(m)} for d, n, k, m in result.crossings]
+    payload = {"command": "split", "input": args.input, "output": args.output, "window_len": args.window_len}
+    return 0, {**payload, "windows": len(result.corpus), "crossings": crossings}
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace) -> tuple[int, dict]:
     setting = Setting(_SETTINGS[args.setting], args.window_len)
     key = _read_corpus(args.key)
     response = _read_corpus(args.response, clusters_as="prediction")
@@ -194,63 +225,51 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.results:
         eval_run.save(args.results)
         print(f"run artifacts written to {args.results}/")
-    _write_json(args, {"command": "score", **eval_run.to_dict()})
-    return 0
+    return 0, {"command": "score", **eval_run.to_dict()}
 
 
-def _cmd_score_linking(args: argparse.Namespace) -> int:
+def _cmd_score_linking(args: argparse.Namespace) -> tuple[int, dict]:
     key = _read_corpus(args.key)
-    response = _read_corpus(args.response, clusters_as="prediction")
-    responses = response.by_id()
-    per_doc = []
+    responses = _read_corpus(args.response, clusters_as="prediction").by_id()
+    per_doc = {}
     for rec in key.records:
         resp = responses.get(rec.document.doc_id)
         if resp is None:
             raise SchemaError(f"response corpus is missing document {rec.document.doc_id!r}")
         check_token_counts(rec.document.doc_id, len(rec.document), resp.document)
-        prf = linking_prf(rec.cluster_sets["gold"], resp.cluster_sets["prediction"])
-        per_doc.append((rec.document.doc_id, prf))
+        per_doc[rec.document.doc_id] = prf = linking_prf(rec.cluster_sets["gold"], resp.cluster_sets["prediction"])
         p, r, f1 = prf.as_percentages()
         print(f"{rec.document.doc_id}: P={p:.1f} R={r:.1f} F1={f1:.1f}")
-    pooled = pool_prf([prf for _, prf in per_doc])
+    pooled = pool_prf(list(per_doc.values()))
     pp, rr, ff = pooled.as_percentages()
     print(f"pooled: P={pp:.1f} R={rr:.1f} F1={ff:.1f}")
-    _write_json(
-        args,
-        {
-            "command": "score-linking",
-            "per_doc": {doc: prf.to_dict() for doc, prf in per_doc},
-            "pooled": {"precision_pct": pp, "recall_pct": rr, "f1_pct": ff, "counts": pooled.to_dict()["counts"]},
-        },
-    )
-    return 0
+    return 0, {
+        "command": "score-linking",
+        "per_doc": {doc: prf.to_dict() for doc, prf in per_doc.items()},
+        "pooled": {"precision_pct": pp, "recall_pct": rr, "f1_pct": ff, "counts": pooled.to_dict()["counts"]},
+    }
 
 
-def _components(args: argparse.Namespace, gold, client):
-    if args.linker == "pattern":
-        linker = PatternMatchLinker()
-    elif args.linker == "oracle":
-        linker = OracleLinker(gold)
-    else:
-        linker = HttpLinker(client)
-    if args.judge == "accept":
-        judge = AcceptAllJudge()
-    elif args.judge == "reject":
-        judge = RejectAllJudge()
-    elif args.judge == "oracle":
-        judge = OracleJudge(gold)
-    else:
-        judge = HttpJudge(client)
-    if args.expander == "identity":
-        expander = IdentityExpander()
-    elif args.expander == "oracle":
-        expander = OracleExpander(gold)
-    else:
-        expander = HttpExpander(client)
-    return linker, judge, expander
+# each --linker, --judge and --expander choice, as a factory of (gold clusters, service client)
+_LINKERS = {
+    "pattern": lambda gold, client: PatternMatchLinker(),
+    "oracle": lambda gold, client: OracleLinker(gold),
+    "http": lambda gold, client: HttpLinker(client),
+}
+_JUDGES = {
+    "accept": lambda gold, client: AcceptAllJudge(),
+    "reject": lambda gold, client: RejectAllJudge(),
+    "oracle": lambda gold, client: OracleJudge(gold),
+    "http": lambda gold, client: HttpJudge(client),
+}
+_EXPANDERS = {
+    "identity": lambda gold, client: IdentityExpander(),
+    "oracle": lambda gold, client: OracleExpander(gold),
+    "http": lambda gold, client: HttpExpander(client),
+}
 
 
-def _cmd_pipeline_run(args: argparse.Namespace) -> int:
+def _cmd_pipeline_run(args: argparse.Namespace) -> tuple[int, dict]:
     stages = tuple(s.strip() for s in args.stages.split(",") if s.strip())
     config = PipelineConfig(
         window_len=args.window_len,
@@ -260,14 +279,13 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         endpoints={"all": args.endpoint} if args.endpoint else None,
     )
-    needs_gold = "oracle" in (args.linker, args.judge, args.expander)
+    choices = (args.linker, args.judge, args.expander)
+    factories = (_LINKERS[args.linker], _JUDGES[args.judge], _EXPANDERS[args.expander])
     client = None
-    if "http" in (args.linker, args.judge, args.expander):
+    if "http" in choices:
         if not args.endpoint:
             raise ConfigError("--endpoint is required when a component is 'http'")
-        client = ServiceClient(
-            args.endpoint, timeout=args.timeout, retries=args.retries, cache_dir=args.cache_dir
-        )
+        client = ServiceClient(args.endpoint, timeout=args.timeout, retries=args.retries, cache_dir=args.cache_dir)
     # one pool for the whole corpus, so a run opens jobs + 1 connections
     # (the workers' and the linker's on this thread) however many books
     pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
@@ -277,9 +295,9 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
         traces = {}
         for rec in corpus.records:
             gold = rec.cluster_sets.get("gold")
-            if needs_gold and gold is None:
+            if "oracle" in choices and gold is None:
                 raise SchemaError(f"oracle components need gold clusters; missing for {rec.document.doc_id!r}")
-            linker, judge, expander = _components(args, gold, client)
+            linker, judge, expander = (make(gold, client) for make in factories)
             final, trace = run(rec.document, config, linker, judge, expander, executor=pool)
             out.records.append(DocumentRecord(rec.document, {"prediction": final.with_stage("prediction")}))
             traces[rec.document.doc_id] = trace_dict = trace.to_dict()
@@ -296,8 +314,7 @@ def _cmd_pipeline_run(args: argparse.Namespace) -> int:
             pool.shutdown()
         if client is not None:
             client.close()
-    _write_json(args, payload)
-    return 0
+    return 0, payload
 
 
 def _sweep_capacities(spec: str) -> list[int]:
@@ -310,144 +327,116 @@ def _sweep_capacities(spec: str) -> list[int]:
     return capacities
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+# each --policy choice: its policy from the flags, and the policy of one --sweep capacity (None: it does not sweep)
+_POLICIES = {
+    "unbounded": (lambda args: Policy.unbounded(), None),
+    "lru": (lambda args: Policy.lru(args.capacity), Policy.lru),
+    "dual": (lambda args: Policy.dual(args.l_cap, args.g_cap), lambda c: Policy.dual(c, c)),
+}
+
+
+def _counts(report) -> str:
+    return f"evictions={report.evictions} forced={report.forced_errors} rate={report.forced_error_rate:.4f}"
+
+
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict]:
     corpus = _read_corpus(args.input)
-    if args.policy == "unbounded":
-        base = Policy.unbounded()
-    elif args.policy == "lru":
-        base = Policy.lru(args.capacity)
-    else:
-        base = Policy.dual(args.l_cap, args.g_cap)
+    make, make_swept = _POLICIES[args.policy]
+    base = make(args)
     policies = []
     if args.sweep:
         capacities = _sweep_capacities(args.sweep)
-        if args.policy == "lru":
-            policies = [Policy.lru(c) for c in capacities]
-        elif args.policy == "dual":
-            policies = [Policy.dual(c, c) for c in capacities]
-        else:
+        if make_swept is None:
             raise ConfigError("--sweep requires --policy lru or dual")
+        policies = [make_swept(c) for c in capacities]
     elif args.csv:
         raise ConfigError("--csv requires --sweep")
     results = {}
     csv_chunks = []
     for rec in corpus.records:
-        gold = rec.cluster_sets["gold"]
+        doc_id, gold = rec.document.doc_id, rec.cluster_sets["gold"]
         if policies:
             swept = sweep(gold, policies)
-            results[rec.document.doc_id] = [r.to_dict() for _, r in swept]
-            csv_chunks.append((rec.document.doc_id, sweep_csv(swept)))
+            results[doc_id] = [r.to_dict() for _, r in swept]
+            csv_chunks.append((doc_id, sweep_csv(swept)))
             for policy, report in swept:
-                print(
-                    f"{rec.document.doc_id} {policy.label()}: evictions={report.evictions} "
-                    f"forced={report.forced_errors} rate={report.forced_error_rate:.4f}"
-                )
+                print(f"{doc_id} {policy.label()}: {_counts(report)}")
         else:
             report = simulate(gold, base)
-            results[rec.document.doc_id] = report.to_dict()
-            print(
-                f"{rec.document.doc_id} {report.policy}: mentions={report.total_mentions} "
-                f"evictions={report.evictions} forced={report.forced_errors} "
-                f"rate={report.forced_error_rate:.4f}"
-            )
+            results[doc_id] = report.to_dict()
+            print(f"{doc_id} {report.policy}: mentions={report.total_mentions} {_counts(report)}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as f:
             for doc_id, chunk in csv_chunks:
                 f.write(f"# {doc_id}\n")
                 f.write(chunk)
         print(f"sweep table written to {args.csv}")
-    _write_json(args, {"command": "simulate", "policy": base.label(), "results": results})
-    return 0
+    return 0, {"command": "simulate", "policy": base.label(), "results": results}
+
+
+def command(parent, name: str, help: str, func, *inputs: str) -> argparse.ArgumentParser:
+    """Declare subcommand ``name`` of ``parent`` (a subparsers action): its
+    positional ``inputs`` and the ``func`` that runs it. :func:`build_parser`
+    adds ``--out`` and ``--json`` to each, after every command's own flags."""
+    p = parent.add_parser(name, help=help)
+    for dest in inputs:
+        p.add_argument(dest)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bookcoref", description=__doc__)
+    # --help shows the docstring's first two paragraphs; the rest is for readers of the code
+    parser = _Parser(prog="bookcoref", description=" ".join((__doc__ or "").split("\n\n")[:2]))
     parser.add_argument("--version", action="version", version=f"bookcoref {__version__}")
     parser.add_argument("--config", help="JSON file with default values for any flag")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized test-support behavior")
     parser.add_argument("--jobs", type=int, default=1, help="cap on concurrent judge and expander calls; results do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common_out(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="also write the full result as JSON to this path")
-        p.add_argument("--json", action="store_true", help="print the JSON result to stdout")
-
-    p = sub.add_parser("synth", help="generate the gold-shaped synthetic benchmark corpus")
-    p.add_argument("output")
-    common_out(p)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("convert", help="convert between JSONL and CoNLL-2012")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--to", choices=("jsonl", "conll"), help="target format (default: by output extension)")
-    common_out(p)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("validate", help="check spans, duplicates and character keys")
-    p.add_argument("input")
-    common_out(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("stats", help="corpus statistics table")
-    p.add_argument("input")
-    common_out(p)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("split", help="cut books into independent window-documents")
-    p.add_argument("input")
-    p.add_argument("output")
+    command(sub, "synth", "generate the gold-shaped synthetic benchmark corpus", _cmd_synth, "output")
+    p = command(sub, "convert", "convert between JSONL and CoNLL-2012", _cmd_convert, "input", "output")
+    p.add_argument("--to", choices=_WRITERS, help="target format (default: by output extension)")
+    command(sub, "validate", "check spans, duplicates and character keys", _cmd_validate, "input")
+    command(sub, "stats", "corpus statistics table", _cmd_stats, "input")
+    p = command(sub, "split", "cut books into independent window-documents", _cmd_split, "input", "output")
     p.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN)
-    common_out(p)
-    p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("score", help="coreference scoring under an evaluation setting")
+    p = command(sub, "score", "coreference scoring under an evaluation setting", _cmd_score, "key", "response")
     p.add_argument("--setting", choices=sorted(_SETTINGS), default="full")
-    p.add_argument("key")
-    p.add_argument("response")
     p.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN)
     p.add_argument("--keep-singletons", action="store_true", help="score singleton clusters too")
     p.add_argument("--results", help="directory for run.json / units.jsonl / summary.txt")
-    common_out(p)
-    p.set_defaults(func=_cmd_score)
+    linking = "character-linking P/R/F1 over (span, character) pairs"
+    command(sub, "score-linking", linking, _cmd_score_linking, "key", "response")
 
-    p = sub.add_parser("score-linking", help="character-linking P/R/F1 over (span, character) pairs")
-    p.add_argument("key")
-    p.add_argument("response")
-    common_out(p)
-    p.set_defaults(func=_cmd_score_linking)
+    pipeline = sub.add_parser("pipeline", help="annotation pipeline")
+    pipeline = pipeline.add_subparsers(dest="pipeline_command", required=True, metavar="run")
+    p = command(pipeline, "run", "run the staged annotation pipeline", _cmd_pipeline_run, "input", "output")
+    p.add_argument("--stages", default="init,refine,window,group", help="comma list from: init,refine,window,group")
+    p.add_argument("--linker", choices=_LINKERS, default="pattern")
+    p.add_argument("--judge", choices=_JUDGES, default="accept")
+    p.add_argument("--expander", choices=_EXPANDERS, default="identity")
+    p.add_argument("--endpoint", help="base URL of the annotator service")
+    p.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN)
+    p.add_argument("--group-size", type=int, default=DEFAULT_GROUP_SIZE)
+    p.add_argument("--context-words", type=int, default=DEFAULT_CONTEXT_WORDS)
+    p.add_argument("--retries", type=_non_negative_int, default=2, help="HTTP attempts after the first")
+    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--cache-dir", help="service response cache (default: $BOOKCOREF_CACHE_DIR)")
 
-    p = sub.add_parser("pipeline", help="annotation pipeline").add_subparsers(
-        dest="pipeline_command", required=True, metavar="run"
-    )
-    pr = p.add_parser("run", help="run the staged annotation pipeline")
-    pr.add_argument("input")
-    pr.add_argument("output")
-    pr.add_argument("--stages", default="init,refine,window,group", help="comma list from: init,refine,window,group")
-    pr.add_argument("--linker", choices=("pattern", "oracle", "http"), default="pattern")
-    pr.add_argument("--judge", choices=("accept", "reject", "oracle", "http"), default="accept")
-    pr.add_argument("--expander", choices=("identity", "oracle", "http"), default="identity")
-    pr.add_argument("--endpoint", help="base URL of the annotator service")
-    pr.add_argument("--window-len", type=int, default=DEFAULT_WINDOW_LEN)
-    pr.add_argument("--group-size", type=int, default=DEFAULT_GROUP_SIZE)
-    pr.add_argument("--context-words", type=int, default=DEFAULT_CONTEXT_WORDS)
-    pr.add_argument("--retries", type=_non_negative_int, default=2, help="HTTP attempts after the first")
-    pr.add_argument("--timeout", type=float, default=30.0)
-    pr.add_argument("--cache-dir", help="service response cache (default: $BOOKCOREF_CACHE_DIR)")
-    common_out(pr)
-    pr.set_defaults(func=_cmd_pipeline_run)
-
-    p = sub.add_parser("simulate", help="replay gold mention streams against a memory policy")
-    p.add_argument("input")
-    p.add_argument("--policy", choices=("unbounded", "lru", "dual"), default="unbounded")
+    p = command(sub, "simulate", "replay gold mention streams against a memory policy", _cmd_simulate, "input")
+    p.add_argument("--policy", choices=_POLICIES, default="unbounded")
     p.add_argument("--capacity", type=int, default=25, help="cluster capacity for --policy lru")
     p.add_argument("--l-cap", type=int, default=25, help="L-cache capacity for --policy dual")
     p.add_argument("--g-cap", type=int, default=25, help="G-cache capacity for --policy dual")
     p.add_argument("--sweep", help="comma list of capacities to sweep")
     p.add_argument("--csv", help="write the sweep table as CSV")
-    common_out(p)
-    p.set_defaults(func=_cmd_simulate)
 
+    for p in _walk_parsers(parser):
+        if p.get_default("func"):
+            p.add_argument("--out", help="also write the full result as JSON to this path")
+            p.add_argument("--json", action="store_true", help="print the JSON result to stdout")
     return parser
 
 
@@ -483,14 +472,21 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
         # every parser in the tree; argparse applies type= only to string
         # defaults, so typed flags get theirs as text and keep their checks,
         # and an untyped value-taking flag reaches its command as given, so
-        # it must be text already
+        # it must be text already, and one of its choices if it has them
+        # (argparse checks those only on the command line)
         for p in _walk_parsers(parser):
             typed = {a.dest for a in p._actions if a.type is not None}
             untyped = {a.dest for a in p._actions if isinstance(a, argparse._StoreAction) and a.type is None}
+            choices = {a.dest: a.choices for a in p._actions if a.choices is not None and a.option_strings}
             for dest, (key, value) in normalized.items():
                 if dest in untyped and not isinstance(value, str):
                     raise SchemaError(
                         f"config file {known.config!r}: {key!r} must be a string, got {json.dumps(value)}"
+                    )
+                if dest in choices and value not in choices[dest]:
+                    allowed = ", ".join(map(repr, choices[dest]))
+                    raise SchemaError(
+                        f"config file {known.config!r}: {key!r} must be one of {allowed}, got {json.dumps(value)}"
                     )
             p.set_defaults(**{k: str(v) if k in typed else v for k, (_, v) in normalized.items()})
     return parser.parse_args(argv)
@@ -501,7 +497,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, argv)
-        return args.func(args)
+        with _out_target(args.out) as out:
+            code, payload = args.func(args)
+            _write_json(args, payload, out)
+        return code
     except (ParseError, SchemaError, CacheError, OSError) as e:
         print(f"bookcoref: {e}", file=sys.stderr)
         return 2

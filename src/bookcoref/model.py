@@ -329,10 +329,6 @@ class ClusterSet:
     def n_mentions(self) -> int:
         return sum(map(len, self.clusters.values()))
 
-    def pairs(self) -> set[tuple[Mention, ClusterKey]]:
-        """(span, key) pairs, the unit of character-linking evaluation."""
-        return {(m, key) for key, ms in self.clusters.items() for m in ms}
-
     def partition(self) -> list[frozenset[Mention]]:
         """Non-empty clusters as mention sets, for the coreference scorers."""
         return [frozenset(self.clusters[key]) for key in self.sorted_keys() if self.clusters[key]]

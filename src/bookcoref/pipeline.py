@@ -200,6 +200,11 @@ class PipelineConfig:
             raise ConfigError("window_len, group_size and judge_context_words must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        # a str would be read as its characters, a list makes the config
+        # unhashable, and a set's order (and with it config_hash) follows
+        # the string-hash seed
+        if type(self.stages) is not tuple or not all(type(s) is str for s in self.stages):
+            raise ConfigError(f"stages must be a tuple of stage names, got {self.stages!r}")
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ConfigError(f"unknown pipeline stages {sorted(unknown)}")

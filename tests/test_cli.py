@@ -1,6 +1,10 @@
 import json
+import os
 import socket
+import stat
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,36 @@ class TestParser:
         assert f"{key!r} must be a string, got {json.dumps(config[key])}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "sub, key, value, allowed",
+        [
+            ("pipeline", "linker", "nope", "'pattern', 'oracle', 'http'"),
+            ("pipeline", "judge", "nope", "'accept', 'reject', 'oracle', 'http'"),
+            ("pipeline", "expander", "Oracle", "'identity', 'oracle', 'http'"),
+            ("score", "setting", "nope", "'full', 'gold+window', 'split'"),
+            ("simulate", "policy", "nope", "'unbounded', 'lru', 'dual'"),
+            ("convert", "to", "xml", "'jsonl', 'conll'"),
+        ],
+        ids=["linker", "judge", "expander", "setting", "policy", "to"],
+    )
+    def test_config_value_outside_a_flags_choices_exits_2(self, tiny_jsonl, tmp_path, capsys, sub, key, value, allowed):
+        """argparse checks choices only on the command line, so a config file's
+        value is checked where it is read, before any command runs."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        output = tmp_path / "out.jsonl"
+        argv = {
+            "pipeline": ["pipeline", "run", tiny_jsonl, str(output)],
+            "score": ["score", tiny_jsonl, tiny_jsonl],
+            "simulate": ["simulate", tiny_jsonl],
+            "convert": ["convert", tiny_jsonl, str(output)],
+        }[sub]
+        assert main(["--config", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"{key!r} must be one of {allowed}, got {json.dumps(value)}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not output.exists()
+
     def test_config_strings_and_switches_still_apply(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"sweep": "1,2", "policy": "lru", "json": True}))
@@ -166,15 +200,100 @@ class TestValidateCommand:
         assert "line 1" in capsys.readouterr().err
 
 
-class TestStatsCommand:
-    def test_table_and_json(self, tiny_jsonl, tmp_path, capsys):
-        out = tmp_path / "stats.json"
-        assert main(["stats", tiny_jsonl, "--out", str(out), "--json"]) == 0
+#: each leaf command's argv on the tiny corpus ("{tiny}"), writing under "{tmp}"
+LEAF_ARGV = {
+    "synth": ["synth", "{tmp}/synth.jsonl"],
+    "convert": ["convert", "{tiny}", "{tmp}/tiny.conll"],
+    "validate": ["validate", "{tiny}"],
+    "stats": ["stats", "{tiny}"],
+    "split": ["split", "{tiny}", "{tmp}/split.jsonl"],
+    "score": ["score", "{tiny}", "{tiny}"],
+    "score-linking": ["score-linking", "{tiny}", "{tiny}"],
+    "pipeline-run": ["pipeline", "run", "{tiny}", "{tmp}/pred.jsonl"],
+    "simulate": ["simulate", "{tiny}"],
+}
+
+
+class TestResultOutput:
+    def test_every_leaf_command_is_covered(self):
+        leaves = [p.prog for p in cli._walk_parsers(cli.build_parser()) if p.get_default("func")]
+        assert sorted(prog.removeprefix("bookcoref ").replace(" ", "-") for prog in leaves) == sorted(LEAF_ARGV)
+
+    @pytest.mark.parametrize("name", list(LEAF_ARGV))
+    def test_out_file_equals_json_payload(self, tiny_jsonl, tmp_path, capsys, name):
+        """Every command's result takes one path: the ``--out`` file holds the
+        bytes that ``--json`` prints, invocation and hash included."""
+        out = tmp_path / "result.json"
+        argv = [a.format(tiny=tiny_jsonl, tmp=tmp_path) for a in LEAF_ARGV[name]]
+        assert main([*argv, "--out", str(out), "--json"]) == 0
         printed = capsys.readouterr().out
-        assert "Ment./Chain" in printed
-        payload = json.loads(out.read_text())
-        assert payload["stats"]["docs"] == 1
-        assert payload["stats"]["mentions"] == 6
+        text = out.read_text()
+        assert printed.endswith("\n" + text)
+        payload = json.loads(text)
+        assert payload["command"] == name
+        assert len(payload["invocation_hash"]) == 16 and payload["invocation"]["out"] == str(out)
+        if name == "stats":
+            assert "Ment./Chain" in printed
+            assert payload["stats"]["docs"] == 1
+            assert payload["stats"]["mentions"] == 6
+
+    @pytest.mark.parametrize("name", ["convert", "pipeline-run"])
+    def test_out_in_a_missing_directory_exits_2_and_writes_nothing(self, tiny_jsonl, tmp_path, capsys, name):
+        """``--out`` is claimed before the command runs, so the command's own
+        output is not written either."""
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "nodir" / "r.json"
+        argv = [a.format(tiny=tiny_jsonl, tmp=tmp_path) for a in LEAF_ARGV[name]]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"No such file or directory: {str(out)!r}" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_out_that_names_a_directory_exits_2_and_writes_nothing(self, tiny_jsonl, tmp_path, capsys):
+        before = sorted(tmp_path.iterdir())
+        assert main(["convert", tiny_jsonl, str(tmp_path / "tiny.conll"), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"Is a directory: {str(tmp_path)!r}" in captured.err and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_command_leaves_an_existing_out_as_it_was(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_text('{"doc_id":"x","tokens":["a"],"characters":["A"],"clusters":{"A":[[0,5]]}}\n')
+        out = tmp_path / "r.json"
+        out.write_text("old\n")
+        before = sorted(tmp_path.iterdir())
+        assert main(["convert", str(src), str(tmp_path / "x.conll"), "--out", str(out)]) == 1
+        assert out.read_text() == "old\n" and sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing target", "new target"])
+    def test_out_through_a_symlink_writes_its_target(self, tiny_jsonl, tmp_path, capsys, existing):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        if existing:
+            real.write_text("old\n")
+        link.symlink_to(real)
+        assert main(["stats", tiny_jsonl, "--out", str(link)]) == 0
+        assert link.is_symlink() and json.loads(real.read_text())["command"] == "stats"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_out_that_names_a_pipe_is_written_in_place(self, tiny_jsonl, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["stats", tiny_jsonl, "--out", str(fifo)]) == 0
+        reader.join(10)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode) and json.loads(got[0])["command"] == "stats"
+
+    def test_out_gets_the_mode_of_a_new_file(self, tiny_jsonl, tmp_path, capsys):
+        """The result is written to a temporary file first; it still gets the
+        mode that ``open`` gives a new file, not ``mkstemp``'s owner-only one."""
+        out, plain = tmp_path / "r.json", tmp_path / "plain"
+        plain.write_text("")
+        assert main(["stats", tiny_jsonl, "--out", str(out)]) == 0
+        assert os.stat(out).st_mode == os.stat(plain).st_mode
+        assert json.loads(out.read_text())["command"] == "stats"
 
 
 class TestConvertAndSplit:
@@ -516,7 +635,7 @@ class TestHostileInput:
         comma, colon = sep
         path = tmp_path / "big.jsonl"
         head = comma.join(f'"{k}"{colon}{v}' for k, v in (("doc_id", '"d"'), ("tokens", '["a"]'), ("characters", "[]")))
-        path.write_text(open(tiny_jsonl).read() + f'{{{head}{comma}"clusters"{colon}{{"A"{colon}[[0{comma}{"1" * 5000}]]}}}}\n')
+        path.write_text(Path(tiny_jsonl).read_text() + f'{{{head}{comma}"clusters"{colon}{{"A"{colon}[[0{comma}{"1" * 5000}]]}}}}\n')
         assert main(["stats", str(path)]) == 2
         err = capsys.readouterr().err
         assert "bookcoref: line 2: malformed JSON (Exceeds the limit (4300 digits)" in err
@@ -535,7 +654,7 @@ class TestHostileInput:
 
     def test_deeply_nested_line_exits_2(self, tiny_jsonl, tmp_path, capsys):
         path = tmp_path / "deep.jsonl"
-        path.write_text(open(tiny_jsonl).read() + "[" * 100_000 + "\n")
+        path.write_text(Path(tiny_jsonl).read_text() + "[" * 100_000 + "\n")
         assert main(["stats", str(path)]) == 2
         err = capsys.readouterr().err
         assert "bookcoref: line 2: JSON nested too deeply" in err and "Traceback" not in err

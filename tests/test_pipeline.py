@@ -694,6 +694,18 @@ class TestRun:
         with pytest.raises(ConfigError, match=f"^{field} must be an int, got {value!r}$"):
             PipelineConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "stages",
+        ["init", ["init", "refine"], {"init", "refine"}, ("init", 1), (b"init",)],
+        ids=["str", "list", "set", "int stage", "bytes stage"],
+    )
+    def test_stages_that_are_no_tuple_of_str_are_refused(self, stages):
+        """A string would be read as its characters, a list would make the
+        config unhashable, and a set would make ``config_hash`` follow the
+        string-hash seed; each is refused where the config is made."""
+        with pytest.raises(ConfigError, match=r"^stages must be a tuple of stage names, got "):
+            PipelineConfig(stages=stages)
+
     def test_refine_disabled_advances_stage_without_judging(self):
         doc, gold = gold_small()
         calls = []
