@@ -10,12 +10,14 @@ parse errors.
 (``--help`` shows the two paragraphs above; the rest is for readers of the
 code.) Each ``_cmd_*`` function prints its summary and returns ``(exit code,
 payload)``; it never writes the JSON itself. :func:`main` is the one output
-path: it claims the ``--out`` target before the command runs (see
-:func:`_out_target`), so a ``--out`` that cannot be written fails before the
-command writes anything, and a command that stops on an error leaves no
-``--out`` file. Then :func:`_write_json` adds the invocation and its hash
-and writes the payload; ``validate`` returns exit code 1 with its findings
-as a payload, which is written like any other.
+path: it claims the ``--out`` target with
+:func:`~bookcoref.formats.replaced` before the command runs, so a ``--out``
+that cannot be written fails before the command writes anything, and a
+command that stops on an error leaves ``--out`` as it was. Then
+:func:`_write_json` adds the invocation and its hash and writes the payload;
+``validate`` returns exit code 1 with its findings as a payload, which is
+written like any other. Every file a command writes (its output, the
+``--results`` files, the ``--csv`` table) goes through ``replaced`` too.
 
 Each flag with a fixed set of choices reads them from one table:
 ``_LINKERS``, ``_JUDGES`` and ``_EXPANDERS`` map a component name to a
@@ -31,19 +33,16 @@ subcommand with its positionals, and :func:`build_parser` adds ``--out`` and
 from __future__ import annotations
 
 import argparse
-import errno
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from contextlib import nullcontext
+from typing import Sequence, TextIO
 
 from . import __version__
 from .errors import BookcorefError, CacheError, ConfigError, ParseError, SchemaError
-from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, write_conll, write_jsonl
+from .formats import CorpusFile, DocumentRecord, read_conll, read_jsonl, replaced, write_conll, write_jsonl
 from .harness import Setting, check_token_counts, evaluate
 from .memsim import Policy, simulate, sweep, sweep_csv
 from .metrics import corpus_stats, linking_prf, pool_prf
@@ -81,48 +80,17 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _write_json(args: argparse.Namespace, payload: dict, out: str | None) -> None:
-    """Write a command's result, with the invocation that made it, to
-    ``out`` (see :func:`_out_target`) and, for ``--json``, to stdout."""
+def _write_json(args: argparse.Namespace, payload: dict, out: TextIO | None) -> None:
+    """Write a command's result, with the invocation that made it, to the
+    ``--out`` file ``out`` and, for ``--json``, to stdout."""
     plain = (str, int, float, bool, type(None))
     invocation = {k: v for k, v in sorted(vars(args).items()) if k != "func" and isinstance(v, plain)}
     digest = hashlib.sha256(json.dumps(invocation, sort_keys=True).encode()).hexdigest()[:16]
     text = json.dumps({**payload, "invocation": invocation, "invocation_hash": digest}, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+    if out is not None:
+        print(text, file=out)
     if args.json:
         print(text)
-
-
-@contextmanager
-def _out_target(path: str | None) -> Iterator[str | None]:
-    """The file to write ``--out`` to. For a new or regular file that is a
-    temporary file beside it, made before the command runs, so that a
-    ``--out`` that cannot be written fails before the command writes
-    anything. It replaces ``path`` once the result is written, and is
-    removed if the command fails, so a failed command leaves ``path`` as it
-    was. A device or a pipe is written in place; a directory is refused."""
-    if path and os.path.isdir(path):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not path or (os.path.exists(path) and not os.path.isfile(path)):
-        yield path
-        return
-    target = os.path.realpath(path)  # a symlink is written through, as open() would
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".bookcoref-")
-    except OSError as e:  # name --out, not the temporary file
-        raise OSError(e.errno, e.strerror, path) from None
-    os.close(fd)
-    try:
-        yield tmp
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)  # the mode open() gives a new file, not mkstemp's 0o600
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _is_conll(path: str) -> bool:
@@ -366,7 +334,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, dict]:
             results[doc_id] = report.to_dict()
             print(f"{doc_id} {report.policy}: mentions={report.total_mentions} {_counts(report)}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
+        with replaced(args.csv) as f:
             for doc_id, chunk in csv_chunks:
                 f.write(f"# {doc_id}\n")
                 f.write(chunk)
@@ -497,7 +465,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, argv)
-        with _out_target(args.out) as out:
+        with replaced(args.out) if args.out else nullcontext() as out:
             code, payload = args.func(args)
             _write_json(args, payload, out)
         return code

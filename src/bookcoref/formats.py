@@ -24,15 +24,17 @@ span: a :class:`~bookcoref.model.ClusterSet` holds only valid mentions (see
 :func:`~bookcoref.model.sorted_mentions`), and the CoNLL writer finds a span
 past the end of its document on the error path of its labelling pass. Both
 refuse, searching only text that is neither ASCII nor printable, a lone
-surrogate, which UTF-8 cannot encode (a :class:`SchemaError`), before they
-open the file, at no cost on plain text. The JSONL reader reads a line in
-the writers' layout in pieces (see :func:`_sliced_object`): each cluster's
-spans, when they are canonical non-negative integers, as one flat list of
-integers, so it builds one mention per span and no list per span. The CoNLL
-writer writes each bracket straight into its token's label in one pass over
-the clusters, sorting only the brackets of a token that carries several, and
-writes each document in chunks of rows, so an export is linear in tokens
-plus mentions.
+surrogate, which UTF-8 cannot encode (a :class:`SchemaError`), at no cost on
+plain text. Both stream, a record at a time, into :func:`replaced`, which
+every file this package writes goes through: a write that fails, on a bad
+record or on a full disk, leaves the target as it was. The JSONL reader
+reads a line in the writers' layout in pieces (see :func:`_sliced_object`):
+each cluster's spans, when they are canonical non-negative integers, as one
+flat list of integers, so it builds one mention per span and no list per
+span. The CoNLL writer writes each bracket straight into its token's label
+in one pass over the clusters, sorting only the brackets of a token that
+carries several, and writes each document in chunks of rows, so an export is
+linear in tokens plus mentions.
 The CoNLL reader is one pass over the rows: a plain row (a token labelled
 ``-``, most rows of a book) costs one ``rfind`` and a slice, and each
 distinct label text is parsed once per read, so a labelled row costs a
@@ -48,20 +50,23 @@ the tokens of a written line about 64 KB of text at a time and maps each
 slice to the shared strings before it decodes the next, so it never holds one
 fresh string per token of a book, and reads the clusters one at a time, so
 it holds one cluster's flat list of integers, not a list per span. The
-CoNLL writer holds a document's labels and
-one chunk of rows, not its whole text, and shares each cluster's three
-bracket texts among its labels. Both readers report a file that is not UTF-8 as a
-:class:`ParseError` naming the line of the first bad byte.
+JSONL writer holds one record's line, and the CoNLL writer one document's
+labels and one chunk of rows, not its whole text, and shares each cluster's
+three bracket texts among its labels. Both readers report a file that is not
+UTF-8 as a :class:`ParseError` naming the line of the first bad byte.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from json.decoder import scanstring
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .errors import ParseError, SchemaError, SpanRangeError
 from .model import (
@@ -397,19 +402,52 @@ def _record_line(rec: DocumentRecord, clusters_from: str | None) -> str:
     return "".join(['{"doc_id":', head, ',"tokens":', tokens_text, ',"characters":', characters, ',"clusters":{', spans, end])
 
 
+@contextmanager
+def replaced(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file with LF line ends that replaces ``path`` only if the
+    ``with`` block completes; every file this package writes goes through it.
+
+    A directory is refused up front (``EISDIR``), and a pipe or a device is
+    written in place. Otherwise a temporary file is made beside the target
+    (a symlink is written through, as ``open`` would) before the block runs,
+    so a target that cannot be written fails before any work; it is moved
+    over the target with ``os.replace`` when the block completes and removed
+    when it fails, so a failed write leaves the target as it was. The
+    temporary file is created with mode ``0o666`` for the kernel to apply the
+    umask to, so it gets the mode of any new file.
+    """
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".bookcoref-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:  # name the target, not the temporary file
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_jsonl(corpus: CorpusFile, path: str, clusters_from: str | None = None) -> None:
-    """Write a corpus in canonical JSONL form.
+    """Write a corpus in canonical JSONL form, a record at a time, through
+    :func:`replaced`, so a bad record leaves ``path`` as it was.
 
     ``clusters_from`` names the set to serialize, and a record without it is
     a :class:`SchemaError`; by default each record's
-    :meth:`~DocumentRecord.pick` of "gold" is written. Every record is
-    serialized before the file is opened, so a bad record leaves no output
-    behind.
+    :meth:`~DocumentRecord.pick` of "gold" is written.
     """
-    lines = [_record_line(rec, clusters_from) for rec in corpus.records]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
-            f.write(line)
+    with replaced(path) as f:
+        for rec in corpus.records:
+            f.write(_record_line(rec, clusters_from))
             f.write("\n")
 
 
@@ -518,21 +556,19 @@ def write_conll(corpus: CorpusFile, path: str) -> None:
 
     Each record's :meth:`~DocumentRecord.pick` of "gold" is written.
     Character names are lost; cluster keys become integer ids assigned in
-    first-mention order. Every record is checked and labelled before the
-    file is opened, so a bad record (see :func:`_check_row_text`) leaves no
-    output behind. Each document is then written as its header, its rows
-    joined ``_CONLL_CHUNK_ROWS`` at a time, and its end line, so beyond the
-    labels the writer holds one chunk of rows, not a copy of the document's
-    text. The cost is linear in tokens plus mentions (see
+    first-mention order. The records stream through :func:`replaced`, so a
+    bad record (see :func:`_check_row_text`) leaves ``path`` as it was. Each
+    document is checked and labelled, then written as its header, its rows
+    joined ``_CONLL_CHUNK_ROWS`` at a time, and its end line, so the writer
+    holds one document's labels and one chunk of rows, not a copy of the
+    document's text. The cost is linear in tokens plus mentions (see
     :func:`_coref_labels`).
     """
-    docs = []
-    for rec in corpus.records:
-        doc = rec.document
-        _check_row_text(doc)
-        docs.append((doc, _coref_labels(rec.pick("gold"), len(doc.tokens))))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for doc, labels in docs:
+    with replaced(path) as f:
+        for rec in corpus.records:
+            doc = rec.document
+            _check_row_text(doc)
+            labels = _coref_labels(rec.pick("gold"), len(doc.tokens))
             f.write(f"#begin document ({doc.doc_id}); part 000\n")
             prefix = f"{doc.doc_id}\t0\t"
             tokens = doc.tokens
@@ -541,6 +577,7 @@ def write_conll(corpus: CorpusFile, path: str) -> None:
                 rows = zip(range(lo, hi), tokens[lo:hi], labels[lo:hi])
                 f.write("".join([f"{prefix}{i}\t{tok}\t{label}\n" for i, tok, label in rows]))
             f.write("#end document\n")
+            del labels  # so that the next document's labels are not built beside them
 
 
 def _label_items(label: str) -> tuple[list[tuple[bool, int, bool]], str | None]:

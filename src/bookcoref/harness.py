@@ -41,11 +41,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigError, ContractError, require_int
-from .formats import CorpusFile
+from .formats import CorpusFile, replaced
 from .metrics import ScoreReport, conll, macro_reports, pool_reports
 # restrict is not called here; it stays bound for perfbench/test_smoke.py,
 # which checks that the tracer wraps it in every windowed module
@@ -115,18 +116,17 @@ class EvalRun:
         return "\n".join(lines)
 
     def save(self, out_dir: str) -> None:
-        """Write run.json, per-unit JSONL and a plain-text summary."""
+        """Write run.json, per-unit JSONL and a plain-text summary. All three
+        are claimed (see :func:`~bookcoref.formats.replaced`) before any is
+        written, so a save that fails leaves each as it was."""
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-        with open(os.path.join(out_dir, "units.jsonl"), "w", encoding="utf-8") as f:
+        with ExitStack() as stack:
+            names = ("run.json", "units.jsonl", "summary.txt")
+            run, units, summary = (stack.enter_context(replaced(os.path.join(out_dir, n))) for n in names)
+            print(json.dumps(self.to_dict(), indent=2), file=run)
             for unit, report in self.units:
-                f.write(json.dumps({"unit": unit, **report.to_dict()}, separators=(",", ":")))
-                f.write("\n")
-        with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
-            f.write(self.summary_table())
-            f.write("\n")
+                print(json.dumps({"unit": unit, **report.to_dict()}, separators=(",", ":")), file=units)
+            print(self.summary_table(), file=summary)
 
 
 def _peak_rss_mb() -> float | None:

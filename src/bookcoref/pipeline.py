@@ -42,6 +42,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter, lt
+from types import MappingProxyType
 from typing import Protocol, TypeVar
 
 from .errors import ConfigError, ContractError, PlanningError, SpanRangeError, StageError, TransportError, require_int
@@ -191,7 +192,8 @@ class PipelineConfig:
     judge_context_words: int = DEFAULT_CONTEXT_WORDS
     stages: tuple[str, ...] = ("init", "refine", "window", "group")
     jobs: int = 1
-    endpoints: Mapping[str, str] | None = None
+    #: read-only; compared by ``==`` but not hashed, as a mapping has no hash
+    endpoints: Mapping[str, str] | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         for name in ("window_len", "group_size", "judge_context_words", "jobs"):
@@ -212,6 +214,9 @@ class PipelineConfig:
             raise ConfigError("the init stage cannot be disabled")
         if "group" in self.stages and "window" not in self.stages:
             raise ConfigError("the group stage requires the window stage")
+        if self.endpoints is not None:
+            # a copy, so that the caller's mapping cannot change a config already hashed
+            object.__setattr__(self, "endpoints", MappingProxyType(dict(self.endpoints)))
 
     def config_hash(self) -> str:
         payload = {

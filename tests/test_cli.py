@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import os
 import socket
@@ -294,6 +296,102 @@ class TestResultOutput:
         assert main(["stats", tiny_jsonl, "--out", str(out)]) == 0
         assert os.stat(out).st_mode == os.stat(plain).st_mode
         assert json.loads(out.read_text())["command"] == "stats"
+
+
+#: each writer of a file, by the argv on the tiny corpus ("{tiny}") that has
+#: it write into the directory "{out}"
+WRITTEN_FILES = {
+    "write_jsonl": ["convert", "{tiny}", "{out}/c.jsonl"],
+    "write_conll": ["convert", "{tiny}", "{out}/c.conll"],
+    "EvalRun.save": ["score", "{tiny}", "{tiny}", "--results", "{out}"],
+    "simulate --csv": ["simulate", "{tiny}", "--policy", "lru", "--sweep", "1,2", "--csv", "{out}/s.csv"],
+    "--out": ["stats", "{tiny}", "--out", "{out}/r.json"],
+}
+
+
+def _written_file_argv(name, tiny, out):
+    """The argv of ``WRITTEN_FILES[name]``, with its directory ``out`` made."""
+    out.mkdir()
+    return [a.format(tiny=tiny, out=out) for a in WRITTEN_FILES[name]]
+
+
+def _contents(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class _FullAfterOneWrite:
+    """A text file whose second ``write`` raises ``ENOSPC``, as on a disk that
+    fills up while the file is written."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._f.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+class TestFileWrites:
+    """Every file a command writes replaces its target only when it is
+    written whole (``formats.replaced``)."""
+
+    @pytest.mark.parametrize("name", list(WRITTEN_FILES))
+    def test_a_full_disk_leaves_an_existing_target_as_it_was(self, tiny_jsonl, tmp_path, capsys, monkeypatch, name):
+        out = tmp_path / "out"
+        argv = _written_file_argv(name, tiny_jsonl, out)
+        assert main(argv) == 0
+        before = _contents(out)
+        real_open = open
+
+        def open_full(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return _FullAfterOneWrite(f) if "w" in mode else f
+
+        monkeypatch.setattr(builtins, "open", open_full)
+        assert main(argv) == 2
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert "No space left on device" in err and "Traceback" not in err
+        assert _contents(out) == before
+
+    @pytest.mark.parametrize("name", list(WRITTEN_FILES))
+    def test_a_new_file_gets_its_mode_without_a_umask_call(self, tiny_jsonl, tmp_path, capsys, monkeypatch, name):
+        """The temporary file is created with mode 0o666 for the kernel to
+        apply the umask to: no writer reads the umask by setting it, which
+        would race any thread that makes a file meanwhile."""
+        out = tmp_path / "out"
+        argv = _written_file_argv(name, tiny_jsonl, out)
+        plain = tmp_path / "plain"
+        plain.write_text("")
+
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        assert main(argv) == 0
+        modes = {p.name: p.stat().st_mode for p in out.iterdir()}
+        assert modes and set(modes.values()) == {plain.stat().st_mode}
+
+    def test_results_with_a_directory_in_the_way_exit_2_and_write_nothing(self, tiny_jsonl, tmp_path, capsys):
+        """``--results`` claims run.json, units.jsonl and summary.txt before it
+        writes any, so one that cannot be written leaves none of the others."""
+        results = tmp_path / "rr"
+        (results / "units.jsonl").mkdir(parents=True)
+        assert main(["score", tiny_jsonl, tiny_jsonl, "--results", str(results)]) == 2
+        err = capsys.readouterr().err
+        assert f"Is a directory: {str(results / 'units.jsonl')!r}" in err and "Traceback" not in err
+        assert [p.name for p in results.iterdir()] == ["units.jsonl"]
 
 
 class TestConvertAndSplit:

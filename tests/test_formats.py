@@ -469,6 +469,18 @@ class TestConllWriterChunks:
         assert peak / len(manor.records[0].document) < 30
 
 
+@pytest.mark.parametrize("write", [write_jsonl, write_conll])
+def test_four_copies_of_a_book_peak_within_1_5_times_one(gold_corpus, tmp_path, write):
+    """Both writers stream a record at a time, so writing the seed-13 manor
+    book four times peaks about as high as writing it once (1.0x of 3.1 MB
+    for JSONL and 1.7 MB for CoNLL). Serializing or labelling every record
+    before the file was opened peaked at 2.2x and 3.0x."""
+    manor = gold_corpus.by_id()["synthetic_manor"]
+    path = str(tmp_path / "manor.out")
+    one, four = (_traced(lambda: write(CorpusFile([manor] * n), path))[2] for n in (1, 4))
+    assert four <= 1.5 * one
+
+
 @st.composite
 def labelled_sets(draw):
     """A document length and a cluster set over it with nested, same-start,

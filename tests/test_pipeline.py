@@ -932,6 +932,23 @@ class TestSeed13PipelineIsPinned:
     def test_default_config_hash(self):
         assert PipelineConfig().config_hash() == self.CONFIG_HASH
 
+    def test_a_config_with_endpoints_is_hashable_and_keeps_its_config_hash(self):
+        """``endpoints`` is a read-only copy of the mapping given: it is left
+        out of ``hash`` (a dict has none) but not out of ``==``, and a change
+        to the caller's dict after the fact changes neither the config nor
+        its ``config_hash``."""
+        endpoints = {"all": "http://x"}
+        config = PipelineConfig(endpoints=endpoints)
+        endpoints["all"] = "http://y"
+        assert config.config_hash() == "93ba720dc0ba0023"
+        assert hash(config) == hash(PipelineConfig(endpoints={"all": "http://x"})) == hash(PipelineConfig())
+        assert config == PipelineConfig(endpoints={"all": "http://x"})
+        assert config != PipelineConfig(endpoints=endpoints) and config != PipelineConfig()
+        assert len({config, PipelineConfig(endpoints={"all": "http://x"}), PipelineConfig()}) == 2
+        with pytest.raises(TypeError):
+            config.endpoints["all"] = "http://z"
+        assert PipelineConfig(endpoints=None).config_hash() == self.CONFIG_HASH
+
     @staticmethod
     def run_corpus(corpus, jobs, components):
         out = CorpusFile()
