@@ -436,27 +436,29 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
         unknown = [key for dest, (key, _) in normalized.items() if dest not in flags]
         if unknown:
             raise SchemaError(f"config file {known.config!r}: {unknown[0]!r} names no flag")
-        # subcommands parse into a fresh namespace, so defaults must reach
-        # every parser in the tree; argparse applies type= only to string
-        # defaults, so typed flags get theirs as text and keep their checks,
-        # and an untyped value-taking flag reaches its command as given, so
-        # it must be text already, and one of its choices if it has them
-        # (argparse checks those only on the command line)
+        # a value goes only to the parsers that own its flag: argparse copies
+        # a subcommand's namespace over its parent's, so a default set on a
+        # subcommand would override the parent's explicit flag. argparse
+        # applies type= only to string defaults, so typed flags get theirs as
+        # text and keep their checks; any other value reaches its command as
+        # given, so an on/off flag's must be a boolean already, an untyped
+        # value-taking flag's must be text, and either must be one of the
+        # flag's choices if it has them (argparse checks those only on the
+        # command line)
+        def refused(key: str, wanted: str, value: object) -> SchemaError:
+            return SchemaError(f"config file {known.config!r}: {key!r} must be {wanted}, got {json.dumps(value)}")
+
         for p in _walk_parsers(parser):
-            typed = {a.dest for a in p._actions if a.type is not None}
-            untyped = {a.dest for a in p._actions if isinstance(a, argparse._StoreAction) and a.type is None}
-            choices = {a.dest: a.choices for a in p._actions if a.choices is not None and a.option_strings}
-            for dest, (key, value) in normalized.items():
-                if dest in untyped and not isinstance(value, str):
-                    raise SchemaError(
-                        f"config file {known.config!r}: {key!r} must be a string, got {json.dumps(value)}"
-                    )
-                if dest in choices and value not in choices[dest]:
-                    allowed = ", ".join(map(repr, choices[dest]))
-                    raise SchemaError(
-                        f"config file {known.config!r}: {key!r} must be one of {allowed}, got {json.dumps(value)}"
-                    )
-            p.set_defaults(**{k: str(v) if k in typed else v for k, (_, v) in normalized.items()})
+            owned = [(a, *normalized[a.dest]) for a in p._actions if a.option_strings and a.dest in normalized]
+            for a, key, value in owned:
+                switch = isinstance(a, (argparse._StoreTrueAction, argparse._StoreFalseAction))
+                if switch and not isinstance(value, bool):
+                    raise refused(key, "true or false", value)
+                if isinstance(a, argparse._StoreAction) and a.type is None and not isinstance(value, str):
+                    raise refused(key, "a string", value)
+                if a.choices is not None and value not in a.choices:
+                    raise refused(key, f"one of {', '.join(map(repr, a.choices))}", value)
+            p.set_defaults(**{a.dest: value if a.type is None else str(value) for a, _, value in owned})
     return parser.parse_args(argv)
 
 

@@ -62,6 +62,7 @@ import errno
 import json
 import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -414,7 +415,9 @@ def replaced(path: str) -> Iterator[TextIO]:
     over the target with ``os.replace`` when the block completes and removed
     when it fails, so a failed write leaves the target as it was. The
     temporary file is created with mode ``0o666`` for the kernel to apply the
-    umask to, so it gets the mode of any new file.
+    umask to, so it gets the mode of any new file; when the target is an
+    existing file, the temporary file takes that file's permission bits
+    before the block writes to it, so a private file stays private.
     """
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -430,6 +433,8 @@ def replaced(path: str) -> Iterator[TextIO]:
         raise OSError(e.errno, e.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as f:
+            if os.path.isfile(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             yield f
         os.replace(tmp, target)
     except BaseException:

@@ -16,17 +16,19 @@ name is scored from that set, and any other record is a
   window: both sides are restricted to each window (full containment),
   empty clusters dropped, and each window scored as its own unit.
 
-``split`` and ``gold_plus_window`` share one per-document window loop. It
-slices each cluster set at all of a document's windows with one
-:func:`~bookcoref.model.cut`, O(C log M + M) for C clusters and M mentions,
-rather than one :func:`~bookcoref.model.restrict` (O(C log M + k) for k
-kept) per window. A cut part keeps its set's keys, so the loop sorts a
-book's keys once per side and builds each window's clusters in that order,
-and no window sorts them again. ``split`` cuts the key lazily, a book at a
-time, and re-bases each part to its window only as that window is scored,
-so it never copies the key corpus into window documents. It picks every key
-record's set before it scores any window, so a record without one is
-reported ahead of an earlier book's response of the wrong length.
+One generator walks the key corpus a book at a time and yields that
+book's units under the setting: the whole book in ``full_book``, each of
+its windows in the other two. It slices a windowed book's cluster sets at
+all of its windows with one :func:`~bookcoref.model.cut`, O(C log M + M) for
+C clusters and M mentions, rather than one
+:func:`~bookcoref.model.restrict` (O(C log M + k) for k kept) per window. A
+cut part keeps its set's keys, so the walk sorts a book's keys once per
+side and builds each window's clusters in that order, and no window sorts
+them again. ``split`` cuts the key lazily, a book at a time, and re-bases
+each part to its window only as that window is scored, so it never copies
+the key corpus into window documents. It picks every key record's set
+before it scores any window, so a record without one is reported ahead of
+an earlier book's response of the wrong length.
 
 In ``split`` and ``gold_plus_window``, a window where both sides are empty (a
 missing response counts as empty) carries no signal and is skipped. A unit
@@ -139,12 +141,6 @@ def _peak_rss_mb() -> float | None:
 
 
 _Parts = list[frozenset]
-_Unit = tuple[str, _Parts, _Parts | None]
-_Lookup = Callable[[str, int], ClusterSet | None]
-
-
-def _partition_of(cs: ClusterSet | None) -> _Parts | None:
-    return None if cs is None else cs.partition()
 
 
 def _partition(part: ClusterSet, order: list[ClusterKey]) -> _Parts:
@@ -155,32 +151,43 @@ def _partition(part: ClusterSet, order: list[ClusterKey]) -> _Parts:
     return [frozenset(ms) for ms in map(clusters.__getitem__, order) if ms]
 
 
-def _window_units(
-    keys: Iterable[tuple[Document, ClusterSet]], split: bool, window_len: int, response_for: _Lookup, missing: list[str]
-) -> Iterator[_Unit]:
-    """split's and gold_plus_window's units: each key set is sliced at every
-    window by one :func:`~bookcoref.model.cut`, its keys are sorted once per
-    book, and each part is made ready only as its window is scored.
+def _units(
+    setting: Setting, key_corpus: CorpusFile, response_for: Callable[[str, int], ClusterSet | None], missing: list[str]
+) -> Iterator[tuple[str, _Parts, _Parts | None]]:
+    """Every unit of ``setting``, a key book at a time: its id, its key
+    partition, and its response partition (``None`` if it has no response).
 
-    In ``split`` each window is a response document of its own, so its key
-    part is re-based to the window's coordinates, as plain ``(start, end)``
-    tuples, which equal and hash like the response's mentions. In
-    ``gold_plus_window`` the response is cut at the same windows and its
-    keys are sorted once too; a missing one is flagged here, for the
-    document, and its windows are scored against an empty set.
+    A windowed book's key set is sliced at every window by one
+    :func:`~bookcoref.model.cut`, its keys are sorted once, and each part is
+    made ready only as its window is scored. In ``split`` each window is a
+    response document of its own, so its key part is re-based to the
+    window's coordinates, as plain ``(start, end)`` tuples, which equal and
+    hash like the response's mentions. In ``gold_plus_window`` the response
+    is cut at the same windows and its keys are sorted once too; a missing
+    one is flagged here, for the document, and its windows are scored
+    against an empty set.
     """
+    keys: Iterable[tuple[Document, ClusterSet]] = ((rec.document, rec.pick("gold")) for rec in key_corpus.records)
+    if setting.kind == "split":
+        # a record without a set is reported before any window is scored
+        keys = list(keys)
     for doc, key_cs in keys:
         doc_id = doc.doc_id
-        windows = plan_windows(doc, window_len).windows
+        if setting.kind == "full_book":
+            resp_cs = response_for(doc_id, len(doc))
+            yield doc_id, key_cs.partition(), None if resp_cs is None else resp_cs.partition()
+            continue
+        windows = plan_windows(doc, setting.window_len).windows
         key_order = key_cs.sorted_keys()
-        if split:
+        if setting.kind == "split":
             for i, ((lo, hi), key_part) in enumerate(zip(windows, cut(key_cs, windows)), 1):
                 unit_id = window_doc_id(doc_id, i)
                 clusters = key_part.clusters
                 key_parts = [
                     frozenset([(s - lo, e - lo) for s, e in ms]) for ms in map(clusters.__getitem__, key_order) if ms
                 ]
-                yield unit_id, key_parts, _partition_of(response_for(unit_id, hi - lo))
+                resp_cs = response_for(unit_id, hi - lo)
+                yield unit_id, key_parts, None if resp_cs is None else resp_cs.partition()
             continue
         resp_cs = response_for(doc_id, len(doc))
         if resp_cs is None:
@@ -228,25 +235,9 @@ def evaluate(
         check_token_counts(doc_id, n_tokens, resp.document)
         return resp.pick("prediction")
 
-    if setting.kind == "full_book":
-        units: Iterator[_Unit] = (
-            (
-                rec.document.doc_id,
-                rec.pick("gold").partition(),
-                _partition_of(response_for(rec.document.doc_id, len(rec.document))),
-            )
-            for rec in key_corpus.records
-        )
-    else:
-        keys: Iterable[tuple[Document, ClusterSet]] = ((rec.document, rec.pick("gold")) for rec in key_corpus.records)
-        if setting.kind == "split":
-            # a record without a set is reported before any window is scored
-            keys = list(keys)
-        units = _window_units(keys, setting.kind == "split", setting.window_len, response_for, run.missing_units)
-
     skip_empty = setting.kind != "full_book"
     scoring_s = 0.0
-    for unit_id, key_parts, resp_parts in units:
+    for unit_id, key_parts, resp_parts in _units(setting, key_corpus, response_for, run.missing_units):
         if skip_empty and not key_parts and not resp_parts:
             continue
         if resp_parts is None:

@@ -24,6 +24,9 @@ Hard contracts, enforced with errors rather than silent repair:
   not iterable or a span that is not a mention has no such order, so within
   its cluster it is named first, the first in the reply's own order. A span
   listed twice in one cluster is kept once;
+* a judge returns a ``bool`` for each mention; any other verdict, even one
+  that reads as true or false, is a :class:`ContractError` naming it, the
+  mention and its key;
 * expanders take and return book offsets and must keep every seed mention
   (clusters only grow); the first dropped seed in the same order is named.
   Only the window-local ``/expand`` wire re-bases, in
@@ -532,7 +535,8 @@ def refine(
 
     Each judge call gets a :class:`JudgeRequest`; its prompt is built only
     when the judge reads ``request.prompt`` (once per read). A mention past
-    the end of the document is a contract error whatever the judge.
+    the end of the document is a contract error whatever the judge, and so
+    is a verdict that is not a ``bool``.
 
     Characters whose clusters empty out keep their (empty) entries. The
     judge calls run on ``executor`` if one is given, else on the calling
@@ -560,9 +564,12 @@ def refine(
         if m[1] >= n_tokens:
             raise ContractError(f"mention ({m[0]},{m[1]}) out of bounds")
         try:
-            return judge.judge(requests[i])
+            answer = judge.judge(requests[i])
         except TransportError as e:
             raise StageError(f"judge failed for mention ({m.start},{m.end}) of {owners[i]!r}: {e}") from e
+        if not isinstance(answer, bool):
+            raise ContractError(f"judge verdict {answer!r} for mention ({m[0]},{m[1]}) of {owners[i]!r} is not a bool")
+        return answer
 
     verdicts = _map_in_order(verdict, range(len(requests)), executor)
     if trace is not None:

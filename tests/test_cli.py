@@ -1,11 +1,13 @@
 import builtins
 import errno
+import hashlib
 import json
 import os
 import socket
 import stat
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from bookcoref.memsim import Policy, simulate, sweep, sweep_csv
 from bookcoref.model import ClusterSet, Document
 
 from helpers import drop_timings
+from test_synthetic import SEED_9_SHA256
 
 
 @pytest.fixture()
@@ -382,6 +385,19 @@ class TestFileWrites:
         assert main(argv) == 0
         modes = {p.name: p.stat().st_mode for p in out.iterdir()}
         assert modes and set(modes.values()) == {plain.stat().st_mode}
+
+    @pytest.mark.parametrize("name", list(WRITTEN_FILES))
+    def test_an_existing_target_keeps_its_mode(self, tiny_jsonl, tmp_path, capsys, name):
+        """The temporary file takes a replaced file's permission bits, so a
+        private output does not become readable by others when rewritten."""
+        out = tmp_path / "out"
+        argv = _written_file_argv(name, tiny_jsonl, out)
+        assert main(argv) == 0
+        for p in out.iterdir():
+            p.chmod(0o600)
+        assert main(argv) == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes and set(modes.values()) == {0o600}
 
     def test_results_with_a_directory_in_the_way_exit_2_and_write_nothing(self, tiny_jsonl, tmp_path, capsys):
         """``--results`` claims run.json, units.jsonl and summary.txt before it
@@ -871,6 +887,47 @@ class TestConfigFile:
         out2 = tmp_path / "split2.jsonl"
         assert main(["--config", str(config), "split", tiny_jsonl, str(out2), "--window-len", "5"]) == 0
         assert len(read_jsonl(str(out2))) == 4  # explicit flag beats config
+
+    def test_config_does_not_override_an_explicit_root_flag(self, tmp_path, capsys):
+        """argparse copies a subcommand's namespace over the root's, so a
+        config value must reach only the parsers that own its flag."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5}))
+        out = tmp_path / "gold.jsonl"
+        assert main(["--config", str(config), "--seed", "9", "synth", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED_9_SHA256
+
+    def test_config_jobs_does_not_override_an_explicit_jobs_flag(self, tiny_jsonl, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": 1}))
+        pools = []
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+        argv = ["--config", str(config), "--jobs", "2", "pipeline", "run", tiny_jsonl, str(tmp_path / "p.jsonl")]
+        assert main(argv) == 0
+        assert pools == [2]
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"keep-singletons": "false"}, ["score", "{tiny}", "{tiny}"]),
+            ({"json": "no"}, ["stats", "{tiny}"]),
+            ({"json": 0}, ["stats", "{tiny}"]),
+        ],
+        ids=["keep-singletons", "json", "json-0"],
+    )
+    def test_config_switch_that_is_not_a_boolean_exits_2(self, tiny_jsonl, tmp_path, capsys, config, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), *(a.format(tiny=tiny_jsonl) for a in argv)]) == 2
+        captured = capsys.readouterr()
+        [(key, value)] = config.items()
+        assert f"{key!r} must be true or false, got {json.dumps(value)}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_bad_config_exits_2(self, tiny_jsonl, tmp_path):
         config = tmp_path / "config.json"

@@ -821,6 +821,29 @@ class TestConcurrentJudging:
                 refine(doc, cs, DeadJudge(), executor=pool)
         assert 0 < len(calls) <= 4
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("answer", ["No", None, 1], ids=repr)
+    def test_a_verdict_that_is_not_a_bool_is_a_contract_error(self, jobs, answer):
+        """A verdict is read by type, not by truth: "No" would keep every
+        mention and None drop them all. It fails inside its call, so the
+        earliest mention in sorted order is named and no call starts after."""
+        doc = names_doc()
+        cs = pattern_match(doc)
+        calls = []
+
+        class LooseJudge:
+            name = "loose"
+
+            def judge(self, request):
+                calls.append(request.mention)
+                return answer
+
+        message = rf"judge verdict {answer!r} for mention \(0,0\) of 'Ann' is not a bool$"
+        with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            with pytest.raises(ContractError, match=message):
+                refine(doc, cs, LooseJudge(), trace=PipelineTrace(doc.doc_id, "x"), executor=pool)
+        assert 0 < len(calls) <= jobs
+
     def test_failing_expander_stops_after_calls_in_flight(self):
         doc = names_doc()
         cs = pattern_match(doc).with_stage("refined")
