@@ -80,6 +80,23 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+#: what a config file's value for a flag of each ``type=`` must be
+_TYPE_WORDS = {int: "an integer", _non_negative_int: "an integer", float: "a number"}
+
+
+def _converts(type_: object, text: str) -> bool:
+    """Whether a flag's ``type=`` converts ``text``; a value that it refuses
+    with an ``ArgumentTypeError`` (a range check) converts, for argparse to
+    refuse in the flag's own words."""
+    try:
+        type_(text)  # type: ignore[operator]
+    except (TypeError, ValueError):
+        return False
+    except argparse.ArgumentTypeError:
+        pass
+    return True
+
+
 def _write_json(args: argparse.Namespace, payload: dict, out: TextIO | None) -> None:
     """Write a command's result, with the invocation that made it, to the
     ``--out`` file ``out`` and, for ``--json``, to stdout."""
@@ -439,12 +456,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
         # a value goes only to the parsers that own its flag: argparse copies
         # a subcommand's namespace over its parent's, so a default set on a
         # subcommand would override the parent's explicit flag. argparse
-        # applies type= only to string defaults, so typed flags get theirs as
-        # text and keep their checks; any other value reaches its command as
-        # given, so an on/off flag's must be a boolean already, an untyped
-        # value-taking flag's must be text, and either must be one of the
-        # flag's choices if it has them (argparse checks those only on the
-        # command line)
+        # applies type= only to string defaults, so a typed flag's value must
+        # be a JSON number or text that its type converts (a range check such
+        # as --retries' is left for argparse to word), and it gets its value
+        # as text; any other value reaches its command as given, so an on/off
+        # flag's must be a boolean already, an untyped value-taking flag's
+        # must be text, and either must be one of the flag's choices if it has
+        # them (argparse checks those only on the command line)
         def refused(key: str, wanted: str, value: object) -> SchemaError:
             return SchemaError(f"config file {known.config!r}: {key!r} must be {wanted}, got {json.dumps(value)}")
 
@@ -456,6 +474,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpa
                     raise refused(key, "true or false", value)
                 if isinstance(a, argparse._StoreAction) and a.type is None and not isinstance(value, str):
                     raise refused(key, "a string", value)
+                if a.type is not None and (isinstance(value, bool) or not _converts(a.type, str(value))):
+                    raise refused(key, _TYPE_WORDS[a.type], value)
                 if a.choices is not None and value not in a.choices:
                     raise refused(key, f"one of {', '.join(map(repr, a.choices))}", value)
             p.set_defaults(**{a.dest: value if a.type is None else str(value) for a, _, value in owned})

@@ -35,25 +35,28 @@ span. The CoNLL writer writes each bracket straight into its token's label
 in one pass over the clusters, sorting only the brackets of a token that
 carries several, and writes each document in chunks of rows, so an export is
 linear in tokens plus mentions.
-The CoNLL reader is one pass over the rows: a plain row (a token labelled
-``-``, most rows of a book) costs one ``rfind`` and a slice, and each
-distinct label text is parsed once per read, so a labelled row costs a
-dictionary lookup and the bracket updates its items make; a closing bracket
-builds its mention directly, with no range check, from the index its
-opening pushed.
+The CoNLL reader reads about 64 KB of whole lines at a time and splits a
+run of rows in the writer's layout on tabs once, so a plain row (a token
+labelled ``-``, most rows of a book) runs no Python code of its own; any
+other row is split into columns alone. Each distinct label text is parsed
+once per read, so a labelled row costs a dictionary lookup and the bracket
+updates its items make; a closing bracket builds its mention directly, with
+no range check, from the index its opening pushed.
 
 Memory goes on token text, not on clusters: both readers keep one string per
 distinct token text in a file, so a read book holds about 22 bytes a token
-(its tokens tuple and its mentions) rather than a fresh string each. A read's
-transient is its current line and one slice of it: the JSONL reader decodes
+(its tokens tuple and its mentions) rather than a fresh string each. A JSONL
+read's transient is its current line and one slice of it: the reader decodes
 the tokens of a written line about 64 KB of text at a time and maps each
 slice to the shared strings before it decodes the next, so it never holds one
 fresh string per token of a book, and reads the clusters one at a time, so
 it holds one cluster's flat list of integers, not a list per span. The
 JSONL writer holds one record's line, and the CoNLL writer one document's
 labels and one chunk of rows, not its whole text, and shares each cluster's
-three bracket texts among its labels. Both readers report a file that is not
-UTF-8 as a :class:`ParseError` naming the line of the first bad byte.
+three bracket texts among its labels. The CoNLL reader holds one batch of
+text and its split on tabs, about 0.3 MB whatever the length of a book.
+Both readers report a file that is not UTF-8 as a :class:`ParseError`
+naming the line of the first bad byte.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import re
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from json.decoder import scanstring
 from typing import Iterator, Sequence, TextIO
 
@@ -462,6 +465,8 @@ _CONLL_BEGIN = re.compile(r"#begin document \((?P<id>.*)\); part (?P<part>\d+)\s
 _COREF_ITEM = re.compile(r"^(\()?(\d+)(\))?$")
 #: ``write_conll`` joins and writes a document's rows this many at a time.
 _CONLL_CHUNK_ROWS = 4096
+#: ``read_conll`` reads this many characters at a time, and the rest of the last line.
+_CONLL_BATCH = 1 << 16
 
 
 def _coref_labels(cs: ClusterSet, n_tokens: int) -> list[str]:
@@ -604,6 +609,80 @@ def _label_items(label: str) -> tuple[list[tuple[bool, int, bool]], str | None]:
     return items, None
 
 
+def _batches(f: TextIO) -> Iterator[str]:
+    """The text of ``f`` about ``_CONLL_BATCH`` characters at a time, in whole
+    lines, each cut before and after every line that starts with ``#``: each
+    part is one such line or a run of lines with none. Most batches hold no
+    ``#``, which one ``find`` of it tells, and are one part.
+
+    In a file that can seek (not a pipe), a batch that holds a byte that is
+    not UTF-8 is read again from its start a line at a time, up to the block
+    of text that holds the bad byte, so that the rows before it are read
+    first, and their errors raised first, as a read a line at a time raises
+    them."""
+    seekable = f.seekable()
+    while True:
+        start = f.tell() if seekable else None
+        try:
+            text = f.read(_CONLL_BATCH)
+            if not text.endswith("\n"):
+                text += f.readline()
+        except UnicodeDecodeError:
+            if start is None:
+                raise
+            f.seek(start)
+            yield from f  # raises the error again, at the block that holds the bad byte
+            raise
+        if not text:
+            return
+        pos, end = 0, len(text)
+        while pos < end:
+            if text.startswith("#", pos):
+                nl = text.find("\n", pos)
+            else:
+                nl = text.find("#", pos)
+                if nl >= 0:
+                    nl = text.find("\n#", nl - 1)
+            stop = nl + 1 if nl >= 0 else end
+            yield text[pos:stop]
+            pos = stop
+
+
+def _layout_rows(run: str, doc_id: str | None) -> tuple[list[str], list[int], list[str]] | None:
+    """The rows of ``run`` read as rows of document ``doc_id`` in the writer's
+    layout, ``{doc_id}\\t...\\t...\\t{token}\\t{label}`` and a line break each:
+    the tokens, and the offsets and labels of the rows not labelled ``-``;
+    ``None`` when a row is not in that layout, and for a doc id that is empty,
+    whitespace only, starts with ``#`` or holds a tab, where such a row could
+    be a blank row or a comment, or have its columns cut elsewhere.
+
+    ``run`` is split on tabs once. It has ``n`` line breaks, one a row, so
+    when it splits into ``4n + 1`` pieces and each of the pieces ``4, 8, ...,
+    4n`` holds a line break, each holds exactly one, and each row has exactly
+    four tabs: piece ``4k`` is row ``k``'s label, its line break and the next
+    row's first column, which must be the doc id. A row labelled ``-`` is
+    found by one comparison of each such piece with ``-\\n`` and the doc id,
+    so only a labelled row is looked at alone. The rows read as
+    :func:`read_conll` reads them one at a time.
+    """
+    if not doc_id or doc_id.isspace() or doc_id[0] == "#" or "\t" in doc_id:
+        return None
+    if not run.startswith(doc_id + "\t") or not run.endswith("\n"):
+        return None
+    n = run.count("\n")
+    pieces = run.split("\t")
+    if len(pieces) != 4 * n + 1:
+        return None
+    ends = pieces[4::4]
+    ends[-1] += doc_id  # as if the run went on with another row of the document
+    marked = list(compress(range(n), map(f"-\n{doc_id}".__ne__, ends)))
+    ends = list(map(ends.__getitem__, marked))
+    after = "\n" + doc_id
+    if not all(map(str.endswith, ends, repeat(after))):
+        return None
+    return pieces[3::4], marked, [end[: -len(after)] for end in ends]
+
+
 def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     """Read a CoNLL-2012 export back into a corpus.
 
@@ -617,15 +696,20 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
     :func:`read_jsonl`: a CoNLL-2012 document split into parts is not
     supported.
 
-    Cost: a plain row, one inside a document that is not a comment and ends
-    in a tab, ``-`` and a line break (most rows of a book), is read with one
-    ``rfind`` and a slice. Each distinct label text is parsed once per read
-    (see :func:`_label_items`); every other row is split into columns. A
-    closing bracket builds its mention as a tuple, without the constructor's
-    check: its start is a row index that its cluster's stack of openings
-    held, so ``0 <= start <= end`` holds by construction. The plain-row path
-    and the label cache pay for themselves (ROADMAP.md's fast-path ledger,
-    row ``formats.read_conll``).
+    Cost: the file is read about ``_CONLL_BATCH`` characters at a time, in
+    whole lines, cut at the lines that start with ``#`` (see
+    :func:`_batches`). A run of rows in the writer's layout is split on tabs
+    once (see :func:`_layout_rows`), its tokens are shared in one ``map``,
+    and only its labelled rows run Python code. Any other run (columns
+    joined by spaces, another first column, a blank row) is read a row at a
+    time, each row split into columns. Each distinct label text is
+    parsed once per read (see :func:`_label_items`). A closing bracket builds
+    its mention as a tuple, without the constructor's check: its start is a
+    row index that its cluster's stack of openings held, so ``0 <= start <=
+    end`` holds by construction. The batched path and the label cache pay
+    for themselves (ROADMAP.md's fast-path ledger, row
+    ``formats.read_conll``). Beyond the corpus, a read holds one batch's
+    text and its split on tabs, about 0.3 MB.
     """
     corpus = CorpusFile()
     texts: dict[str, str] = {}
@@ -650,61 +734,72 @@ def read_conll(path: str, clusters_as: str = "prediction") -> CorpusFile:
         corpus.records.append(DocumentRecord(doc, {clusters_as: cs}))
         doc_id, tokens, open_stacks, clusters = None, [], {}, {}
 
+    def bracket(label: str, idx: int, row: int) -> None:
+        """Apply the items of ``label``, not ``-``, to the token at ``idx``."""
+        parsed = labels.get(label)
+        if parsed is None:
+            parsed = labels[label] = _label_items(label)
+        items, error = parsed
+        for opened, cid, closed in items:
+            stack = open_stacks.get(cid)
+            if opened:
+                if stack is None:
+                    stack = open_stacks[cid] = []
+                stack.append(idx)
+            if closed:
+                if not stack:
+                    raise ParseError(f"close bracket without open for cluster {cid}", row)
+                # the start was an earlier row's index, so 0 <= start <= idx
+                mention = _new_tuple(Mention, (stack.pop(), idx))
+                ms = clusters.get(cid)
+                if ms is None:
+                    clusters[cid] = [mention]
+                else:
+                    ms.append(mention)
+        if error is not None:
+            raise ParseError(error, row)
+
     try:
         with open(path, encoding="utf-8") as f:
             row = 0
-            for row, line in enumerate(f, 1):
-                if line.endswith("\t-\n") and doc_id is not None and line[0] != "#":
-                    token = line[line.rfind("\t", 0, -3) + 1 : -3]
+            for part in _batches(f):
+                rows = _layout_rows(part, doc_id)
+                if rows is not None:
+                    run_tokens, offsets, run_labels = rows
+                    base = len(tokens)
+                    tokens += map(texts.setdefault, run_tokens, run_tokens)
+                    for k, label in zip(offsets, run_labels):
+                        bracket(label, base + k, row + 1 + k)
+                    row += len(run_tokens)
+                    continue
+                lines = part.split("\n")
+                if not lines[-1]:  # the part's last line break
+                    lines.pop()
+                for row, line in enumerate(lines, row + 1):
+                    if line.startswith("#"):
+                        m = _CONLL_BEGIN.match(line)
+                        if m:
+                            flush(row)
+                            doc_id = m.group("id")
+                            if doc_id in seen_ids:
+                                raise SchemaError(f"line {row}: duplicate doc_id {doc_id!r} (part {m.group('part')})")
+                            seen_ids.add(doc_id)
+                        elif line.startswith("#end document"):
+                            flush(row)
+                        continue
+                    if not line or line.isspace():
+                        continue
+                    if doc_id is None:
+                        raise ParseError("token row outside a document block", row)
+                    cols = line.rsplit("\t", 2)
+                    if len(cols) < 2:
+                        cols = line.split()
+                    if len(cols) < 2:
+                        raise ParseError("expected at least token and coreference columns", row)
+                    token, label = cols[-2], cols[-1]
                     tokens.append(texts.setdefault(token, token))
-                    continue
-                line = line.rstrip("\n")
-                if line.startswith("#"):
-                    m = _CONLL_BEGIN.match(line)
-                    if m:
-                        flush(row)
-                        doc_id = m.group("id")
-                        if doc_id in seen_ids:
-                            raise SchemaError(f"line {row}: duplicate doc_id {doc_id!r} (part {m.group('part')})")
-                        seen_ids.add(doc_id)
-                    elif line.startswith("#end document"):
-                        flush(row)
-                    continue
-                if not line or line.isspace():
-                    continue
-                if doc_id is None:
-                    raise ParseError("token row outside a document block", row)
-                cols = line.rsplit("\t", 2)
-                if len(cols) < 2:
-                    cols = line.split()
-                if len(cols) < 2:
-                    raise ParseError("expected at least token and coreference columns", row)
-                token, label = cols[-2], cols[-1]
-                idx = len(tokens)
-                tokens.append(texts.setdefault(token, token))
-                if label != "-":
-                    parsed = labels.get(label)
-                    if parsed is None:
-                        parsed = labels[label] = _label_items(label)
-                    items, error = parsed
-                    for opened, cid, closed in items:
-                        stack = open_stacks.get(cid)
-                        if opened:
-                            if stack is None:
-                                stack = open_stacks[cid] = []
-                            stack.append(idx)
-                        if closed:
-                            if not stack:
-                                raise ParseError(f"close bracket without open for cluster {cid}", row)
-                            # the start was an earlier row's index, so 0 <= start <= idx
-                            mention = _new_tuple(Mention, (stack.pop(), idx))
-                            ms = clusters.get(cid)
-                            if ms is None:
-                                clusters[cid] = [mention]
-                            else:
-                                ms.append(mention)
-                    if error is not None:
-                        raise ParseError(error, row)
+                    if label != "-":
+                        bracket(label, len(tokens) - 1, row)
             flush(row)
     except UnicodeDecodeError as e:
         raise _undecodable(path) from e

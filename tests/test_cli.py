@@ -897,6 +897,37 @@ class TestConfigFile:
         assert main(["--config", str(config), "--seed", "9", "synth", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED_9_SHA256
 
+    def test_config_seed_writes_the_seed_9_corpus(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 9}))
+        out = tmp_path / "gold.jsonl"
+        assert main(["--config", str(config), "synth", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED_9_SHA256
+
+    @pytest.mark.parametrize(
+        "config, argv, wanted",
+        [
+            ({"seed": True}, ["synth", "{out}"], "an integer"),
+            ({"window-len": "x"}, ["split", "{tiny}", "{out}"], "an integer"),
+            ({"timeout": False}, ["pipeline", "run", "{tiny}", "{out}"], "a number"),
+        ],
+        ids=["seed-true", "window-len-x", "timeout-false"],
+    )
+    def test_config_value_a_typed_flag_cannot_read_exits_2_naming_file_and_key(
+        self, tiny_jsonl, tmp_path, capsys, config, argv, wanted
+    ):
+        """argparse would refuse such a value with exit 1, in words that name
+        neither the config file nor its key."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.jsonl"
+        assert main(["--config", str(path), *(a.format(tiny=tiny_jsonl, out=out) for a in argv)]) == 2
+        captured = capsys.readouterr()
+        [(key, value)] = config.items()
+        assert f"bookcoref: config file {str(path)!r}: {key!r} must be {wanted}, got {json.dumps(value)}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_config_jobs_does_not_override_an_explicit_jobs_flag(self, tiny_jsonl, tmp_path, capsys, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"jobs": 1}))
